@@ -12,7 +12,6 @@ above the convex hull of the subgroup extremes (p^j, p^(n-j)).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from . import fourier, uncertainty
@@ -88,26 +87,10 @@ def sparse_zero_count(poly: SparsePoly) -> SparseZeroReport:
     """
     modulus = poly.modulus
     p = modulus.p
-    # Work on the redundant spanning set {1, ..., w^(p-1)} over one common
-    # denominator; a value is zero iff all p entries are equal.
-    dens = [c._den for _, c in poly.terms]
-    common = 1
-    for d in dens:
-        common = common * d // math.gcd(common, d)
-    sparse = []
-    for (exponent, coeff), den in zip(poly.terms, dens):
-        m = common // den
-        sparse.append((exponent, [(i, c * m) for i, c in enumerate(coeff._num) if c]))
-    zeros = []
-    for t in range(p):
-        acc = [0] * p
-        for exponent, entries in sparse:
-            s = t * exponent % p
-            for i, c in entries:
-                j = i + s
-                acc[j - p if j >= p else j] += c
-        if min(acc) == max(acc):
-            zeros.append(t)
+    values = fourier._character_sums(
+        modulus, [c for _, c in poly.terms], [e for e, _ in poly.terms], range(p), 1
+    )
+    zeros = [t for t, v in enumerate(values) if v.is_zero()]
     zero_set = SupportSet(modulus, zeros)
     bound = len(zero_set) <= poly.max_zeros
     if not bound:
@@ -303,29 +286,27 @@ class MultiSignal:
 
 
 def _multi_transform(signal: MultiSignal, sign: int, den_factor: int) -> MultiSignal:
+    # w^(sign*<x, xi>) factors over the coordinates, so the n-dimensional sum
+    # is n rounds of one-dimensional sums, one along each axis, each divided
+    # by den_factor.
     modulus = signal.modulus
     p = modulus.p
-    points = list(itertools.product(range(p), repeat=signal.ndim))
-    values = [signal.values[pt] for pt in points]
-    sparse, common = fourier._scaled_sparse(values)
-    den = common * den_factor
-    out = {}
-    for freq in points:
-        acc = [0] * p
-        for pt, terms in zip(points, sparse):
-            if not terms:
-                continue
-            s = sign * sum(u * v for u, v in zip(pt, freq)) % p
-            for i, c in terms:
-                j = i + s
-                acc[j - p if j >= p else j] += c
-        out[freq] = CycloNum._from_redundant(modulus, acc, den)
-    return MultiSignal(modulus, signal.ndim, out)
+    n = signal.ndim
+    multipliers = [sign * t % p for t in range(p)]
+    table = dict(signal.values)
+    for axis in range(n):
+        for rest in itertools.product(range(p), repeat=n - 1):
+            line = [rest[:axis] + (x,) + rest[axis:] for x in range(p)]
+            sums = fourier._character_sums(
+                modulus, [table[pt] for pt in line], range(p), multipliers, den_factor
+            )
+            table.update(zip(line, sums))
+    return MultiSignal(modulus, n, table)
 
 
 def multi_dft(signal: MultiSignal) -> MultiSignal:
     """Fhat(xi) = (1/p^n) * sum_x F(x) * w^(-<x, xi>), exact."""
-    return _multi_transform(signal, -1, signal.modulus.p ** signal.ndim)
+    return _multi_transform(signal, -1, signal.modulus.p)
 
 
 def multi_idft(spectrum: MultiSignal) -> MultiSignal:
@@ -361,7 +342,8 @@ def meshulam_check(signal: MultiSignal) -> MeshulamReport:
 
     Checks p^j * s + p^(n-j-1) * sh >= p^n + p^(n-1) for every 0 <= j < n,
     and independently that (s, sh) lies on or above the lower convex hull of
-    the subgroup extremes (p^j, p^(n-j)).
+    the subgroup extremes (p^j, p^(n-j)).  Either failing is impossible and
+    raises TheoremViolationError.
     """
     if signal.is_zero():
         raise ValueError("the zero signal has empty support; the bound needs a nonzero input")
@@ -372,4 +354,9 @@ def meshulam_check(signal: MultiSignal) -> MeshulamReport:
     threshold = p**n + p ** (n - 1)
     per_j = tuple(p**j * s + p ** (n - j - 1) * sh >= threshold for j in range(n))
     hull_ok = _on_or_above_hull(s, sh, p, n)
+    if not (all(per_j) and hull_ok):
+        raise TheoremViolationError(
+            f"lattice support bound failed: s={s}, sh={sh}, per_j={list(per_j)}, "
+            f"hull_ok={hull_ok}"
+        )
     return MeshulamReport(p, n, s, sh, per_j, hull_ok)

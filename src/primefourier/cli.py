@@ -46,10 +46,6 @@ def _parse_residues(text: str) -> list[int]:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _parse_ints(text: str) -> list[int]:
-    return _parse_residues(text)
-
-
 def _check_seed(seed: int) -> int:
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
@@ -101,30 +97,23 @@ def _witness_payload(witness) -> dict:
 
 def _cmd_certify(args) -> tuple[dict, dict, list[dict]]:
     modulus = PrimeModulus(args.p)
+    summary = uncertainty.exhaustive_certification(
+        modulus, max_p=args.budget, jobs=args.jobs, seed=args.seed
+    )
     rows: list[dict] = []
     if args.format == "csv":
-        if modulus.p > args.budget:
-            raise BudgetExceededError(
-                f"p={modulus.p} exceeds the certification budget {args.budget}"
-            )
-        counts = {"minors": 0, "tightness": 0, "achievability": 0}
-        key = {"minor": "minors", "tightness": "tightness",
-               "achievability": "achievability"}
-        for kind, first, second in uncertainty.iter_certification_checks(modulus):
-            counts[key[kind]] += 1
-            rows.append({
-                "kind": kind,
-                "first": ";".join(map(str, first)),
-                "second": ";".join(map(str, second)),
-                "ok": True,
-            })
-        summary = uncertainty.CertificationSummary(
-            modulus.p, counts["minors"], counts["tightness"], counts["achievability"]
-        )
-    else:
-        summary = uncertainty.exhaustive_certification(
-            modulus, max_p=args.budget, jobs=args.jobs, seed=args.seed
-        )
+        # The sweep raises on any failure, so every instance it covered passed.
+        p = modulus.p
+        for kind, pairs in (("minor", uncertainty._minor_pairs(p)),
+                            ("tightness", uncertainty._tightness_pairs(p)),
+                            ("achievability", uncertainty._achievability_pairs(p))):
+            for first, second in pairs:
+                rows.append({
+                    "kind": kind,
+                    "first": ";".join(map(str, first)),
+                    "second": ";".join(map(str, second)),
+                    "ok": True,
+                })
     result = {
         "p": summary.p,
         "minors_checked": summary.minors_checked,
@@ -162,8 +151,8 @@ def _cmd_construct(args) -> tuple[dict, dict, list[dict]]:
 
 def _cmd_sparse(args) -> tuple[dict, dict, list[dict]]:
     modulus = PrimeModulus(args.p)
-    exponents = _parse_ints(args.exponents)
-    coefficients = _parse_ints(args.coefficients)
+    exponents = _parse_residues(args.exponents)
+    coefficients = _parse_residues(args.coefficients)
     if len(exponents) != len(coefficients):
         raise ValueError(
             f"{len(exponents)} exponents but {len(coefficients)} coefficients"
@@ -231,12 +220,6 @@ def _cmd_meshulam(args) -> tuple[dict, dict, list[dict]]:
     table = parse_values_file(args.values_file, modulus.p, args.n)
     signal = applications.MultiSignal(modulus, args.n, table)
     report = applications.meshulam_check(signal)
-    if not (all(report.per_j) and report.hull_ok):
-        raise TheoremViolationError(
-            f"lattice support bound failed: s={report.support_size}, "
-            f"sh={report.fourier_support_size}, per_j={list(report.per_j)}, "
-            f"hull_ok={report.hull_ok}"
-        )
     result = {
         "support_size": report.support_size,
         "fourier_support_size": report.fourier_support_size,

@@ -9,6 +9,13 @@ representation canonical: two elements are equal iff their stored vectors are
 identical, so the zero test (and with it every "non-zero" claim downstream)
 is sound and complete.
 
+Products run on the redundant spanning set {1, w, ..., w^(p-1)}, where
+multiplying by w is a cyclic shift and the automorphism w -> w^k (galois) is a
+permutation of the coefficients.  Inverses come from the Galois norm: the
+product of all p - 1 conjugates of a nonzero element is a nonzero rational,
+so dividing the product of the other p - 2 conjugates by it inverts the
+element with integer vector arithmetic alone.
+
 The module also provides sparse integer polynomials in several variables,
 the folding substitution P(z^(k_1), ..., z^(k_n)) mod z^p - 1, and the
 divisibility check built on it: an integer polynomial that vanishes at p-th
@@ -321,42 +328,52 @@ class CycloNum:
             n >>= 1
         return out
 
-    def inverse(self) -> CycloNum:
-        """Multiplicative inverse via the extended Euclidean algorithm.
+    def galois(self, k: int) -> CycloNum:
+        """Image under the automorphism w -> w^k, for k not divisible by p.
 
-        Runs over Q[z] against the minimal polynomial 1 + z + ... + z^(p-1),
-        which is irreducible for prime p, so the gcd is a nonzero constant.
+        On the redundant spanning set {1, w, ..., w^(p-1)} this only permutes
+        the coefficients (index i goes to i*k mod p).
+        """
+        p = self.modulus.p
+        if k % p == 0:
+            raise ValueError(f"w -> w^{k} is not an automorphism of Q(w) for p={p}")
+        acc = [0] * p
+        for i, c in enumerate(self._num):
+            if c:
+                acc[i * k % p] = c
+        return CycloNum._from_redundant(self.modulus, acc, self._den)
+
+    def inverse(self) -> CycloNum:
+        """Multiplicative inverse through the Galois norm.
+
+        The conjugates sigma_k(self), k = 1..p-1, multiply to the norm
+        N(self), a rational that is nonzero for nonzero self.  So the product
+        of the other p - 2 conjugates, divided by N(self), is the inverse.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(w)")
         if self.is_rational():
             return CycloNum.from_rational(self.modulus, Fraction(self._den, self._num[0]))
-        p = self.modulus.p
-        a = [Fraction(c, self._den) for c in self._num]
-        while a and not a[-1]:
-            a.pop()
-        minimal = [Fraction(1)] * p
-        cofactor, constant = _invert_mod_polynomial(a, minimal)
-        cofactor = [c / constant for c in cofactor]
-        cofactor += [Fraction(0)] * (p - 1 - len(cofactor))
-        return CycloNum(self.modulus, cofactor)
+        rest = self.galois(2)
+        for k in range(3, self.modulus.p):
+            rest = rest * self.galois(k)
+        norm = self * rest
+        if norm.is_zero() or not norm.is_rational():
+            raise ArithmeticError("the Galois norm is not a nonzero rational")
+        return rest._scaled(Fraction(norm._den, norm._num[0]))
 
     def conj(self) -> CycloNum:
         """Image under w -> w^(p-1), i.e. complex conjugation; an involution."""
-        p = self.modulus.p
-        acc = [0] * p
-        for i, c in enumerate(self._num):
-            if c:
-                acc[(p - i) % p] += c
-        return CycloNum._from_redundant(self.modulus, acc, self._den)
+        return self.galois(-1)
 
     def embed(self) -> complex:
         """Double-precision value of the standard embedding w = e^(2*pi*i/p)."""
         p = self.modulus.p
-        d = float(self._den)
+        d = self._den
         total = 0j
         for i, c in enumerate(self._num):
             if c:
+                # int / int rounds correctly even when both exceed the float range.
                 total += (c / d) * cmath.exp(2j * cmath.pi * i / p)
         return total
 
@@ -388,56 +405,6 @@ class CycloNum:
 
     def __repr__(self) -> str:
         return f"CycloNum(p={self.modulus.p}, '{self}')"
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    # Little-endian, trailing-zero-trimmed rational polynomials.
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    inv_lead = 1 / b[-1]
-    while len(r) >= len(b) and any(r):
-        while r and not r[-1]:
-            r.pop()
-        if len(r) < len(b):
-            break
-        shift = len(r) - len(b)
-        factor = r[-1] * inv_lead
-        q[shift] = factor
-        for i, c in enumerate(b):
-            r[shift + i] -= factor * c
-        r.pop()
-    while r and not r[-1]:
-        r.pop()
-    while len(q) > 1 and not q[-1]:
-        q.pop()
-    return q, r
-
-
-def _invert_mod_polynomial(a: list[Fraction], m: list[Fraction]):
-    """Return (t, g) with t*a = g (mod m) and g a nonzero constant.
-
-    Requires gcd(a, m) constant, which holds whenever m is irreducible and
-    0 < deg a < deg m.
-    """
-    r0, r1 = m, list(a)
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-    while any(r1):
-        q, r = _poly_divmod(r0, r1)
-        width = max(len(t0), len(t1) + len(q) - 1)
-        t = [Fraction(0)] * width
-        for i, c in enumerate(t0):
-            t[i] += c
-        for i, qc in enumerate(q):
-            if qc:
-                for j, tc in enumerate(t1):
-                    t[i + j] -= qc * tc
-        while len(t) > 1 and not t[-1]:
-            t.pop()
-        r0, r1 = r1, r
-        t0, t1 = t1, t
-    if len(r0) != 1:
-        raise ArithmeticError("nonconstant gcd against the minimal polynomial")
-    return t0, r0[0]
 
 
 class IntPolynomial:

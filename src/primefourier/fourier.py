@@ -4,8 +4,13 @@ The transform is normalized as fhat(xi) = (1/p) * sum_x f(x) w^(-x*xi) with
 the 1/p carried as an exact rational, so supports are decided by the sound
 zero test of CycloNum.  Alongside the transform live its inverse, cyclic
 convolution, square minors of the character table (w^(x*xi)), exact minor
-determinants and solves by Gaussian elimination over Q(w), and the mod-p
-Vandermonde product used to certify minor non-singularity residue-wise.
+determinants and solves over Q(w), and the mod-p Vandermonde product used to
+certify minor non-singularity residue-wise.
+
+Two private routines carry the arithmetic.  _character_sums is the one
+integer kernel behind every character sum (dft, idft, and in applications the
+sparse zero count and the (Z/pZ)^n transform).  _eliminate is the one
+Gaussian elimination behind both minor_det and minor_solve.
 """
 
 from __future__ import annotations
@@ -125,7 +130,6 @@ class SignalFn:
 
     def modulate(self, b: int) -> SignalFn:
         """The signal x -> f(x) * w^(b*x)."""
-        p = self.modulus.p
         return SignalFn(
             self.modulus,
             [v * CycloNum.root_power(self.modulus, b * x) for x, v in enumerate(self.values)],
@@ -165,57 +169,46 @@ class SignalFn:
         return f"SignalFn(p={self.modulus.p}, [{', '.join(str(v) for v in self.values)}])"
 
 
-def _scaled_sparse(values) -> tuple[list[list[tuple[int, int]]], int]:
-    # Rewrite every value over one common denominator D and keep only the
-    # nonzero numerator entries; the accumulation loops then run on plain ints.
-    dens = [v._den for v in values]
-    common = 1
-    for d in dens:
-        common = common * d // math.gcd(common, d)
-    sparse = []
-    for v, d in zip(values, dens):
-        m = common // d
-        sparse.append([(i, c * m) for i, c in enumerate(v._num) if c])
-    return sparse, common
+def _character_sums(modulus: PrimeModulus, values, exponents, multipliers,
+                     den_factor: int) -> list[CycloNum]:
+    """[sum_j values[j] * w^(exponents[j] * t) / den_factor for t in multipliers].
+
+    The values are rewritten over one common denominator and zero values are
+    dropped, so the accumulation runs on plain integers on the redundant
+    spanning set {1, w, ..., w^(p-1)}, where w^s is a cyclic shift by s.
+    """
+    p = modulus.p
+    common = math.lcm(*(v._den for v in values))
+    terms = []
+    for v, e in zip(values, exponents):
+        if not v.is_zero():
+            m = common // v._den
+            terms.append((e, [(i, c * m) for i, c in enumerate(v._num) if c]))
+    den = common * den_factor
+    out = []
+    for t in multipliers:
+        acc = [0] * p
+        for e, entries in terms:
+            s = e * t % p
+            for i, c in entries:
+                j = i + s
+                acc[j - p if j >= p else j] += c
+        out.append(CycloNum._from_redundant(modulus, acc, den))
+    return out
 
 
 def dft(f: SignalFn) -> SignalFn:
     """Exact transform fhat(xi) = (1/p) * sum_x f(x) * w^(-x*xi)."""
-    modulus = f.modulus
-    p = modulus.p
-    sparse, common = _scaled_sparse(f.values)
-    den = common * p
-    out = []
-    for xi in range(p):
-        acc = [0] * p
-        for x, terms in enumerate(sparse):
-            if not terms:
-                continue
-            s = (-x * xi) % p
-            for i, c in terms:
-                j = i + s
-                acc[j - p if j >= p else j] += c
-        out.append(CycloNum._from_redundant(modulus, acc, den))
-    return SignalFn(modulus, out)
+    p = f.modulus.p
+    negated = [-xi % p for xi in range(p)]
+    return SignalFn(f.modulus, _character_sums(f.modulus, f.values, range(p), negated, p))
 
 
 def idft(spectrum: SignalFn) -> SignalFn:
     """Inverse transform f(x) = sum_xi F(xi) * w^(x*xi); idft(dft(f)) == f."""
-    modulus = spectrum.modulus
-    p = modulus.p
-    sparse, common = _scaled_sparse(spectrum.values)
-    out = []
-    for x in range(p):
-        acc = [0] * p
-        for xi, terms in enumerate(sparse):
-            if not terms:
-                continue
-            s = (x * xi) % p
-            for i, c in terms:
-                j = i + s
-                acc[j - p if j >= p else j] += c
-        out.append(CycloNum._from_redundant(modulus, acc, common))
-    return SignalFn(modulus, out)
+    p = spectrum.modulus.p
+    return SignalFn(spectrum.modulus,
+                    _character_sums(spectrum.modulus, spectrum.values, range(p), range(p), 1))
 
 
 def support(f: SignalFn) -> SupportSet:
@@ -287,7 +280,6 @@ def minor_matrix(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> F
         raise ValueError(f"size mismatch: {len(rows)} rows vs {len(cols)} cols")
     if rows.modulus != modulus or cols.modulus != modulus:
         raise ValueError("modulus mismatch")
-    p = modulus.p
     entries = tuple(
         tuple(CycloNum.root_power(modulus, x * xi) for xi in cols.members)
         for x in rows.members
@@ -295,18 +287,24 @@ def minor_matrix(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> F
     return FourierMinor(modulus, rows, cols, entries)
 
 
-def minor_det(minor: FourierMinor) -> CycloNum:
-    """Exact determinant by Gaussian elimination over Q(w).
+def _eliminate(minor: FourierMinor, rhs=None):
+    """Forward elimination on a copy of [M | rhs] over Q(w).
 
-    Pivots are the first nonzero entry in each column by row order.  For
-    distinct rows and columns over prime p the result is provably nonzero;
-    a pivotless column would mean a singular minor and raises
-    TheoremViolationError.
+    Pivots are the first nonzero entry in each column by row order.  Returns
+    the upper-triangular rows (each ending in its rhs entry when rhs is
+    given), the inverses of the pivots that had rows below them (all but the
+    last) and whether the row swaps were odd in number.  For distinct rows
+    and columns over prime p a pivotless column cannot occur: it would mean a
+    singular minor, and raises TheoremViolationError.
     """
     n = minor.n
     a = [list(row) for row in minor.entries]
-    det = CycloNum.one(minor.modulus)
-    negate = False
+    if rhs is not None:
+        for row, b in zip(a, rhs):
+            row.append(b)
+    width = len(a[0])
+    inverses = []
+    odd = False
     for col in range(n):
         piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
         if piv is None:
@@ -317,22 +315,30 @@ def minor_det(minor: FourierMinor) -> CycloNum:
             )
         if piv != col:
             a[piv], a[col] = a[col], a[piv]
-            negate = not negate
-        pivot = a[col][col]
-        det = det * pivot
+            odd = not odd
         if col + 1 == n:
             break
-        inv = pivot.inverse()
+        inv = a[col][col].inverse()
+        inverses.append(inv)
+        top = a[col]
         for r in range(col + 1, n):
             lead = a[r][col]
             if lead.is_zero():
                 continue
             factor = lead * inv
             row = a[r]
-            top = a[col]
-            for c in range(col + 1, n):
+            for c in range(col + 1, width):
                 row[c] = row[c] - factor * top[c]
-    return -det if negate else det
+    return a, inverses, odd
+
+
+def minor_det(minor: FourierMinor) -> CycloNum:
+    """Exact determinant: the signed product of the elimination pivots."""
+    a, _, odd = _eliminate(minor)
+    det = a[0][0]
+    for i in range(1, minor.n):
+        det = det * a[i][i]
+    return -det if odd else det
 
 
 def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:
@@ -344,35 +350,15 @@ def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:
         b.append(v if isinstance(v, CycloNum) else CycloNum.from_rational(modulus, v))
     if len(b) != n:
         raise ValueError(f"right-hand side must have length {n}, got {len(b)}")
-    a = [list(row) for row in minor.entries]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            raise TheoremViolationError(
-                "singular Fourier minor encountered during solve; "
-                "this contradicts the non-singularity of prime-order minors"
-            )
-        if piv != col:
-            a[piv], a[col] = a[col], a[piv]
-            b[piv], b[col] = b[col], b[piv]
-        inv = a[col][col].inverse()
-        for r in range(col + 1, n):
-            lead = a[r][col]
-            if lead.is_zero():
-                continue
-            factor = lead * inv
-            row = a[r]
-            top = a[col]
-            for c in range(col + 1, n):
-                row[c] = row[c] - factor * top[c]
-            b[r] = b[r] - factor * b[col]
+    a, inverses, _ = _eliminate(minor, b)
+    inverses.append(a[n - 1][n - 1].inverse())
     sol: list[CycloNum] = [CycloNum.zero(modulus)] * n
     for i in range(n - 1, -1, -1):
-        total = b[i]
+        total = a[i][n]
         row = a[i]
         for j in range(i + 1, n):
             total = total - row[j] * sol[j]
-        sol[i] = total * row[i].inverse()
+        sol[i] = total * inverses[i]
     return sol
 
 

@@ -299,7 +299,7 @@ def iter_certification_checks(modulus: PrimeModulus, seed: int = 0):
         _run_tightness_chunk(p, [(a, b)])
         yield ("tightness", a, b)
     for a, b in _achievability_pairs(p):
-        _run_achievability_chunk(p, [(a, b)], 0)
+        _run_achievability_chunk(p, [(a, b)], seed)
         yield ("achievability", a, b)
 
 

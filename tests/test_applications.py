@@ -11,6 +11,8 @@ from primefourier import (
     SignalFn,
     SparsePoly,
     SupportSet,
+    TheoremViolationError,
+    applications,
     cauchy_davenport_check,
     cd_proof_witness,
     dft,
@@ -22,7 +24,7 @@ from primefourier import (
     support,
 )
 
-from conftest import float_dft
+from conftest import float_dft, random_cyclo
 
 
 def random_subset(rng, p):
@@ -275,6 +277,25 @@ class TestMultiDft:
             assert spectrum[(xi,)] == F.values[xi]
 
 
+    @pytest.mark.parametrize("p, ndim", [(3, 3), (5, 2)])
+    def test_matches_direct_sum_on_cyclotomic_values(self, p, ndim):
+        # Oracle: the O(p^(2n)) definition, summed term by term in CycloNum.
+        rng = random.Random(409 + p)
+        modulus = PrimeModulus(p)
+        points = list(itertools.product(range(p), repeat=ndim))
+        values = {pt: random_cyclo(rng, modulus, -6, 6, den_max=4)
+                  for pt in points if rng.random() < 0.7}
+        sig = MultiSignal(modulus, ndim, values)
+        spectrum = multi_dft(sig)
+        scale = Fraction(1, p**ndim)
+        for xi in points:
+            total = CycloNum.zero(modulus)
+            for x in points:
+                phase = -sum(u * v for u, v in zip(x, xi))
+                total = total + sig[x] * CycloNum.root_power(modulus, phase)
+            assert spectrum[xi] == total * scale
+        assert multi_idft(spectrum) == sig
+
 class TestMeshulamCheck:
     def test_dirac(self):
         report = meshulam_check(MultiSignal.dirac(PrimeModulus(3), 2))
@@ -305,6 +326,11 @@ class TestMeshulamCheck:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             meshulam_check(MultiSignal(PrimeModulus(3), 2, {}))
+
+    def test_failed_hull_raises(self, monkeypatch):
+        monkeypatch.setattr(applications, "_on_or_above_hull", lambda *args: False)
+        with pytest.raises(TheoremViolationError, match="hull_ok=False"):
+            meshulam_check(MultiSignal.dirac(PrimeModulus(3), 2))
 
     def test_exhaustive_binary_functions_on_z2_squared(self):
         p2 = PrimeModulus(2)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from primefourier import TheoremViolationError, cli
+from primefourier import TheoremViolationError, applications, cli, uncertainty
 
 
 def run_cli(capsys, argv):
@@ -52,6 +52,28 @@ class TestCertify:
                                      "--format", "csv"])
         assert code == 3
         assert "budget-exceeded" in out
+
+    def test_csv_identical_across_jobs(self, capsys):
+        code1, serial = run_cli(capsys, ["certify", "--p", "3", "--format", "csv",
+                                         "--jobs", "1"])
+        code2, parallel = run_cli(capsys, ["certify", "--p", "3", "--format", "csv",
+                                           "--jobs", "2"])
+        assert code1 == code2 == 0
+        assert serial == parallel
+
+    def test_csv_passes_seed_to_construction(self, capsys, monkeypatch):
+        seen = set()
+        real = uncertainty.construct_support_pair
+
+        def spy(a, b, seed=0, **kwargs):
+            seen.add(seed)
+            return real(a, b, seed=seed, **kwargs)
+
+        monkeypatch.setattr(uncertainty, "construct_support_pair", spy)
+        code, _ = run_cli(capsys, ["certify", "--p", "3", "--format", "csv",
+                                   "--seed", "5"])
+        assert code == 0
+        assert seen == {5}
 
     def test_parallel_report_matches_serial(self, capsys):
         code1, report1 = run_json(capsys, ["certify", "--p", "3", "--jobs", "1"])
@@ -193,6 +215,16 @@ class TestMeshulam:
                                          "--values-file", str(tmp_path / "missing.txt")])
         assert code == 2
         assert report["status"] == "precondition-error"
+
+    def test_library_violation_exits_4(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(applications, "_on_or_above_hull", lambda *args: False)
+        path = tmp_path / "dirac.txt"
+        path.write_text("0,0: 1\n")
+        code, report = run_json(capsys, ["meshulam", "--p", "3", "--n", "2",
+                                         "--values-file", str(path)])
+        assert code == 4
+        assert report["status"] == "theorem-violation"
+        assert "hull_ok=False" in report["error"]
 
     def test_zero_table_is_precondition_error(self, capsys, tmp_path):
         path = tmp_path / "zero.txt"

@@ -194,6 +194,72 @@ class TestInverse:
         assert (a / b) * b == a
 
 
+    @pytest.mark.parametrize("p", [31, 101])
+    def test_dense_inverse_with_wide_coefficients(self, p):
+        # Every coefficient nonzero and at least 30 bits wide, over a common
+        # denominator, so the norm's numerator runs to thousands of bits.
+        rng = random.Random(p)
+        modulus = PrimeModulus(p)
+        coeffs = [Fraction(rng.choice((-1, 1)) * rng.randint(1 << 30, 1 << 31), 7)
+                  for _ in range(p - 1)]
+        a = CycloNum(modulus, coeffs)
+        inv = a.inverse()
+        assert a * inv == 1
+        assert abs(a.embed() * inv.embed() - 1) < 1e-9
+
+
+class TestGalois:
+    def test_identity_and_root_powers(self):
+        rng = random.Random(12)
+        for p in (3, 5, 7):
+            modulus = PrimeModulus(p)
+            a = random_cyclo(rng, modulus, den_max=4)
+            assert a.galois(1) == a
+            assert a.galois(p + 1) == a
+            for k in range(1, p):
+                assert CycloNum.root_power(modulus, 1).galois(k) == CycloNum.root_power(modulus, k)
+
+    def test_minus_one_is_conjugation(self):
+        rng = random.Random(13)
+        for p in (3, 5, 11):
+            modulus = PrimeModulus(p)
+            for _ in range(5):
+                a = random_cyclo(rng, modulus, den_max=3)
+                assert a.galois(-1) == a.conj()
+                assert a.galois(p - 1) == a.conj()
+
+    def test_ring_homomorphism(self):
+        rng = random.Random(14)
+        p7 = PrimeModulus(7)
+        for k in range(1, 7):
+            a = random_cyclo(rng, p7, den_max=3)
+            b = random_cyclo(rng, p7, den_max=3)
+            assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+            assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+
+    def test_norm_is_rational(self):
+        rng = random.Random(15)
+        for p in (3, 5, 7, 13):
+            modulus = PrimeModulus(p)
+            a = random_cyclo(rng, modulus, den_max=5)
+            if a.is_zero():
+                a = a + 1
+            norm = CycloNum.one(modulus)
+            for k in range(1, p):
+                norm = norm * a.galois(k)
+            assert norm.is_rational() and not norm.is_zero()
+            # The embeddings of the conjugates multiply to the same number.
+            product = 1
+            for k in range(1, p):
+                product *= a.galois(k).embed()
+            assert abs(product - float(norm.coeffs[0])) < 1e-6 * max(1.0, abs(product))
+
+    def test_multiple_of_p_rejected(self):
+        a = CycloNum.root_power(PrimeModulus(5), 1)
+        for k in (0, 5, -10):
+            with pytest.raises(ValueError):
+                a.galois(k)
+
 class TestConjugation:
     def test_conj_of_w(self):
         for p in (3, 5, 7):

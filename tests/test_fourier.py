@@ -6,9 +6,11 @@ import pytest
 
 from primefourier import (
     CycloNum,
+    FourierMinor,
     PrimeModulus,
     SignalFn,
     SupportSet,
+    TheoremViolationError,
     convolve,
     dft,
     idft,
@@ -338,6 +340,39 @@ class TestMinorSolve:
         with pytest.raises(ValueError):
             minor_solve(minor, [1, 2])
 
+
+
+class TestHandBuiltMinors:
+    # Matrices with two equal rows or a zero entry are not Fourier minors;
+    # built by hand, they reach the pivotless-column and row-swap branches
+    # of the elimination, which real minors never or seldom reach.
+    @staticmethod
+    def _repeated_row_minor():
+        p7 = PrimeModulus(7)
+        rows = SupportSet(p7, [1, 2, 4])
+        cols = SupportSet(p7, [0, 3, 5])
+        good = minor_matrix(p7, rows, cols).entries
+        return FourierMinor(p7, rows, cols, (good[0], good[1], good[0]))
+
+    def test_det_names_rows_cols_and_p(self):
+        with pytest.raises(TheoremViolationError,
+                           match=r"rows=\(1, 2, 4\) cols=\(0, 3, 5\) \(p=7\)"):
+            minor_det(self._repeated_row_minor())
+
+    def test_solve_names_rows_cols_and_p(self):
+        with pytest.raises(TheoremViolationError,
+                           match=r"rows=\(1, 2, 4\) cols=\(0, 3, 5\) \(p=7\)"):
+            minor_solve(self._repeated_row_minor(), [1, 0, 0])
+
+    def test_row_swap_flips_sign(self):
+        # [[0, w], [1, 0]] needs one row swap: det = -w, solution (b2, b1/w).
+        p5 = PrimeModulus(5)
+        zero, one = CycloNum.zero(p5), CycloNum.one(p5)
+        w = CycloNum.root_power(p5, 1)
+        idx = SupportSet(p5, [0, 1])
+        minor = FourierMinor(p5, idx, idx, ((zero, w), (one, zero)))
+        assert minor_det(minor) == -w
+        assert minor_solve(minor, [w, 3]) == [CycloNum.from_rational(p5, 3), one]
 
 class TestVandermonde:
     def test_pair(self):
