@@ -103,17 +103,11 @@ def _cmd_certify(args) -> tuple[dict, dict, list[dict]]:
     rows: list[dict] = []
     if args.format == "csv":
         # The sweep raises on any failure, so every instance it covered passed.
-        p = modulus.p
-        for kind, pairs in (("minor", uncertainty._minor_pairs(p)),
-                            ("tightness", uncertainty._tightness_pairs(p)),
-                            ("achievability", uncertainty._achievability_pairs(p))):
-            for first, second in pairs:
-                rows.append({
-                    "kind": kind,
-                    "first": ";".join(map(str, first)),
-                    "second": ";".join(map(str, second)),
-                    "ok": True,
-                })
+        rows = [
+            {"kind": kind, "first": ";".join(map(str, first)),
+             "second": ";".join(map(str, second)), "ok": True}
+            for kind, first, second in uncertainty._certification_instances(modulus.p)
+        ]
     result = {
         "p": summary.p,
         "minors_checked": summary.minors_checked,
@@ -270,7 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--budget", type=int, default=uncertainty.DEFAULT_MAX_CERTIFY_P,
                     help="largest p the sweep will accept (default 7)")
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes (at least 1, capped at the CPU count)")
 
     sp = sub.add_parser("construct", help="build a signal with prescribed supports")
     common(sp)

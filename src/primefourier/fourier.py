@@ -8,8 +8,9 @@ determinants and solves over Q(w), and the mod-p Vandermonde product used to
 certify minor non-singularity residue-wise.
 
 Two private routines carry the arithmetic.  _character_sums is the one
-integer kernel behind every character sum (dft, idft, and in applications the
-sparse zero count and the (Z/pZ)^n transform).  _eliminate is the one
+integer kernel behind every character sum (dft, idft, convolve through the
+convolution theorem, and in applications the sparse zero count and the
+(Z/pZ)^n transform).  _eliminate is the one
 Gaussian elimination behind both minor_det and minor_solve.
 """
 
@@ -219,22 +220,14 @@ def support(f: SignalFn) -> SupportSet:
 def convolve(f: SignalFn, g: SignalFn) -> SignalFn:
     """Cyclic convolution (f*g)(x) = sum_y f(y) g(x-y).
 
-    Satisfies dft(f*g) = p * dft(f) * dft(g) pointwise, hence the Fourier
+    Computed by the convolution theorem dft(f*g) = p * dft(f) * dft(g)
+    pointwise: three kernel transforms and p products.  Hence the Fourier
     support of f*g is the intersection of the factors' Fourier supports.
     """
     if f.modulus != g.modulus:
         raise ValueError("modulus mismatch")
-    modulus = f.modulus
-    p = modulus.p
-    out = []
-    for x in range(p):
-        total = CycloNum.zero(modulus)
-        for y, fy in enumerate(f.values):
-            if fy.is_zero():
-                continue
-            total = total + fy * g.values[(x - y) % p]
-        out.append(total)
-    return SignalFn(modulus, out)
+    p = f.modulus.p
+    return idft(SignalFn(f.modulus, [p * a * b for a, b in zip(dft(f).values, dft(g).values)]))
 
 
 class FourierMinor:

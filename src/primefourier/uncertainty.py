@@ -12,7 +12,9 @@ is certified through a single nonzero minor determinant.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -222,66 +224,48 @@ def certify_tightness(modulus: PrimeModulus, support_set: SupportSet,
     return True
 
 
-def _minor_pairs(p: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    pairs = []
+def _certification_instances(p: int):
+    """Yield every sweep instance (kind, first, second) in canonical order.
+
+    First all equal-size minors (rows, cols), then the tightness pairs (A, B)
+    with nonempty A and |A| + |B| <= p, then the achievable pairs with
+    nonempty A and |A| + |B| >= p + 1; each kind runs by size, then
+    lexicographically.  Tightness and achievability together cover every
+    (A, B) with nonempty A exactly once.
+    """
+    by_size = [list(itertools.combinations(range(p), n)) for n in range(p + 1)]
     for n in range(1, p + 1):
-        subsets = list(itertools.combinations(range(p), n))
-        for rows in subsets:
-            for cols in subsets:
-                pairs.append((rows, cols))
-    return pairs
+        for rows in by_size[n]:
+            for cols in by_size[n]:
+                yield ("minor", rows, cols)
+    for kind, reachable in (("tightness", False), ("achievability", True)):
+        for a_size in range(1, p + 1):
+            for b_size in range(p + 1):
+                if (a_size + b_size > p) != reachable:
+                    continue
+                for a in by_size[a_size]:
+                    for b in by_size[b_size]:
+                        yield (kind, a, b)
 
 
-def _tightness_pairs(p: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    pairs = []
-    for a_size in range(1, p + 1):
-        a_subsets = list(itertools.combinations(range(p), a_size))
-        for b_size in range(0, p - a_size + 1):
-            b_subsets = list(itertools.combinations(range(p), b_size))
-            for a in a_subsets:
-                for b in b_subsets:
-                    pairs.append((a, b))
-    return pairs
+def _check(modulus: PrimeModulus, kind: str, first: tuple[int, ...],
+           second: tuple[int, ...], seed: int) -> None:
+    if kind == "minor":
+        if fourier._cached_minor_det(modulus.p, first, second).is_zero():
+            raise TheoremViolationError(
+                f"zero minor rows={first} cols={second} p={modulus.p}"
+            )
+    elif kind == "tightness":
+        certify_tightness(modulus, SupportSet(modulus, first), SupportSet(modulus, second))
+    else:
+        construct_support_pair(SupportSet(modulus, first), SupportSet(modulus, second),
+                               seed=seed)
 
 
-def _achievability_pairs(p: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    pairs = []
-    for a_size in range(1, p + 1):
-        a_subsets = list(itertools.combinations(range(p), a_size))
-        for b_size in range(max(1, p + 1 - a_size), p + 1):
-            b_subsets = list(itertools.combinations(range(p), b_size))
-            for a in a_subsets:
-                for b in b_subsets:
-                    pairs.append((a, b))
-    return pairs
-
-
-def _run_minor_chunk(p: int, pairs) -> int:
-    count = 0
-    for rows, cols in pairs:
-        det = fourier._cached_minor_det(p, rows, cols)
-        if det.is_zero():
-            raise TheoremViolationError(f"zero minor rows={rows} cols={cols} p={p}")
-        count += 1
-    return count
-
-
-def _run_tightness_chunk(p: int, pairs) -> int:
-    modulus = PrimeModulus(p)
-    count = 0
-    for a, b in pairs:
-        certify_tightness(modulus, SupportSet(modulus, a), SupportSet(modulus, b))
-        count += 1
-    return count
-
-
-def _run_achievability_chunk(p: int, pairs, seed: int) -> int:
-    modulus = PrimeModulus(p)
-    count = 0
-    for a, b in pairs:
-        construct_support_pair(SupportSet(modulus, a), SupportSet(modulus, b), seed=seed)
-        count += 1
-    return count
+def _checked(modulus: PrimeModulus, records, seed: int):
+    for record in records:
+        _check(modulus, *record, seed)
+        yield record
 
 
 def iter_certification_checks(modulus: PrimeModulus, seed: int = 0):
@@ -291,21 +275,13 @@ def iter_certification_checks(modulus: PrimeModulus, seed: int = 0):
     or "achievability" and first/second are the residue tuples involved; a
     failing instance raises instead of yielding.
     """
-    p = modulus.p
-    for rows, cols in _minor_pairs(p):
-        _run_minor_chunk(p, [(rows, cols)])
-        yield ("minor", rows, cols)
-    for a, b in _tightness_pairs(p):
-        _run_tightness_chunk(p, [(a, b)])
-        yield ("tightness", a, b)
-    for a, b in _achievability_pairs(p):
-        _run_achievability_chunk(p, [(a, b)], seed)
-        yield ("achievability", a, b)
+    return _checked(modulus, _certification_instances(modulus.p), seed)
 
 
-def _chunked(items: list, jobs: int) -> list[list]:
-    size = max(1, len(items) // (jobs * 8) + 1)
-    return [items[i:i + size] for i in range(0, len(items), size)]
+def _count_checked(p: int, seed: int, start: int, step: int) -> Counter:
+    # One slice of the instance stream: every step-th record from start on.
+    records = itertools.islice(_certification_instances(p), start, None, step)
+    return Counter(kind for kind, _, _ in _checked(PrimeModulus(p), records, seed))
 
 
 def exhaustive_certification(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CERTIFY_P,
@@ -316,30 +292,27 @@ def exhaustive_certification(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CER
     with nonempty A and |A| + |B| <= p is certified unreachable; (c) every
     nonempty (A, B) with |A| + |B| >= p + 1 is constructively achieved.
     Any failure raises; the summary reports how many instances of each class
-    were checked.  Independent instances may be spread over worker processes
-    (jobs > 1) with identical results.
+    were checked.  All three classes come from one instance stream.  jobs
+    must be at least 1; with jobs > 1 the stream is split into interleaved
+    slices over min(jobs, CPU count) worker processes, with identical
+    results.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     p = modulus.p
     if p > max_p:
         raise BudgetExceededError(
             f"p={p} exceeds the certification budget {max_p}; raise the budget explicitly"
         )
-    minor_pairs = _minor_pairs(p)
-    tight_pairs = _tightness_pairs(p)
-    achieve_pairs = _achievability_pairs(p)
-    if jobs <= 1:
-        minors = _run_minor_chunk(p, minor_pairs)
-        tight = _run_tightness_chunk(p, tight_pairs)
-        achieve = _run_achievability_chunk(p, achieve_pairs, seed)
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
+        counts = _count_checked(p, seed, 0, 1)
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            minor_futs = [pool.submit(_run_minor_chunk, p, c)
-                          for c in _chunked(minor_pairs, jobs)]
-            tight_futs = [pool.submit(_run_tightness_chunk, p, c)
-                          for c in _chunked(tight_pairs, jobs)]
-            achieve_futs = [pool.submit(_run_achievability_chunk, p, c, seed)
-                            for c in _chunked(achieve_pairs, jobs)]
-            minors = sum(fut.result() for fut in minor_futs)
-            tight = sum(fut.result() for fut in tight_futs)
-            achieve = sum(fut.result() for fut in achieve_futs)
-    return CertificationSummary(p, minors, tight, achieve)
+        counts = Counter()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_count_checked, p, seed, k, workers)
+                       for k in range(workers)]
+            for fut in futures:
+                counts.update(fut.result())
+    return CertificationSummary(p, counts["minor"], counts["tightness"],
+                                counts["achievability"])

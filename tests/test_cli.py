@@ -1,6 +1,8 @@
 import csv
 import io
+import itertools
 import json
+from math import comb
 
 import pytest
 
@@ -74,6 +76,45 @@ class TestCertify:
                                    "--seed", "5"])
         assert code == 0
         assert seen == {5}
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_precondition_error(self, capsys, jobs):
+        code, report = run_json(capsys, ["certify", "--p", "3", "--jobs", jobs])
+        assert code == 2
+        assert report["status"] == "precondition-error"
+        assert "jobs" in report["error"]
+
+    def test_csv_rows_are_the_canonical_instance_stream(self, capsys):
+        p = 5
+        code, out = run_cli(capsys, ["certify", "--p", str(p), "--format", "csv"])
+        assert code == 0
+        records = [(row["kind"], row["first"], row["second"])
+                   for row in csv.DictReader(io.StringIO(out))]
+        assert len(set(records)) == len(records)
+        kinds = [kind for kind, _, _ in records]
+        assert kinds == sorted(kinds, key=["minor", "tightness", "achievability"].index)
+
+        def residues(text):
+            return tuple(int(x) for x in text.split(";")) if text else ()
+
+        by_kind = {kind: [(residues(a), residues(b)) for k, a, b in records if k == kind]
+                   for kind in ("minor", "tightness", "achievability")}
+        for pairs in by_kind.values():
+            assert pairs == sorted(pairs, key=lambda ab: (len(ab[0]), len(ab[1]), ab))
+        assert len(by_kind["minor"]) == sum(comb(p, n) ** 2 for n in range(1, p + 1))
+        assert len(by_kind["tightness"]) == sum(
+            comb(p, a) * comb(p, b)
+            for a in range(1, p + 1) for b in range(0, p - a + 1))
+        assert len(by_kind["achievability"]) == sum(
+            comb(p, a) * comb(p, b)
+            for a in range(1, p + 1) for b in range(max(1, p + 1 - a), p + 1))
+        assert all(len(a) + len(b) <= p for a, b in by_kind["tightness"])
+        assert all(len(a) + len(b) > p for a, b in by_kind["achievability"])
+        # Together the two kinds cover every (A nonempty, B) exactly once.
+        covered = by_kind["tightness"] + by_kind["achievability"]
+        everything = [s for n in range(p + 1) for s in itertools.combinations(range(p), n)]
+        assert len(covered) == (2 ** p - 1) * 2 ** p
+        assert set(covered) == {(a, b) for a in everything if a for b in everything}
 
     def test_parallel_report_matches_serial(self, capsys):
         code1, report1 = run_json(capsys, ["certify", "--p", "3", "--jobs", "1"])

@@ -175,6 +175,36 @@ class TestConvolve:
             conv_spectrum = support(dft(convolve(f, g)))
             assert conv_spectrum == support(dft(f)).intersection(support(dft(g)))
 
+    def test_matches_direct_sum_on_cyclotomic_values(self):
+        # Against the definition sum_y f(y) g(x - y), on dense Q(w) values
+        # with denominators, and once with a sparse f.
+        rng = random.Random(209)
+
+        def direct(f, g):
+            p = f.modulus.p
+            out = []
+            for x in range(p):
+                total = CycloNum.zero(f.modulus)
+                for y in range(p):
+                    total = total + f[y] * g[x - y]
+                out.append(total)
+            return SignalFn(f.modulus, out)
+
+        cases = []
+        for p in (5, 7):
+            modulus = PrimeModulus(p)
+            for _ in range(3):
+                f, g = (SignalFn(modulus, [random_cyclo(rng, modulus, den_max=6)
+                                           for _ in range(p)]) for _ in range(2))
+                cases.append((f, g))
+        p7 = PrimeModulus(7)
+        sparse = SignalFn(p7, [0, random_cyclo(rng, p7, den_max=6), 0, 0,
+                               Fraction(-3, 4), 0, 0])
+        cases.append((sparse, SignalFn(p7, [random_cyclo(rng, p7, den_max=6)
+                                            for _ in range(7)])))
+        for f, g in cases:
+            assert convolve(f, g) == direct(f, g)
+
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
             convolve(SignalFn.zero(PrimeModulus(3)), SignalFn.zero(PrimeModulus(5)))

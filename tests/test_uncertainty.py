@@ -1,5 +1,6 @@
 import itertools
 import random
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from primefourier import (
     PrimeModulus,
     SignalFn,
     SupportSet,
+    TheoremViolationError,
     certify_tightness,
     construct_exact_pair,
     construct_support_pair,
@@ -21,6 +23,7 @@ from primefourier import (
     support,
     verify_uncertainty,
 )
+from primefourier import fourier, uncertainty
 
 from conftest import random_int_signal
 
@@ -255,3 +258,43 @@ class TestExhaustiveCertification:
         assert kinds["minor"] == summary.minors_checked
         assert kinds["tightness"] == summary.tightness_checked
         assert kinds["achievability"] == summary.achievability_checked
+
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # An inline stand-in for the process pool: it records the worker
+        # count it was asked for and starts no process.
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(uncertainty, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(uncertainty.os, "cpu_count", lambda: 3)
+        summary = exhaustive_certification(PrimeModulus(3), jobs=10**6)
+        assert requested == [3]
+        assert summary == exhaustive_certification(PrimeModulus(3), jobs=1)
+
+    def test_singular_minor_names_rows_and_cols(self, monkeypatch):
+        real = fourier._cached_minor_det
+        bad = ((0, 2), (1, 2))
+
+        def fake(p, rows, cols):
+            if (rows, cols) == bad:
+                return CycloNum.zero(PrimeModulus(p))
+            return real(p, rows, cols)
+
+        monkeypatch.setattr(fourier, "_cached_minor_det", fake)
+        with pytest.raises(TheoremViolationError,
+                           match=r"rows=\(0, 2\) cols=\(1, 2\) p=3"):
+            exhaustive_certification(PrimeModulus(3), jobs=1)
