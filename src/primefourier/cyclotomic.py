@@ -11,10 +11,13 @@ is sound and complete.
 
 Products run on the redundant spanning set {1, w, ..., w^(p-1)}, where
 multiplying by w is a cyclic shift and the automorphism w -> w^k (galois) is a
-permutation of the coefficients.  Inverses come from the Galois norm: the
-product of all p - 1 conjugates of a nonzero element is a nonzero rational,
-so dividing the product of the other p - 2 conjugates by it inverts the
-element with integer vector arithmetic alone.
+permutation of the coefficients.  Dense products use Kronecker substitution:
+each coefficient vector becomes one big integer, so a single integer
+multiplication performs the convolution.  Its linear-time codec (_pack,
+_unpack) also serves the character sums in fourier.  Inverses come from the
+Galois norm: the product of all p - 1 conjugates of a nonzero element is a
+nonzero rational, so dividing the product of the other p - 2 conjugates by
+it inverts the element with integer vector arithmetic alone.
 
 The module also provides sparse integer polynomials in several variables,
 the folding substitution P(z^(k_1), ..., z^(k_n)) mod z^p - 1, and the
@@ -28,6 +31,8 @@ import cmath
 import functools
 import math
 import os
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,8 +41,10 @@ from .errors import TheoremViolationError
 DEFAULT_MAX_PRIME = 10007
 MAX_PRIME_ENV = "PRIMEFOURIER_MAX_P"
 
-# Above this many coefficient products, dense multiplication switches from the
-# schoolbook loop to big-integer packing (see _packed_convolution).
+# Above this many nonzero coefficient products, multiplication switches from
+# the schoolbook loop over the nonzero coefficients to one packed big-integer
+# product (_packed_convolution, through the codec below), whose cost depends
+# on p and the coefficient size but not on how sparse the operands are.
 _DENSE_MUL_THRESHOLD = 256
 
 
@@ -115,37 +122,79 @@ def _root_power_num(p: int, k: int) -> tuple[int, ...]:
     return tuple(1 if i == k else 0 for i in range(p - 1))
 
 
+# Kronecker codec shared by the packed kernels (_packed_convolution here and
+# fourier._character_sums): a list of non-negative digits, each below
+# 256**nbytes, is one integer with digit i at bit 8*nbytes*i, and back.  The
+# kernels take the width from their inputs through _digit_bytes, which rounds
+# up to an array item size where one fits: such a width converts in one C
+# call (array items are native-endian, so they are byteswapped on big-endian
+# hosts), any other width digit by digit.  Both directions are linear.
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
+_BIG_ENDIAN = sys.byteorder == "big"
+# Bytes a digit needs -> bytes it gets: the smallest array item size that
+# holds it.  Wider digits get just the bytes they need.
+_ROUNDED_WIDTH = {need: min(k for k in _ARRAY_CODES if k >= need)
+                  for need in range(1, max(_ARRAY_CODES) + 1)}
+
+
+def _digit_bytes(top: int) -> int:
+    """Digit width in bytes for non-negative digits up to top."""
+    need = (top.bit_length() + 7) // 8 or 1
+    return _ROUNDED_WIDTH.get(need, need)
+
+
+def _pack(digits, nbytes: int) -> int:
+    code = _ARRAY_CODES.get(nbytes)
+    if code is None:
+        raw = b"".join([d.to_bytes(nbytes, "little") for d in digits])
+    else:
+        items = array(code, digits)
+        if _BIG_ENDIAN:
+            items.byteswap()
+        raw = items.tobytes()
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(value: int, count: int, nbytes: int) -> list[int]:
+    # to_bytes raises OverflowError unless 0 <= value < 256**(count*nbytes).
+    raw = value.to_bytes(count * nbytes, "little")
+    code = _ARRAY_CODES.get(nbytes)
+    if code is None:
+        return [int.from_bytes(raw[i:i + nbytes], "little")
+                for i in range(0, len(raw), nbytes)]
+    items = array(code, raw)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return items.tolist()
+
+
 def _packed_convolution(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
     """Cyclic (mod z^p - 1) product of two coefficient vectors of length p-1.
 
-    Packs each vector into a single big integer with enough bit spacing that
-    Python's integer multiplication performs the convolution; signed digits
-    are recovered with a balanced remainder.  Exact for arbitrary magnitudes.
+    Kronecker substitution: each vector is one big integer whose digits are
+    wide enough for every coefficient of the product, so Python's integer
+    multiplication performs the convolution.  Every digit is biased by half
+    the digit range, which makes it non-negative for the codec; the biases
+    are added and removed as packed constants, so each operand is one codec
+    call to pack and the product one to unpack.  The wrap-around z^p = 1 is
+    one shift and add on the packed product.  Exact for arbitrary magnitudes.
     """
-    ma = max(abs(c) for c in a)
-    mb = max(abs(c) for c in b)
-    bits = ((p - 1) * ma * mb).bit_length() + 2
-    base = 1 << bits
-    half = 1 << (bits - 1)
-    mask = base - 1
-    pa = 0
-    for c in reversed(a):
-        pa = (pa << bits) + c
-    pb = 0
-    for c in reversed(b):
-        pb = (pb << bits) + c
-    prod = pa * pb
-    acc = [0] * p
-    for e in range(2 * p - 3):
-        d = prod & mask
-        if d >= half:
-            d -= base
-        prod = (prod - d) >> bits
-        idx = e if e < p else e - p
-        acc[idx] += d
-    if prod:
-        raise AssertionError("packed convolution left a nonzero carry")
-    return acc
+    # No coefficient of the product, linear or cyclic, exceeds bound.
+    bound = (p - 1) * max(map(abs, a)) * max(map(abs, b))
+    nbytes = _digit_bytes(2 * bound + 1)  # so that bound < half
+    width = 8 * nbytes
+    half = 1 << (width - 1)
+    # p - 1 digits that each hold half, built by byte repetition.
+    halves = int.from_bytes((bytes(nbytes - 1) + b"\x80") * (p - 1), "little")
+    pa = _pack([c + half for c in a], nbytes) - halves
+    pb = _pack([c + half for c in b], nbytes) - halves
+    # Digit k of prod is c_k + half for the linear coefficients c_k,
+    # k < 2p - 2 (the top one, c_(2p-3), is 0).
+    prod = pa * pb + (halves << (p - 1) * width | halves)
+    cut = width * p
+    # Fold digit p + i onto digit i and take the extra half off again.
+    folded = (prod & ((1 << cut) - 1)) + (prod >> cut) - (halves >> width)
+    return [d - half for d in _unpack(folded, p, nbytes)]
 
 
 class CycloNum:
@@ -182,12 +231,14 @@ class CycloNum:
     def _from_redundant(cls, modulus: PrimeModulus, acc: list[int], den: int) -> CycloNum:
         # acc has length p, on the redundant spanning set {1, w, ..., w^(p-1)};
         # fold the top coefficient through w^(p-1) = -(1 + ... + w^(p-2)).
+        # Adding one constant to every entry changes nothing, since
+        # 1 + w + ... + w^(p-1) = 0; fourier._character_sums relies on this.
         t = acc[-1]
         if t:
             num = [c - t for c in acc[:-1]]
         else:
             num = acc[:-1]
-        return cls._raw(modulus, *_normalize(list(num), den))
+        return cls._raw(modulus, *_normalize(num, den))
 
     @classmethod
     def zero(cls, modulus: PrimeModulus) -> CycloNum:

@@ -10,7 +10,9 @@ certify minor non-singularity residue-wise.
 Two private routines carry the arithmetic.  _character_sums is the one
 integer kernel behind every character sum (dft, idft, convolve through the
 convolution theorem, and in applications the sparse zero count and the
-(Z/pZ)^n transform).  _eliminate is the one
+(Z/pZ)^n transform).  It packs each value into one big integer with the
+Kronecker codec of cyclotomic, which also serves the dense multiply, so a
+sum costs a few big-integer operations per term.  _eliminate is the one
 Gaussian elimination behind both minor_det and minor_solve.
 """
 
@@ -20,7 +22,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .cyclotomic import CycloNum, PrimeModulus
+from .cyclotomic import CycloNum, PrimeModulus, _digit_bytes, _pack, _unpack
 from .errors import TheoremViolationError
 
 
@@ -174,26 +176,35 @@ def _character_sums(modulus: PrimeModulus, values, exponents, multipliers,
                      den_factor: int) -> list[CycloNum]:
     """[sum_j values[j] * w^(exponents[j] * t) / den_factor for t in multipliers].
 
-    The values are rewritten over one common denominator and zero values are
-    dropped, so the accumulation runs on plain integers on the redundant
-    spanning set {1, w, ..., w^(p-1)}, where w^s is a cyclic shift by s.
+    Kronecker substitution on the redundant spanning set {1, w, ..., w^(p-1)}.
+    The values are put over one common denominator and zero values are
+    dropped.  Each remaining numerator vector, biased to non-negative digits,
+    is packed into one integer P by the cyclotomic codec and stored twice
+    side by side, P | P << (p digits), so that multiplying by w^s is one
+    right shift by (p - s) mod p digits.  A sum is then one shift per term,
+    one mask and one unpack.  The digits are wide enough that the biased
+    sum never carries between them, and the bias, equal in every digit,
+    cancels when _from_redundant folds the top coefficient.
     """
     p = modulus.p
     common = math.lcm(*(v._den for v in values))
+    rows = [(e, v._num, common // v._den)
+            for v, e in zip(values, exponents) if not v.is_zero()]
+    bias = max([max(max(num), -min(num)) * m for _, num, m in rows], default=0)
+    # A biased digit is at most 2 * bias, so no digit of a sum exceeds this.
+    nbytes = _digit_bytes(2 * bias * len(rows))
+    width = 8 * nbytes
+    cut = width * p
     terms = []
-    for v, e in zip(values, exponents):
-        if not v.is_zero():
-            m = common // v._den
-            terms.append((e, [(i, c * m) for i, c in enumerate(v._num) if c]))
+    for e, num, m in rows:
+        packed = _pack([c * m + bias for c in num] + [bias], nbytes)
+        terms.append((e, packed | packed << cut))
+    mask = (1 << cut) - 1
     den = common * den_factor
     out = []
     for t in multipliers:
-        acc = [0] * p
-        for e, entries in terms:
-            s = e * t % p
-            for i, c in entries:
-                j = i + s
-                acc[j - p if j >= p else j] += c
+        total = sum([doubled >> (-e * t % p * width) for e, doubled in terms])
+        acc = _unpack(total & mask, p, nbytes)
         out.append(CycloNum._from_redundant(modulus, acc, den))
     return out
 

@@ -21,6 +21,16 @@ def random_cyclo(rng: random.Random, modulus: PrimeModulus, lo=-10, hi=10,
     return CycloNum(modulus, coeffs)
 
 
+def random_dense_signal(rng: random.Random, modulus: PrimeModulus, bits=30) -> SignalFn:
+    """Every value dense in Q(w): bits-bit numerators over mixed small denominators."""
+    top = 2**bits
+    return SignalFn(modulus, [
+        CycloNum(modulus, [Fraction(rng.randint(-top, top), rng.choice((1, 2, 3, 7)))
+                           for _ in range(modulus.p - 1)])
+        for _ in range(modulus.p)
+    ])
+
+
 def random_int_signal(rng: random.Random, modulus: PrimeModulus, lo=-9, hi=9) -> SignalFn:
     while True:
         values = [rng.randint(lo, hi) for _ in range(modulus.p)]

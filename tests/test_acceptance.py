@@ -35,7 +35,7 @@ from primefourier import (
     verify_uncertainty,
 )
 
-from conftest import float_dft
+from conftest import float_dft, random_dense_signal
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -215,26 +215,44 @@ def test_criterion_6_meshulam_bound():
                "equality at the point mass and the coordinate line", True)
 
 
+def _plancherel_holds(f: SignalFn, exact: SignalFn) -> bool:
+    lhs = CycloNum.zero(f.modulus)
+    for v in f.values:
+        lhs = lhs + v * v.conj()
+    lhs = lhs * Fraction(1, f.modulus.p)
+    rhs = CycloNum.zero(f.modulus)
+    for v in exact.values:
+        rhs = rhs + v * v.conj()
+    return lhs == rhs
+
+
 def test_criterion_7_oracle_agreement(oracle_corpus):
     """Exact transform matches the floating oracle; Plancherel holds exactly."""
     worst = 0.0
     for f in oracle_corpus:
         p = f.modulus.p
         exact = dft(f)
-        oracle = float_dft([v._num[0] * 1.0 / v._den for v in f.values], p)
+        oracle = float_dft(f.embed(), p)
         for xi in range(p):
             worst = max(worst, abs(exact[xi].embed() - oracle[xi]))
         assert worst < 1e-9
-        lhs = CycloNum.zero(f.modulus)
-        for v in f.values:
-            lhs = lhs + v * v.conj()
-        lhs = lhs * Fraction(1, p)
-        rhs = CycloNum.zero(f.modulus)
-        for v in exact.values:
-            rhs = rhs + v * v.conj()
-        assert lhs == rhs
-    _report(7, f"floating DFT agreement on 100 signals "
-               f"(max |diff| = {worst:.2e} < 1e-9); Plancherel exact", True)
+        assert _plancherel_holds(f, exact)
+    # Q(w)-valued signals, dense with 30-bit numerators over mixed
+    # denominators; the float error is measured relative to their l1 size.
+    worst_relative = 0.0
+    rng = random.Random(20241)
+    for p in (5, 11, 23, 53, 101):
+        f = random_dense_signal(rng, PrimeModulus(p))
+        magnitude = sum(abs(float(c)) for v in f.values for c in v.coeffs)
+        exact = dft(f)
+        oracle = float_dft(f.embed(), p)
+        for xi in range(p):
+            worst_relative = max(worst_relative, abs(exact[xi].embed() - oracle[xi]) / magnitude)
+        assert worst_relative < 1e-12
+        assert _plancherel_holds(f, exact)
+    _report(7, f"floating DFT agreement on 100 integer signals "
+               f"(max |diff| = {worst:.2e} < 1e-9) and 5 dense Q(w) signals "
+               f"(max |diff| / l1 = {worst_relative:.2e} < 1e-12); Plancherel exact", True)
 
 
 def test_criterion_8_round_trip_and_convolution(oracle_corpus):

@@ -14,7 +14,7 @@ from primefourier import (
     galois_reduce,
     is_prime,
 )
-from primefourier.cyclotomic import _packed_convolution
+from primefourier.cyclotomic import _digit_bytes, _pack, _packed_convolution, _unpack
 
 from conftest import random_cyclo
 
@@ -346,17 +346,34 @@ class TestTextForm:
 
 
 class TestPackedConvolution:
-    def test_matches_schoolbook(self):
-        rng = random.Random(21)
-        for p in (5, 13, 31):
-            for _ in range(10):
-                a = tuple(rng.randint(-500, 500) for _ in range(p - 1))
-                b = tuple(rng.randint(-500, 500) for _ in range(p - 1))
-                acc = [0] * p
-                for i, ca in enumerate(a):
-                    for j, cb in enumerate(b):
-                        acc[(i + j) % p] += ca * cb
-                assert _packed_convolution(a, b, p) == acc
+    # (p, largest |coefficient|, digit width in bytes that the product needs)
+    @pytest.mark.parametrize("p, top, nbytes", [
+        (2, 11, 1),
+        (5, 5, 1),
+        (5, 6, 2),
+        (13, 50, 2),
+        (31, 500, 4),
+        (31, 8000, 4),
+        (31, 2**29, 8),
+        (3, 2**31, 9),
+        (13, 2**100, 26),
+    ])
+    def test_matches_schoolbook(self, p, top, nbytes):
+        assert _digit_bytes(2 * (p - 1) * top * top + 1) == nbytes
+        rng = random.Random(21 + nbytes)
+        cases = [((top,) * (p - 1), (top,) * (p - 1)),
+                 ((-top,) * (p - 1), (top,) * (p - 1)),
+                 ((-top,) * (p - 1), (-top,) * (p - 1))]
+        for _ in range(8):
+            cases.append(tuple(
+                tuple(rng.choice((top, -top, rng.randint(-top, top))) for _ in range(p - 1))
+                for _ in range(2)))
+        for a, b in cases:
+            acc = [0] * p
+            for i, ca in enumerate(a):
+                for j, cb in enumerate(b):
+                    acc[(i + j) % p] += ca * cb
+            assert _packed_convolution(a, b, p) == acc
 
     def test_dense_path_agrees_with_sparse(self):
         rng = random.Random(22)
@@ -370,6 +387,29 @@ class TestPackedConvolution:
                 acc[(i + j) % 31] += ca * cb
         sparse = CycloNum._from_redundant(p31, acc, a._den * b._den)
         assert dense == sparse
+
+
+class TestCodec:
+    @pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 5, 8, 9, 16])
+    def test_round_trip(self, nbytes):
+        rng = random.Random(nbytes)
+        top = 256**nbytes - 1
+        for count in (0, 1, 2, 7, 40):
+            digits = [rng.choice((0, top, rng.randint(0, top))) for _ in range(count)]
+            value = _pack(digits, nbytes)
+            assert value == sum(d << (8 * nbytes * i) for i, d in enumerate(digits))
+            assert _unpack(value, count, nbytes) == digits
+
+    def test_unpack_rejects_values_that_do_not_fit(self):
+        with pytest.raises(OverflowError):
+            _unpack(256**6, 3, 2)
+        with pytest.raises(OverflowError):
+            _unpack(-1, 3, 2)
+
+    def test_digit_bytes(self):
+        assert [_digit_bytes(t) for t in (0, 255, 256, 2**16, 2**32 - 1, 2**32)] == [
+            1, 1, 2, 4, 4, 8]
+        assert _digit_bytes(2**64) == 9
 
 
 class TestIntPolynomial:

@@ -21,7 +21,23 @@ from primefourier import (
     vandermonde_det_mod_p,
 )
 
-from conftest import float_dft, random_cyclo, random_int_signal
+from primefourier.fourier import _character_sums
+
+from conftest import float_dft, random_cyclo, random_dense_signal, random_int_signal
+
+
+def direct_character_sums(modulus, values, exponents, multipliers, den_factor):
+    """Reference for _character_sums: Fraction sums on the redundant basis."""
+    p = modulus.p
+    out = []
+    for t in multipliers:
+        acc = [Fraction(0)] * p
+        for v, e in zip(values, exponents):
+            s = e * t % p
+            for i, c in enumerate(v.coeffs):
+                acc[(i + s) % p] += c
+        out.append(CycloNum(modulus, [(c - acc[-1]) / den_factor for c in acc[:-1]]))
+    return out
 
 
 class TestSupportSet:
@@ -95,9 +111,23 @@ class TestDft:
             modulus = PrimeModulus(p)
             f = random_int_signal(rng, modulus, -50, 50)
             F = dft(f)
-            oracle = float_dft([v._num[0] for v in f.values], p)
+            oracle = float_dft(f.embed(), p)
             for xi in range(p):
                 assert abs(F[xi].embed() - oracle[xi]) < 1e-10
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 31, 61, 97, 101])
+    def test_dense_cyclotomic_signal_against_float_oracle(self, p):
+        # Q(w)-valued input: 30-bit numerators over mixed denominators.  The
+        # float error scales with the l1 size of the coefficients.
+        modulus = PrimeModulus(p)
+        f = random_dense_signal(random.Random(205 + p), modulus)
+        magnitude = sum(abs(float(c)) for v in f.values for c in v.coeffs)
+        F = dft(f)
+        oracle = float_dft(f.embed(), p)
+        for xi in range(p):
+            assert abs(F[xi].embed() - oracle[xi]) <= 1e-12 * magnitude
+        back = idft(F)
+        assert back == f
 
     def test_cyclotomic_valued_signal(self):
         # The transform is defined for arbitrary Q(w)-valued signals too.
@@ -105,6 +135,52 @@ class TestDft:
         p5 = PrimeModulus(5)
         f = SignalFn(p5, [random_cyclo(rng, p5, den_max=3) for _ in range(5)])
         assert idft(dft(f)) == f
+
+
+class TestCharacterSums:
+    # Numerators up to top over denominators up to 9, with one zero value:
+    # packed digits of 2, 4, 4, 8 and 14 bytes.
+    @pytest.mark.parametrize("top", [5, 1000, 10**6, 10**12, 2**100])
+    def test_matches_direct_sum(self, top):
+        rng = random.Random(top)
+        p7 = PrimeModulus(7)
+        values = [CycloNum(p7, [Fraction(rng.choice((top, -top, rng.randint(-top, top))),
+                                         rng.choice((1, 2, 5, 9))) for _ in range(6)])
+                  for _ in range(6)]
+        values.append(CycloNum.zero(p7))
+        rng.shuffle(values)
+        exponents = [rng.randrange(7) for _ in values]
+        for multipliers, den_factor in ((range(7), 1), ([6, 0, 3, 3, 0], 7)):
+            assert (_character_sums(p7, values, exponents, multipliers, den_factor)
+                    == direct_character_sums(p7, values, exponents, multipliers, den_factor))
+
+    @pytest.mark.parametrize("top", [31, 32, 2**61 - 1, 2**61, 2**64])
+    def test_coefficients_at_the_extremes(self, top):
+        # Four equal terms with one exponent line up at t = 0: each digit
+        # sum then reaches its largest value, 8 * top.
+        p5 = PrimeModulus(5)
+        for values in ([CycloNum(p5, [top] * 4)] * 4,
+                       [CycloNum(p5, [-top] * 4)] * 4,
+                       [CycloNum(p5, [top] * 4), CycloNum(p5, [-top] * 4)] * 2):
+            for exponents in ([2, 2, 2, 2], [0, 1, 2, 4]):
+                assert (_character_sums(p5, values, exponents, range(5), 1)
+                        == direct_character_sums(p5, values, exponents, range(5), 1))
+
+    def test_all_zero_input(self):
+        p5 = PrimeModulus(5)
+        zeros = [CycloNum.zero(p5)] * 5
+        assert _character_sums(p5, zeros, range(5), [0, 2, 2], 5) == [CycloNum.zero(p5)] * 3
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_smallest_primes(self, p):
+        rng = random.Random(p)
+        modulus = PrimeModulus(p)
+        for _ in range(20):
+            values = [random_cyclo(rng, modulus, -9, 9, den_max=4) for _ in range(p + 1)]
+            exponents = [rng.randrange(p) for _ in values]
+            multipliers = [0] + [rng.randrange(p) for _ in range(3)]
+            assert (_character_sums(modulus, values, exponents, multipliers, p)
+                    == direct_character_sums(modulus, values, exponents, multipliers, p))
 
 
 class TestIdft:
