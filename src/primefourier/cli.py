@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", required=True, help="target support, comma-separated residues")
     sp.add_argument("--b", required=True, help="target Fourier support")
     sp.add_argument("--retries", type=int, default=uncertainty.DEFAULT_MAX_ATTEMPTS,
-                    help="combination redraw budget (default 32)")
+                    help="combination redraw budget (at least 1, default 32)")
 
     sp = sub.add_parser("sparse", help="count zeros of a sparse polynomial at roots of unity")
     common(sp, seed=False)

@@ -163,10 +163,20 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
     by blocks A_i of size p + 1 - |B|, each paired with B itself; the block
     witnesses are combined with seeded random integer weights in
     [1, 2^16] and the combination is kept only if both supports verify
-    exactly, redrawing up to max_attempts times.
+    exactly, redrawing up to max_attempts times (at least 1).
     """
+    return _support_pair(support_set, spectrum_set, seed, max_attempts,
+                         construct_exact_pair)
+
+
+def _support_pair(support_set: SupportSet, spectrum_set: SupportSet, seed: int,
+                  max_attempts: int, exact) -> AchievabilityWitness:
+    # The body of construct_support_pair; `exact(A, B)` builds each exact-size
+    # witness (construct_exact_pair, or the sweep's per-class table).
     modulus = _check_constructible(support_set, spectrum_set)
     p = modulus.p
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
     total = len(support_set) + len(spectrum_set)
     if total < p + 1:
         raise ValueError(
@@ -174,10 +184,10 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
             "unreachable by any nonzero signal"
         )
     if total == p + 1:
-        return construct_exact_pair(support_set, spectrum_set)
+        return exact(support_set, spectrum_set)
     block_size = p + 1 - len(spectrum_set)
     parts = [
-        construct_exact_pair(SupportSet(modulus, block), spectrum_set).signal
+        exact(SupportSet(modulus, block), spectrum_set).signal
         for block in _cover_blocks(support_set.members, block_size)
     ]
     rng = random.Random(seed)
@@ -195,6 +205,41 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
         f"no generic combination found in {max_attempts} attempts "
         f"(seed={seed}, A={support_set.members}, B={spectrum_set.members})"
     )
+
+
+def _translation_class(members: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int]:
+    # (rep, t): rep is the least of the sorted translates A - a over a in A,
+    # and A = rep + t.  Only the full set has several such a; it gets t = 0.
+    return min((tuple(sorted((x - a) % p for x in members)), a) for a in members)
+
+
+def _exact_by_translation(modulus: PrimeModulus):
+    """An exact-pair builder that solves once per translation class of A.
+
+    Translating A by t turns the transform by w^(-t*xi), so the witness for
+    (rep + t, B) with fhat(min B) = 1 is w^(t * min B) * f_rep(x - t); the
+    solution is unique, so this is the same signal construct_exact_pair
+    returns.  Each representative is verified inside construct_exact_pair
+    and each derived witness is verified before it is returned.  The table
+    lives as long as the returned function.
+    """
+    solved: dict[tuple[tuple[int, ...], tuple[int, ...]], AchievabilityWitness] = {}
+
+    def exact(support_set: SupportSet, spectrum_set: SupportSet) -> AchievabilityWitness:
+        rep, t = _translation_class(support_set.members, modulus.p)
+        key = (rep, spectrum_set.members)
+        base = solved.get(key)
+        if base is None:
+            base = solved[key] = construct_exact_pair(SupportSet(modulus, rep), spectrum_set)
+        if t == 0:
+            return base
+        turn = CycloNum.root_power(modulus, t * spectrum_set.members[0])
+        signal = base.signal.translate(t) * turn
+        _verify_witness_supports(signal, support_set, spectrum_set)
+        return AchievabilityWitness(support_set, spectrum_set, signal,
+                                    base.aux_frequencies, ())
+
+    return exact
 
 
 def certify_tightness(modulus: PrimeModulus, support_set: SupportSet,
@@ -249,7 +294,7 @@ def _certification_instances(p: int):
 
 
 def _check(modulus: PrimeModulus, kind: str, first: tuple[int, ...],
-           second: tuple[int, ...], seed: int) -> None:
+           second: tuple[int, ...], seed: int, exact) -> None:
     if kind == "minor":
         if fourier._cached_minor_det(modulus.p, first, second).is_zero():
             raise TheoremViolationError(
@@ -258,13 +303,16 @@ def _check(modulus: PrimeModulus, kind: str, first: tuple[int, ...],
     elif kind == "tightness":
         certify_tightness(modulus, SupportSet(modulus, first), SupportSet(modulus, second))
     else:
-        construct_support_pair(SupportSet(modulus, first), SupportSet(modulus, second),
-                               seed=seed)
+        _support_pair(SupportSet(modulus, first), SupportSet(modulus, second), seed,
+                      DEFAULT_MAX_ATTEMPTS, exact)
 
 
 def _checked(modulus: PrimeModulus, records, seed: int):
+    # One exact-witness table per sweep (or worker slice); it goes when the
+    # generator does.
+    exact = _exact_by_translation(modulus)
     for record in records:
-        _check(modulus, *record, seed)
+        _check(modulus, *record, seed, exact)
         yield record
 
 
@@ -273,7 +321,9 @@ def iter_certification_checks(modulus: PrimeModulus, seed: int = 0):
 
     Each record is (kind, first, second) where kind is "minor", "tightness"
     or "achievability" and first/second are the residue tuples involved; a
-    failing instance raises instead of yielding.
+    failing instance raises instead of yielding.  Like the sweep, the
+    iterator solves each exact-size pair once per translation class of A and
+    derives and verifies the rest; its table lives as long as the iterator.
     """
     return _checked(modulus, _certification_instances(modulus.p), seed)
 
@@ -295,7 +345,11 @@ def exhaustive_certification(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CER
     were checked.  All three classes come from one instance stream.  jobs
     must be at least 1; with jobs > 1 the stream is split into interleaved
     slices over min(jobs, CPU count) worker processes, with identical
-    results.
+    results.  Achievability solves one exact-size system per translation
+    class of A (435 at p = 7, for 3,003 exact pairs); every other exact
+    witness is a translate of a solved one times a root of unity and is
+    verified before use.  The sweep, or each worker slice, owns that table
+    and drops it when it ends.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

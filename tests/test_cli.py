@@ -64,14 +64,16 @@ class TestCertify:
         assert serial == parallel
 
     def test_csv_passes_seed_to_construction(self, capsys, monkeypatch):
+        # The sweep builds its witnesses through the private body of
+        # construct_support_pair, with its own exact-pair table.
         seen = set()
-        real = uncertainty.construct_support_pair
+        real = uncertainty._support_pair
 
-        def spy(a, b, seed=0, **kwargs):
+        def spy(a, b, seed, *rest):
             seen.add(seed)
-            return real(a, b, seed=seed, **kwargs)
+            return real(a, b, seed, *rest)
 
-        monkeypatch.setattr(uncertainty, "construct_support_pair", spy)
+        monkeypatch.setattr(uncertainty, "_support_pair", spy)
         code, _ = run_cli(capsys, ["certify", "--p", "3", "--format", "csv",
                                    "--seed", "5"])
         assert code == 0
@@ -166,10 +168,25 @@ class TestConstruct:
         assert report["status"] == "precondition-error"
 
     def test_retry_budget_flag(self, capsys):
-        code, report = run_json(capsys, ["construct", "--p", "5", "--a", "0,1,2,3,4",
-                                         "--b", "0,1,2,3,4", "--retries", "0"])
+        # At p=2 the full pair combines two scaled Diracs, and its transform
+        # vanishes at 1 when both weights agree: seed 30891 draws equal
+        # weights first, so one attempt is not enough and two are.
+        args = ["construct", "--p", "2", "--a", "0,1", "--b", "0,1", "--seed", "30891"]
+        code, report = run_json(capsys, args + ["--retries", "1"])
         assert code == 3
         assert report["status"] == "budget-exceeded"
+        assert "in 1 attempts" in report["error"]
+        code, report = run_json(capsys, args + ["--retries", "2"])
+        assert code == 0
+
+    @pytest.mark.parametrize("retries", ["0", "-3"])
+    def test_retries_below_one_is_precondition_error(self, capsys, retries):
+        for a in ("0,1,2,3,4", "0,1"):
+            code, report = run_json(capsys, ["construct", "--p", "5", "--a", a,
+                                             "--b", "0,1,2,3", "--retries", retries])
+            assert code == 2
+            assert report["status"] == "precondition-error"
+            assert "max_attempts" in report["error"]
 
     def test_seed_out_of_range(self, capsys):
         code, report = run_json(capsys, ["construct", "--p", "3", "--a", "0",

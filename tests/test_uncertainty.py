@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from concurrent.futures import Future
 from fractions import Fraction
@@ -192,10 +193,40 @@ class TestConstructSupportPair:
         assert all(1 <= c <= 1 << 16 for c in witness.combination_coeffs)
 
     def test_retry_budget_exhaustion_reports_seed(self):
+        # At p=2 the full pair's combination has transform value
+        # lambda_1 - lambda_2 at 1; seed 30891 draws two equal weights first.
+        full = SupportSet.full(PrimeModulus(2))
+        with pytest.raises(BudgetExceededError, match="seed=30891"):
+            construct_support_pair(full, full, seed=30891, max_attempts=1)
+        witness = construct_support_pair(full, full, seed=30891, max_attempts=2)
+        assert support(dft(witness.signal)) == full
+
+    @pytest.mark.parametrize("max_attempts", [0, -3])
+    def test_max_attempts_below_one_rejected(self, max_attempts):
         p5 = PrimeModulus(5)
         full = SupportSet.full(p5)
-        with pytest.raises(BudgetExceededError, match="seed=9"):
-            construct_support_pair(full, full, seed=9, max_attempts=0)
+        exact = (SupportSet(p5, [0, 2]), SupportSet(p5, [0, 1, 3, 4]))
+        for a, b in ((full, full), exact):
+            with pytest.raises(ValueError, match="max_attempts"):
+                construct_support_pair(a, b, max_attempts=max_attempts)
+
+
+class TestTranslationIdentity:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_translate_turns_the_exact_witness(self, p):
+        # Translating A by t turns fhat by w^(-t*xi); pinning fhat(min B) = 1
+        # then forces the factor w^(t * min B).  Both supports survive any
+        # root-power factor, so only this identity checks the exponent.
+        modulus = PrimeModulus(p)
+        rng = random.Random(1000 + p)
+        for a_size in (1, rng.randint(2, p - 1), p):
+            a = SupportSet(modulus, rng.sample(range(p), a_size))
+            b = SupportSet(modulus, rng.sample(range(p), p + 1 - a_size))
+            base = construct_exact_pair(a, b).signal
+            for t in range(p):
+                turn = CycloNum.root_power(modulus, t * b.members[0])
+                moved = construct_exact_pair(a.translate(t), b)
+                assert moved.signal == base.translate(t) * turn
 
 
 class TestCertifyTightness:
@@ -245,9 +276,45 @@ class TestExhaustiveCertification:
         assert summary.minors_checked == 5
 
     def test_parallel_matches_serial(self):
-        serial = exhaustive_certification(PrimeModulus(3), jobs=1)
-        parallel = exhaustive_certification(PrimeModulus(3), jobs=2)
-        assert serial == parallel
+        # Each worker slice builds its own exact-witness table.
+        for p in (3, 5):
+            serial = exhaustive_certification(PrimeModulus(p), jobs=1)
+            parallel = exhaustive_certification(PrimeModulus(p), jobs=2)
+            assert serial == parallel
+
+    @pytest.mark.parametrize("p, classes", [(3, 7), (5, 46)])
+    def test_one_solve_per_translation_class(self, monkeypatch, p, classes):
+        # (C(2p, p+1) - p) / p classes of exact pairs with A not the full
+        # set, plus the p pairs with A full.
+        solves = []
+        real = fourier.minor_solve
+
+        def spy(matrix, rhs):
+            solves.append(len(rhs))
+            return real(matrix, rhs)
+
+        monkeypatch.setattr(fourier, "minor_solve", spy)
+        exhaustive_certification(PrimeModulus(p), jobs=1)
+        assert len(solves) == classes == (math.comb(2 * p, p + 1) - p) // p + p
+
+    def test_sweep_witnesses_match_public_construction(self, monkeypatch):
+        modulus, seed = PrimeModulus(5), 3
+        built = []
+        real = uncertainty._support_pair
+
+        def spy(*args):
+            witness = real(*args)
+            built.append(witness)
+            return witness
+
+        monkeypatch.setattr(uncertainty, "_support_pair", spy)
+        summary = exhaustive_certification(modulus, jobs=1, seed=seed)
+        monkeypatch.undo()
+        assert len(built) == summary.achievability_checked
+        assert sum(1 for w in built if w.combination_coeffs) > 0
+        for witness in built:
+            assert witness == construct_support_pair(
+                witness.target_support, witness.target_spectrum, seed=seed)
 
     def test_iterator_matches_summary(self):
         modulus = PrimeModulus(3)
