@@ -23,7 +23,7 @@ from .cyclotomic import CycloNum, PrimeModulus
 from .errors import BudgetExceededError, TheoremViolationError
 from .fourier import SignalFn, SupportSet
 
-DEFAULT_MAX_CERTIFY_P = 7
+DEFAULT_MAX_CERTIFY_P = 13
 DEFAULT_MAX_ATTEMPTS = 32
 COEFF_RANGE = 1 << 16
 
@@ -129,7 +129,7 @@ def construct_exact_pair(support_set: SupportSet, spectrum_set: SupportSet) -> A
 
 
 def _verify_witness_supports(signal: SignalFn, support_set: SupportSet,
-                             spectrum_set: SupportSet) -> bool:
+                             spectrum_set: SupportSet) -> None:
     got_support = fourier.support(signal)
     got_spectrum = fourier.support(fourier.dft(signal))
     if got_support != support_set or got_spectrum != spectrum_set:
@@ -138,7 +138,6 @@ def _verify_witness_supports(signal: SignalFn, support_set: SupportSet,
             f"{got_spectrum.members}, expected {support_set.members} / "
             f"{spectrum_set.members}"
         )
-    return True
 
 
 def _cover_blocks(members: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
@@ -165,14 +164,6 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
     [1, 2^16] and the combination is kept only if both supports verify
     exactly, redrawing up to max_attempts times (at least 1).
     """
-    return _support_pair(support_set, spectrum_set, seed, max_attempts,
-                         construct_exact_pair)
-
-
-def _support_pair(support_set: SupportSet, spectrum_set: SupportSet, seed: int,
-                  max_attempts: int, exact) -> AchievabilityWitness:
-    # The body of construct_support_pair; `exact(A, B)` builds each exact-size
-    # witness (construct_exact_pair, or the sweep's per-class table).
     modulus = _check_constructible(support_set, spectrum_set)
     p = modulus.p
     if max_attempts < 1:
@@ -184,10 +175,10 @@ def _support_pair(support_set: SupportSet, spectrum_set: SupportSet, seed: int,
             "unreachable by any nonzero signal"
         )
     if total == p + 1:
-        return exact(support_set, spectrum_set)
+        return construct_exact_pair(support_set, spectrum_set)
     block_size = p + 1 - len(spectrum_set)
     parts = [
-        exact(SupportSet(modulus, block), spectrum_set).signal
+        construct_exact_pair(SupportSet(modulus, block), spectrum_set).signal
         for block in _cover_blocks(support_set.members, block_size)
     ]
     rng = random.Random(seed)
@@ -205,41 +196,6 @@ def _support_pair(support_set: SupportSet, spectrum_set: SupportSet, seed: int,
         f"no generic combination found in {max_attempts} attempts "
         f"(seed={seed}, A={support_set.members}, B={spectrum_set.members})"
     )
-
-
-def _translation_class(members: tuple[int, ...], p: int) -> tuple[tuple[int, ...], int]:
-    # (rep, t): rep is the least of the sorted translates A - a over a in A,
-    # and A = rep + t.  Only the full set has several such a; it gets t = 0.
-    return min((tuple(sorted((x - a) % p for x in members)), a) for a in members)
-
-
-def _exact_by_translation(modulus: PrimeModulus):
-    """An exact-pair builder that solves once per translation class of A.
-
-    Translating A by t turns the transform by w^(-t*xi), so the witness for
-    (rep + t, B) with fhat(min B) = 1 is w^(t * min B) * f_rep(x - t); the
-    solution is unique, so this is the same signal construct_exact_pair
-    returns.  Each representative is verified inside construct_exact_pair
-    and each derived witness is verified before it is returned.  The table
-    lives as long as the returned function.
-    """
-    solved: dict[tuple[tuple[int, ...], tuple[int, ...]], AchievabilityWitness] = {}
-
-    def exact(support_set: SupportSet, spectrum_set: SupportSet) -> AchievabilityWitness:
-        rep, t = _translation_class(support_set.members, modulus.p)
-        key = (rep, spectrum_set.members)
-        base = solved.get(key)
-        if base is None:
-            base = solved[key] = construct_exact_pair(SupportSet(modulus, rep), spectrum_set)
-        if t == 0:
-            return base
-        turn = CycloNum.root_power(modulus, t * spectrum_set.members[0])
-        signal = base.signal.translate(t) * turn
-        _verify_witness_supports(signal, support_set, spectrum_set)
-        return AchievabilityWitness(support_set, spectrum_set, signal,
-                                    base.aux_frequencies, ())
-
-    return exact
 
 
 def certify_tightness(modulus: PrimeModulus, support_set: SupportSet,
@@ -269,6 +225,18 @@ def certify_tightness(modulus: PrimeModulus, support_set: SupportSet,
     return True
 
 
+def _sized_pairs(p: int, by_size):
+    # The tightness pairs, then the achievable pairs, drawn from by_size[n]
+    # (the sets, or the set orbits, of size n); each kind by |A|, then |B|.
+    for kind, reachable in (("tightness", False), ("achievability", True)):
+        for a_size in range(1, p + 1):
+            for b_size in range(p + 1):
+                if (a_size + b_size > p) == reachable:
+                    for a in by_size[a_size]:
+                        for b in by_size[b_size]:
+                            yield kind, a, b
+
+
 def _certification_instances(p: int):
     """Yield every sweep instance (kind, first, second) in canonical order.
 
@@ -283,55 +251,97 @@ def _certification_instances(p: int):
         for rows in by_size[n]:
             for cols in by_size[n]:
                 yield ("minor", rows, cols)
-    for kind, reachable in (("tightness", False), ("achievability", True)):
-        for a_size in range(1, p + 1):
-            for b_size in range(p + 1):
-                if (a_size + b_size > p) != reachable:
-                    continue
-                for a in by_size[a_size]:
-                    for b in by_size[b_size]:
-                        yield (kind, a, b)
+    yield from _sized_pairs(p, by_size)
 
 
-def _check(modulus: PrimeModulus, kind: str, first: tuple[int, ...],
-           second: tuple[int, ...], seed: int, exact) -> None:
-    if kind == "minor":
-        if fourier._cached_minor_det(modulus.p, first, second).is_zero():
-            raise TheoremViolationError(
-                f"zero minor rows={first} cols={second} p={modulus.p}"
-            )
-    elif kind == "tightness":
-        certify_tightness(modulus, SupportSet(modulus, first), SupportSet(modulus, second))
-    else:
-        _support_pair(SupportSet(modulus, first), SupportSet(modulus, second), seed,
-                      DEFAULT_MAX_ATTEMPTS, exact)
+def _set_orbits(p: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """The AGL(1,p)-orbits of subsets of Z/p as (representative, orbit size).
+
+    A subset's orbit is its p(p - 1) images u*S + t (u a unit), taken as
+    bitmasks; the representative is the least image and the orbit size the
+    number of distinct images.  Entry n lists the orbits of n-sets, sorted
+    by representative.
+    """
+    seen = bytearray(1 << p)
+    by_size = [[] for _ in range(p + 1)]
+    for mask in range(1 << p):
+        if seen[mask]:
+            continue
+        # Masks are met in increasing order, so this one is its orbit's least.
+        members = tuple(x for x in range(p) if mask >> x & 1)
+        images = {sum(1 << (u * x + t) % p for x in members)
+                  for u in range(1, p) for t in range(p)}
+        for image in images:
+            seen[image] = 1
+        by_size[len(members)].append((members, len(images)))
+    for orbits in by_size:
+        orbits.sort()
+    return by_size
+
+
+def _certification_orbits(p: int):
+    """Yield one record (kind, first, second, orbit_size) per orbit.
+
+    Translation, modulation, dilation and the Galois action map supports
+    (A, B) to (u*A + t, v*B + s) for any units u, v, so tightness and
+    achievability hold on whole orbits of AGL(1,p) x AGL(1,p), which are
+    products of set orbits.  A minor stays nonsingular when its rows or
+    columns are translated (scaled by roots of unity) or dilated (moved by
+    a Galois automorphism), or when it is transposed: its representatives
+    are unordered pairs of set representatives, counted twice when they
+    differ.  Same order as _certification_instances; per kind the orbit
+    sizes sum to the instance count.
+    """
+    by_size = _set_orbits(p)
+    for n in range(1, p + 1):
+        for (rows, r), (cols, c) in itertools.combinations_with_replacement(by_size[n], 2):
+            yield "minor", rows, cols, r * c * (1 if rows == cols else 2)
+    for kind, (a, a_orbit), (b, b_orbit) in _sized_pairs(p, by_size):
+        yield kind, a, b, a_orbit * b_orbit
 
 
 def _checked(modulus: PrimeModulus, records, seed: int):
-    # One exact-witness table per sweep (or worker slice); it goes when the
-    # generator does.
-    exact = _exact_by_translation(modulus)
+    # Runs the full check on each record's representative, then yields it.
     for record in records:
-        _check(modulus, *record, seed, exact)
+        kind, first, second, _ = record
+        if kind == "minor":
+            if fourier._cached_minor_det(modulus.p, first, second).is_zero():
+                raise TheoremViolationError(f"zero minor rows={first} cols={second} p={modulus.p}")
+        elif kind == "tightness":
+            certify_tightness(modulus, SupportSet(modulus, first), SupportSet(modulus, second))
+        else:
+            construct_support_pair(SupportSet(modulus, first), SupportSet(modulus, second), seed)
         yield record
 
 
-def iter_certification_checks(modulus: PrimeModulus, seed: int = 0):
-    """Run every certification instance in canonical order, yielding records.
+def _check_budget(p: int, max_p: int) -> None:
+    if p > max_p:
+        raise BudgetExceededError(
+            f"p={p} exceeds the certification budget {max_p}; raise the budget explicitly"
+        )
 
-    Each record is (kind, first, second) where kind is "minor", "tightness"
-    or "achievability" and first/second are the residue tuples involved; a
-    failing instance raises instead of yielding.  Like the sweep, the
-    iterator solves each exact-size pair once per translation class of A and
-    derives and verifies the rest; its table lives as long as the iterator.
+
+def iter_certification_checks(modulus: PrimeModulus, seed: int = 0,
+                              max_p: int = DEFAULT_MAX_CERTIFY_P):
+    """Check one representative per orbit in canonical order, yielding records.
+
+    Each record is (kind, first, second, orbit_size): kind is "minor",
+    "tightness" or "achievability", first/second the representative's
+    residue tuples, orbit_size the number of instances it stands for.  A
+    failing representative raises instead of yielding; p above max_p raises
+    BudgetExceededError at the call, before any record.
     """
-    return _checked(modulus, _certification_instances(modulus.p), seed)
+    _check_budget(modulus.p, max_p)
+    return _checked(modulus, _certification_orbits(modulus.p), seed)
 
 
 def _count_checked(p: int, seed: int, start: int, step: int) -> Counter:
-    # One slice of the instance stream: every step-th record from start on.
-    records = itertools.islice(_certification_instances(p), start, None, step)
-    return Counter(kind for kind, _, _ in _checked(PrimeModulus(p), records, seed))
+    # One slice of the orbit stream: every step-th record from start on.
+    records = itertools.islice(_certification_orbits(p), start, None, step)
+    counts = Counter()
+    for kind, _, _, orbit_size in _checked(PrimeModulus(p), records, seed):
+        counts[kind] += orbit_size
+    return counts
 
 
 def exhaustive_certification(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CERTIFY_P,
@@ -341,23 +351,17 @@ def exhaustive_certification(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CER
     (a) every equal-size minor has nonzero determinant; (b) every (A, B)
     with nonempty A and |A| + |B| <= p is certified unreachable; (c) every
     nonempty (A, B) with |A| + |B| >= p + 1 is constructively achieved.
-    Any failure raises; the summary reports how many instances of each class
-    were checked.  All three classes come from one instance stream.  jobs
-    must be at least 1; with jobs > 1 the stream is split into interleaved
-    slices over min(jobs, CPU count) worker processes, with identical
-    results.  Achievability solves one exact-size system per translation
-    class of A (435 at p = 7, for 3,003 exact pairs); every other exact
-    witness is a translate of a solved one times a root of unity and is
-    verified before use.  The sweep, or each worker slice, owns that table
-    and drops it when it ends.
+    Any failure raises; the summary counts the instances of each class.
+    Each property holds on whole AGL(1,p) x AGL(1,p) orbits, so the full
+    check runs on one representative per orbit, counted with its orbit size
+    (11 minors, 47 tightness and 43 achievable pairs at p = 7).  jobs must
+    be at least 1; with jobs > 1 the orbit stream is split into interleaved
+    slices over min(jobs, CPU count) worker processes, with identical results.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     p = modulus.p
-    if p > max_p:
-        raise BudgetExceededError(
-            f"p={p} exceeds the certification budget {max_p}; raise the budget explicitly"
-        )
+    _check_budget(p, max_p)
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
         counts = _count_checked(p, seed, 0, 1)

@@ -38,6 +38,32 @@ def random_int_signal(rng: random.Random, modulus: PrimeModulus, lo=-9, hi=9) ->
             return SignalFn(modulus, values)
 
 
+# The four generators of the symmetry group of supports.  Each is written on
+# the values directly, so the group-action tests do not rest on SignalFn.
+def translate(f: SignalFn, t: int) -> SignalFn:
+    """x -> f(x - t): supports (A, B) -> (A + t, B)."""
+    p = f.modulus.p
+    return SignalFn(f.modulus, [f.values[(x - t) % p] for x in range(p)])
+
+
+def modulate(f: SignalFn, s: int) -> SignalFn:
+    """x -> f(x) * w^(s*x): supports (A, B) -> (A, B + s)."""
+    return SignalFn(f.modulus, [v * CycloNum.root_power(f.modulus, s * x)
+                                for x, v in enumerate(f.values)])
+
+
+def dilate(f: SignalFn, u: int) -> SignalFn:
+    """x -> f(u^-1 * x) for a unit u: supports (A, B) -> (u*A, u^-1*B)."""
+    p = f.modulus.p
+    u_inv = pow(u, -1, p)
+    return SignalFn(f.modulus, [f.values[x * u_inv % p] for x in range(p)])
+
+
+def galois(f: SignalFn, k: int) -> SignalFn:
+    """x -> sigma_k(f(x)), with sigma_k: w -> w^k: supports (A, B) -> (A, k*B)."""
+    return SignalFn(f.modulus, [v.galois(k) for v in f.values])
+
+
 @pytest.fixture(scope="session")
 def oracle_corpus():
     """100 seeded random integer signals with |values| <= 10^3 and p <= 97.

@@ -64,16 +64,16 @@ class TestCertify:
         assert serial == parallel
 
     def test_csv_passes_seed_to_construction(self, capsys, monkeypatch):
-        # The sweep builds its witnesses through the private body of
-        # construct_support_pair, with its own exact-pair table.
+        # The sweep builds each achievable representative's witness through
+        # the public construct_support_pair.
         seen = set()
-        real = uncertainty._support_pair
+        real = uncertainty.construct_support_pair
 
         def spy(a, b, seed, *rest):
             seen.add(seed)
             return real(a, b, seed, *rest)
 
-        monkeypatch.setattr(uncertainty, "_support_pair", spy)
+        monkeypatch.setattr(uncertainty, "construct_support_pair", spy)
         code, _ = run_cli(capsys, ["certify", "--p", "3", "--format", "csv",
                                    "--seed", "5"])
         assert code == 0

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -26,7 +27,7 @@ from primefourier import (
 )
 from primefourier import fourier, uncertainty
 
-from conftest import random_int_signal
+from conftest import dilate, galois, modulate, random_int_signal, translate
 
 
 def subsets(p, nonempty=True):
@@ -271,60 +272,81 @@ class TestExhaustiveCertification:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            exhaustive_certification(PrimeModulus(11))
+            exhaustive_certification(PrimeModulus(17))
         summary = exhaustive_certification(PrimeModulus(2), max_p=2)
         assert summary.minors_checked == 5
 
     def test_parallel_matches_serial(self):
-        # Each worker slice builds its own exact-witness table.
+        # Each worker slice builds its own set-orbit table.
         for p in (3, 5):
             serial = exhaustive_certification(PrimeModulus(p), jobs=1)
             parallel = exhaustive_certification(PrimeModulus(p), jobs=2)
             assert serial == parallel
 
-    @pytest.mark.parametrize("p, classes", [(3, 7), (5, 46)])
-    def test_one_solve_per_translation_class(self, monkeypatch, p, classes):
-        # (C(2p, p+1) - p) / p classes of exact pairs with A not the full
-        # set, plus the p pairs with A full.
-        solves = []
-        real = fourier.minor_solve
-
-        def spy(matrix, rhs):
-            solves.append(len(rhs))
-            return real(matrix, rhs)
-
-        monkeypatch.setattr(fourier, "minor_solve", spy)
+    @pytest.mark.parametrize("p, minors, tight, achievable",
+                             [(3, 3, 6, 6), (5, 5, 15, 15), (7, 11, 47, 43)])
+    def test_one_check_per_representative(self, monkeypatch, p, minors, tight, achievable):
+        records = list(uncertainty._certification_orbits(p))
+        kinds = [kind for kind, _, _, _ in records]
+        assert (kinds.count("minor"), kinds.count("tightness"),
+                kinds.count("achievability")) == (minors, tight, achievable)
+        # The sweep runs the full check on each representative, once.
+        calls = {"det": [], "tight": [], "built": []}
+        spies = [(fourier, "_cached_minor_det", "det"),
+                 (uncertainty, "certify_tightness", "tight"),
+                 (uncertainty, "construct_support_pair", "built")]
+        for module, name, key in spies:
+            def spy(*args, _real=getattr(module, name), _key=key):
+                calls[_key].append(args)
+                return _real(*args)
+            monkeypatch.setattr(module, name, spy)
         exhaustive_certification(PrimeModulus(p), jobs=1)
-        assert len(solves) == classes == (math.comb(2 * p, p + 1) - p) // p + p
+        assert len(calls["tight"]) == tight
+        assert len(calls["built"]) == achievable
+        # One determinant per minor representative and per tightness check.
+        assert len(calls["det"]) == minors + tight
+        assert [(a.members, b.members) for a, b, _ in calls["built"]] == [
+            (a, b) for kind, a, b, _ in records if kind == "achievability"]
 
     def test_sweep_witnesses_match_public_construction(self, monkeypatch):
         modulus, seed = PrimeModulus(5), 3
         built = []
-        real = uncertainty._support_pair
+        real = uncertainty.construct_support_pair
 
         def spy(*args):
             witness = real(*args)
             built.append(witness)
             return witness
 
-        monkeypatch.setattr(uncertainty, "_support_pair", spy)
-        summary = exhaustive_certification(modulus, jobs=1, seed=seed)
+        monkeypatch.setattr(uncertainty, "construct_support_pair", spy)
+        exhaustive_certification(modulus, jobs=1, seed=seed)
         monkeypatch.undo()
-        assert len(built) == summary.achievability_checked
+        assert len(built) == 15
         assert sum(1 for w in built if w.combination_coeffs) > 0
         for witness in built:
             assert witness == construct_support_pair(
                 witness.target_support, witness.target_spectrum, seed=seed)
+            assert support(witness.signal) == witness.target_support
+            assert support(dft(witness.signal)) == witness.target_spectrum
 
     def test_iterator_matches_summary(self):
-        modulus = PrimeModulus(3)
+        modulus = PrimeModulus(5)
         kinds = {"minor": 0, "tightness": 0, "achievability": 0}
-        for kind, _, _ in iter_certification_checks(modulus):
-            kinds[kind] += 1
+        for kind, _, _, orbit_size in iter_certification_checks(modulus):
+            kinds[kind] += orbit_size
         summary = exhaustive_certification(modulus)
         assert kinds["minor"] == summary.minors_checked
         assert kinds["tightness"] == summary.tightness_checked
         assert kinds["achievability"] == summary.achievability_checked
+
+    @pytest.mark.parametrize("p", [17, 31])
+    def test_iterator_budget_raises_at_call(self, p):
+        # Raised by the call itself, before any subset is enumerated.
+        with pytest.raises(BudgetExceededError, match=f"p={p} exceeds"):
+            iter_certification_checks(PrimeModulus(p))
+        checks = iter_certification_checks(PrimeModulus(17), max_p=17)
+        assert hasattr(checks, "__next__")
+        checks.close()
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
         # An inline stand-in for the process pool: it records the worker
@@ -353,8 +375,9 @@ class TestExhaustiveCertification:
         assert summary == exhaustive_certification(PrimeModulus(3), jobs=1)
 
     def test_singular_minor_names_rows_and_cols(self, monkeypatch):
+        # ((0, 1), (0, 1)) represents the 2 x 2 minors at p = 3.
         real = fourier._cached_minor_det
-        bad = ((0, 2), (1, 2))
+        bad = ((0, 1), (0, 1))
 
         def fake(p, rows, cols):
             if (rows, cols) == bad:
@@ -363,5 +386,80 @@ class TestExhaustiveCertification:
 
         monkeypatch.setattr(fourier, "_cached_minor_det", fake)
         with pytest.raises(TheoremViolationError,
-                           match=r"rows=\(0, 2\) cols=\(1, 2\) p=3"):
+                           match=r"rows=\(0, 1\) cols=\(0, 1\) p=3"):
             exhaustive_certification(PrimeModulus(3), jobs=1)
+
+
+def canonical(members, p):
+    """The least bitmask among the affine images u*S + t, as a residue tuple."""
+    best = min(sum(1 << (u * x + t) % p for x in members)
+               for u in range(1, p) for t in range(p))
+    return tuple(x for x in range(p) if best >> x & 1)
+
+
+def closed_form_counts(p):
+    minors = math.comb(2 * p, p) - 1
+    tight = sum(math.comb(p, a) * math.comb(p, b)
+                for a in range(1, p + 1) for b in range(0, p - a + 1))
+    return {"minor": minors, "tightness": tight,
+            "achievability": (2 ** p - 1) * 2 ** p - tight}
+
+
+class TestCertificationOrbits:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_orbit_sizes_cover_every_instance(self, p):
+        by_size = uncertainty._set_orbits(p)
+        assert len(by_size) == p + 1
+        for n, orbits in enumerate(by_size):
+            assert all(len(rep) == n for rep, _ in orbits)
+            assert sum(size for _, size in orbits) == math.comb(p, n)
+            assert all(p * (p - 1) % size == 0 for _, size in orbits)
+        assert sum(size for orbits in by_size for _, size in orbits) == 2 ** p
+        weights = {"minor": 0, "tightness": 0, "achievability": 0}
+        for kind, _, _, orbit_size in uncertainty._certification_orbits(p):
+            weights[kind] += orbit_size
+        assert weights == closed_form_counts(p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_instance_maps_to_a_representative(self, p):
+        # Each canonical instance, canonicalised here, lands on a representative
+        # of its own kind, and each representative collects exactly its orbit.
+        landed = collections.Counter()
+        for kind, first, second in uncertainty._certification_instances(p):
+            first, second = canonical(first, p), canonical(second, p)
+            if kind == "minor":
+                first, second = sorted((first, second))
+            landed[kind, first, second] += 1
+        records = list(uncertainty._certification_orbits(p))
+        assert len({record[:3] for record in records}) == len(records)
+        assert landed == {(kind, a, b): size for kind, a, b, size in records}
+
+    def test_orbit_stream_order(self):
+        records = list(uncertainty._certification_orbits(7))
+        order = ["minor", "tightness", "achievability"]
+        kinds = [kind for kind, _, _, _ in records]
+        assert kinds == sorted(kinds, key=order.index)
+        for kind in order:
+            pairs = [(a, b) for k, a, b, _ in records if k == kind]
+            assert pairs == sorted(pairs, key=lambda ab: (len(ab[0]), len(ab[1]), ab))
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_group_action_moves_the_witness(self, p):
+        # (u, t, k, s) maps supports (A, B) to (u*A + t, k*u^-1*B + s).  u and
+        # k avoid +-1 and t, s avoid 0, so each draw moves what a wrong
+        # exponent in any one generator would move elsewhere.
+        modulus = PrimeModulus(p)
+        rng = random.Random(600 + p)
+        achievable = [(a, b) for kind, a, b, _ in uncertainty._certification_orbits(p)
+                      if kind == "achievability"]
+        for a, b in rng.sample(achievable, 3):
+            signal = construct_support_pair(SupportSet(modulus, a), SupportSet(modulus, b),
+                                            seed=p).signal
+            for _ in range(3):
+                u, k = rng.randrange(2, p - 1), rng.randrange(2, p - 1)
+                t, s = rng.randrange(1, p), rng.randrange(1, p)
+                moved = modulate(translate(galois(dilate(signal, u), k), t), s)
+                u_inv = pow(u, -1, p)
+                assert support(moved) == SupportSet(modulus, ((u * x + t) % p for x in a))
+                assert support(dft(moved)) == SupportSet(
+                    modulus, ((k * u_inv * y + s) % p for y in b))
