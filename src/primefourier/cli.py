@@ -25,16 +25,11 @@ from .fourier import SupportSet
 
 SCHEMA_VERSION = 1
 
-EXIT_OK = 0
-EXIT_PRECONDITION = 2
-EXIT_BUDGET = 3
-EXIT_THEOREM = 4
-
 _STATUS_CODES = {
-    "ok": EXIT_OK,
-    "precondition-error": EXIT_PRECONDITION,
-    "budget-exceeded": EXIT_BUDGET,
-    "theorem-violation": EXIT_THEOREM,
+    "ok": 0,
+    "precondition-error": 2,
+    "budget-exceeded": 3,
+    "theorem-violation": 4,
 }
 
 
@@ -65,14 +60,19 @@ def parse_values_file(path: str, p: int, ndim: int) -> dict[tuple[int, ...], int
             coords, sep, value = line.partition(":")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected 'x1,...,xn: value'")
-            point = tuple(int(tok) for tok in coords.split(","))
+            try:
+                point = tuple(int(tok) for tok in coords.split(","))
+                number = int(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected integers in "
+                                 f"'x1,...,xn: value', got {line!r}") from None
             if len(point) != ndim:
                 raise ValueError(f"{path}:{lineno}: expected {ndim} coordinates")
             if not all(0 <= x < p for x in point):
                 raise ValueError(f"{path}:{lineno}: coordinates outside [0, {p})")
             if point in table:
                 raise ValueError(f"{path}:{lineno}: duplicate entry for {point}")
-            table[point] = int(value)
+            table[point] = number
     return table
 
 
@@ -182,14 +182,7 @@ def _cmd_sumset(args) -> tuple[dict, dict, list[dict]]:
             "f": _signal_payload(witness.f),
             "g": _signal_payload(witness.g),
             "conv": _signal_payload(witness.conv),
-            "inequality_chain": {
-                "sumset_size": witness.inequality_chain.sumset_size,
-                "spectrum_overlap": witness.inequality_chain.spectrum_overlap,
-                "total": witness.inequality_chain.total,
-                "threshold": witness.inequality_chain.threshold,
-                "cd_rhs": witness.inequality_chain.cd_rhs,
-                "holds": witness.inequality_chain.holds,
-            },
+            "inequality_chain": asdict(witness.inequality_chain),
         }
     counts = {"a": len(a), "b": len(b), "sumset": check.lhs}
     row = {
@@ -205,6 +198,8 @@ def _cmd_sumset(args) -> tuple[dict, dict, list[dict]]:
 
 def _cmd_meshulam(args) -> tuple[dict, dict, list[dict]]:
     modulus = PrimeModulus(args.p)
+    # Refuse an oversized table before the values file is read.
+    applications._check_table_size(modulus.p, args.n)
     table = parse_values_file(args.values_file, modulus.p, args.n)
     signal = applications.MultiSignal(modulus, args.n, table)
     report = applications.meshulam_check(signal)

@@ -87,9 +87,6 @@ class PrimeModulus:
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
 
-    def residues(self) -> range:
-        return range(self.p)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeModulus) and self.p == other.p
 

@@ -3,9 +3,10 @@
 The transform is normalized as fhat(xi) = (1/p) * sum_x f(x) w^(-x*xi) with
 the 1/p carried as an exact rational, so supports are decided by the sound
 zero test of CycloNum.  Alongside the transform live its inverse, cyclic
-convolution, square minors of the character table (w^(x*xi)), exact minor
-determinants and solves over Q(w), and the mod-p Vandermonde product used to
-certify minor non-singularity residue-wise.
+convolution, square minors of the character table (w^(x*xi)), and exact
+minor determinants and solves over Q(w).  vandermonde_det_mod_p, the factor
+prod (xi_k - xi_k') mod p of Tao's proof of Chebotarev's lemma, illustrates
+that proof; it is nonzero for any distinct residues and certifies no minor.
 
 Two private routines carry the arithmetic.  _character_sums is the one
 integer kernel behind every character sum (dft, idft, convolve through the
@@ -18,7 +19,6 @@ Gaussian elimination behind both minor_det and minor_solve.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -364,12 +364,6 @@ def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:
             total = total - row[j] * sol[j]
         sol[i] = total * inverses[i]
     return sol
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _cached_minor_det(p: int, rows: tuple[int, ...], cols: tuple[int, ...]) -> CycloNum:
-    modulus = PrimeModulus(p)
-    return minor_det(minor_matrix(modulus, SupportSet(modulus, rows), SupportSet(modulus, cols)))
 
 
 def vandermonde_det_mod_p(cols: SupportSet) -> int:

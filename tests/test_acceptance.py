@@ -23,6 +23,7 @@ from primefourier import (
     cauchy_davenport_check,
     cd_proof_witness,
     certify_tightness,
+    construct_exact_pair,
     construct_support_pair,
     convolve,
     dft,
@@ -102,8 +103,27 @@ def test_criterion_2_forward_uncertainty():
             assert report.support_sum >= p + 1
             assert report.support_product >= p
             verified += 1
+    # Integer signals have |supp fhat| in {1, p - 1, p} (the nonzero
+    # frequencies are Galois conjugates), so they rarely meet the bound.
+    # Exact witnesses and their Z[w] multiples sit on it: |A| + |B| = p + 1.
+    boundary = 0
+    for p in (5, 7, 11, 13):
+        modulus = PrimeModulus(p)
+        rng = random.Random(2000 + p)
+        for _ in range(4):
+            a_size = rng.randint(2, p - 1)
+            a = SupportSet(modulus, rng.sample(range(p), a_size))
+            b = SupportSet(modulus, rng.sample(range(p), p + 1 - a_size))
+            scale = CycloNum.zero(modulus)
+            while scale.is_zero():
+                scale = CycloNum(modulus, [rng.randint(-9, 9) for _ in range(p - 1)])
+            signal = construct_exact_pair(a, b).signal
+            for f in (signal, signal * scale):
+                assert verify_uncertainty(f).support_sum == p + 1, (p, a, b)
+                boundary += 1
     _report(2, f"tightness certified ({tight_counts}); additive bound on "
-               f"{verified} random signals", True)
+               f"{verified} random signals and met with equality by "
+               f"{boundary} Q(w)-valued boundary signals", True)
 
 
 def test_criterion_3_constructive_converse():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from primefourier import (
+    BudgetExceededError,
     CycloNum,
     MultiSignal,
     PrimeModulus,
@@ -224,6 +225,21 @@ class TestMultiSignal:
             MultiSignal(p3, 2, {(3, 0): 1})
         with pytest.raises(ValueError):
             MultiSignal(p3, 2, {(0,): 1})
+
+    @pytest.mark.parametrize("p, ndim", [(101, 3), (101, 4), (2, 17), (3, 10**9)])
+    def test_oversized_table_rejected_before_building(self, p, ndim):
+        # Only rejected shapes: each raises before a single point is stored.
+        modulus = PrimeModulus(p)
+        with pytest.raises(BudgetExceededError, match=f"\\(Z/{p}Z\\)\\^{ndim} has more than"):
+            MultiSignal(modulus, ndim, {(0,) * min(ndim, 4): 1})
+        with pytest.raises(BudgetExceededError):
+            MultiSignal.constant(modulus, ndim)
+        with pytest.raises(BudgetExceededError):
+            MultiSignal.dirac(modulus, ndim)
+
+    def test_dimension_below_one_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            MultiSignal(PrimeModulus(3), 0, {})
 
     def test_support_size(self):
         p3 = PrimeModulus(3)

@@ -268,6 +268,27 @@ class TestMeshulam:
                                          "--values-file", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["0,x: 1\n", "0,0: one\n"])
+    def test_non_integer_entry_names_its_line(self, capsys, tmp_path, text):
+        path = tmp_path / "typo.txt"
+        path.write_text("# header\n" + text)
+        code, report = run_json(capsys, ["meshulam", "--p", "3", "--n", "2",
+                                         "--values-file", str(path)])
+        assert code == 2
+        assert report["error"].startswith(f"{path}:2: ")
+        assert "invalid literal" not in report["error"]
+
+    @pytest.mark.parametrize("p, n", [(101, 4), (2, 10**9)])
+    def test_oversized_table_exits_3(self, capsys, tmp_path, p, n):
+        # Refused before the file is read, so even a one-line file fails fast.
+        path = tmp_path / "point.txt"
+        path.write_text("0,0,0,0: 1\n")
+        code, report = run_json(capsys, ["meshulam", "--p", str(p), "--n", str(n),
+                                         "--values-file", str(path)])
+        assert code == 3
+        assert report["status"] == "budget-exceeded"
+        assert "100000 points" in report["error"]
+
     def test_missing_file_is_precondition_error(self, capsys, tmp_path):
         code, report = run_json(capsys, ["meshulam", "--p", "3", "--n", "2",
                                          "--values-file", str(tmp_path / "missing.txt")])

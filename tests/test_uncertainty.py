@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import math
 import random
@@ -290,9 +291,10 @@ class TestExhaustiveCertification:
         kinds = [kind for kind, _, _, _ in records]
         assert (kinds.count("minor"), kinds.count("tightness"),
                 kinds.count("achievability")) == (minors, tight, achievable)
-        # The sweep runs the full check on each representative, once.
+        # One determinant per minor representative, one witness per achievable
+        # representative, and no tightness computation of its own.
         calls = {"det": [], "tight": [], "built": []}
-        spies = [(fourier, "_cached_minor_det", "det"),
+        spies = [(fourier, "minor_det", "det"),
                  (uncertainty, "certify_tightness", "tight"),
                  (uncertainty, "construct_support_pair", "built")]
         for module, name, key in spies:
@@ -301,10 +303,9 @@ class TestExhaustiveCertification:
                 return _real(*args)
             monkeypatch.setattr(module, name, spy)
         exhaustive_certification(PrimeModulus(p), jobs=1)
-        assert len(calls["tight"]) == tight
-        assert len(calls["built"]) == achievable
-        # One determinant per minor representative and per tightness check.
-        assert len(calls["det"]) == minors + tight
+        assert calls["tight"] == []
+        assert [(m.rows.members, m.cols.members) for (m,) in calls["det"]] == [
+            (a, b) for kind, a, b, _ in records if kind == "minor"]
         assert [(a.members, b.members) for a, b, _ in calls["built"]] == [
             (a, b) for kind, a, b, _ in records if kind == "achievability"]
 
@@ -376,15 +377,15 @@ class TestExhaustiveCertification:
 
     def test_singular_minor_names_rows_and_cols(self, monkeypatch):
         # ((0, 1), (0, 1)) represents the 2 x 2 minors at p = 3.
-        real = fourier._cached_minor_det
+        real = fourier.minor_det
         bad = ((0, 1), (0, 1))
 
-        def fake(p, rows, cols):
-            if (rows, cols) == bad:
-                return CycloNum.zero(PrimeModulus(p))
-            return real(p, rows, cols)
+        def fake(minor):
+            if (minor.rows.members, minor.cols.members) == bad:
+                return CycloNum.zero(minor.modulus)
+            return real(minor)
 
-        monkeypatch.setattr(fourier, "_cached_minor_det", fake)
+        monkeypatch.setattr(fourier, "minor_det", fake)
         with pytest.raises(TheoremViolationError,
                            match=r"rows=\(0, 1\) cols=\(0, 1\) p=3"):
             exhaustive_certification(PrimeModulus(3), jobs=1)
@@ -419,6 +420,24 @@ class TestCertificationOrbits:
         for kind, _, _, orbit_size in uncertainty._certification_orbits(p):
             weights[kind] += orbit_size
         assert weights == closed_form_counts(p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_tightness_certificates_lie_in_minor_orbits(self, p):
+        # The sweep computes nothing for a tightness pair (A, B): its
+        # certificate minor, rows the first |A| residues outside B and
+        # columns A, must lie in the orbit of a checked minor record.
+        canon = functools.lru_cache(maxsize=None)(lambda members: canonical(members, p))
+        records = list(uncertainty._certification_orbits(p))
+        minors = {(a, b) for kind, a, b, _ in records if kind == "minor"}
+        reached = set()
+        for kind, a, b, _ in records:
+            if kind != "tightness":
+                continue
+            outside = [x for x in range(p) if x not in b]
+            pair = tuple(sorted((canon(tuple(outside[:len(a)])), canon(a))))
+            assert pair in minors, (a, b, pair)
+            reached.add(pair)
+        assert reached == minors
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_every_instance_maps_to_a_representative(self, p):
