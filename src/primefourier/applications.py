@@ -85,15 +85,16 @@ class SparseZeroReport:
 def sparse_zero_count(poly: SparsePoly) -> SparseZeroReport:
     """Exactly evaluate the polynomial at every p-th root of unity.
 
-    Returns the set of t with P(w^t) = 0; a polynomial with k + 1 terms can
-    vanish at no more than k of the p roots, and exceeding that raises
-    TheoremViolationError.
+    P(w^t) is idft(coefficient signal) at t.  Returns the set of t with
+    P(w^t) = 0; a polynomial with k + 1 terms can vanish at no more than k
+    of the p roots, and exceeding that raises TheoremViolationError.
     """
     modulus = poly.modulus
     p = modulus.p
-    values = fourier._character_sums(
-        modulus, [c for _, c in poly.terms], [e for e, _ in poly.terms], range(p), 1
-    )
+    coefficients = [CycloNum.zero(modulus)] * p
+    for exponent, coeff in poly.terms:
+        coefficients[exponent] = coeff
+    values = fourier.idft(SignalFn(modulus, coefficients)).values
     zeros = [t for t, v in enumerate(values) if v.is_zero()]
     zero_set = SupportSet(modulus, zeros)
     bound = len(zero_set) <= poly.max_zeros
@@ -295,33 +296,30 @@ class MultiSignal:
         return f"MultiSignal(p={self.modulus.p}, ndim={self.ndim}, support={self.support_size()})"
 
 
-def _multi_transform(signal: MultiSignal, sign: int, den_factor: int) -> MultiSignal:
-    # w^(sign*<x, xi>) factors over the coordinates, so the n-dimensional sum
-    # is n rounds of one-dimensional sums, one along each axis, each divided
-    # by den_factor.
+def _multi_transform(signal: MultiSignal, transform) -> MultiSignal:
+    # The character w^(+-<x, xi>) factors over the coordinates, so the
+    # n-dimensional transform is the one-dimensional one applied along each
+    # axis in turn.
     modulus = signal.modulus
     p = modulus.p
     n = signal.ndim
-    multipliers = [sign * t % p for t in range(p)]
     table = dict(signal.values)
     for axis in range(n):
         for rest in itertools.product(range(p), repeat=n - 1):
             line = [rest[:axis] + (x,) + rest[axis:] for x in range(p)]
-            sums = fourier._character_sums(
-                modulus, [table[pt] for pt in line], range(p), multipliers, den_factor
-            )
+            sums = transform(SignalFn(modulus, [table[pt] for pt in line])).values
             table.update(zip(line, sums))
     return MultiSignal(modulus, n, table)
 
 
 def multi_dft(signal: MultiSignal) -> MultiSignal:
     """Fhat(xi) = (1/p^n) * sum_x F(x) * w^(-<x, xi>), exact."""
-    return _multi_transform(signal, -1, signal.modulus.p)
+    return _multi_transform(signal, fourier.dft)
 
 
 def multi_idft(spectrum: MultiSignal) -> MultiSignal:
     """F(x) = sum_xi Fhat(xi) * w^(<x, xi>); inverse of multi_dft."""
-    return _multi_transform(spectrum, 1, 1)
+    return _multi_transform(spectrum, fourier.idft)
 
 
 @dataclass(frozen=True)

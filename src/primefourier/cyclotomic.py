@@ -11,10 +11,10 @@ is sound and complete.
 
 Products run on the redundant spanning set {1, w, ..., w^(p-1)}, where
 multiplying by w is a cyclic shift and the automorphism w -> w^k (galois) is a
-permutation of the coefficients.  Dense products use Kronecker substitution:
-each coefficient vector becomes one big integer, so a single integer
-multiplication performs the convolution.  Its linear-time codec (_pack,
-_unpack) also serves the character sums in fourier.  Inverses come from the
+permutation of the coefficients.  Only this module knows how a value is
+stored and packed: dense products and character_sums, the kernel behind
+every transform in fourier, turn each vector into one big integer through
+one linear-time codec (Kronecker substitution).  Inverses come from the
 Galois norm: the product of all p - 1 conjugates of a nonzero element is a
 nonzero rational, so dividing the product of the other p - 2 conjugates by
 it inverts the element with integer vector arithmetic alone.
@@ -119,12 +119,15 @@ def _root_power_num(p: int, k: int) -> tuple[int, ...]:
     return tuple(1 if i == k else 0 for i in range(p - 1))
 
 
-# Kronecker codec shared by the packed kernels (_packed_convolution here and
-# fourier._character_sums): a list of non-negative digits, each below
-# 256**nbytes, is one integer with digit i at bit 8*nbytes*i, and back.  The
-# kernels take the width from their inputs through _digit_bytes, which rounds
-# up to an array item size where one fits: such a width converts in one C
-# call (array items are native-endian, so they are byteswapped on big-endian
+# Kronecker codec of the two packed kernels (_packed_convolution and
+# character_sums): a list of non-negative digits, each below 256**nbytes, is
+# one integer with digit i at bit 8*nbytes*i, and back.  Both kernels bias
+# all p digits of a redundant vector by one constant, which adds a multiple
+# of the all-ones vector J.  Sums and cyclic products keep it a multiple of J
+# (a*J = (sum a)*J, J*J = p*J), and _from_redundant cancels it.  The kernels
+# take the width from their inputs through _digit_bytes, which rounds up to
+# an array item size where one fits: such a width converts in one C call
+# (array items are native-endian, so they are byteswapped on big-endian
 # hosts), any other width digit by digit.  Both directions are linear.
 _ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -168,30 +171,56 @@ def _unpack(value: int, count: int, nbytes: int) -> list[int]:
 def _packed_convolution(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
     """Cyclic (mod z^p - 1) product of two coefficient vectors of length p-1.
 
-    Kronecker substitution: each vector is one big integer whose digits are
-    wide enough for every coefficient of the product, so Python's integer
-    multiplication performs the convolution.  Every digit is biased by half
-    the digit range, which makes it non-negative for the codec; the biases
-    are added and removed as packed constants, so each operand is one codec
-    call to pack and the product one to unpack.  The wrap-around z^p = 1 is
-    one shift and add on the packed product.  Exact for arbitrary magnitudes.
+    Kronecker substitution: each vector, biased by the codec's rule, is one
+    big integer, so one integer multiplication performs the convolution and
+    one shift and add folds z^p = 1.  The result on the redundant spanning
+    set is the true product plus a constant vector.
     """
-    # No coefficient of the product, linear or cyclic, exceeds bound.
-    bound = (p - 1) * max(map(abs, a)) * max(map(abs, b))
-    nbytes = _digit_bytes(2 * bound + 1)  # so that bound < half
+    ha, hb = max(map(abs, a)), max(map(abs, b))
+    # A folded digit is a sum of p products of biased digits <= 2*ha, 2*hb.
+    nbytes = _digit_bytes(4 * p * ha * hb)
+    pa = _pack([c + ha for c in a] + [ha], nbytes)
+    pb = _pack([c + hb for c in b] + [hb], nbytes)
+    prod = pa * pb
+    cut = 8 * nbytes * p
+    return _unpack((prod & ((1 << cut) - 1)) + (prod >> cut), p, nbytes)
+
+
+def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
+                   den_factor: int) -> list[CycloNum]:
+    """[sum_j values[j] * w^(exponents[j] * t) / den_factor for t in multipliers].
+
+    Kronecker substitution on the redundant spanning set {1, w, ..., w^(p-1)}.
+    The values are put over one common denominator and zero values are
+    dropped.  Each remaining numerator vector, biased to non-negative digits,
+    is packed into one integer P by the cyclotomic codec and stored twice
+    side by side, P | P << (p digits), so that multiplying by w^s is one
+    right shift by (p - s) mod p digits.  A sum is then one shift per term,
+    one mask and one unpack.  The digits are wide enough that the biased
+    sum never carries between them, and the bias, equal in every digit,
+    cancels when _from_redundant folds the top coefficient.
+    """
+    p = modulus.p
+    common = math.lcm(*(v._den for v in values))
+    rows = [(e, v._num, common // v._den)
+            for v, e in zip(values, exponents) if not v.is_zero()]
+    bias = max([max(max(num), -min(num)) * m for _, num, m in rows], default=0)
+    # A biased digit is at most 2 * bias, so no digit of a sum exceeds this.
+    nbytes = _digit_bytes(2 * bias * len(rows))
     width = 8 * nbytes
-    half = 1 << (width - 1)
-    # p - 1 digits that each hold half, built by byte repetition.
-    halves = int.from_bytes((bytes(nbytes - 1) + b"\x80") * (p - 1), "little")
-    pa = _pack([c + half for c in a], nbytes) - halves
-    pb = _pack([c + half for c in b], nbytes) - halves
-    # Digit k of prod is c_k + half for the linear coefficients c_k,
-    # k < 2p - 2 (the top one, c_(2p-3), is 0).
-    prod = pa * pb + (halves << (p - 1) * width | halves)
     cut = width * p
-    # Fold digit p + i onto digit i and take the extra half off again.
-    folded = (prod & ((1 << cut) - 1)) + (prod >> cut) - (halves >> width)
-    return [d - half for d in _unpack(folded, p, nbytes)]
+    terms = []
+    for e, num, m in rows:
+        packed = _pack([c * m + bias for c in num] + [bias], nbytes)
+        terms.append((e, packed | packed << cut))
+    mask = (1 << cut) - 1
+    den = common * den_factor
+    out = []
+    for t in multipliers:
+        total = sum([doubled >> (-e * t % p * width) for e, doubled in terms])
+        acc = _unpack(total & mask, p, nbytes)
+        out.append(CycloNum._from_redundant(modulus, acc, den))
+    return out
 
 
 class CycloNum:
@@ -229,7 +258,7 @@ class CycloNum:
         # acc has length p, on the redundant spanning set {1, w, ..., w^(p-1)};
         # fold the top coefficient through w^(p-1) = -(1 + ... + w^(p-2)).
         # Adding one constant to every entry changes nothing, since
-        # 1 + w + ... + w^(p-1) = 0; fourier._character_sums relies on this.
+        # 1 + w + ... + w^(p-1) = 0; this cancels the codec's bias.
         t = acc[-1]
         if t:
             num = [c - t for c in acc[:-1]]
@@ -318,16 +347,6 @@ class CycloNum:
         num = [c * value.numerator for c in self._num]
         return CycloNum._raw(self.modulus, *_normalize(num, self._den * value.denominator))
 
-    def _rotated(self, shift: int, factor: int, factor_den: int) -> CycloNum:
-        # self * (factor/factor_den) * w^shift without a full convolution.
-        p = self.modulus.p
-        acc = [0] * p
-        for i, c in enumerate(self._num):
-            if c:
-                j = i + shift
-                acc[j - p if j >= p else j] += c * factor
-        return CycloNum._from_redundant(self.modulus, acc, self._den * factor_den)
-
     def __mul__(self, other) -> CycloNum:
         if isinstance(other, (int, Fraction)):
             return self._scaled(Fraction(other))
@@ -337,12 +356,6 @@ class CycloNum:
         a, b = self._sparse(), other._sparse()
         if not a or not b:
             return CycloNum.zero(self.modulus)
-        if len(a) == 1:
-            i, c = a[0]
-            return other._rotated(i, c, self._den)
-        if len(b) == 1:
-            i, c = b[0]
-            return self._rotated(i, c, other._den)
         p = self.modulus.p
         den = self._den * other._den
         if len(a) * len(b) > _DENSE_MUL_THRESHOLD:
@@ -407,7 +420,9 @@ class CycloNum:
             rest = rest * self.galois(k)
         norm = self * rest
         if norm.is_zero() or not norm.is_rational():
-            raise ArithmeticError("the Galois norm is not a nonzero rational")
+            raise TheoremViolationError(
+                "the Galois norm of a nonzero element is not a nonzero rational "
+                f"(p={self.modulus.p})")
         return rest._scaled(Fraction(norm._den, norm._num[0]))
 
     def conj(self) -> CycloNum:

@@ -8,21 +8,20 @@ minor determinants and solves over Q(w).  vandermonde_det_mod_p, the factor
 prod (xi_k - xi_k') mod p of Tao's proof of Chebotarev's lemma, illustrates
 that proof; it is nonzero for any distinct residues and certifies no minor.
 
-Two private routines carry the arithmetic.  _character_sums is the one
-integer kernel behind every character sum (dft, idft, convolve through the
-convolution theorem, and in applications the sparse zero count and the
-(Z/pZ)^n transform).  It packs each value into one big integer with the
-Kronecker codec of cyclotomic, which also serves the dense multiply, so a
-sum costs a few big-integer operations per term.  _eliminate is the one
-Gaussian elimination behind both minor_det and minor_solve.
+The module never looks inside a Q(w) value.  dft and idft call
+cyclotomic.character_sums, the one integer kernel behind every character
+sum: convolve goes through them by the convolution theorem, and in
+applications so do the sparse zero count and the (Z/pZ)^n transform.  The
+kernel packs each value into one big integer, so a sum costs a few
+big-integer operations per term.  _eliminate is the one Gaussian
+elimination behind both minor_det and minor_solve.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .cyclotomic import CycloNum, PrimeModulus, _digit_bytes, _pack, _unpack
+from .cyclotomic import CycloNum, PrimeModulus, character_sums
 from .errors import TheoremViolationError
 
 
@@ -172,55 +171,18 @@ class SignalFn:
         return f"SignalFn(p={self.modulus.p}, [{', '.join(str(v) for v in self.values)}])"
 
 
-def _character_sums(modulus: PrimeModulus, values, exponents, multipliers,
-                     den_factor: int) -> list[CycloNum]:
-    """[sum_j values[j] * w^(exponents[j] * t) / den_factor for t in multipliers].
-
-    Kronecker substitution on the redundant spanning set {1, w, ..., w^(p-1)}.
-    The values are put over one common denominator and zero values are
-    dropped.  Each remaining numerator vector, biased to non-negative digits,
-    is packed into one integer P by the cyclotomic codec and stored twice
-    side by side, P | P << (p digits), so that multiplying by w^s is one
-    right shift by (p - s) mod p digits.  A sum is then one shift per term,
-    one mask and one unpack.  The digits are wide enough that the biased
-    sum never carries between them, and the bias, equal in every digit,
-    cancels when _from_redundant folds the top coefficient.
-    """
-    p = modulus.p
-    common = math.lcm(*(v._den for v in values))
-    rows = [(e, v._num, common // v._den)
-            for v, e in zip(values, exponents) if not v.is_zero()]
-    bias = max([max(max(num), -min(num)) * m for _, num, m in rows], default=0)
-    # A biased digit is at most 2 * bias, so no digit of a sum exceeds this.
-    nbytes = _digit_bytes(2 * bias * len(rows))
-    width = 8 * nbytes
-    cut = width * p
-    terms = []
-    for e, num, m in rows:
-        packed = _pack([c * m + bias for c in num] + [bias], nbytes)
-        terms.append((e, packed | packed << cut))
-    mask = (1 << cut) - 1
-    den = common * den_factor
-    out = []
-    for t in multipliers:
-        total = sum([doubled >> (-e * t % p * width) for e, doubled in terms])
-        acc = _unpack(total & mask, p, nbytes)
-        out.append(CycloNum._from_redundant(modulus, acc, den))
-    return out
-
-
 def dft(f: SignalFn) -> SignalFn:
     """Exact transform fhat(xi) = (1/p) * sum_x f(x) * w^(-x*xi)."""
     p = f.modulus.p
     negated = [-xi % p for xi in range(p)]
-    return SignalFn(f.modulus, _character_sums(f.modulus, f.values, range(p), negated, p))
+    return SignalFn(f.modulus, character_sums(f.modulus, f.values, range(p), negated, p))
 
 
 def idft(spectrum: SignalFn) -> SignalFn:
     """Inverse transform f(x) = sum_xi F(xi) * w^(x*xi); idft(dft(f)) == f."""
     p = spectrum.modulus.p
     return SignalFn(spectrum.modulus,
-                    _character_sums(spectrum.modulus, spectrum.values, range(p), range(p), 1))
+                    character_sums(spectrum.modulus, spectrum.values, range(p), range(p), 1))
 
 
 def support(f: SignalFn) -> SupportSet:

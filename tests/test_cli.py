@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import itertools
@@ -6,7 +7,7 @@ from math import comb
 
 import pytest
 
-from primefourier import TheoremViolationError, applications, cli, uncertainty
+from primefourier import CycloNum, TheoremViolationError, applications, cli, uncertainty
 
 
 def run_cli(capsys, argv):
@@ -54,6 +55,20 @@ class TestCertify:
                                      "--format", "csv"])
         assert code == 3
         assert "budget-exceeded" in out
+
+    def test_csv_refuses_more_rows_than_its_bound(self, capsys, monkeypatch):
+        # At p = 13 the listing would have 77,501,271 rows; it is refused
+        # before the sweep starts.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(uncertainty, "exhaustive_certification", no_sweep)
+        assert comb(26, 13) - 1 + (2**13 - 1) * 2**13 > cli.MAX_CSV_ROWS
+        code, out = run_cli(capsys, ["certify", "--p", "13", "--format", "csv"])
+        assert code == 3
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert row["status"] == "budget-exceeded"
+        assert str(cli.MAX_CSV_ROWS) in row["error"]
 
     def test_csv_identical_across_jobs(self, capsys):
         code1, serial = run_cli(capsys, ["certify", "--p", "3", "--format", "csv",
@@ -314,6 +329,16 @@ class TestMeshulam:
 
 
 class TestStatusMapping:
+    def test_impossible_inverse_exits_4(self, capsys, monkeypatch):
+        # Identity conjugates make every non-rational "norm" non-rational,
+        # so the elimination behind the witness reaches the impossible branch.
+        monkeypatch.setattr(CycloNum, "galois", lambda self, k: self)
+        code, report = run_json(capsys, ["construct", "--p", "7", "--a", "0,1,2",
+                                         "--b", "0,1,2,3,4"])
+        assert code == 4
+        assert report["status"] == "theorem-violation"
+        assert "Galois norm" in report["error"]
+
     def test_theorem_violation_exit_code(self, capsys, monkeypatch):
         # The library treats this status as unreachable; force it to pin the
         # reserved exit code.
@@ -337,3 +362,24 @@ class TestStatusMapping:
         code, report = run_json(capsys, ["certify", "--p", "7"])
         assert code == 2
         assert "bound" in report["error"]
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--p", "3"],
+        ["construct", "--p", "3", "--a", "0", "--b", "0,1,2"],
+        ["sparse", "--p", "5", "--exponents", "0,1", "--coefficients", "1,-1"],
+        ["sumset", "--p", "5", "--a", "0,1", "--b", "0"],
+        ["meshulam", "--p", "3", "--n", "1", "--values-file", "VALUES"],
+    ])
+    def test_echoes_every_option_of_the_subcommand(self, capsys, tmp_path, argv):
+        values = tmp_path / "values.txt"
+        values.write_text("0: 1\n")
+        argv = [str(values) if arg == "VALUES" else arg for arg in argv]
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        options = {action.dest for action in subparsers.choices[argv[0]]._actions
+                   if action.dest != "help"}
+        assert set(report["config"]) == options

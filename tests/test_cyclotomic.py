@@ -194,6 +194,14 @@ class TestInverse:
         assert (a / b) * b == a
 
 
+    def test_impossible_norm_raises_theorem_violation(self, monkeypatch):
+        # With every conjugate replaced by the value itself the "norm" is
+        # a^(p-1), which is not rational for this dense a.
+        monkeypatch.setattr(CycloNum, "galois", lambda self, k: self)
+        a = CycloNum(PrimeModulus(7), [1, 2, 3, 4, 5, 6])
+        with pytest.raises(TheoremViolationError, match="Galois norm"):
+            a.inverse()
+
     @pytest.mark.parametrize("p", [31, 101])
     def test_dense_inverse_with_wide_coefficients(self, p):
         # Every coefficient nonzero and at least 30 bits wide, over a common
@@ -345,35 +353,59 @@ class TestTextForm:
         assert str(CycloNum.from_rational(PrimeModulus(2), Fraction(1, 2))) == "1/2"
 
 
+def check_packed_convolution(p, ha, hb, nbytes):
+    # Operands of length p - 1 whose largest |coefficient| is ha and hb.
+    assert _digit_bytes(4 * p * ha * hb) == nbytes
+    rng = random.Random(21 + nbytes)
+
+    def vector(top):
+        return (top,) + tuple(rng.choice((top, -top, rng.randint(-top, top)))
+                              for _ in range(p - 2))
+
+    cases = [((ha,) * (p - 1), (hb,) * (p - 1)),
+             ((-ha,) * (p - 1), (hb,) * (p - 1)),
+             ((-ha,) * (p - 1), (-hb,) * (p - 1))]
+    cases += [(vector(ha), vector(hb)) for _ in range(8)]
+    for a, b in cases:
+        acc = [0] * p
+        for i, ca in enumerate(a):
+            for j, cb in enumerate(b):
+                acc[(i + j) % p] += ca * cb
+        # The packed result is the product plus a constant vector, which is
+        # zero in Q(w): compare both after subtracting the top entry.
+        got = _packed_convolution(a, b, p)
+        assert len(got) == p
+        assert [c - got[-1] for c in got] == [c - acc[-1] for c in acc]
+
+
 class TestPackedConvolution:
-    # (p, largest |coefficient|, digit width in bytes that the product needs)
+    # (p, largest |coefficient| of both operands, digit width in bytes that
+    # the biased product needs)
     @pytest.mark.parametrize("p, top, nbytes", [
-        (2, 11, 1),
-        (5, 5, 1),
+        (2, 11, 2),
+        (5, 3, 1),
+        (5, 4, 2),
+        (5, 5, 2),
         (5, 6, 2),
-        (13, 50, 2),
+        (13, 50, 4),
         (31, 500, 4),
-        (31, 8000, 4),
-        (31, 2**29, 8),
+        (31, 5885, 4),
+        (31, 5886, 8),
+        (31, 8000, 8),
+        (31, 2**29, 9),
         (3, 2**31, 9),
         (13, 2**100, 26),
     ])
     def test_matches_schoolbook(self, p, top, nbytes):
-        assert _digit_bytes(2 * (p - 1) * top * top + 1) == nbytes
-        rng = random.Random(21 + nbytes)
-        cases = [((top,) * (p - 1), (top,) * (p - 1)),
-                 ((-top,) * (p - 1), (top,) * (p - 1)),
-                 ((-top,) * (p - 1), (-top,) * (p - 1))]
-        for _ in range(8):
-            cases.append(tuple(
-                tuple(rng.choice((top, -top, rng.randint(-top, top))) for _ in range(p - 1))
-                for _ in range(2)))
-        for a, b in cases:
-            acc = [0] * p
-            for i, ca in enumerate(a):
-                for j, cb in enumerate(b):
-                    acc[(i + j) % p] += ca * cb
-            assert _packed_convolution(a, b, p) == acc
+        check_packed_convolution(p, top, top, nbytes)
+
+    @pytest.mark.parametrize("p, ha, hb, nbytes", [
+        (7, 3 * 2**60, 3, 9),
+        (13, 2**70, 2**10, 11),
+    ])
+    def test_operands_of_different_magnitude(self, p, ha, hb, nbytes):
+        check_packed_convolution(p, ha, hb, nbytes)
+        check_packed_convolution(p, hb, ha, nbytes)
 
     def test_dense_path_agrees_with_sparse(self):
         rng = random.Random(22)

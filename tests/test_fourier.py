@@ -21,13 +21,13 @@ from primefourier import (
     vandermonde_det_mod_p,
 )
 
-from primefourier.fourier import _character_sums
+from primefourier.cyclotomic import character_sums
 
 from conftest import float_dft, random_cyclo, random_dense_signal, random_int_signal
 
 
 def direct_character_sums(modulus, values, exponents, multipliers, den_factor):
-    """Reference for _character_sums: Fraction sums on the redundant basis."""
+    """Reference for character_sums: Fraction sums on the redundant basis."""
     p = modulus.p
     out = []
     for t in multipliers:
@@ -151,7 +151,7 @@ class TestCharacterSums:
         rng.shuffle(values)
         exponents = [rng.randrange(7) for _ in values]
         for multipliers, den_factor in ((range(7), 1), ([6, 0, 3, 3, 0], 7)):
-            assert (_character_sums(p7, values, exponents, multipliers, den_factor)
+            assert (character_sums(p7, values, exponents, multipliers, den_factor)
                     == direct_character_sums(p7, values, exponents, multipliers, den_factor))
 
     @pytest.mark.parametrize("top", [31, 32, 2**61 - 1, 2**61, 2**64])
@@ -163,13 +163,13 @@ class TestCharacterSums:
                        [CycloNum(p5, [-top] * 4)] * 4,
                        [CycloNum(p5, [top] * 4), CycloNum(p5, [-top] * 4)] * 2):
             for exponents in ([2, 2, 2, 2], [0, 1, 2, 4]):
-                assert (_character_sums(p5, values, exponents, range(5), 1)
+                assert (character_sums(p5, values, exponents, range(5), 1)
                         == direct_character_sums(p5, values, exponents, range(5), 1))
 
     def test_all_zero_input(self):
         p5 = PrimeModulus(5)
         zeros = [CycloNum.zero(p5)] * 5
-        assert _character_sums(p5, zeros, range(5), [0, 2, 2], 5) == [CycloNum.zero(p5)] * 3
+        assert character_sums(p5, zeros, range(5), [0, 2, 2], 5) == [CycloNum.zero(p5)] * 3
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_smallest_primes(self, p):
@@ -179,7 +179,7 @@ class TestCharacterSums:
             values = [random_cyclo(rng, modulus, -9, 9, den_max=4) for _ in range(p + 1)]
             exponents = [rng.randrange(p) for _ in values]
             multipliers = [0] + [rng.randrange(p) for _ in range(3)]
-            assert (_character_sums(modulus, values, exponents, multipliers, p)
+            assert (character_sums(modulus, values, exponents, multipliers, p)
                     == direct_character_sums(modulus, values, exponents, multipliers, p))
 
 
