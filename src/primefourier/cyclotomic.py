@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import os
 import sys
 from array import array
 from dataclasses import dataclass
@@ -38,8 +37,7 @@ from fractions import Fraction
 
 from .errors import TheoremViolationError
 
-DEFAULT_MAX_PRIME = 10007
-MAX_PRIME_ENV = "PRIMEFOURIER_MAX_P"
+MAX_PRIME = 10007
 
 # Above this many nonzero coefficient products, multiplication switches from
 # the schoolbook loop over the nonzero coefficients to one packed big-integer
@@ -67,22 +65,19 @@ def is_prime(n: int) -> bool:
 class PrimeModulus:
     """A validated prime p, the order of the ambient cyclic group Z/pZ.
 
-    Construction rejects composites (trial division) and primes above a
-    configured bound; the bound defaults to 10007 and can be overridden per
-    call or through the PRIMEFOURIER_MAX_P environment variable.
+    Construction rejects composites (trial division) and primes above
+    MAX_PRIME = 10007.
     """
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int, max_p: int | None = None):
-        if max_p is None:
-            max_p = int(os.environ.get(MAX_PRIME_ENV, DEFAULT_MAX_PRIME))
+    def __init__(self, p: int):
         if not isinstance(p, int) or isinstance(p, bool):
             raise ValueError(f"modulus must be an integer, got {p!r}")
         if p < 2:
             raise ValueError(f"modulus must be at least 2, got {p}")
-        if p > max_p:
-            raise ValueError(f"modulus {p} exceeds the configured bound {max_p}")
+        if p > MAX_PRIME:
+            raise ValueError(f"modulus {p} exceeds the configured bound {MAX_PRIME}")
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p

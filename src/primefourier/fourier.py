@@ -13,8 +13,8 @@ cyclotomic.character_sums, the one integer kernel behind every character
 sum: convolve goes through them by the convolution theorem, and in
 applications so do the sparse zero count and the (Z/pZ)^n transform.  The
 kernel packs each value into one big integer, so a sum costs a few
-big-integer operations per term.  _eliminate is the one Gaussian
-elimination behind both minor_det and minor_solve.
+big-integer operations per term.  _eliminate, the one Gaussian elimination
+behind minor_det and minor_solve, pivots on the diagonal without a search.
 """
 
 from __future__ import annotations
@@ -204,7 +204,10 @@ def convolve(f: SignalFn, g: SignalFn) -> SignalFn:
 
 
 class FourierMinor:
-    """A square submatrix (w^(x_j * xi_k)) of the p x p character table."""
+    """A square submatrix (w^(x_j * xi_k)) of the p x p character table.
+
+    Its unchecked entries must form such a minor, as minor_matrix builds them.
+    """
 
     __slots__ = ("modulus", "rows", "cols", "entries")
 
@@ -254,14 +257,13 @@ def minor_matrix(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> F
 
 
 def _eliminate(minor: FourierMinor, rhs=None):
-    """Forward elimination on a copy of [M | rhs] over Q(w).
+    """Forward elimination on a copy of [M | rhs] over Q(w), diagonal pivots.
 
-    Pivots are the first nonzero entry in each column by row order.  Returns
-    the upper-triangular rows (each ending in its rhs entry when rhs is
-    given), the inverses of the pivots that had rows below them (all but the
-    last) and whether the row swaps were odd in number.  For distinct rows
-    and columns over prime p a pivotless column cannot occur: it would mean a
-    singular minor, and raises TheoremViolationError.
+    The k-th pivot is det(M_k) / det(M_(k-1)) for the leading k x k block M_k,
+    a minor and so nonsingular over prime p: a zero pivot raises
+    TheoremViolationError naming M_k.  Returns the upper-triangular rows (each
+    ending in its rhs entry when rhs is given) and the inverses of the pivots
+    that had rows below them (all but the last).
     """
     n = minor.n
     a = [list(row) for row in minor.entries]
@@ -270,41 +272,33 @@ def _eliminate(minor: FourierMinor, rhs=None):
             row.append(b)
     width = len(a[0])
     inverses = []
-    odd = False
     for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
+        top = a[col]
+        if top[col].is_zero():
             raise TheoremViolationError(
-                f"singular Fourier minor rows={minor.rows.members} "
-                f"cols={minor.cols.members} (p={minor.modulus.p}); "
+                f"singular Fourier minor rows={minor.rows.members[:col + 1]} "
+                f"cols={minor.cols.members[:col + 1]} (p={minor.modulus.p}); "
                 "this contradicts the non-singularity of prime-order minors"
             )
-        if piv != col:
-            a[piv], a[col] = a[col], a[piv]
-            odd = not odd
         if col + 1 == n:
             break
-        inv = a[col][col].inverse()
+        inv = top[col].inverse()
         inverses.append(inv)
-        top = a[col]
         for r in range(col + 1, n):
-            lead = a[r][col]
-            if lead.is_zero():
-                continue
-            factor = lead * inv
+            factor = a[r][col] * inv
             row = a[r]
             for c in range(col + 1, width):
                 row[c] = row[c] - factor * top[c]
-    return a, inverses, odd
+    return a, inverses
 
 
 def minor_det(minor: FourierMinor) -> CycloNum:
-    """Exact determinant: the signed product of the elimination pivots."""
-    a, _, odd = _eliminate(minor)
+    """Exact determinant: the product of the diagonal elimination pivots."""
+    a, _ = _eliminate(minor)
     det = a[0][0]
     for i in range(1, minor.n):
         det = det * a[i][i]
-    return -det if odd else det
+    return det
 
 
 def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:
@@ -316,7 +310,7 @@ def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:
         b.append(v if isinstance(v, CycloNum) else CycloNum.from_rational(modulus, v))
     if len(b) != n:
         raise ValueError(f"right-hand side must have length {n}, got {len(b)}")
-    a, inverses, _ = _eliminate(minor, b)
+    a, inverses = _eliminate(minor, b)
     inverses.append(a[n - 1][n - 1].inverse())
     sol: list[CycloNum] = [CycloNum.zero(modulus)] * n
     for i in range(n - 1, -1, -1):

@@ -15,7 +15,6 @@ import itertools
 import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import fourier
@@ -372,6 +371,7 @@ def exhaustive_certification(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CER
     if workers == 1:
         counts = _count_checked(p, seed, 0, 1)
     else:
+        from concurrent.futures import ProcessPoolExecutor
         counts = Counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_count_checked, p, seed, k, workers)

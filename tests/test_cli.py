@@ -357,9 +357,8 @@ class TestStatusMapping:
         assert "status: ok" in out
         assert "result.lhs: 3" in out
 
-    def test_env_var_bounds_modulus(self, capsys, monkeypatch):
-        monkeypatch.setenv("PRIMEFOURIER_MAX_P", "5")
-        code, report = run_json(capsys, ["certify", "--p", "7"])
+    def test_modulus_above_bound(self, capsys):
+        code, report = run_json(capsys, ["certify", "--p", "10009"])
         assert code == 2
         assert "bound" in report["error"]
 

@@ -30,16 +30,9 @@ class TestPrimeModulus:
             PrimeModulus(bad)
 
     def test_rejects_above_bound(self):
-        with pytest.raises(ValueError):
-            PrimeModulus(10009)  # next prime past the default bound
-        assert PrimeModulus(10009, max_p=20000).p == 10009
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PRIMEFOURIER_MAX_P", "5")
-        with pytest.raises(ValueError):
-            PrimeModulus(7)
-        monkeypatch.setenv("PRIMEFOURIER_MAX_P", "20000")
-        assert PrimeModulus(10009).p == 10009
+        assert PrimeModulus(10007).p == 10007
+        with pytest.raises(ValueError, match="exceeds the configured bound 10007"):
+            PrimeModulus(10009)  # next prime past the bound
 
     def test_is_prime_small(self):
         primes = [n for n in range(2, 60) if is_prime(n)]

@@ -450,8 +450,8 @@ class TestMinorSolve:
 
 class TestHandBuiltMinors:
     # Matrices with two equal rows or a zero entry are not Fourier minors;
-    # built by hand, they reach the pivotless-column and row-swap branches
-    # of the elimination, which real minors never or seldom reach.
+    # built by hand, they reach a zero diagonal pivot, which real minors
+    # never reach: every leading block of a Fourier minor is nonsingular.
     @staticmethod
     def _repeated_row_minor():
         p7 = PrimeModulus(7)
@@ -470,15 +470,31 @@ class TestHandBuiltMinors:
                            match=r"rows=\(1, 2, 4\) cols=\(0, 3, 5\) \(p=7\)"):
             minor_solve(self._repeated_row_minor(), [1, 0, 0])
 
-    def test_row_swap_flips_sign(self):
-        # [[0, w], [1, 0]] needs one row swap: det = -w, solution (b2, b1/w).
+    def test_zero_first_pivot_names_leading_entry(self):
+        # [[0, w], [1, 0]] is nonsingular, but its leading 1 x 1 block is 0:
+        # no row swap is tried.
         p5 = PrimeModulus(5)
         zero, one = CycloNum.zero(p5), CycloNum.one(p5)
         w = CycloNum.root_power(p5, 1)
         idx = SupportSet(p5, [0, 1])
         minor = FourierMinor(p5, idx, idx, ((zero, w), (one, zero)))
-        assert minor_det(minor) == -w
-        assert minor_solve(minor, [w, 3]) == [CycloNum.from_rational(p5, 3), one]
+        for call in (minor_det, lambda m: minor_solve(m, [w, 3])):
+            with pytest.raises(TheoremViolationError,
+                               match=r"rows=\(0,\) cols=\(0,\) \(p=5\)"):
+                call(minor)
+
+    def test_zero_middle_pivot_names_leading_2x2_minor(self):
+        # [[1, 1, 1], [1, 1, w], [1, w, 1]] has det -(w - 1)^2, but its
+        # leading 2 x 2 block is singular, so the pivot in column 1 is zero.
+        p7 = PrimeModulus(7)
+        one, w = CycloNum.one(p7), CycloNum.root_power(p7, 1)
+        rows = SupportSet(p7, [1, 2, 4])
+        cols = SupportSet(p7, [0, 3, 5])
+        minor = FourierMinor(p7, rows, cols, ((one, one, one), (one, one, w), (one, w, one)))
+        for call in (minor_det, lambda m: minor_solve(m, [1, 0, 0])):
+            with pytest.raises(TheoremViolationError,
+                               match=r"rows=\(1, 2\) cols=\(0, 3\) \(p=7\)"):
+                call(minor)
 
 class TestVandermonde:
     def test_pair(self):

@@ -369,7 +369,7 @@ class TestExhaustiveCertification:
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(uncertainty, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(uncertainty.os, "cpu_count", lambda: 3)
         summary = exhaustive_certification(PrimeModulus(3), jobs=10**6)
         assert requested == [3]
