@@ -30,7 +30,7 @@ print(f"  w^7 = {w ** 7}\n")
 
 a = 1 - w
 inv = a.inverse()
-print("Field inverses come from the extended Euclidean algorithm:")
+print("Field inverses come from the Galois norm (product of all conjugates):")
 print(f"  (1 - w)^-1 = {inv}")
 print(f"  product check: {(a * inv)}\n")
 

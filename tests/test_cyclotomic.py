@@ -14,7 +14,14 @@ from primefourier import (
     galois_reduce,
     is_prime,
 )
-from primefourier.cyclotomic import _digit_bytes, _pack, _packed_convolution, _unpack
+from primefourier import cyclotomic
+from primefourier.cyclotomic import (
+    _digit_bytes,
+    _pack,
+    _packed_convolution,
+    _primitive_root,
+    _unpack,
+)
 
 from conftest import random_cyclo
 
@@ -130,6 +137,93 @@ class TestRingOps:
             CycloNum(PrimeModulus(5), [1, 2, 3])
 
 
+class TestSubtraction:
+    @pytest.mark.parametrize("den_max", [1, 6])
+    def test_matches_adding_the_negative(self, den_max):
+        # den_max=1 keeps both denominators 1; 6 makes most pairs differ.
+        rng = random.Random(31 + den_max)
+        for p in (2, 3, 7, 13):
+            modulus = PrimeModulus(p)
+            for _ in range(20):
+                a = random_cyclo(rng, modulus, den_max=den_max)
+                b = random_cyclo(rng, modulus, den_max=den_max)
+                assert a - b == a + (-b)
+                assert b - a == -(a - b)
+
+    def test_equal_and_different_denominators(self):
+        p5 = PrimeModulus(5)
+        a = CycloNum(p5, [Fraction(1, 6), 2, Fraction(-5, 6), 0])
+        b = CycloNum(p5, [Fraction(1, 6), Fraction(1, 3), 1, Fraction(5, 6)])
+        c = CycloNum(p5, [Fraction(3, 4), 0, Fraction(1, 10), 1])
+        assert a._den == b._den == 6
+        assert (a - b).coeffs == (0, Fraction(5, 3), Fraction(-11, 6), Fraction(-5, 6))
+        assert (a - c).coeffs == (Fraction(-7, 12), 2, Fraction(-14, 15), -1)
+        assert (a - a).is_zero()
+
+    def test_rational_operands(self):
+        p7 = PrimeModulus(7)
+        x = CycloNum(p7, [Fraction(1, 2), 1, 0, 0, Fraction(-2, 3), 0])
+        assert (x - 1).coeffs == (Fraction(-1, 2), 1, 0, 0, Fraction(-2, 3), 0)
+        assert (1 - x).coeffs == (Fraction(1, 2), -1, 0, 0, Fraction(2, 3), 0)
+        assert (x - Fraction(1, 3)).coeffs == (Fraction(1, 6), 1, 0, 0, Fraction(-2, 3), 0)
+
+    def test_modulus_mismatch_and_foreign_operand(self):
+        x = CycloNum.root_power(PrimeModulus(5), 1)
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            x - CycloNum.root_power(PrimeModulus(7), 1)
+        with pytest.raises(TypeError):
+            x - "s"
+        with pytest.raises(TypeError):
+            "s" - x
+
+
+def sparse_cyclo(rng: random.Random, modulus: PrimeModulus, terms: int) -> CycloNum:
+    coeffs = [0] * (modulus.p - 1)
+    for i in rng.sample(range(modulus.p - 1), terms):
+        coeffs[i] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**90), rng.randint(1, 9))
+    return CycloNum(modulus, coeffs)
+
+
+class TestMultiplyDispatch:
+    @pytest.mark.parametrize("p, terms", [
+        (3, [(1, 1), (2, 2)]),
+        (17, [(1, 16), (16, 16), (5, 9), (16, 1)]),
+        (101, [(1, 100), (100, 100), (40, 30), (3, 100)]),
+        (1009, [(1, 1008), (1008, 1), (300, 300), (2, 1008)]),
+    ])
+    def test_packed_and_schoolbook_agree(self, monkeypatch, p, terms):
+        rng = random.Random(p)
+        modulus = PrimeModulus(p)
+        pairs = [(sparse_cyclo(rng, modulus, na), sparse_cyclo(rng, modulus, nb))
+                 for na, nb in terms]
+        products = []
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(cyclotomic, "_DENSE_MUL_THRESHOLD", threshold)
+            products.append([a * b for a, b in pairs])
+        assert products[0] == products[1]
+        for (a, b), product in zip(pairs, products[0]):
+            acc = _packed_convolution(a._num, b._num, p)
+            assert product == CycloNum._from_redundant(modulus, acc, a._den * b._den)
+
+    def test_single_term_operand_never_packs(self, monkeypatch):
+        # 1 x 1008 nonzero terms is far above the threshold, but a single
+        # term is a scaled rotation and takes the schoolbook loop.
+        rng = random.Random(1009)
+        modulus = PrimeModulus(1009)
+        one_term = sparse_cyclo(rng, modulus, 1)
+        dense = sparse_cyclo(rng, modulus, 1008)
+        expected = one_term * dense
+
+        def refuse(*args):
+            raise AssertionError("packed product for a single-term operand")
+
+        monkeypatch.setattr(cyclotomic, "_packed_convolution", refuse)
+        assert one_term * dense == expected
+        assert dense * one_term == expected
+        with pytest.raises(AssertionError, match="single-term"):
+            dense * dense
+
+
 class TestZeroTest:
     def test_minimal_polynomial_value_is_zero(self):
         p5 = PrimeModulus(5)
@@ -194,6 +288,35 @@ class TestInverse:
         a = CycloNum(PrimeModulus(7), [1, 2, 3, 4, 5, 6])
         with pytest.raises(TheoremViolationError, match="Galois norm"):
             a.inverse()
+
+    # Every prime up to 31, plus 53 and 101.  The linear reference costs
+    # about 9.5 s for 150-bit operands at p = 101, so that case is left out.
+    @pytest.mark.parametrize("p, bits", [
+        (p, bits) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 53)
+        for bits in (4, 150)
+    ] + [(101, 4)])
+    def test_matches_linear_conjugate_product(self, p, bits):
+        # The reference multiplies galois(2), ..., galois(p - 1) one after
+        # another and divides by the norm.
+        rng = random.Random(p * 1000 + bits)
+        modulus = PrimeModulus(p)
+        a = CycloNum(modulus, [Fraction(rng.randint(-2**bits, 2**bits), rng.randint(2, 9))
+                               for _ in range(p - 1)])
+        rest = CycloNum.one(modulus)
+        for k in range(2, p):
+            rest = rest * a.galois(k)
+        norm = a * rest
+        assert norm.is_rational() and not norm.is_zero()
+        assert a.inverse() == rest / norm.coeffs[0]
+
+    def test_generator_has_full_order(self):
+        for p in (n for n in range(2, 1000) if is_prime(n)):
+            g = _primitive_root(p)
+            powers = {pow(g, k, p) for k in range(1, p)}
+            assert len(powers) == p - 1
+            # No smaller unit generates the group.
+            for h in range(1, g):
+                assert len({pow(h, k, p) for k in range(1, p)}) < p - 1
 
     @pytest.mark.parametrize("p", [31, 101])
     def test_dense_inverse_with_wide_coefficients(self, p):
