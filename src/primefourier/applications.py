@@ -261,6 +261,13 @@ class MultiSignal:
                        for point in itertools.product(range(p), repeat=ndim)}
 
     @classmethod
+    def _from_table(cls, modulus: PrimeModulus, ndim: int, values: dict) -> MultiSignal:
+        # values is complete and checked, keyed in itertools.product order.
+        signal = object.__new__(cls)
+        signal.modulus, signal.ndim, signal.values = modulus, ndim, values
+        return signal
+
+    @classmethod
     def dirac(cls, modulus: PrimeModulus, ndim: int, at=None, value=1) -> MultiSignal:
         _check_table_size(modulus.p, ndim)
         at = tuple(at) if at is not None else (0,) * ndim
@@ -300,16 +307,15 @@ def _multi_transform(signal: MultiSignal, transform) -> MultiSignal:
     # The character w^(+-<x, xi>) factors over the coordinates, so the
     # n-dimensional transform is the one-dimensional one applied along each
     # axis in turn.
-    modulus = signal.modulus
+    modulus, n = signal.modulus, signal.ndim
     p = modulus.p
-    n = signal.ndim
     table = dict(signal.values)
     for axis in range(n):
         for rest in itertools.product(range(p), repeat=n - 1):
             line = [rest[:axis] + (x,) + rest[axis:] for x in range(p)]
             sums = transform(SignalFn(modulus, [table[pt] for pt in line])).values
             table.update(zip(line, sums))
-    return MultiSignal(modulus, n, table)
+    return MultiSignal._from_table(modulus, n, table)
 
 
 def multi_dft(signal: MultiSignal) -> MultiSignal:

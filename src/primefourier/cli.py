@@ -1,11 +1,11 @@
 """Command-line surface producing machine-readable reports.
 
 Every subcommand emits one report (JSON by default, schema version 1) with
-the command, the echoed configuration including the seed, a result payload,
-counts, a status and the wall time.  Reports for identical configurations
-are byte-identical except for the wall-time field.  Exit codes: 0 ok,
-2 precondition-error, 3 budget-exceeded, 4 theorem-violation (reserved for
-outcomes that exact arithmetic rules out).
+the command, the echoed configuration (its seed only where one is used), a
+result payload, counts, a status and the wall time.  Reports for identical
+configurations are byte-identical except for the wall-time field.  Exit
+codes: 0 ok, 2 precondition-error, 3 budget-exceeded, 4 theorem-violation
+(reserved for outcomes that exact arithmetic rules out).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .fourier import SupportSet
 SCHEMA_VERSION = 1
 
 # The most rows certify --format csv lists, one per instance.  At p = 11 its
-# 4,897,687 rows took 38 s, the sweep 2 s (2-vCPU host, CPython 3.11.7).
+# 4,897,687 rows took 38 s, the sweep 0.3 s (2-vCPU host, CPython 3.11.7).
 MAX_CSV_ROWS = 5_000_000
 
 _STATUS_CODES = {
@@ -46,12 +46,6 @@ def _parse_residues(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _check_seed(seed: int) -> int:
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
-    return seed
 
 
 def parse_values_file(path: str, p: int, ndim: int) -> dict[tuple[int, ...], int]:
@@ -109,9 +103,7 @@ def _cmd_certify(args) -> tuple[dict, dict, Iterable[dict]]:
     if args.format == "csv" and math.comb(2 * p, p) - 1 + (2**p - 1) * 2**p > MAX_CSV_ROWS:
         raise BudgetExceededError(
             f"certify --format csv lists more than {MAX_CSV_ROWS} rows at p={p}")
-    summary = uncertainty.exhaustive_certification(
-        modulus, max_p=args.budget, jobs=args.jobs, seed=args.seed
-    )
+    summary = uncertainty.exhaustive_certification(modulus, max_p=args.budget, jobs=args.jobs)
     rows = ()
     if args.format == "csv":
         # The sweep raises on any failure, so every instance it stands for
@@ -248,15 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True):
+    def common(sp, seed="64-bit seed for any randomized stage (default 0)"):
         sp.add_argument("--p", type=int, required=True, help="prime modulus")
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
         if seed:
-            sp.add_argument("--seed", type=int, default=0,
-                            help="64-bit seed for any randomized stage (default 0)")
+            sp.add_argument("--seed", type=int, default=0, help=seed)
 
     sp = sub.add_parser("certify", help="exhaustive minor/tightness/achievability sweep")
-    common(sp)
+    common(sp, seed="64-bit seed, range-checked and ignored: the sweep is not randomized")
     sp.add_argument("--budget", type=int, default=uncertainty.DEFAULT_MAX_CERTIFY_P,
                     help="largest p the sweep will accept (default %(default)s)")
     sp.add_argument("--jobs", type=int, default=1,
@@ -270,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="combination redraw budget (at least 1, default 32)")
 
     sp = sub.add_parser("sparse", help="count zeros of a sparse polynomial at roots of unity")
-    common(sp, seed=False)
+    common(sp, seed=None)
     sp.add_argument("--exponents", required=True, help="comma-separated exponents")
     sp.add_argument("--coefficients", required=True, help="comma-separated integer coefficients")
 
@@ -282,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also build and verify the convolution witness")
 
     sp = sub.add_parser("meshulam", help="support bound for a function on (Z/pZ)^n")
-    common(sp, seed=False)
+    common(sp, seed=None)
     sp.add_argument("--n", type=int, required=True, help="number of coordinates")
     sp.add_argument("--values-file", required=True,
                     help="line-oriented table: x1,...,xn: integer-value")
@@ -291,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_echo(args) -> dict:
-    return {key: value for key, value in vars(args).items() if key != "command"}
+    # certify ignores its --seed, so the report does not echo it.
+    hidden = {"command", "seed"} if args.command == "certify" else {"command"}
+    return {key: value for key, value in vars(args).items() if key not in hidden}
 
 
 def _emit_text(report: dict, out) -> None:
@@ -325,8 +318,8 @@ def main(argv=None) -> int:
     rows: Iterable[dict] = ()
     error = None
     try:
-        if hasattr(args, "seed"):
-            _check_seed(args.seed)
+        if not 0 <= getattr(args, "seed", 0) < 1 << 64:
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {args.seed}")
         result, counts, rows = _COMMANDS[args.command](args)
         status = "ok"
     except (ValueError, OSError) as exc:

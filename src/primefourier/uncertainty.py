@@ -5,8 +5,8 @@ p + 1 (and the classical product bound |supp f| * |supp fhat| >= p).
 Converse: for any nonempty target sets A, B with |A| + |B| >= p + 1 there is
 a signal supported exactly on A whose transform is supported exactly on B;
 the construction here produces one and verifies both supports exactly.
-Tightness: when |A| + |B| <= p, no nonzero signal fits inside (A, B), which
-is certified through a single nonzero minor determinant.
+Tightness: when |A| + |B| <= p, no nonzero signal fits inside (A, B), as one
+nonzero minor certifies.  The sweep derives both from the certified minors.
 """
 
 from __future__ import annotations
@@ -298,20 +298,24 @@ def _certification_orbits(p: int):
         yield kind, a, b, a_orbit * b_orbit
 
 
-def _checked(modulus: PrimeModulus, records, seed: int):
-    # Runs the check of each record's representative, then yields it.
+def _checked(modulus: PrimeModulus, records):
+    # Yields each record once it is checked.  Only minors compute: their
+    # records come (and pass) first, and every minor lies in the orbit of one
+    # (any two same-size set representatives form one), so the pairs follow
+    # from "every minor is nonsingular", as in the paper's proof of sharpness:
+    # - tightness: its certify_tightness minor is nonsingular;
+    # - |A| + |B| = p + 1: construct_exact_pair solves M c = p*e for the minor
+    #   M on rows -(B^c + {min B}) and columns A; by Cramer's rule no c_a is 0,
+    #   and fhat on B^c + {b} is M'c/p for a nonsingular minor M', so fhat(b) != 0;
+    # - larger: the exact-case witnesses on blocks A' of A make each f -> f(a)
+    #   and f -> fhat(b) a nonzero functional on V = {f on A : fhat = 0 off B},
+    #   and a vector space over Q(w) is not a finite union of proper subspaces.
     for record in records:
         kind, first, second, _ = record
-        a, b = SupportSet(modulus, first), SupportSet(modulus, second)
         if kind == "minor":
-            if fourier.minor_det(fourier.minor_matrix(modulus, a, b)).is_zero():
+            rows, cols = SupportSet(modulus, first), SupportSet(modulus, second)
+            if fourier.minor_det(fourier.minor_matrix(modulus, rows, cols)).is_zero():
                 raise TheoremViolationError(f"zero minor rows={first} cols={second} p={modulus.p}")
-        elif kind == "achievability":
-            construct_support_pair(a, b, seed)
-        # A tightness pair (A, B) needs no work: its certify_tightness
-        # minor (rows the first |A| residues outside B, columns A) lies in the
-        # orbit of a minor record, since every unordered pair of same-size set
-        # representatives is one, and minor records all come (and pass) first.
         yield record
 
 
@@ -322,46 +326,43 @@ def _check_budget(p: int, max_p: int) -> None:
         )
 
 
-def iter_certification_checks(modulus: PrimeModulus, seed: int = 0,
-                              max_p: int = DEFAULT_MAX_CERTIFY_P):
+def iter_certification_checks(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CERTIFY_P):
     """Check one representative per orbit in canonical order, yielding records.
 
     Each record is (kind, first, second, orbit_size): kind is "minor",
     "tightness" or "achievability", first/second the representative's
-    residue tuples, orbit_size the number of instances it stands for.  A
-    minor gets one exact determinant, an achievable pair one verified
-    witness, and a tightness pair nothing: its certificate minor lies in a
-    minor orbit already passed.  A failing representative raises instead of
-    yielding; p above max_p raises BudgetExceededError at the call.
+    residue tuples, orbit_size the number of instances it stands for.  Only
+    a minor takes an exact determinant; the pairs are derived from the
+    certified minors, which come first.  A failing representative raises
+    instead of yielding; p above max_p raises BudgetExceededError at the call.
     """
     _check_budget(modulus.p, max_p)
-    return _checked(modulus, _certification_orbits(modulus.p), seed)
+    return _checked(modulus, _certification_orbits(modulus.p))
 
 
-def _count_checked(p: int, seed: int, start: int, step: int) -> Counter:
+def _count_checked(p: int, start: int, step: int) -> Counter:
     # One slice of the orbit stream: every step-th record from start on.
     records = itertools.islice(_certification_orbits(p), start, None, step)
     counts = Counter()
-    for kind, _, _, orbit_size in _checked(PrimeModulus(p), records, seed):
+    for kind, _, _, orbit_size in _checked(PrimeModulus(p), records):
         counts[kind] += orbit_size
     return counts
 
 
 def exhaustive_certification(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CERTIFY_P,
-                             jobs: int = 1, seed: int = 0) -> CertificationSummary:
+                             jobs: int = 1) -> CertificationSummary:
     """Certify minors, tightness and achievability exhaustively for one p.
 
     (a) every equal-size minor has nonzero determinant; (b) every (A, B)
-    with nonempty A and |A| + |B| <= p is certified unreachable; (c) every
-    nonempty (A, B) with |A| + |B| >= p + 1 is constructively achieved.
-    Any failure raises; the summary counts the instances of each class.
-    Each property holds on whole AGL(1,p) x AGL(1,p) orbits, so one
-    representative per orbit is checked and counted with its orbit size (11
-    minors, 47 tightness and 43 achievable pairs at p = 7).  Tightness is
-    implied by the minors, so the sweep computes one determinant per minor
-    orbit (11 / 73 / 393 at p = 7 / 11 / 13).  jobs must
-    be at least 1; with jobs > 1 the orbit stream is split into interleaved
-    slices over min(jobs, CPU count) worker processes, with identical results.
+    with nonempty A and |A| + |B| <= p is unreachable; (c) every nonempty
+    (A, B) with |A| + |B| >= p + 1 is achievable; (b) and (c) are derived
+    from the certified minors.  Any failure raises; the summary counts the
+    instances of each class.  Each property holds on whole AGL(1,p) x
+    AGL(1,p) orbits, so one representative per orbit is checked and counted
+    with its orbit size, and only the 11 / 73 / 393 minor representatives at
+    p = 7 / 11 / 13 take a determinant.  jobs must be at least 1; with
+    jobs > 1 the orbit stream is split into interleaved slices over
+    min(jobs, CPU count) worker processes, with identical results.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -369,13 +370,12 @@ def exhaustive_certification(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CER
     _check_budget(p, max_p)
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
-        counts = _count_checked(p, seed, 0, 1)
+        counts = _count_checked(p, 0, 1)
     else:
         from concurrent.futures import ProcessPoolExecutor
         counts = Counter()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_count_checked, p, seed, k, workers)
-                       for k in range(workers)]
+            futures = [pool.submit(_count_checked, p, k, workers) for k in range(workers)]
             for fut in futures:
                 counts.update(fut.result())
     return CertificationSummary(p, counts["minor"], counts["tightness"],

@@ -291,8 +291,8 @@ class TestExhaustiveCertification:
         kinds = [kind for kind, _, _, _ in records]
         assert (kinds.count("minor"), kinds.count("tightness"),
                 kinds.count("achievability")) == (minors, tight, achievable)
-        # One determinant per minor representative, one witness per achievable
-        # representative, and no tightness computation of its own.
+        # One determinant per minor representative, and no computation of its
+        # own for a tightness or an achievable representative.
         calls = {"det": [], "tight": [], "built": []}
         spies = [(fourier, "minor_det", "det"),
                  (uncertainty, "certify_tightness", "tight"),
@@ -306,29 +306,24 @@ class TestExhaustiveCertification:
         assert calls["tight"] == []
         assert [(m.rows.members, m.cols.members) for (m,) in calls["det"]] == [
             (a, b) for kind, a, b, _ in records if kind == "minor"]
-        assert [(a.members, b.members) for a, b, _ in calls["built"]] == [
-            (a, b) for kind, a, b, _ in records if kind == "achievability"]
+        assert calls["built"] == []
 
-    def test_sweep_witnesses_match_public_construction(self, monkeypatch):
-        modulus, seed = PrimeModulus(5), 3
-        built = []
-        real = uncertainty.construct_support_pair
-
-        def spy(*args):
-            witness = real(*args)
-            built.append(witness)
-            return witness
-
-        monkeypatch.setattr(uncertainty, "construct_support_pair", spy)
-        exhaustive_certification(modulus, jobs=1, seed=seed)
-        monkeypatch.undo()
-        assert len(built) == 15
-        assert sum(1 for w in built if w.combination_coeffs) > 0
-        for witness in built:
-            assert witness == construct_support_pair(
-                witness.target_support, witness.target_spectrum, seed=seed)
-            assert support(witness.signal) == witness.target_support
-            assert support(dft(witness.signal)) == witness.target_spectrum
+    def test_achievable_representatives_have_witnesses(self):
+        # The sweep derives achievability from the minors; here every
+        # achievable representative at p = 11 gets a witness, built and
+        # verified exactly (criterion 3 covers every pair at p <= 7).
+        modulus = PrimeModulus(11)
+        achievable = [(a, b) for kind, a, b, _ in uncertainty._certification_orbits(11)
+                      if kind == "achievability"]
+        assert len(achievable) == 391
+        combined = 0
+        for a, b in achievable:
+            a_set, b_set = SupportSet(modulus, a), SupportSet(modulus, b)
+            witness = construct_support_pair(a_set, b_set)
+            assert support(witness.signal) == a_set
+            assert support(dft(witness.signal)) == b_set
+            combined += bool(witness.combination_coeffs)
+        assert 0 < combined < len(achievable)
 
     def test_iterator_matches_summary(self):
         modulus = PrimeModulus(5)
@@ -391,6 +386,26 @@ class TestExhaustiveCertification:
             exhaustive_certification(PrimeModulus(3), jobs=1)
 
 
+def burnside_orbit_counts(p):
+    """N_n, the number of AGL(1,p)-orbits of n-sets, from fixed points alone.
+
+    The identity fixes all C(p, n) n-sets and each of the p - 1 translations
+    only the empty set and Z/p.  Each of the p maps x -> u*x + t for a unit
+    u != 1 of order d has one fixed point and (p - 1)/d cycles of length d,
+    so it fixes the unions of its cycles, with or without the fixed point.
+    """
+    fixed = [math.comb(p, n) + (p - 1) * (n in (0, p)) for n in range(p + 1)]
+    for u in range(2, p):
+        d = next(k for k in range(1, p) if pow(u, k, p) == 1)
+        cycles = (p - 1) // d
+        for n in range(p + 1):
+            for k in (n, n - 1):  # the fixed point left out, or put in
+                if k >= 0 and k % d == 0:
+                    fixed[n] += p * math.comb(cycles, k // d)
+    assert all(total % (p * (p - 1)) == 0 for total in fixed)
+    return [total // (p * (p - 1)) for total in fixed]
+
+
 def canonical(members, p):
     """The least bitmask among the affine images u*S + t, as a residue tuple."""
     best = min(sum(1 << (u * x + t) % p for x in members)
@@ -420,6 +435,13 @@ class TestCertificationOrbits:
         for kind, _, _, orbit_size in uncertainty._certification_orbits(p):
             weights[kind] += orbit_size
         assert weights == closed_form_counts(p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_set_orbits_match_burnside(self, p):
+        orbits = burnside_orbit_counts(p)
+        assert orbits == [len(reps) for reps in uncertainty._set_orbits(p)]
+        minor_reps = sum(k * (k + 1) // 2 for k in orbits[1:])
+        assert minor_reps == {3: 3, 5: 5, 7: 11, 11: 73, 13: 393}[p]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_tightness_certificates_lie_in_minor_orbits(self, p):
