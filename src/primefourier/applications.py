@@ -12,6 +12,7 @@ above the convex hull of the subgroup extremes (p^j, p^(n-j)).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import fourier, uncertainty
@@ -37,7 +38,7 @@ class SparsePoly:
     def __init__(self, modulus: PrimeModulus, terms):
         cleaned = []
         for exponent, coeff in terms:
-            exponent = int(exponent)
+            exponent = operator.index(exponent)
             if not 0 <= exponent < modulus.p:
                 raise ValueError(f"exponent {exponent} outside [0, {modulus.p})")
             if not isinstance(coeff, CycloNum):
@@ -246,7 +247,7 @@ class MultiSignal:
         p = modulus.p
         table = {}
         for point, value in dict(values).items():
-            point = tuple(int(x) for x in point)
+            point = tuple(operator.index(x) for x in point)
             if len(point) != ndim or not all(0 <= x < p for x in point):
                 raise ValueError(f"point {point} outside (Z/{p}Z)^{ndim}")
             if not isinstance(value, CycloNum):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from collections.abc import Iterable
@@ -25,10 +24,6 @@ from .errors import BudgetExceededError, TheoremViolationError
 from .fourier import SupportSet
 
 SCHEMA_VERSION = 1
-
-# The most rows certify --format csv lists, one per instance.  At p = 11 its
-# 4,897,687 rows took 38 s, the sweep 0.3 s (2-vCPU host, CPython 3.11.7).
-MAX_CSV_ROWS = 5_000_000
 
 _STATUS_CODES = {
     "ok": 0,
@@ -98,20 +93,15 @@ def _witness_payload(witness) -> dict:
 
 def _cmd_certify(args) -> tuple[dict, dict, Iterable[dict]]:
     modulus = PrimeModulus(args.p)
-    p = modulus.p
-    # One row per instance: the equal-size minors, then every (A, B), A nonempty.
-    if args.format == "csv" and math.comb(2 * p, p) - 1 + (2**p - 1) * 2**p > MAX_CSV_ROWS:
-        raise BudgetExceededError(
-            f"certify --format csv lists more than {MAX_CSV_ROWS} rows at p={p}")
     summary = uncertainty.exhaustive_certification(modulus, max_p=args.budget, jobs=args.jobs)
     rows = ()
     if args.format == "csv":
-        # The sweep raises on any failure, so every instance it stands for
-        # passed.  The rows are streamed.
+        # One row per orbit record the sweep checked, standing for orbit_size
+        # instances.  The sweep raises on any failure, so every record passed.
         rows = (
             {"kind": kind, "first": ";".join(map(str, first)),
-             "second": ";".join(map(str, second)), "ok": True}
-            for kind, first, second in uncertainty._certification_instances(p)
+             "second": ";".join(map(str, second)), "orbit_size": orbit_size, "ok": True}
+            for kind, first, second, orbit_size in uncertainty._certification_orbits(modulus.p)
         )
     result = dict(asdict(summary), all_ok=True)
     counts = {"minors": summary.minors_checked, "tightness": summary.tightness_checked,

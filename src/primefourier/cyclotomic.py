@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -482,6 +483,9 @@ class CycloNum:
         )
 
     def __hash__(self) -> int:
+        # A rational value equals its int or Fraction, so it hashes as one.
+        if self.is_rational():
+            return hash(Fraction(self._num[0], self._den))
         return hash((self.modulus.p, self._num, self._den))
 
     def __str__(self) -> str:
@@ -513,8 +517,8 @@ class IntPolynomial:
             raise ValueError("need at least one variable")
         clean: dict[tuple[int, ...], int] = {}
         for exps, coeff in dict(terms).items():
-            exps = tuple(int(e) for e in exps)
-            coeff = int(coeff)
+            exps = tuple(operator.index(e) for e in exps)
+            coeff = operator.index(coeff)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} does not have length {nvars}")
             if any(e < 0 for e in exps):
@@ -571,7 +575,7 @@ class GaloisReport:
 
 
 def _validate_powers(poly: IntPolynomial, powers, modulus: PrimeModulus) -> list[int]:
-    powers = [int(k) for k in powers]
+    powers = [operator.index(k) for k in powers]
     if len(powers) != poly.nvars:
         raise ValueError(
             f"expected {poly.nvars} powers, got {len(powers)}"

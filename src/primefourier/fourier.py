@@ -19,6 +19,7 @@ behind minor_det and minor_solve, pivots on the diagonal without a search.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .cyclotomic import CycloNum, PrimeModulus, character_sums
@@ -31,7 +32,7 @@ class SupportSet:
     __slots__ = ("modulus", "members")
 
     def __init__(self, modulus: PrimeModulus, members=()):
-        members = sorted({int(x) for x in members})
+        members = sorted({operator.index(x) for x in members})
         for x in members:
             if not 0 <= x < modulus.p:
                 raise ValueError(f"residue {x} outside [0, {modulus.p})")

@@ -223,35 +223,6 @@ def certify_tightness(modulus: PrimeModulus, support_set: SupportSet,
     return True
 
 
-def _sized_pairs(p: int, by_size):
-    # The tightness pairs, then the achievable pairs, drawn from by_size[n]
-    # (the sets, or the set orbits, of size n); each kind by |A|, then |B|.
-    for kind, reachable in (("tightness", False), ("achievability", True)):
-        for a_size in range(1, p + 1):
-            for b_size in range(p + 1):
-                if (a_size + b_size > p) == reachable:
-                    for a in by_size[a_size]:
-                        for b in by_size[b_size]:
-                            yield kind, a, b
-
-
-def _certification_instances(p: int):
-    """Yield every sweep instance (kind, first, second) in canonical order.
-
-    First all equal-size minors (rows, cols), then the tightness pairs (A, B)
-    with nonempty A and |A| + |B| <= p, then the achievable pairs with
-    nonempty A and |A| + |B| >= p + 1; each kind runs by size, then
-    lexicographically.  Tightness and achievability together cover every
-    (A, B) with nonempty A exactly once.
-    """
-    by_size = [list(itertools.combinations(range(p), n)) for n in range(p + 1)]
-    for n in range(1, p + 1):
-        for rows in by_size[n]:
-            for cols in by_size[n]:
-                yield ("minor", rows, cols)
-    yield from _sized_pairs(p, by_size)
-
-
 def _set_orbits(p: int) -> list[list[tuple[tuple[int, ...], int]]]:
     """The AGL(1,p)-orbits of subsets of Z/p as (representative, orbit size).
 
@@ -287,15 +258,22 @@ def _certification_orbits(p: int):
     columns are translated (scaled by roots of unity) or dilated (moved by
     a Galois automorphism), or when it is transposed: its representatives
     are unordered pairs of set representatives, counted twice when they
-    differ.  Same order as _certification_instances; per kind the orbit
-    sizes sum to the instance count.
+    differ.  First the minors, then the tightness pairs (A nonempty,
+    |A| + |B| <= p), then the achievable pairs (|A| + |B| >= p + 1); each
+    kind by size, then by representative.  Per kind the orbit sizes sum to
+    the instance count.
     """
     by_size = _set_orbits(p)
     for n in range(1, p + 1):
         for (rows, r), (cols, c) in itertools.combinations_with_replacement(by_size[n], 2):
             yield "minor", rows, cols, r * c * (1 if rows == cols else 2)
-    for kind, (a, a_orbit), (b, b_orbit) in _sized_pairs(p, by_size):
-        yield kind, a, b, a_orbit * b_orbit
+    for kind, reachable in (("tightness", False), ("achievability", True)):
+        for a_size in range(1, p + 1):
+            for b_size in range(p + 1):
+                if (a_size + b_size > p) == reachable:
+                    for a, a_orbit in by_size[a_size]:
+                        for b, b_orbit in by_size[b_size]:
+                            yield kind, a, b, a_orbit * b_orbit
 
 
 def _checked(modulus: PrimeModulus, records):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -62,6 +64,37 @@ def dilate(f: SignalFn, u: int) -> SignalFn:
 def galois(f: SignalFn, k: int) -> SignalFn:
     """x -> sigma_k(f(x)), with sigma_k: w -> w^k: supports (A, B) -> (A, k*B)."""
     return SignalFn(f.modulus, [v.galois(k) for v in f.values])
+
+
+def certification_instances(p):
+    """Every certification instance (kind, first, second), the small-p reference.
+
+    First all equal-size minors (rows, cols), then the tightness pairs (A, B)
+    with nonempty A and |A| + |B| <= p, then the achievable pairs with
+    nonempty A and |A| + |B| >= p + 1; each kind by size, then
+    lexicographically.  The sweep checks one orbit record per class of these.
+    """
+    by_size = [list(itertools.combinations(range(p), n)) for n in range(p + 1)]
+    for n in range(1, p + 1):
+        for rows in by_size[n]:
+            for cols in by_size[n]:
+                yield "minor", rows, cols
+    for kind, reachable in (("tightness", False), ("achievability", True)):
+        for a_size in range(1, p + 1):
+            for b_size in range(p + 1):
+                if (a_size + b_size > p) == reachable:
+                    for a in by_size[a_size]:
+                        for b in by_size[b_size]:
+                            yield kind, a, b
+
+
+def closed_form_counts(p):
+    """The number of instances of each kind at p."""
+    minors = math.comb(2 * p, p) - 1
+    tight = sum(math.comb(p, a) * math.comb(p, b)
+                for a in range(1, p + 1) for b in range(0, p - a + 1))
+    return {"minor": minors, "tightness": tight,
+            "achievability": (2 ** p - 1) * 2 ** p - tight}
 
 
 @pytest.fixture(scope="session")

@@ -2,11 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from primefourier import (
     BudgetExceededError,
     CycloNum,
+    IntPolynomial,
     MultiSignal,
     PrimeModulus,
     SignalFn,
@@ -17,6 +19,7 @@ from primefourier import (
     cauchy_davenport_check,
     cd_proof_witness,
     dft,
+    galois_reduce,
     meshulam_check,
     multi_dft,
     multi_idft,
@@ -31,6 +34,29 @@ from conftest import float_dft, random_cyclo
 def random_subset(rng, p):
     size = rng.randint(1, p)
     return tuple(sorted(rng.sample(range(p), size)))
+
+
+P5 = PrimeModulus(5)
+
+# Each site that takes an integer from its caller, fed one value x.
+INTEGER_SITES = {
+    "SupportSet residue": lambda x: SupportSet(P5, [x]),
+    "SparsePoly exponent": lambda x: SparsePoly(P5, [(x, 1)]),
+    "MultiSignal coordinate": lambda x: MultiSignal(P5, 1, {(x,): 1}),
+    "IntPolynomial exponent": lambda x: IntPolynomial(1, {(x,): 1}),
+    "IntPolynomial coefficient": lambda x: IntPolynomial(1, {(0,): x}),
+    "galois_reduce power": lambda x: galois_reduce(IntPolynomial(1, {(1,): 1}), [x], P5),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_non_integral_input_is_rejected_not_truncated(site):
+    build = INTEGER_SITES[site]
+    for value in (2, True, np.int64(2)):
+        build(value)
+    for value in (2.7, 1.0, "3", Fraction(5, 2)):
+        with pytest.raises(TypeError):
+            build(value)
 
 
 class TestSparsePoly:

@@ -1,13 +1,14 @@
 import argparse
+import collections
 import csv
 import io
-import itertools
 import json
-from math import comb
 
 import pytest
 
 from primefourier import CycloNum, TheoremViolationError, applications, cli, uncertainty
+
+from conftest import closed_form_counts
 
 
 def run_cli(capsys, argv):
@@ -41,13 +42,17 @@ class TestCertify:
         assert code == 3
         assert report["status"] == "budget-exceeded"
 
-    def test_csv_emits_one_row_per_instance(self, capsys):
+    def test_csv_emits_one_row_per_orbit(self, capsys):
         code, out = run_cli(capsys, ["certify", "--p", "3", "--format", "csv"])
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
-        assert len(rows) == 19 + 34 + 22
-        kinds = {row["kind"] for row in rows}
-        assert kinds == {"minor", "tightness", "achievability"}
+        assert list(rows[0]) == ["kind", "first", "second", "orbit_size", "ok"]
+        kinds = collections.Counter(row["kind"] for row in rows)
+        assert kinds == {"minor": 3, "tightness": 6, "achievability": 6}
+        sizes = collections.Counter()
+        for row in rows:
+            sizes[row["kind"]] += int(row["orbit_size"])
+        assert sizes == {"minor": 19, "tightness": 34, "achievability": 22}
         assert all(row["ok"] == "True" for row in rows)
 
     def test_csv_respects_budget_before_sweeping(self, capsys):
@@ -55,20 +60,6 @@ class TestCertify:
                                      "--format", "csv"])
         assert code == 3
         assert "budget-exceeded" in out
-
-    def test_csv_refuses_more_rows_than_its_bound(self, capsys, monkeypatch):
-        # At p = 13 the listing would have 77,501,271 rows; it is refused
-        # before the sweep starts.
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("the sweep ran")
-
-        monkeypatch.setattr(uncertainty, "exhaustive_certification", no_sweep)
-        assert comb(26, 13) - 1 + (2**13 - 1) * 2**13 > cli.MAX_CSV_ROWS
-        code, out = run_cli(capsys, ["certify", "--p", "13", "--format", "csv"])
-        assert code == 3
-        row = next(csv.DictReader(io.StringIO(out)))
-        assert row["status"] == "budget-exceeded"
-        assert str(cli.MAX_CSV_ROWS) in row["error"]
 
     def test_csv_identical_across_jobs(self, capsys):
         code1, serial = run_cli(capsys, ["certify", "--p", "3", "--format", "csv",
@@ -105,37 +96,22 @@ class TestCertify:
         assert report["status"] == "precondition-error"
         assert "jobs" in report["error"]
 
-    def test_csv_rows_are_the_canonical_instance_stream(self, capsys):
-        p = 5
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_csv_rows_are_the_orbit_records(self, capsys, p):
         code, out = run_cli(capsys, ["certify", "--p", str(p), "--format", "csv"])
         assert code == 0
-        records = [(row["kind"], row["first"], row["second"])
-                   for row in csv.DictReader(io.StringIO(out))]
-        assert len(set(records)) == len(records)
-        kinds = [kind for kind, _, _ in records]
-        assert kinds == sorted(kinds, key=["minor", "tightness", "achievability"].index)
 
         def residues(text):
             return tuple(int(x) for x in text.split(";")) if text else ()
 
-        by_kind = {kind: [(residues(a), residues(b)) for k, a, b in records if k == kind]
-                   for kind in ("minor", "tightness", "achievability")}
-        for pairs in by_kind.values():
-            assert pairs == sorted(pairs, key=lambda ab: (len(ab[0]), len(ab[1]), ab))
-        assert len(by_kind["minor"]) == sum(comb(p, n) ** 2 for n in range(1, p + 1))
-        assert len(by_kind["tightness"]) == sum(
-            comb(p, a) * comb(p, b)
-            for a in range(1, p + 1) for b in range(0, p - a + 1))
-        assert len(by_kind["achievability"]) == sum(
-            comb(p, a) * comb(p, b)
-            for a in range(1, p + 1) for b in range(max(1, p + 1 - a), p + 1))
-        assert all(len(a) + len(b) <= p for a, b in by_kind["tightness"])
-        assert all(len(a) + len(b) > p for a, b in by_kind["achievability"])
-        # Together the two kinds cover every (A nonempty, B) exactly once.
-        covered = by_kind["tightness"] + by_kind["achievability"]
-        everything = [s for n in range(p + 1) for s in itertools.combinations(range(p), n)]
-        assert len(covered) == (2 ** p - 1) * 2 ** p
-        assert set(covered) == {(a, b) for a in everything if a for b in everything}
+        records = [(row["kind"], residues(row["first"]), residues(row["second"]),
+                    int(row["orbit_size"]))
+                   for row in csv.DictReader(io.StringIO(out))]
+        assert records == list(uncertainty._certification_orbits(p))
+        sizes = collections.Counter()
+        for kind, _, _, orbit_size in records:
+            sizes[kind] += orbit_size
+        assert sizes == closed_form_counts(p)
 
     def test_parallel_report_matches_serial(self, capsys):
         code1, report1 = run_json(capsys, ["certify", "--p", "3", "--jobs", "1"])

@@ -132,6 +132,16 @@ class TestRingOps:
             assert math.gcd(c.numerator, c.denominator) == 1
             assert c.denominator > 0
 
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_rational_values_hash_as_the_rationals_they_equal(self, p):
+        modulus = PrimeModulus(p)
+        for value in (Fraction(3, 2), Fraction(-7, 3), 1, 0, -1):
+            num = CycloNum.from_rational(modulus, value)
+            assert num == value and hash(num) == hash(value)
+            assert value in {num} and num in {value}
+        w = CycloNum.root_power(modulus, 1)
+        assert w in {CycloNum.root_power(modulus, p + 1)}
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             CycloNum(PrimeModulus(5), [1, 2, 3])

@@ -28,7 +28,15 @@ from primefourier import (
 )
 from primefourier import fourier, uncertainty
 
-from conftest import dilate, galois, modulate, random_int_signal, translate
+from conftest import (
+    certification_instances,
+    closed_form_counts,
+    dilate,
+    galois,
+    modulate,
+    random_int_signal,
+    translate,
+)
 
 
 def subsets(p, nonempty=True):
@@ -413,14 +421,6 @@ def canonical(members, p):
     return tuple(x for x in range(p) if best >> x & 1)
 
 
-def closed_form_counts(p):
-    minors = math.comb(2 * p, p) - 1
-    tight = sum(math.comb(p, a) * math.comb(p, b)
-                for a in range(1, p + 1) for b in range(0, p - a + 1))
-    return {"minor": minors, "tightness": tight,
-            "achievability": (2 ** p - 1) * 2 ** p - tight}
-
-
 class TestCertificationOrbits:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_orbit_sizes_cover_every_instance(self, p):
@@ -463,10 +463,19 @@ class TestCertificationOrbits:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_every_instance_maps_to_a_representative(self, p):
-        # Each canonical instance, canonicalised here, lands on a representative
-        # of its own kind, and each representative collects exactly its orbit.
+        # The reference stream has the closed-form count of each kind, and its
+        # tightness and achievable pairs cover every (A nonempty, B) once.
+        instances = list(certification_instances(p))
+        kinds = collections.Counter(kind for kind, _, _ in instances)
+        assert kinds == closed_form_counts(p)
+        assert all((len(a) + len(b) > p) == (kind == "achievability")
+                   for kind, a, b in instances if kind != "minor")
+        pairs = [(a, b) for kind, a, b in instances if kind != "minor"]
+        assert sorted(pairs) == sorted(itertools.product(subsets(p), subsets(p, nonempty=False)))
+        # Each instance, canonicalised here, lands on a representative of its
+        # own kind, and each representative collects exactly its orbit.
         landed = collections.Counter()
-        for kind, first, second in uncertainty._certification_instances(p):
+        for kind, first, second in instances:
             first, second = canonical(first, p), canonical(second, p)
             if kind == "minor":
                 first, second = sorted((first, second))
