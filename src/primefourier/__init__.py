@@ -40,6 +40,7 @@ from .fourier import (
     idft,
     minor_det,
     minor_matrix,
+    minor_nonsingular,
     minor_solve,
     support,
     vandermonde_det_mod_p,
@@ -94,6 +95,7 @@ __all__ = [
     "meshulam_check",
     "minor_det",
     "minor_matrix",
+    "minor_nonsingular",
     "minor_solve",
     "multi_dft",
     "multi_idft",

@@ -239,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("certify", help="exhaustive minor/tightness/achievability sweep")
     common(sp, seed="64-bit seed, range-checked and ignored: the sweep is not randomized")
     sp.add_argument("--budget", type=int, default=uncertainty.DEFAULT_MAX_CERTIFY_P,
-                    help="largest p the sweep will accept (default %(default)s)")
+                    help="largest p the sweep will accept (default %(default)s, which "
+                         "takes a few seconds serially)")
     sp.add_argument("--jobs", type=int, default=1,
                     help="worker processes (at least 1, capped at the CPU count)")
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 import operator
 import sys
 from array import array
@@ -49,19 +50,41 @@ MAX_PRIME = 10007
 _DENSE_MUL_THRESHOLD = 256
 
 
+# The first twelve primes.  No composite below _MR_LIMIT passes the strong
+# (Miller-Rabin) test to all of them; _MR_LIMIT itself, 318665857834031151167461,
+# is the least composite that does (Sorenson and Webster, "Strong pseudoprimes
+# to twelve prime bases", Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; intended for the small moduli used here."""
+    """Deterministic Miller-Rabin test to the first twelve prime bases.
+
+    Proven for every n below 3.18 * 10^23 (_MR_LIMIT); a larger n raises
+    ValueError rather than risk a strong pseudoprime.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the proven range of the primality test")
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -73,10 +96,27 @@ def _primitive_root(p: int) -> int:
                 if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
+@functools.lru_cache(maxsize=None)
+def image_prime(p: int) -> tuple[int, int]:
+    """(q, g): the least prime q = 1 (mod p) above 2^31 and g of order p in F_q.
+
+    g = h^((q-1)/p) for the least h with g != 1, so w -> g is a ring map
+    Z[w] -> F_q, under which a value of Z[w] that maps to a nonzero residue
+    is itself nonzero.
+    """
+    q = -(-(1 << 31) // p) * p + 1
+    while not is_prime(q):
+        q += p
+    h = 2
+    while pow(h, (q - 1) // p, q) == 1:
+        h += 1
+    return q, pow(h, (q - 1) // p, q)
+
+
 class PrimeModulus:
     """A validated prime p, the order of the ambient cyclic group Z/pZ.
 
-    Construction rejects composites (trial division) and primes above
+    Construction rejects composites (is_prime) and primes above
     MAX_PRIME = 10007.
     """
 
@@ -101,6 +141,14 @@ class PrimeModulus:
 
     def __repr__(self) -> str:
         return f"PrimeModulus({self.p})"
+
+
+def _rational_parts(value) -> tuple[int, int]:
+    # Exact inputs only: a float stands for its binary expansion and a string
+    # for parsed text, so both are refused rather than converted.
+    if not isinstance(value, numbers.Rational):
+        raise TypeError(f"expected an int or a Fraction, got {type(value).__name__} {value!r}")
+    return int(value.numerator), int(value.denominator)
 
 
 def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -240,13 +288,13 @@ class CycloNum:
     __slots__ = ("modulus", "_num", "_den")
 
     def __init__(self, modulus: PrimeModulus, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) != modulus.p - 1:
+        parts = [_rational_parts(c) for c in coeffs]
+        if len(parts) != modulus.p - 1:
             raise ValueError(
-                f"expected {modulus.p - 1} coefficients for p={modulus.p}, got {len(coeffs)}"
+                f"expected {modulus.p - 1} coefficients for p={modulus.p}, got {len(parts)}"
             )
-        den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-        num = [int(c * den) for c in coeffs]
+        den = math.lcm(*(d for _, d in parts)) if parts else 1
+        num = [n * (den // d) for n, d in parts]
         self.modulus = modulus
         self._num, self._den = _normalize(num, den)
 
@@ -282,9 +330,9 @@ class CycloNum:
 
     @classmethod
     def from_rational(cls, modulus: PrimeModulus, value) -> CycloNum:
-        value = Fraction(value)
-        num = [value.numerator] + [0] * (modulus.p - 2)
-        return cls._raw(modulus, *_normalize(num, value.denominator))
+        numerator, denominator = _rational_parts(value)
+        num = [numerator] + [0] * (modulus.p - 2)
+        return cls._raw(modulus, *_normalize(num, denominator))
 
     @classmethod
     def root_power(cls, modulus: PrimeModulus, k: int) -> CycloNum:

@@ -15,6 +15,13 @@ applications so do the sparse zero count and the (Z/pZ)^n transform.  The
 kernel packs each value into one big integer, so a sum costs a few
 big-integer operations per term.  _eliminate, the one Gaussian elimination
 behind minor_det and minor_solve, pivots on the diagonal without a search.
+
+minor_nonsingular decides whether a minor is nonsingular by reduction modulo
+a prime, as in the proofs of Chebotarev's lemma: w -> g, for g of order p
+in F_q with q = 1 (mod p), is a ring map Z[w] -> F_q, and a minor's
+determinant lies in Z[w], so a nonzero image in F_q proves it nonzero.  The
+image is built from the row and column residues alone.  A zero image decides
+nothing, and the exact minor_det, the single source of truth, settles it.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .cyclotomic import CycloNum, PrimeModulus, character_sums
+from .cyclotomic import CycloNum, PrimeModulus, character_sums, image_prime
 from .errors import TheoremViolationError
 
 
@@ -242,14 +249,18 @@ class FourierMinor:
         )
 
 
-def minor_matrix(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> FourierMinor:
-    """The minor selected by distinct positions (rows) and frequencies (cols)."""
+def _check_minor_shape(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> None:
     if len(rows) == 0 or len(cols) == 0:
         raise ValueError("row and column sets must be nonempty")
     if len(rows) != len(cols):
         raise ValueError(f"size mismatch: {len(rows)} rows vs {len(cols)} cols")
     if rows.modulus != modulus or cols.modulus != modulus:
         raise ValueError("modulus mismatch")
+
+
+def minor_matrix(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> FourierMinor:
+    """The minor selected by distinct positions (rows) and frequencies (cols)."""
+    _check_minor_shape(modulus, rows, cols)
     entries = tuple(
         tuple(CycloNum.root_power(modulus, x * xi) for xi in cols.members)
         for x in rows.members
@@ -300,6 +311,47 @@ def minor_det(minor: FourierMinor) -> CycloNum:
     for i in range(1, minor.n):
         det = det * a[i][i]
     return det
+
+
+def _image_det(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> int:
+    """The determinant of the minor on (rows, cols) mapped to F_q, or 0.
+
+    (q, g) = image_prime(p), and w -> g maps the entry w^(x*xi) to
+    g^(x*xi mod p).  Diagonal elimination mod q multiplies the pivots; a zero
+    pivot returns 0, which decides nothing.
+    """
+    p = modulus.p
+    q, g = image_prime(p)
+    powers = [1] * p
+    for k in range(1, p):
+        powers[k] = powers[k - 1] * g % q
+    a = [[powers[x * xi % p] for xi in cols.members] for x in rows.members]
+    det = 1
+    while a:
+        top, *below = a
+        pivot = top[0]
+        if not pivot:
+            return 0
+        det = det * pivot % q
+        inv = pow(pivot, -1, q)
+        rest = top[1:]
+        a = []
+        for row in below:
+            factor = row[0] * inv % q
+            a.append([(x - factor * t) % q for x, t in zip(row[1:], rest)])
+    return det
+
+
+def minor_nonsingular(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> bool:
+    """Whether the minor on (rows, cols) has a nonzero determinant.
+
+    A nonzero image in F_q (_image_det) decides it without building the
+    minor; otherwise the exact minor_det decides.
+    """
+    _check_minor_shape(modulus, rows, cols)
+    if _image_det(modulus, rows, cols):
+        return True
+    return not minor_det(minor_matrix(modulus, rows, cols)).is_zero()
 
 
 def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:

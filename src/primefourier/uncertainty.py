@@ -22,7 +22,7 @@ from .cyclotomic import CycloNum, PrimeModulus
 from .errors import BudgetExceededError, TheoremViolationError
 from .fourier import SignalFn, SupportSet
 
-DEFAULT_MAX_CERTIFY_P = 13
+DEFAULT_MAX_CERTIFY_P = 17
 DEFAULT_MAX_ATTEMPTS = 32
 COEFF_RANGE = 1 << 16
 
@@ -215,7 +215,7 @@ def certify_tightness(modulus: PrimeModulus, support_set: SupportSet,
             f"{modulus.p}; tightness only applies at or below p"
         )
     aux = SupportSet(modulus, spectrum_set.complement().members[:len(support_set)])
-    if fourier.minor_det(fourier.minor_matrix(modulus, aux, support_set)).is_zero():
+    if not fourier.minor_nonsingular(modulus, aux, support_set):
         raise TheoremViolationError(
             f"tightness certificate failed: singular minor rows={aux.members} "
             f"cols={support_set.members} (p={modulus.p})"
@@ -292,7 +292,7 @@ def _checked(modulus: PrimeModulus, records):
         kind, first, second, _ = record
         if kind == "minor":
             rows, cols = SupportSet(modulus, first), SupportSet(modulus, second)
-            if fourier.minor_det(fourier.minor_matrix(modulus, rows, cols)).is_zero():
+            if not fourier.minor_nonsingular(modulus, rows, cols):
                 raise TheoremViolationError(f"zero minor rows={first} cols={second} p={modulus.p}")
         yield record
 
@@ -310,9 +310,10 @@ def iter_certification_checks(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CE
     Each record is (kind, first, second, orbit_size): kind is "minor",
     "tightness" or "achievability", first/second the representative's
     residue tuples, orbit_size the number of instances it stands for.  Only
-    a minor takes an exact determinant; the pairs are derived from the
-    certified minors, which come first.  A failing representative raises
-    instead of yielding; p above max_p raises BudgetExceededError at the call.
+    a minor is computed (fourier.minor_nonsingular); the pairs are derived
+    from the certified minors, which come first.  A failing representative
+    raises instead of yielding; p above max_p raises BudgetExceededError at
+    the call.
     """
     _check_budget(modulus.p, max_p)
     return _checked(modulus, _certification_orbits(modulus.p))
@@ -337,8 +338,10 @@ def exhaustive_certification(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CER
     from the certified minors.  Any failure raises; the summary counts the
     instances of each class.  Each property holds on whole AGL(1,p) x
     AGL(1,p) orbits, so one representative per orbit is checked and counted
-    with its orbit size, and only the 11 / 73 / 393 minor representatives at
-    p = 7 / 11 / 13 take a determinant.  jobs must be at least 1; with
+    with its orbit size, and only the 11 / 73 / 393 / 18,069 minor
+    representatives at p = 7 / 11 / 13 / 17 take a determinant, each decided
+    by its image in F_q with the exact determinant as the fallback
+    (fourier.minor_nonsingular).  jobs must be at least 1; with
     jobs > 1 the orbit stream is split into interleaved slices over
     min(jobs, CPU count) worker processes, with identical results.
     """

@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,8 @@ from primefourier import (
     dft,
     galois_reduce,
     meshulam_check,
+    minor_matrix,
+    minor_solve,
     multi_dft,
     multi_idft,
     sparse_zero_count,
@@ -55,6 +58,28 @@ def test_non_integral_input_is_rejected_not_truncated(site):
     for value in (2, True, np.int64(2)):
         build(value)
     for value in (2.7, 1.0, "3", Fraction(5, 2)):
+        with pytest.raises(TypeError):
+            build(value)
+
+
+# Each site that takes a Q(w) value from its caller, fed one exact rational x.
+RATIONAL_SITES = {
+    "SignalFn value": lambda x: SignalFn(P5, [x, 0, 0, 0, 0]).values[0],
+    "MultiSignal value": lambda x: MultiSignal(P5, 1, {(0,): x}).values[(0,)],
+    "SparsePoly coefficient": lambda x: SparsePoly(P5, [(0, x)]).terms[0][1],
+    "minor_solve rhs": lambda x: minor_solve(
+        minor_matrix(P5, SupportSet(P5, [0]), SupportSet(P5, [0])), [x])[0],
+    "CycloNum coefficient": lambda x: CycloNum(P5, [x, 0, 0, 0]),
+    "CycloNum.from_rational": lambda x: CycloNum.from_rational(P5, x),
+}
+
+
+@pytest.mark.parametrize("site", RATIONAL_SITES)
+def test_inexact_value_is_rejected_not_converted(site):
+    build = RATIONAL_SITES[site]
+    for value, exact in ((2, 2), (True, 1), (np.int64(-3), -3), (Fraction(1, 3), Fraction(1, 3))):
+        assert build(value) == CycloNum.from_rational(P5, exact)
+    for value in (0.1, 2.0, np.float64(0.5), "1/3", "2", Decimal("0.1"), 1j):
         with pytest.raises(TypeError):
             build(value)
 

@@ -21,6 +21,7 @@ from primefourier.cyclotomic import (
     _packed_convolution,
     _primitive_root,
     _unpack,
+    image_prime,
 )
 
 from conftest import random_cyclo
@@ -44,6 +45,73 @@ class TestPrimeModulus:
     def test_is_prime_small(self):
         primes = [n for n in range(2, 60) if is_prime(n)]
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def strong_probable_prime(n, base):
+    """The strong (Miller-Rabin) test of odd n > 2 to one base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_a_sieve_below_10_5(self):
+        limit = 10**5
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for n in range(2, math.isqrt(limit) + 1):
+            if sieve[n]:
+                sieve[n * n::n] = bytes(len(range(n * n, limit, n)))
+        assert [n for n in range(-3, limit) if is_prime(n)] == [
+            n for n in range(limit) if sieve[n]]
+
+    @pytest.mark.parametrize("n, bases", [
+        (561, ()),                     # Carmichael: a Fermat liar to every coprime base
+        (3215031751, (2, 3, 5, 7)),    # strong pseudoprime to 2, 3, 5 and 7
+        (2152302898747, (2, 3, 5, 7, 11)),
+    ])
+    def test_rejects_pseudoprimes(self, n, bases):
+        assert all(strong_probable_prime(n, b) for b in bases)
+        assert not trial_division_prime(n)
+        assert not is_prime(n)
+
+    def test_large_primes(self):
+        for n in (2**31 - 1, 2**61 - 1, 2**64 - 59, 10**18 + 9):
+            assert is_prime(n)
+        assert not is_prime((2**31 - 1) * (10**9 + 7))
+
+    def test_refuses_beyond_its_proven_range(self):
+        # The least composite that passes all twelve bases is the limit itself.
+        limit = cyclotomic._MR_LIMIT
+        assert limit == 399165290221 * 798330580441
+        assert all(strong_probable_prime(limit, b) for b in cyclotomic._MR_BASES)
+        with pytest.raises(ValueError, match="proven range"):
+            is_prime(limit)
+        assert not is_prime(limit + 1)  # even: decided before the range check
+
+
+class TestImagePrime:
+    PRIMES = [p for p in range(2, 200) if trial_division_prime(p)]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_element_of_order_p(self, p):
+        q, g = image_prime(p)
+        assert q > 2**31 and q % p == 1 and trial_division_prime(q)
+        # Least: no prime q' = 1 (mod p) lies between 2^31 and q.
+        assert not any(is_prime(n) for n in range(2**31 + 1, q) if n % p == 1)
+        assert g != 1 and pow(g, p, q) == 1
 
 
 class TestRootPower:

@@ -16,12 +16,13 @@ from primefourier import (
     idft,
     minor_det,
     minor_matrix,
+    minor_nonsingular,
     minor_solve,
     support,
     vandermonde_det_mod_p,
 )
-
-from primefourier.cyclotomic import character_sums
+from primefourier import fourier, uncertainty
+from primefourier.cyclotomic import character_sums, image_prime
 
 from conftest import float_dft, random_cyclo, random_dense_signal, random_int_signal
 
@@ -411,6 +412,47 @@ class TestMinorDet:
                 cols = SupportSet(p7, rng.sample(range(7), n))
                 minor = minor_matrix(p7, rows, cols)
                 assert minor_det(minor) == laplace([list(r) for r in minor.entries], p7)
+
+
+def image_mod_q(value, q, g):
+    """sum_i c_i g^i mod q over the coefficients c_i of value, denominators inverted."""
+    return sum(c.numerator * pow(c.denominator, -1, q) * pow(g, i, q)
+               for i, c in enumerate(value.coeffs)) % q
+
+
+def minor_pairs(p):
+    """Every minor (rows, cols) at p <= 5; one per orbit (the sweep's) above."""
+    if p > 5:
+        return [(a, b) for kind, a, b, _ in uncertainty._certification_orbits(p)
+                if kind == "minor"]
+    return [(rows, cols) for n in range(1, p + 1)
+            for rows in itertools.combinations(range(p), n)
+            for cols in itertools.combinations(range(p), n)]
+
+
+class TestMinorNonsingular:
+    @pytest.mark.parametrize("p, count", [(3, 19), (5, 251), (7, 11), (11, 73)])
+    def test_image_is_the_exact_determinant_mod_q(self, p, count):
+        modulus = PrimeModulus(p)
+        q, g = image_prime(p)
+        pairs = minor_pairs(p)
+        assert len(pairs) == count
+        for rows, cols in pairs:
+            rows, cols = SupportSet(modulus, rows), SupportSet(modulus, cols)
+            image = fourier._image_det(modulus, rows, cols)
+            assert image == image_mod_q(minor_det(minor_matrix(modulus, rows, cols)), q, g)
+            assert image != 0
+            assert minor_nonsingular(modulus, rows, cols)
+
+    def test_shape_checked_like_minor_matrix(self):
+        p5 = PrimeModulus(5)
+        with pytest.raises(ValueError, match="size mismatch"):
+            minor_nonsingular(p5, SupportSet(p5, [0, 1]), SupportSet(p5, [0]))
+        with pytest.raises(ValueError, match="nonempty"):
+            minor_nonsingular(p5, SupportSet(p5, []), SupportSet(p5, []))
+        p7 = PrimeModulus(7)
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            minor_nonsingular(p5, SupportSet(p7, [0]), SupportSet(p7, [0]))
 
 
 class TestMinorSolve:

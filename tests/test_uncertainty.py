@@ -281,7 +281,7 @@ class TestExhaustiveCertification:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            exhaustive_certification(PrimeModulus(17))
+            exhaustive_certification(PrimeModulus(19))
         summary = exhaustive_certification(PrimeModulus(2), max_p=2)
         assert summary.minors_checked == 5
 
@@ -299,10 +299,10 @@ class TestExhaustiveCertification:
         kinds = [kind for kind, _, _, _ in records]
         assert (kinds.count("minor"), kinds.count("tightness"),
                 kinds.count("achievability")) == (minors, tight, achievable)
-        # One determinant per minor representative, and no computation of its
-        # own for a tightness or an achievable representative.
-        calls = {"det": [], "tight": [], "built": []}
-        spies = [(fourier, "minor_det", "det"),
+        # One nonsingularity check per minor representative, and no
+        # computation of its own for a tightness or an achievable one.
+        calls = {"minor": [], "tight": [], "built": []}
+        spies = [(fourier, "minor_nonsingular", "minor"),
                  (uncertainty, "certify_tightness", "tight"),
                  (uncertainty, "construct_support_pair", "built")]
         for module, name, key in spies:
@@ -312,7 +312,7 @@ class TestExhaustiveCertification:
             monkeypatch.setattr(module, name, spy)
         exhaustive_certification(PrimeModulus(p), jobs=1)
         assert calls["tight"] == []
-        assert [(m.rows.members, m.cols.members) for (m,) in calls["det"]] == [
+        assert [(rows.members, cols.members) for _, rows, cols in calls["minor"]] == [
             (a, b) for kind, a, b, _ in records if kind == "minor"]
         assert calls["built"] == []
 
@@ -343,12 +343,12 @@ class TestExhaustiveCertification:
         assert kinds["tightness"] == summary.tightness_checked
         assert kinds["achievability"] == summary.achievability_checked
 
-    @pytest.mark.parametrize("p", [17, 31])
+    @pytest.mark.parametrize("p", [19, 31])
     def test_iterator_budget_raises_at_call(self, p):
         # Raised by the call itself, before any subset is enumerated.
         with pytest.raises(BudgetExceededError, match=f"p={p} exceeds"):
             iter_certification_checks(PrimeModulus(p))
-        checks = iter_certification_checks(PrimeModulus(17), max_p=17)
+        checks = iter_certification_checks(PrimeModulus(19), max_p=19)
         assert hasattr(checks, "__next__")
         checks.close()
 
@@ -378,20 +378,65 @@ class TestExhaustiveCertification:
         assert requested == [3]
         assert summary == exhaustive_certification(PrimeModulus(3), jobs=1)
 
-    def test_singular_minor_names_rows_and_cols(self, monkeypatch):
-        # ((0, 1), (0, 1)) represents the 2 x 2 minors at p = 3.
-        real = fourier.minor_det
-        bad = ((0, 1), (0, 1))
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_counts_match_closed_forms(self, monkeypatch, p):
+        # Every image in F_q is nonzero here, so the exact determinant, the
+        # fallback, is never taken.
+        exact = []
+        monkeypatch.setattr(fourier, "minor_det", lambda minor: exact.append(minor))
+        summary = exhaustive_certification(PrimeModulus(p))
+        counts = closed_form_counts(p)
+        assert (summary.minors_checked, summary.tightness_checked,
+                summary.achievability_checked) == (
+            counts["minor"], counts["tightness"], counts["achievability"])
+        assert exact == []
 
-        def fake(minor):
-            if (minor.rows.members, minor.cols.members) == bad:
-                return CycloNum.zero(minor.modulus)
+    def test_zero_image_falls_back_to_the_exact_determinant(self, monkeypatch):
+        real = fourier.minor_det
+        exact = []
+
+        def spy(minor):
+            exact.append((minor.rows.members, minor.cols.members))
             return real(minor)
 
-        monkeypatch.setattr(fourier, "minor_det", fake)
+        monkeypatch.setattr(fourier, "_image_det", lambda modulus, rows, cols: 0)
+        monkeypatch.setattr(fourier, "minor_det", spy)
+        summary = exhaustive_certification(PrimeModulus(7))
+        assert exact == [(a, b) for kind, a, b, _ in uncertainty._certification_orbits(7)
+                         if kind == "minor"]
+        assert len(exact) == 11
+        assert summary.minors_checked == closed_form_counts(7)["minor"]
+        assert summary.tightness_checked == closed_form_counts(7)["tightness"]
+        assert summary.achievability_checked == closed_form_counts(7)["achievability"]
+
+    def test_singular_minor_names_rows_and_cols(self, monkeypatch):
+        # ((0, 1), (0, 1)) represents the 2 x 2 minors at p = 3; both its
+        # image in F_q and its exact determinant are made to vanish.
+        real_image, real_det = fourier._image_det, fourier.minor_det
+        bad = ((0, 1), (0, 1))
+
+        def fake_image(modulus, rows, cols):
+            if (rows.members, cols.members) == bad:
+                return 0
+            return real_image(modulus, rows, cols)
+
+        def fake_det(minor):
+            if (minor.rows.members, minor.cols.members) == bad:
+                return CycloNum.zero(minor.modulus)
+            return real_det(minor)
+
+        monkeypatch.setattr(fourier, "_image_det", fake_image)
+        monkeypatch.setattr(fourier, "minor_det", fake_det)
         with pytest.raises(TheoremViolationError,
-                           match=r"rows=\(0, 1\) cols=\(0, 1\) p=3"):
+                           match=r"^zero minor rows=\(0, 1\) cols=\(0, 1\) p=3$"):
             exhaustive_certification(PrimeModulus(3), jobs=1)
+        # The first two residues outside B = {} are the rows of A's certificate.
+        p3 = PrimeModulus(3)
+        with pytest.raises(TheoremViolationError,
+                           match=r"^tightness certificate failed: singular minor "
+                                 r"rows=\(0, 1\) cols=\(0, 1\) \(p=3\)$"):
+            certify_tightness(p3, SupportSet(p3, [0, 1]), SupportSet(p3, []))
+        assert certify_tightness(p3, SupportSet(p3, [0, 2]), SupportSet(p3, []))
 
 
 def burnside_orbit_counts(p):
