@@ -1,7 +1,7 @@
 """Command-line surface producing machine-readable reports.
 
 Every subcommand emits one report (JSON by default, schema version 1) with
-the command, the echoed configuration (its seed only where one is used), a
+the command, the echoed configuration (only the options that take effect), a
 result payload, counts, a status and the wall time.  Reports for identical
 configurations are byte-identical except for the wall-time field.  Exit
 codes: 0 ok, 2 precondition-error, 3 budget-exceeded, 4 theorem-violation
@@ -93,7 +93,9 @@ def _witness_payload(witness) -> dict:
 
 def _cmd_certify(args) -> tuple[dict, dict, Iterable[dict]]:
     modulus = PrimeModulus(args.p)
-    summary = uncertainty.exhaustive_certification(modulus, max_p=args.budget, jobs=args.jobs)
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
+    summary = uncertainty.exhaustive_certification(modulus, max_p=args.budget)
     rows = ()
     if args.format == "csv":
         # One row per orbit record the sweep checked, standing for orbit_size
@@ -242,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="largest p the sweep will accept (default %(default)s, which "
                          "takes a few seconds serially)")
     sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes (at least 1, capped at the CPU count)")
+                    help="at least 1, range-checked and ignored: the sweep runs serially")
 
     sp = sub.add_parser("construct", help="build a signal with prescribed supports")
     common(sp)
@@ -273,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_echo(args) -> dict:
-    # certify ignores its --seed, so the report does not echo it.
-    hidden = {"command", "seed"} if args.command == "certify" else {"command"}
+    # certify ignores its --seed and --jobs, so the report does not echo them.
+    hidden = {"command", "seed", "jobs"} if args.command == "certify" else {"command"}
     return {key: value for key, value in vars(args).items() if key not in hidden}
 
 

@@ -12,7 +12,6 @@ nonzero minor certifies.  The sweep derives both from the certified minors.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -297,13 +296,6 @@ def _checked(modulus: PrimeModulus, records):
         yield record
 
 
-def _check_budget(p: int, max_p: int) -> None:
-    if p > max_p:
-        raise BudgetExceededError(
-            f"p={p} exceeds the certification budget {max_p}; raise the budget explicitly"
-        )
-
-
 def iter_certification_checks(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CERTIFY_P):
     """Check one representative per orbit in canonical order, yielding records.
 
@@ -315,21 +307,16 @@ def iter_certification_checks(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CE
     raises instead of yielding; p above max_p raises BudgetExceededError at
     the call.
     """
-    _check_budget(modulus.p, max_p)
+    if modulus.p > max_p:
+        raise BudgetExceededError(
+            f"p={modulus.p} exceeds the certification budget {max_p}; "
+            "raise the budget explicitly"
+        )
     return _checked(modulus, _certification_orbits(modulus.p))
 
 
-def _count_checked(p: int, start: int, step: int) -> Counter:
-    # One slice of the orbit stream: every step-th record from start on.
-    records = itertools.islice(_certification_orbits(p), start, None, step)
-    counts = Counter()
-    for kind, _, _, orbit_size in _checked(PrimeModulus(p), records):
-        counts[kind] += orbit_size
-    return counts
-
-
-def exhaustive_certification(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CERTIFY_P,
-                             jobs: int = 1) -> CertificationSummary:
+def exhaustive_certification(modulus: PrimeModulus,
+                             max_p: int = DEFAULT_MAX_CERTIFY_P) -> CertificationSummary:
     """Certify minors, tightness and achievability exhaustively for one p.
 
     (a) every equal-size minor has nonzero determinant; (b) every (A, B)
@@ -341,23 +328,11 @@ def exhaustive_certification(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CER
     with its orbit size, and only the 11 / 73 / 393 / 18,069 minor
     representatives at p = 7 / 11 / 13 / 17 take a determinant, each decided
     by its image in F_q with the exact determinant as the fallback
-    (fourier.minor_nonsingular).  jobs must be at least 1; with
-    jobs > 1 the orbit stream is split into interleaved slices over
-    min(jobs, CPU count) worker processes, with identical results.
+    (fourier.minor_nonsingular).  The sweep is one serial pass over
+    iter_certification_checks.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    p = modulus.p
-    _check_budget(p, max_p)
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1:
-        counts = _count_checked(p, 0, 1)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        counts = Counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_count_checked, p, k, workers) for k in range(workers)]
-            for fut in futures:
-                counts.update(fut.result())
-    return CertificationSummary(p, counts["minor"], counts["tightness"],
+    counts = Counter()
+    for kind, _, _, orbit_size in iter_certification_checks(modulus, max_p):
+        counts[kind] += orbit_size
+    return CertificationSummary(modulus.p, counts["minor"], counts["tightness"],
                                 counts["achievability"])

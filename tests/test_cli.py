@@ -61,28 +61,21 @@ class TestCertify:
         assert code == 3
         assert "budget-exceeded" in out
 
-    def test_csv_identical_across_jobs(self, capsys):
-        code1, serial = run_cli(capsys, ["certify", "--p", "3", "--format", "csv",
-                                         "--jobs", "1"])
-        code2, parallel = run_cli(capsys, ["certify", "--p", "3", "--format", "csv",
-                                           "--jobs", "2"])
-        assert code1 == code2 == 0
-        assert serial == parallel
-
     def test_seed_is_range_checked_and_ignored(self, capsys):
-        # Nothing in the sweep is random: --seed changes no byte of the report
-        # but its wall time, and is not echoed, yet a bad value still exits 2.
-        outputs = {}
-        for seed in ("0", "5"):
-            code, csv_out = run_cli(capsys, ["certify", "--p", "5", "--format", "csv",
-                                             "--seed", seed])
+        # Nothing in the sweep is random and it runs serially: --seed and
+        # --jobs change no byte of the report but its wall time, and neither
+        # is echoed, yet a bad value still exits 2.
+        outputs = []
+        for flags in (["--seed", "0"], ["--seed", "5"], ["--jobs", "2"]):
+            code, csv_out = run_cli(capsys, ["certify", "--p", "5", "--format", "csv", *flags])
             assert code == 0
-            code, report = run_json(capsys, ["certify", "--p", "5", "--seed", seed])
+            code, report = run_json(capsys, ["certify", "--p", "5", *flags])
             assert code == 0
             assert "seed" not in report["config"]
+            assert "jobs" not in report["config"]
             del report["wall_time_s"]
-            outputs[seed] = csv_out, report
-        assert outputs["0"] == outputs["5"]
+            outputs.append((csv_out, report))
+        assert outputs[0] == outputs[1] == outputs[2]
         code, report = run_json(capsys, ["certify", "--p", "5",
                                          "--seed", "18446744073709551616"])
         assert code == 2
@@ -112,15 +105,6 @@ class TestCertify:
         for kind, _, _, orbit_size in records:
             sizes[kind] += orbit_size
         assert sizes == closed_form_counts(p)
-
-    def test_parallel_report_matches_serial(self, capsys):
-        code1, report1 = run_json(capsys, ["certify", "--p", "3", "--jobs", "1"])
-        code2, report2 = run_json(capsys, ["certify", "--p", "3", "--jobs", "2"])
-        report1.pop("wall_time_s")
-        report2.pop("wall_time_s")
-        report1["config"].pop("jobs")
-        report2["config"].pop("jobs")
-        assert (code1, report1) == (code2, report2)
 
 
 class TestDeterminism:
@@ -361,6 +345,7 @@ class TestConfigEcho:
                           if isinstance(action, argparse._SubParsersAction))
         options = {action.dest for action in subparsers.choices[argv[0]]._actions
                    if action.dest != "help"}
-        # certify range-checks its --seed but ignores it, so does not echo it.
-        ignored = {"seed"} if argv[0] == "certify" else set()
+        # certify range-checks its --seed and --jobs but ignores them, so does
+        # not echo them.
+        ignored = {"seed", "jobs"} if argv[0] == "certify" else set()
         assert set(report["config"]) == options - ignored

@@ -413,6 +413,33 @@ class TestMinorDet:
                 minor = minor_matrix(p7, rows, cols)
                 assert minor_det(minor) == laplace([list(r) for r in minor.entries], p7)
 
+    @pytest.mark.parametrize("p, count", [(3, 19), (5, 251), (7, 11)])
+    def test_complementary_minor_identity(self, p, count):
+        # Jacobi's complementary-minor identity (Horn & Johnson, Matrix
+        # Analysis, 0.8.4) applied to F^-1 = (1/p) * conj(F)^T, residues
+        # 0-based: det F[R^c, C^c] = (-1)^(sum R + sum C) * det F * p^-n *
+        # sigma_-1(det F[R, C]) for n-sets R and C.  Every minor at p <= 5,
+        # one per orbit at p = 7.  The empty minor has determinant 1, so the
+        # full one (n = p) gives det F * sigma_-1(det F) = p^p.
+        modulus = PrimeModulus(p)
+
+        def det(rows, cols):
+            if not rows:
+                return CycloNum.one(modulus)
+            return minor_det(minor_matrix(modulus, SupportSet(modulus, rows),
+                                          SupportSet(modulus, cols)))
+
+        everything = tuple(range(p))
+        det_f = det(everything, everything)
+        pairs = minor_pairs(p)
+        assert len(pairs) == count
+        for rows, cols in pairs:
+            rest_rows = tuple(x for x in everything if x not in rows)
+            rest_cols = tuple(x for x in everything if x not in cols)
+            scale = Fraction((-1) ** (sum(rows) + sum(cols)), p ** len(rows))
+            assert det(rest_rows, rest_cols) == det_f * det(rows, cols).galois(-1) * scale, (
+                rows, cols)
+
 
 def image_mod_q(value, q, g):
     """sum_i c_i g^i mod q over the coefficients c_i of value, denominators inverted."""

@@ -3,7 +3,6 @@ import functools
 import itertools
 import math
 import random
-from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -285,13 +284,6 @@ class TestExhaustiveCertification:
         summary = exhaustive_certification(PrimeModulus(2), max_p=2)
         assert summary.minors_checked == 5
 
-    def test_parallel_matches_serial(self):
-        # Each worker slice builds its own set-orbit table.
-        for p in (3, 5):
-            serial = exhaustive_certification(PrimeModulus(p), jobs=1)
-            parallel = exhaustive_certification(PrimeModulus(p), jobs=2)
-            assert serial == parallel
-
     @pytest.mark.parametrize("p, minors, tight, achievable",
                              [(3, 3, 6, 6), (5, 5, 15, 15), (7, 11, 47, 43)])
     def test_one_check_per_representative(self, monkeypatch, p, minors, tight, achievable):
@@ -310,7 +302,7 @@ class TestExhaustiveCertification:
                 calls[_key].append(args)
                 return _real(*args)
             monkeypatch.setattr(module, name, spy)
-        exhaustive_certification(PrimeModulus(p), jobs=1)
+        exhaustive_certification(PrimeModulus(p))
         assert calls["tight"] == []
         assert [(rows.members, cols.members) for _, rows, cols in calls["minor"]] == [
             (a, b) for kind, a, b, _ in records if kind == "minor"]
@@ -351,32 +343,6 @@ class TestExhaustiveCertification:
         checks = iter_certification_checks(PrimeModulus(19), max_p=19)
         assert hasattr(checks, "__next__")
         checks.close()
-
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # An inline stand-in for the process pool: it records the worker
-        # count it was asked for and starts no process.
-        requested = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(uncertainty.os, "cpu_count", lambda: 3)
-        summary = exhaustive_certification(PrimeModulus(3), jobs=10**6)
-        assert requested == [3]
-        assert summary == exhaustive_certification(PrimeModulus(3), jobs=1)
 
     @pytest.mark.parametrize("p", [7, 11, 13])
     def test_counts_match_closed_forms(self, monkeypatch, p):
@@ -429,7 +395,7 @@ class TestExhaustiveCertification:
         monkeypatch.setattr(fourier, "minor_det", fake_det)
         with pytest.raises(TheoremViolationError,
                            match=r"^zero minor rows=\(0, 1\) cols=\(0, 1\) p=3$"):
-            exhaustive_certification(PrimeModulus(3), jobs=1)
+            exhaustive_certification(PrimeModulus(3))
         # The first two residues outside B = {} are the rows of A's certificate.
         p3 = PrimeModulus(3)
         with pytest.raises(TheoremViolationError,
