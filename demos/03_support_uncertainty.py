@@ -50,8 +50,8 @@ for x, value in enumerate(witness.signal.values):
 print(f"  supp(f)    = {support(witness.signal).members}")
 print(f"  supp(fhat) = {support(dft(witness.signal)).members}\n")
 
-print("Oversized pairs go through a covering family plus a seeded random")
-print("combination, re-verified exactly:")
+print("Oversized pairs take seeded random values on |A| + |B| - p free points")
+print("of A, solve once for the rest, and are re-verified exactly:")
 full = SupportSet.full(p)
 witness = construct_support_pair(full, full, seed=0)
 print(f"  A = B = all of Z/7Z: combination weights = {witness.combination_coeffs}\n")

@@ -11,13 +11,14 @@ nonzero minor certifies.  The sweep derives both from the certified minors.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
 
 from . import fourier
-from .cyclotomic import CycloNum, PrimeModulus
+from .cyclotomic import CycloNum, PrimeModulus, character_sums
 from .errors import BudgetExceededError, TheoremViolationError
 from .fourier import SignalFn, SupportSet
 
@@ -45,7 +46,8 @@ class AchievabilityWitness:
 
     aux_frequencies is the frequency set used to pin the transform in the
     exact-size case (|A| + |B| = p + 1); combination_coeffs holds the random
-    integer weights of the combination stage and is empty when unused.
+    integer weights of the combination stage, the signal's values on the last
+    |A| + |B| - p members of A, and is empty when unused.
     """
 
     target_support: SupportSet
@@ -138,28 +140,17 @@ def _verify_witness_supports(signal: SignalFn, support_set: SupportSet,
         )
 
 
-def _cover_blocks(members: tuple[int, ...], size: int) -> list[tuple[int, ...]]:
-    # Consecutive blocks in sorted order; a short tail block is replaced by
-    # the last `size` elements, so every block has exactly `size` members and
-    # the union is the whole set.
-    blocks = []
-    for start in range(0, len(members), size):
-        block = members[start:start + size]
-        if len(block) < size:
-            block = members[-size:]
-        blocks.append(block)
-    return blocks
-
-
 def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
                            seed: int = 0,
                            max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> AchievabilityWitness:
     """Realize supports (A, B) for any nonempty sets with |A| + |B| >= p + 1.
 
-    The exact case delegates to construct_exact_pair.  Otherwise A is covered
-    by blocks A_i of size p + 1 - |B|, each paired with B itself; the block
-    witnesses are combined with seeded random integer weights in
-    [1, 2^16] and the combination is kept only if both supports verify
+    The exact case delegates to construct_exact_pair.  Otherwise the signals
+    on A whose transform vanishes off B form a space of dimension
+    k = |A| + |B| - p, with the last k members of A as free coordinates: f
+    takes seeded random integer weights in [1, 2^16] there, and one
+    minor_solve gives its values on the first p - |B| members (none when
+    B is all of Z/p).  The signal is kept only if both supports verify
     exactly, redrawing up to max_attempts times (at least 1).
     """
     modulus = _check_constructible(support_set, spectrum_set)
@@ -174,21 +165,29 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
         )
     if total == p + 1:
         return construct_exact_pair(support_set, spectrum_set)
-    block_size = p + 1 - len(spectrum_set)
-    parts = [
-        construct_exact_pair(SupportSet(modulus, block), spectrum_set).signal
-        for block in _cover_blocks(support_set.members, block_size)
-    ]
+    n = p - len(spectrum_set)
+    pivots, free = support_set.members[:n], support_set.members[n:]
+    # fhat = 0 off B reads M f = 0 for the minor M on rows -(B^c) and columns
+    # A (as in construct_exact_pair); the free points' terms move to the
+    # right-hand side, one entry per row in the sorted order minor_matrix uses.
+    rows = SupportSet(modulus, ((-eta) % p for eta in spectrum_set.complement()))
+    minor = fourier.minor_matrix(modulus, rows, SupportSet(modulus, pivots)) if n else None
     rng = random.Random(seed)
     for _ in range(max_attempts):
-        coeffs = [rng.randint(1, COEFF_RANGE) for _ in parts]
-        combined = SignalFn.zero(modulus)
-        for lam, part in zip(coeffs, parts):
-            combined = combined + part * lam
-        if (fourier.support(combined) == support_set
-                and fourier.support(fourier.dft(combined)) == spectrum_set):
+        coeffs = [rng.randint(1, COEFF_RANGE) for _ in free]
+        values = [0] * p
+        for j, lam in zip(free, coeffs):
+            values[j] = lam
+        if n:
+            weights = [CycloNum.from_rational(modulus, -lam) for lam in coeffs]
+            rhs = character_sums(modulus, weights, free, rows.members, 1)
+            for a, v in zip(pivots, fourier.minor_solve(minor, rhs)):
+                values[a] = v
+        signal = SignalFn(modulus, values)
+        if (fourier.support(signal) == support_set
+                and fourier.support(fourier.dft(signal)) == spectrum_set):
             return AchievabilityWitness(
-                support_set, spectrum_set, combined, None, tuple(coeffs)
+                support_set, spectrum_set, signal, None, tuple(coeffs)
             )
     raise BudgetExceededError(
         f"no generic combination found in {max_attempts} attempts "
@@ -222,13 +221,15 @@ def certify_tightness(modulus: PrimeModulus, support_set: SupportSet,
     return True
 
 
-def _set_orbits(p: int) -> list[list[tuple[tuple[int, ...], int]]]:
+@functools.cache
+def _set_orbits(p: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
     """The AGL(1,p)-orbits of subsets of Z/p as (representative, orbit size).
 
     A subset's orbit is its p(p - 1) images u*S + t (u a unit), taken as
     bitmasks; the representative is the least image and the orbit size the
     number of distinct images.  Entry n lists the orbits of n-sets, sorted
-    by representative.
+    by representative.  Cached per p, as tuples, so a second walk of the
+    same p (the CSV rows after the sweep) reuses the first one's orbits.
     """
     seen = bytearray(1 << p)
     by_size = [[] for _ in range(p + 1)]
@@ -242,9 +243,7 @@ def _set_orbits(p: int) -> list[list[tuple[tuple[int, ...], int]]]:
         for image in images:
             seen[image] = 1
         by_size[len(members)].append((members, len(images)))
-    for orbits in by_size:
-        orbits.sort()
-    return by_size
+    return tuple(tuple(sorted(orbits)) for orbits in by_size)
 
 
 def _certification_orbits(p: int):
@@ -284,9 +283,12 @@ def _checked(modulus: PrimeModulus, records):
     # - |A| + |B| = p + 1: construct_exact_pair solves M c = p*e for the minor
     #   M on rows -(B^c + {min B}) and columns A; by Cramer's rule no c_a is 0,
     #   and fhat on B^c + {b} is M'c/p for a nonsingular minor M', so fhat(b) != 0;
-    # - larger: the exact-case witnesses on blocks A' of A make each f -> f(a)
-    #   and f -> fhat(b) a nonzero functional on V = {f on A : fhat = 0 off B},
-    #   and a vector space over Q(w) is not a finite union of proper subspaces.
+    # - larger: V = {f on A : fhat = 0 off B} has the last k = |A| + |B| - p
+    #   members F of A as free coordinates, the rest P as pivots; f = lambda on
+    #   F is nonzero there, and the basis vector of free point j is the
+    #   exact-case witness on P + {j} up to a scalar, so each f(a) and each
+    #   fhat(b) is a nonzero linear form in lambda, and every lambda outside a
+    #   finite union of hyperplanes gives both supports exactly.
     for record in records:
         kind, first, second, _ = record
         if kind == "minor":

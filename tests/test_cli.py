@@ -6,7 +6,14 @@ import json
 
 import pytest
 
-from primefourier import CycloNum, TheoremViolationError, applications, cli, uncertainty
+from primefourier import (
+    CycloNum,
+    PrimeModulus,
+    TheoremViolationError,
+    applications,
+    cli,
+    uncertainty,
+)
 
 from conftest import closed_form_counts
 
@@ -106,6 +113,15 @@ class TestCertify:
             sizes[kind] += orbit_size
         assert sizes == closed_form_counts(p)
 
+    def test_csv_reuses_the_sweep_orbits(self, capsys):
+        # The rows walk the orbit records again after the sweep; the set
+        # orbits are enumerated once.
+        uncertainty._set_orbits.cache_clear()
+        code, out = run_cli(capsys, ["certify", "--p", "11", "--format", "csv"])
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 943
+        assert uncertainty._set_orbits.cache_info().misses == 1
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -141,14 +157,26 @@ class TestConstruct:
         assert code == 0
         assert len(report["result"]["combination_coeffs"]) > 0
 
+    def test_combination_terms_are_the_free_points(self, capsys):
+        # |A| + |B| - p = 6 + 8 - 11 = 3 free points, the last three of A.
+        code, report = run_json(capsys, ["construct", "--p", "11", "--a", "0,1,2,4,6,9",
+                                         "--b", "0,1,2,3,5,7,8,10", "--seed", "4"])
+        assert code == 0
+        assert report["counts"]["combination_terms"] == 3
+        result = report["result"]
+        assert [result["signal"][x] for x in (4, 6, 9)] == [
+            str(CycloNum.from_rational(PrimeModulus(11), c)) for c in result["combination_coeffs"]]
+        zero = str(CycloNum.zero(PrimeModulus(11)))
+        assert [result["signal"][x] for x in (3, 5, 7, 8, 10)] == [zero] * 5
+
     def test_below_threshold(self, capsys):
         code, report = run_json(capsys, ["construct", "--p", "5", "--a", "0", "--b", "0"])
         assert code == 2
         assert report["status"] == "precondition-error"
 
     def test_retry_budget_flag(self, capsys):
-        # At p=2 the full pair combines two scaled Diracs, and its transform
-        # vanishes at 1 when both weights agree: seed 30891 draws equal
+        # At p=2 the full pair's witness is its two weights, and its transform
+        # vanishes at 1 when they agree: seed 30891 draws equal
         # weights first, so one attempt is not enough and two are.
         args = ["construct", "--p", "2", "--a", "0,1", "--b", "0,1", "--seed", "30891"]
         code, report = run_json(capsys, args + ["--retries", "1"])

@@ -194,6 +194,12 @@ class TestConstructSupportPair:
         w1 = construct_support_pair(a, b, seed=5)
         w2 = construct_support_pair(a, b, seed=5)
         assert w1 == w2
+        # The weights are the seed's first k = 3 draws; another seed moves them.
+        rng = random.Random(5)
+        assert w1.combination_coeffs == tuple(rng.randint(1, 1 << 16) for _ in range(3))
+        other = construct_support_pair(a, b, seed=6)
+        assert other.combination_coeffs != w1.combination_coeffs
+        assert other.signal != w1.signal
 
     def test_coefficients_within_documented_range(self):
         p7 = PrimeModulus(7)
@@ -202,13 +208,87 @@ class TestConstructSupportPair:
         assert all(1 <= c <= 1 << 16 for c in witness.combination_coeffs)
 
     def test_retry_budget_exhaustion_reports_seed(self):
-        # At p=2 the full pair's combination has transform value
-        # lambda_1 - lambda_2 at 1; seed 30891 draws two equal weights first.
+        # At p=2 the full pair's witness is (lambda_1, lambda_2), with transform
+        # value (lambda_1 - lambda_2)/2 at 1; seed 30891 draws two equal weights first.
         full = SupportSet.full(PrimeModulus(2))
         with pytest.raises(BudgetExceededError, match="seed=30891"):
             construct_support_pair(full, full, seed=30891, max_attempts=1)
         witness = construct_support_pair(full, full, seed=30891, max_attempts=2)
         assert support(dft(witness.signal)) == full
+
+    @pytest.mark.parametrize("p, a_size, b_size", [(7, 5, 5), (11, 5, 9), (13, 9, 6),
+                                                   (13, 10, 13)])
+    def test_free_points_carry_the_weights(self, p, a_size, b_size):
+        # The last k = |A| + |B| - p members of A are the free coordinates:
+        # the witness takes the recorded weights there.
+        modulus = PrimeModulus(p)
+        rng = random.Random(700 + p)
+        for seed in range(3):
+            a = SupportSet(modulus, rng.sample(range(p), a_size))
+            b = SupportSet(modulus, rng.sample(range(p), b_size))
+            witness = construct_support_pair(a, b, seed=seed)
+            k = a_size + b_size - p
+            assert len(witness.combination_coeffs) == k
+            assert [witness.signal[x] for x in a.members[-k:]] == [
+                CycloNum.from_rational(modulus, c) for c in witness.combination_coeffs]
+            assert support(witness.signal) == a
+            assert support(dft(witness.signal)) == b
+
+    def _spy_solves(self, monkeypatch, corrupt_first=False):
+        calls = []
+
+        def spy(minor, rhs):
+            sol = minor_solve(minor, rhs)
+            calls.append((minor, list(rhs), sol))
+            if corrupt_first and len(calls) == 1:
+                sol = [CycloNum.zero(minor.modulus)] + sol[1:]
+            return sol
+
+        monkeypatch.setattr(fourier, "minor_solve", spy)
+        return calls
+
+    def test_one_solve_on_the_pivot_minor(self, monkeypatch):
+        # n = p - |B| = 2 pivots (the first members of A) against the sorted
+        # rows -(B^c) = (4, 6); the free points 2, 3, 4 carry the weights, and
+        # their columns, negated and weighted, are the right-hand side.
+        calls = self._spy_solves(monkeypatch)
+        p7 = PrimeModulus(7)
+        a = SupportSet(p7, [0, 1, 2, 3, 4])
+        witness = construct_support_pair(a, SupportSet(p7, [0, 2, 4, 5, 6]), seed=3)
+        assert len(calls) == 1
+        minor, rhs, sol = calls[0]
+        assert (minor.rows.members, minor.cols.members) == ((4, 6), (0, 1))
+        weights = witness.combination_coeffs
+        assert rhs == [sum((-lam * CycloNum.root_power(p7, r * j)
+                            for lam, j in zip(weights, (2, 3, 4))), CycloNum.zero(p7))
+                       for r in (4, 6)]
+        assert [witness.signal[0], witness.signal[1]] == sol
+
+    def test_full_spectrum_needs_no_solve(self, monkeypatch):
+        calls = self._spy_solves(monkeypatch)
+        p7 = PrimeModulus(7)
+        for a in (SupportSet.full(p7), SupportSet(p7, [1, 2, 5])):
+            witness = construct_support_pair(a, SupportSet.full(p7), seed=2)
+            assert witness.signal == SignalFn(p7, [
+                witness.combination_coeffs[a.members.index(x)] if x in a else 0
+                for x in range(7)])
+        assert calls == []
+
+    def test_a_failed_attempt_redraws_and_solves_again(self, monkeypatch):
+        # The first solution is spoilt at the first pivot, so the first
+        # attempt misses A and the second draw, with a solve of its own, wins.
+        calls = self._spy_solves(monkeypatch, corrupt_first=True)
+        p7 = PrimeModulus(7)
+        a, b = SupportSet(p7, [0, 1, 2, 3, 4]), SupportSet(p7, [0, 2, 4, 5, 6])
+        with pytest.raises(BudgetExceededError, match="in 1 attempts"):
+            construct_support_pair(a, b, seed=3, max_attempts=1)
+        calls.clear()
+        witness = construct_support_pair(a, b, seed=3, max_attempts=2)
+        assert len(calls) == 2
+        rng = random.Random(3)
+        draws = [rng.randint(1, 1 << 16) for _ in range(6)]
+        assert witness.combination_coeffs == tuple(draws[3:])
+        assert support(witness.signal) == a
 
     @pytest.mark.parametrize("max_attempts", [0, -3])
     def test_max_attempts_below_one_rejected(self, max_attempts):
@@ -375,6 +455,29 @@ class TestExhaustiveCertification:
         assert summary.tightness_checked == closed_form_counts(7)["tightness"]
         assert summary.achievability_checked == closed_form_counts(7)["achievability"]
 
+    def test_real_zero_images_take_the_exact_determinant(self, monkeypatch):
+        # 2 has order 11 mod 23, so w -> 2 maps Z[w] at p = 11 into F_23.  23
+        # divides the norm of some Fourier minors there: their images vanish
+        # (or meet a zero pivot) although the minors are nonsingular, and
+        # only the exact determinant can certify them.
+        assert pow(2, 11, 23) == 1
+        real = fourier.minor_det
+        exact = []
+
+        def spy(minor):
+            exact.append((minor.rows.members, minor.cols.members))
+            return real(minor)
+
+        monkeypatch.setattr(fourier, "image_prime", lambda p: (23, 2))
+        monkeypatch.setattr(fourier, "minor_det", spy)
+        summary = exhaustive_certification(PrimeModulus(11))
+        counts = closed_form_counts(11)
+        assert (summary.minors_checked, summary.tightness_checked,
+                summary.achievability_checked) == (
+            counts["minor"], counts["tightness"], counts["achievability"])
+        assert len(exact) == 9
+        assert ((0, 1, 2, 4), (0, 1, 2, 4)) in exact
+
     def test_singular_minor_names_rows_and_cols(self, monkeypatch):
         # ((0, 1), (0, 1)) represents the 2 x 2 minors at p = 3; both its
         # image in F_q and its exact determinant are made to vanish.
@@ -446,6 +549,13 @@ class TestCertificationOrbits:
         for kind, _, _, orbit_size in uncertainty._certification_orbits(p):
             weights[kind] += orbit_size
         assert weights == closed_form_counts(p)
+
+    def test_set_orbits_are_cached_and_immutable(self):
+        uncertainty._set_orbits.cache_clear()
+        first = uncertainty._set_orbits(7)
+        assert uncertainty._set_orbits(7) is first
+        assert uncertainty._set_orbits.cache_info().misses == 1
+        assert isinstance(first, tuple) and all(isinstance(o, tuple) for o in first)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_set_orbits_match_burnside(self, p):
