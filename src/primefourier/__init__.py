@@ -50,7 +50,6 @@ from .uncertainty import (
     CertificationSummary,
     UncertaintyReport,
     certify_tightness,
-    construct_exact_pair,
     construct_support_pair,
     exhaustive_certification,
     iter_certification_checks,
@@ -82,7 +81,6 @@ __all__ = [
     "cauchy_davenport_check",
     "cd_proof_witness",
     "certify_tightness",
-    "construct_exact_pair",
     "construct_support_pair",
     "convolve",
     "dft",

@@ -190,7 +190,11 @@ def _witness_spectra(modulus: PrimeModulus, a: SupportSet, b: SupportSet):
 
 
 def cd_proof_witness(a: SupportSet, b: SupportSet, seed: int = 0) -> CDWitness:
-    """Constructively replay the convolution proof for one pair (A, B)."""
+    """Constructively replay the convolution proof for one pair (A, B).
+
+    f and g are exact-case constructions (|A| + |X| = |B| + |Y| = p + 1),
+    which draw nothing, so seed is passed on but never takes effect.
+    """
     if a.modulus != b.modulus:
         raise ValueError("modulus mismatch")
     if len(a) == 0 or len(b) == 0:

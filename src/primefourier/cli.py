@@ -82,10 +82,6 @@ def _witness_payload(witness) -> dict:
     return {
         "support": _support_payload(witness.target_support),
         "spectrum": _support_payload(witness.target_spectrum),
-        "aux_frequencies": (
-            _support_payload(witness.aux_frequencies)
-            if witness.aux_frequencies is not None else None
-        ),
         "combination_coeffs": list(witness.combination_coeffs),
         "signal": _signal_payload(witness.signal),
     }
@@ -169,7 +165,7 @@ def _cmd_sumset(args) -> tuple[dict, dict, list[dict]]:
         "holds": check.holds,
     }
     if args.witness:
-        witness = applications.cd_proof_witness(a, b, seed=args.seed)
+        witness = applications.cd_proof_witness(a, b)
         result["witness"] = {
             "spectrum_a": _support_payload(witness.spectrum_a),
             "spectrum_b": _support_payload(witness.spectrum_b),
@@ -232,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed="64-bit seed for any randomized stage (default 0)"):
+    def common(sp, seed=None):
         sp.add_argument("--p", type=int, required=True, help="prime modulus")
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
         if seed:
@@ -247,14 +243,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="at least 1, range-checked and ignored: the sweep runs serially")
 
     sp = sub.add_parser("construct", help="build a signal with prescribed supports")
-    common(sp)
+    common(sp, seed="64-bit seed for the weights on k >= 2 free points (default 0); "
+                    "the exact case draws nothing")
     sp.add_argument("--a", required=True, help="target support, comma-separated residues")
     sp.add_argument("--b", required=True, help="target Fourier support")
     sp.add_argument("--retries", type=int, default=uncertainty.DEFAULT_MAX_ATTEMPTS,
-                    help="combination redraw budget (at least 1, default 32)")
+                    help="redraw budget for k >= 2 free points (at least 1, "
+                         "default %(default)s); the exact case draws nothing")
 
     sp = sub.add_parser("sparse", help="count zeros of a sparse polynomial at roots of unity")
-    common(sp, seed=None)
+    common(sp)
     sp.add_argument("--exponents", required=True, help="comma-separated exponents")
     sp.add_argument("--coefficients", required=True, help="comma-separated integer coefficients")
 
@@ -266,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also build and verify the convolution witness")
 
     sp = sub.add_parser("meshulam", help="support bound for a function on (Z/pZ)^n")
-    common(sp, seed=None)
+    common(sp)
     sp.add_argument("--n", type=int, required=True, help="number of coordinates")
     sp.add_argument("--values-file", required=True,
                     help="line-oriented table: x1,...,xn: integer-value")

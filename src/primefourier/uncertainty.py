@@ -4,7 +4,8 @@ Forward direction: every nonzero signal satisfies |supp f| + |supp fhat| >=
 p + 1 (and the classical product bound |supp f| * |supp fhat| >= p).
 Converse: for any nonempty target sets A, B with |A| + |B| >= p + 1 there is
 a signal supported exactly on A whose transform is supported exactly on B;
-the construction here produces one and verifies both supports exactly.
+the construction here produces one with a single solve on a Fourier minor
+and verifies both supports exactly.
 Tightness: when |A| + |B| <= p, no nonzero signal fits inside (A, B), as one
 nonzero minor certifies.  The sweep derives both from the certified minors.
 """
@@ -44,16 +45,14 @@ class UncertaintyReport:
 class AchievabilityWitness:
     """A signal realizing prescribed supports, plus how it was built.
 
-    aux_frequencies is the frequency set used to pin the transform in the
-    exact-size case (|A| + |B| = p + 1); combination_coeffs holds the random
-    integer weights of the combination stage, the signal's values on the last
-    |A| + |B| - p members of A, and is empty when unused.
+    combination_coeffs holds the integer weights the construction fixed: the
+    signal's values on the last k = |A| + |B| - p members of A.  In the exact
+    case k = 1 it is (1,), so f(max A) = 1.
     """
 
     target_support: SupportSet
     target_spectrum: SupportSet
     signal: SignalFn
-    aux_frequencies: SupportSet | None
     combination_coeffs: tuple[int, ...]
 
 
@@ -86,58 +85,11 @@ def verify_uncertainty(f: SignalFn) -> UncertaintyReport:
     return UncertaintyReport(p, supp, fsupp, total, product, additive, multiplicative)
 
 
-def _check_constructible(support_set: SupportSet, spectrum_set: SupportSet) -> PrimeModulus:
-    if support_set.modulus != spectrum_set.modulus:
-        raise ValueError("modulus mismatch between target sets")
-    if len(support_set) == 0 or len(spectrum_set) == 0:
-        raise ValueError("target sets must be nonempty")
-    return support_set.modulus
-
-
-def construct_exact_pair(support_set: SupportSet, spectrum_set: SupportSet) -> AchievabilityWitness:
-    """Realize supports (A, B) in the exact case |A| + |B| = p + 1.
-
-    Deterministic: the auxiliary frequency set is the complement of B plus
-    min(B), so it meets B in exactly one point; the signal is the unique
-    element of l2(A) whose transform is 1 there and 0 on the rest of the
-    auxiliary set.  Both supports are then forced and are re-verified
-    exactly before returning.
-    """
-    modulus = _check_constructible(support_set, spectrum_set)
-    p = modulus.p
-    if len(support_set) + len(spectrum_set) != p + 1:
-        raise ValueError(
-            f"|A| + |B| must equal p + 1 = {p + 1}, got "
-            f"{len(support_set)} + {len(spectrum_set)}"
-        )
-    pinned = spectrum_set.members[0]
-    aux = SupportSet(modulus, spectrum_set.complement().members + (pinned,))
-    # The transform restricted to l2(A), evaluated on the auxiliary set, has
-    # matrix (1/p) * w^(-eta*a); negating the row labels turns it into a
-    # standard minor.
-    rows = SupportSet(modulus, ((-eta) % p for eta in aux))
-    minor = fourier.minor_matrix(modulus, rows, support_set)
-    target_row = (-pinned) % p
-    rhs = [p if r == target_row else 0 for r in rows.members]
-    sol = fourier.minor_solve(minor, rhs)
-    values: list[CycloNum] = [CycloNum.zero(modulus)] * p
-    for a, v in zip(support_set.members, sol):
-        values[a] = v
-    signal = SignalFn(modulus, values)
-    _verify_witness_supports(signal, support_set, spectrum_set)
-    return AchievabilityWitness(support_set, spectrum_set, signal, aux, ())
-
-
 def _verify_witness_supports(signal: SignalFn, support_set: SupportSet,
-                             spectrum_set: SupportSet) -> None:
-    got_support = fourier.support(signal)
-    got_spectrum = fourier.support(fourier.dft(signal))
-    if got_support != support_set or got_spectrum != spectrum_set:
-        raise TheoremViolationError(
-            f"constructed signal has supports {got_support.members} / "
-            f"{got_spectrum.members}, expected {support_set.members} / "
-            f"{spectrum_set.members}"
-        )
+                             spectrum_set: SupportSet) -> bool:
+    """Whether supp f is exactly A and supp fhat exactly B, decided exactly."""
+    return (fourier.support(signal) == support_set
+            and fourier.support(fourier.dft(signal)) == spectrum_set)
 
 
 def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
@@ -145,15 +97,21 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
                            max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> AchievabilityWitness:
     """Realize supports (A, B) for any nonempty sets with |A| + |B| >= p + 1.
 
-    The exact case delegates to construct_exact_pair.  Otherwise the signals
-    on A whose transform vanishes off B form a space of dimension
+    The signals on A whose transform vanishes off B form a space of dimension
     k = |A| + |B| - p, with the last k members of A as free coordinates: f
-    takes seeded random integer weights in [1, 2^16] there, and one
-    minor_solve gives its values on the first p - |B| members (none when
-    B is all of Z/p).  The signal is kept only if both supports verify
-    exactly, redrawing up to max_attempts times (at least 1).
+    takes integer weights there, and one minor_solve gives its values on the
+    first p - |B| members (none when B is all of Z/p).  In the exact case
+    k = 1 the space is a line, so the weight is 1 (f(max A) = 1), nothing
+    is drawn, and a signal whose supports do not verify exactly raises
+    TheoremViolationError.  For k >= 2 the weights are seeded random integers
+    in [1, 2^16], redrawn up to max_attempts times (at least 1) before
+    BudgetExceededError.
     """
-    modulus = _check_constructible(support_set, spectrum_set)
+    if support_set.modulus != spectrum_set.modulus:
+        raise ValueError("modulus mismatch between target sets")
+    if len(support_set) == 0 or len(spectrum_set) == 0:
+        raise ValueError("target sets must be nonempty")
+    modulus = support_set.modulus
     p = modulus.p
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
@@ -163,18 +121,17 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
             f"|A| + |B| = {total} is below p + 1 = {p + 1}; such a pair is "
             "unreachable by any nonzero signal"
         )
-    if total == p + 1:
-        return construct_exact_pair(support_set, spectrum_set)
-    n = p - len(spectrum_set)
+    n, k = p - len(spectrum_set), total - p
     pivots, free = support_set.members[:n], support_set.members[n:]
-    # fhat = 0 off B reads M f = 0 for the minor M on rows -(B^c) and columns
-    # A (as in construct_exact_pair); the free points' terms move to the
-    # right-hand side, one entry per row in the sorted order minor_matrix uses.
+    # The transform restricted to l2(A), evaluated at xi, is (1/p) sum_a
+    # w^(-xi*a) f(a), so fhat = 0 off B reads M f = 0 for the minor M on rows
+    # -(B^c) and columns A.  The free points' terms move to the right-hand
+    # side, one entry per row in the sorted order minor_matrix uses.
     rows = SupportSet(modulus, ((-eta) % p for eta in spectrum_set.complement()))
     minor = fourier.minor_matrix(modulus, rows, SupportSet(modulus, pivots)) if n else None
     rng = random.Random(seed)
-    for _ in range(max_attempts):
-        coeffs = [rng.randint(1, COEFF_RANGE) for _ in free]
+    for _ in range(max_attempts if k > 1 else 1):
+        coeffs = [rng.randint(1, COEFF_RANGE) for _ in free] if k > 1 else [1]
         values = [0] * p
         for j, lam in zip(free, coeffs):
             values[j] = lam
@@ -184,10 +141,13 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
             for a, v in zip(pivots, fourier.minor_solve(minor, rhs)):
                 values[a] = v
         signal = SignalFn(modulus, values)
-        if (fourier.support(signal) == support_set
-                and fourier.support(fourier.dft(signal)) == spectrum_set):
-            return AchievabilityWitness(
-                support_set, spectrum_set, signal, None, tuple(coeffs)
+        if _verify_witness_supports(signal, support_set, spectrum_set):
+            return AchievabilityWitness(support_set, spectrum_set, signal, tuple(coeffs))
+        if k == 1:
+            raise TheoremViolationError(
+                f"exact-case witness has supports {fourier.support(signal).members} / "
+                f"{fourier.support(fourier.dft(signal)).members}, expected "
+                f"{support_set.members} / {spectrum_set.members} (p={p})"
             )
     raise BudgetExceededError(
         f"no generic combination found in {max_attempts} attempts "
@@ -280,15 +240,15 @@ def _checked(modulus: PrimeModulus, records):
     # (any two same-size set representatives form one), so the pairs follow
     # from "every minor is nonsingular", as in the paper's proof of sharpness:
     # - tightness: its certify_tightness minor is nonsingular;
-    # - |A| + |B| = p + 1: construct_exact_pair solves M c = p*e for the minor
-    #   M on rows -(B^c + {min B}) and columns A; by Cramer's rule no c_a is 0,
-    #   and fhat on B^c + {b} is M'c/p for a nonsingular minor M', so fhat(b) != 0;
-    # - larger: V = {f on A : fhat = 0 off B} has the last k = |A| + |B| - p
-    #   members F of A as free coordinates, the rest P as pivots; f = lambda on
-    #   F is nonzero there, and the basis vector of free point j is the
-    #   exact-case witness on P + {j} up to a scalar, so each f(a) and each
-    #   fhat(b) is a nonzero linear form in lambda, and every lambda outside a
-    #   finite union of hyperplanes gives both supports exactly.
+    # - achievability: V = {f on A : fhat = 0 off B} has the last
+    #   k = |A| + |B| - p >= 1 members F of A as free coordinates, the rest P
+    #   as pivots.  The basis vector of free point j is the unique f on
+    #   P + {j} with f(j) = 1 and fhat = 0 off B; its supports are exactly
+    #   P + {j} and B, since a zero value or a zero transform value in B
+    #   would leave a nonzero signal in a nonsingular minor's kernel.  So
+    #   each f(a) and each fhat(b) is a nonzero linear form in the weights
+    #   lambda on F: for k = 1, lambda = 1 gives both supports exactly, and
+    #   for k >= 2 so does every lambda outside finitely many hyperplanes.
     for record in records:
         kind, first, second, _ = record
         if kind == "minor":

@@ -23,7 +23,6 @@ from primefourier import (
     cauchy_davenport_check,
     cd_proof_witness,
     certify_tightness,
-    construct_exact_pair,
     construct_support_pair,
     convolve,
     dft,
@@ -117,7 +116,7 @@ def test_criterion_2_forward_uncertainty():
             scale = CycloNum.zero(modulus)
             while scale.is_zero():
                 scale = CycloNum(modulus, [rng.randint(-9, 9) for _ in range(p - 1)])
-            signal = construct_exact_pair(a, b).signal
+            signal = construct_support_pair(a, b).signal
             for f in (signal, signal * scale):
                 assert verify_uncertainty(f).support_sum == p + 1, (p, a, b)
                 boundary += 1
@@ -142,10 +141,13 @@ def test_criterion_3_constructive_converse():
                 # Independent re-check through the exact transform.
                 assert support(witness.signal) == a_set
                 assert support(dft(witness.signal)) == b_set
-                if len(a) + len(b) == p + 1:
-                    assert witness.combination_coeffs == ()
+                # One weight per free point; the exact case's one is 1.
+                k = len(a) + len(b) - p
+                assert len(witness.combination_coeffs) == k
+                if k == 1:
+                    assert witness.combination_coeffs == (1,)
+                    assert witness.signal[a[-1]] == CycloNum.one(modulus)
                 else:
-                    assert witness.combination_coeffs != ()
                     combined += 1
                 built += 1
     _report(3, f"{built} support pairs achieved exactly; combination stage "

@@ -148,8 +148,10 @@ class TestConstruct:
         result = report["result"]
         assert result["support"] == [0]
         assert result["spectrum"] == [0, 1, 2]
-        assert result["signal"][0] == "3 + 0*w"
-        assert result["combination_coeffs"] == []
+        # The exact case's one free point, max A = 0, takes the weight 1.
+        assert result["signal"][0] == "1 + 0*w"
+        assert result["combination_coeffs"] == [1]
+        assert report["counts"]["combination_terms"] == 1
 
     def test_general_witness_records_coefficients(self, capsys):
         code, report = run_json(capsys, ["construct", "--p", "5", "--a", "0,1,2",
@@ -237,6 +239,15 @@ class TestSumset:
     def test_empty_set(self, capsys):
         code, report = run_json(capsys, ["sumset", "--p", "5", "--a", "", "--b", "0"])
         assert code == 2
+
+    def test_seed_is_refused(self, capsys):
+        # The witness builds only exact-case pairs, which draw nothing, so
+        # sumset has no --seed to take.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sumset", "--p", "7", "--a", "0,1,2", "--b", "1,5",
+                      "--witness", "--seed", "5"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestMeshulam:

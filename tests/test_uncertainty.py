@@ -15,7 +15,6 @@ from primefourier import (
     SupportSet,
     TheoremViolationError,
     certify_tightness,
-    construct_exact_pair,
     construct_support_pair,
     dft,
     exhaustive_certification,
@@ -106,16 +105,33 @@ class TestVerifyUncertainty:
             assert support(dft(scaled)) == support(dft(f))
 
 
+def _spy_solves(monkeypatch, corrupt_first=False):
+    calls = []
+
+    def spy(minor, rhs):
+        sol = minor_solve(minor, rhs)
+        calls.append((minor, list(rhs), sol))
+        if corrupt_first and len(calls) == 1:
+            sol = [CycloNum.zero(minor.modulus)] + sol[1:]
+        return sol
+
+    monkeypatch.setattr(fourier, "minor_solve", spy)
+    return calls
+
+
 class TestConstructExactPair:
+    # The exact case |A| + |B| = p + 1 of construct_support_pair: one free
+    # point, max A, with the weight 1.
+
     def test_singleton_support_forces_dirac_type(self):
         p3 = PrimeModulus(3)
-        witness = construct_exact_pair(SupportSet(p3, [0]), SupportSet.full(p3))
+        witness = construct_support_pair(SupportSet(p3, [0]), SupportSet.full(p3))
         assert support(witness.signal).members == (0,)
         assert len(support(dft(witness.signal))) == 3
 
     def test_singleton_spectrum_forces_character_multiple(self):
         p3 = PrimeModulus(3)
-        witness = construct_exact_pair(SupportSet.full(p3), SupportSet(p3, [0]))
+        witness = construct_support_pair(SupportSet.full(p3), SupportSet(p3, [0]))
         values = witness.signal.values
         assert values[0] == values[1] == values[2]
         assert not values[0].is_zero()
@@ -125,48 +141,66 @@ class TestConstructExactPair:
             PrimeModulus(4)
 
     def test_hand_computed_witness_p3(self):
-        # Solving fhat = (1, _, 0) for support {0, 2} by hand gives
-        # f = (2 + w, 0, 1 - w); the auxiliary set is {2} U {0}.
+        # fhat(2) = 0 reads f(0) + w^2 f(2) = 0 on the row -2 = 1; with
+        # f(2) = 1 that gives f = (1 + w, 0, 1).
         p3 = PrimeModulus(3)
-        witness = construct_exact_pair(SupportSet(p3, [0, 2]), SupportSet(p3, [0, 1]))
-        assert witness.aux_frequencies.members == (0, 2)
-        assert witness.signal.values[0].coeffs == (Fraction(2), Fraction(1))
+        witness = construct_support_pair(SupportSet(p3, [0, 2]), SupportSet(p3, [0, 1]))
+        assert witness.combination_coeffs == (1,)
+        assert witness.signal.values[0].coeffs == (Fraction(1), Fraction(1))
         assert witness.signal.values[1].is_zero()
-        assert witness.signal.values[2].coeffs == (Fraction(1), Fraction(-1))
+        assert witness.signal.values[2] == CycloNum.one(p3)
         # Independent re-check of both supports through the exact transform.
         assert support(witness.signal).members == (0, 2)
         assert support(dft(witness.signal)).members == (0, 1)
 
-    def test_wrong_total_rejected(self):
-        p5 = PrimeModulus(5)
-        with pytest.raises(ValueError):
-            construct_exact_pair(SupportSet(p5, [0]), SupportSet(p5, [0]))
-        with pytest.raises(ValueError):
-            construct_exact_pair(SupportSet(p5, [0, 1]), SupportSet.full(p5))
-
     def test_empty_rejected(self):
         p5 = PrimeModulus(5)
         with pytest.raises(ValueError):
-            construct_exact_pair(SupportSet(p5, []), SupportSet.full(p5))
+            construct_support_pair(SupportSet(p5, []), SupportSet.full(p5))
 
-    def test_all_exact_pairs_p5(self):
-        p5 = PrimeModulus(5)
-        for a in subsets(5):
-            for b in subsets(5):
-                if len(a) + len(b) != 6:
-                    continue
-                witness = construct_exact_pair(SupportSet(p5, a), SupportSet(p5, b))
-                assert support(witness.signal).members == a
-                assert support(dft(witness.signal)).members == b
-                assert witness.combination_coeffs == ()
+    def test_all_exact_pairs_up_to_p5(self):
+        for p in (2, 3, 5):
+            modulus = PrimeModulus(p)
+            for a in subsets(p):
+                for b in subsets(p):
+                    if len(a) + len(b) != p + 1:
+                        continue
+                    a_set, b_set = SupportSet(modulus, a), SupportSet(modulus, b)
+                    witness = construct_support_pair(a_set, b_set)
+                    assert support(witness.signal).members == a
+                    assert support(dft(witness.signal)).members == b
+                    assert witness.combination_coeffs == (1,)
+                    assert witness.signal[a[-1]] == CycloNum.one(modulus)
+                    # Nothing is drawn, so the seed cannot move the witness.
+                    assert construct_support_pair(a_set, b_set, seed=7) == witness
+
+    def test_one_solve_on_rows_minus_b_complement(self, monkeypatch):
+        # The rows are -(B^c) = -{0, 3, 5}, sorted (0, 2, 4); the pivots are
+        # the first |A| - 1 members of A, and the free point 5 carries the
+        # weight 1, so the right-hand side is minus its column.
+        calls = _spy_solves(monkeypatch)
+        p7 = PrimeModulus(7)
+        a = SupportSet(p7, [0, 1, 3, 5])
+        witness = construct_support_pair(a, SupportSet(p7, [1, 2, 4, 6]))
+        assert len(calls) == 1
+        minor, rhs, sol = calls[0]
+        assert (minor.rows.members, minor.cols.members) == ((0, 2, 4), (0, 1, 3))
+        assert rhs == [-CycloNum.root_power(p7, 5 * r) for r in (0, 2, 4)]
+        assert [witness.signal[x] for x in (0, 1, 3)] == sol
+        assert witness.signal[5] == CycloNum.one(p7)
+
+    def test_spoilt_solution_raises_at_once(self, monkeypatch):
+        # The exact case has no draw to redraw: a witness that misses A is a
+        # theorem violation after one solve, whatever max_attempts allows.
+        calls = _spy_solves(monkeypatch, corrupt_first=True)
+        p7 = PrimeModulus(7)
+        a, b = SupportSet(p7, [0, 1, 3, 5]), SupportSet(p7, [1, 2, 4, 6])
+        with pytest.raises(TheoremViolationError, match="exact-case witness"):
+            construct_support_pair(a, b, max_attempts=32)
+        assert len(calls) == 1
 
 
 class TestConstructSupportPair:
-    def test_exact_case_delegates(self):
-        p5 = PrimeModulus(5)
-        a, b = SupportSet(p5, [0, 2]), SupportSet(p5, [0, 1, 3, 4])
-        assert construct_support_pair(a, b) == construct_exact_pair(a, b)
-
     def test_full_supports(self):
         p5 = PrimeModulus(5)
         full = SupportSet.full(p5)
@@ -174,7 +208,6 @@ class TestConstructSupportPair:
         assert support(witness.signal) == full
         assert support(dft(witness.signal)) == full
         assert len(witness.combination_coeffs) > 0
-        assert witness.aux_frequencies is None
 
     def test_oversized_pair(self):
         p5 = PrimeModulus(5)
@@ -234,24 +267,11 @@ class TestConstructSupportPair:
             assert support(witness.signal) == a
             assert support(dft(witness.signal)) == b
 
-    def _spy_solves(self, monkeypatch, corrupt_first=False):
-        calls = []
-
-        def spy(minor, rhs):
-            sol = minor_solve(minor, rhs)
-            calls.append((minor, list(rhs), sol))
-            if corrupt_first and len(calls) == 1:
-                sol = [CycloNum.zero(minor.modulus)] + sol[1:]
-            return sol
-
-        monkeypatch.setattr(fourier, "minor_solve", spy)
-        return calls
-
     def test_one_solve_on_the_pivot_minor(self, monkeypatch):
         # n = p - |B| = 2 pivots (the first members of A) against the sorted
         # rows -(B^c) = (4, 6); the free points 2, 3, 4 carry the weights, and
         # their columns, negated and weighted, are the right-hand side.
-        calls = self._spy_solves(monkeypatch)
+        calls = _spy_solves(monkeypatch)
         p7 = PrimeModulus(7)
         a = SupportSet(p7, [0, 1, 2, 3, 4])
         witness = construct_support_pair(a, SupportSet(p7, [0, 2, 4, 5, 6]), seed=3)
@@ -265,7 +285,7 @@ class TestConstructSupportPair:
         assert [witness.signal[0], witness.signal[1]] == sol
 
     def test_full_spectrum_needs_no_solve(self, monkeypatch):
-        calls = self._spy_solves(monkeypatch)
+        calls = _spy_solves(monkeypatch)
         p7 = PrimeModulus(7)
         for a in (SupportSet.full(p7), SupportSet(p7, [1, 2, 5])):
             witness = construct_support_pair(a, SupportSet.full(p7), seed=2)
@@ -277,7 +297,7 @@ class TestConstructSupportPair:
     def test_a_failed_attempt_redraws_and_solves_again(self, monkeypatch):
         # The first solution is spoilt at the first pivot, so the first
         # attempt misses A and the second draw, with a solve of its own, wins.
-        calls = self._spy_solves(monkeypatch, corrupt_first=True)
+        calls = _spy_solves(monkeypatch, corrupt_first=True)
         p7 = PrimeModulus(7)
         a, b = SupportSet(p7, [0, 1, 2, 3, 4]), SupportSet(p7, [0, 2, 4, 5, 6])
         with pytest.raises(BudgetExceededError, match="in 1 attempts"):
@@ -303,19 +323,21 @@ class TestConstructSupportPair:
 class TestTranslationIdentity:
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_translate_turns_the_exact_witness(self, p):
-        # Translating A by t turns fhat by w^(-t*xi); pinning fhat(min B) = 1
-        # then forces the factor w^(t * min B).  Both supports survive any
-        # root-power factor, so only this identity checks the exponent.
+        # Translating A by t turns fhat by w^(-t*xi), so the translate still
+        # lies on the exact case's line of signals; f(max A) = 1 then fixes
+        # the scalar.  Both supports survive any nonzero scalar, so only this
+        # identity checks the values.
         modulus = PrimeModulus(p)
         rng = random.Random(1000 + p)
         for a_size in (1, rng.randint(2, p - 1), p):
             a = SupportSet(modulus, rng.sample(range(p), a_size))
             b = SupportSet(modulus, rng.sample(range(p), p + 1 - a_size))
-            base = construct_exact_pair(a, b).signal
+            base = construct_support_pair(a, b).signal
             for t in range(p):
-                turn = CycloNum.root_power(modulus, t * b.members[0])
-                moved = construct_exact_pair(a.translate(t), b)
-                assert moved.signal == base.translate(t) * turn
+                shifted = base.translate(t)
+                top = a.translate(t).members[-1]
+                moved = construct_support_pair(a.translate(t), b)
+                assert moved.signal == shifted * shifted[top].inverse()
 
 
 class TestCertifyTightness:
@@ -402,7 +424,9 @@ class TestExhaustiveCertification:
             witness = construct_support_pair(a_set, b_set)
             assert support(witness.signal) == a_set
             assert support(dft(witness.signal)) == b_set
-            combined += bool(witness.combination_coeffs)
+            k = len(a) + len(b) - 11
+            assert len(witness.combination_coeffs) == k
+            combined += k > 1
         assert 0 < combined < len(achievable)
 
     def test_iterator_matches_summary(self):
