@@ -21,6 +21,10 @@ it inverts the element with integer vector arithmetic alone.  The Galois
 group is cyclic, generated by w -> w^g for a generator g of (Z/p)^*, so a
 doubling chain builds that product in O(log p) multiplications.
 
+ResidueRing is the codec of fourier's exact eliminations: Z[w] maps onto
+Z/N for N = Phi_p(2^W) by w -> 2^W, and a value whose coefficients are small
+enough for W comes back from its residue as its balanced base-2^W digits.
+
 The module also provides sparse integer polynomials in several variables,
 the folding substitution P(z^(k_1), ..., z^(k_n)) mod z^p - 1, and the
 divisibility check built on it: an integer polynomial that vanishes at p-th
@@ -43,11 +47,13 @@ from .errors import TheoremViolationError
 
 MAX_PRIME = 10007
 
-# Above this many nonzero coefficient products, multiplication switches from
-# the schoolbook loop over the nonzero coefficients to one packed big-integer
-# product (_packed_convolution, through the codec below), whose cost depends
-# on p and the coefficient size but not on how sparse the operands are.
-_DENSE_MUL_THRESHOLD = 256
+# Above this many nonzero coefficient products per unit of p, multiplication
+# switches from the schoolbook loop over the nonzero coefficients to one packed
+# big-integer product (_packed_convolution, through the codec below), whose
+# cost depends on p and the coefficient size but not on how sparse the
+# operands are.  Measured crossovers of dense operands lie between 4p and 16p
+# products at p = 7 to 31, higher for wider coefficients.
+_DENSE_MUL_THRESHOLD = 8
 
 
 # The first twelve primes.  No composite below _MR_LIMIT passes the strong
@@ -277,6 +283,111 @@ def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
     return out
 
 
+def integral_rows(rows) -> tuple[int, list[list[CycloNum]]]:
+    """Each row of a CycloNum matrix times the lcm of its denominators.
+
+    Returns the product of those multipliers and the rows, whose entries then
+    lie in Z[w].  Scaling a row by d scales every determinant that uses the
+    row by d, so the product is the factor on each n x n minor.
+    """
+    scale = 1
+    out = []
+    for row in rows:
+        d = math.lcm(*(v._den for v in row))
+        if d > 1:
+            scale *= d
+            row = [CycloNum._raw(v.modulus, tuple(c * (d // v._den) for c in v._num), 1)
+                   for v in row]
+        out.append(row)
+    return scale, out
+
+
+def _embedding_bound(num: tuple[int, ...]) -> int:
+    # |sigma(v)| <= sum_i |c_i - t| over the redundant vector (num, 0), for
+    # every embedding sigma and any t, since adding t to every coefficient
+    # adds t * (1 + w + ... + w^(p-1)) = 0.  The median t gives the least
+    # bound, 1 for a root power.  The median is 0 when zeros are the majority.
+    if 2 * (num.count(0) + 1) > len(num) + 1:
+        return sum(map(abs, num))
+    full = sorted(num + (0,))
+    t = full[len(full) // 2]
+    return sum([abs(c - t) for c in full])
+
+
+def _unit_width(p: int, width: int) -> int:
+    """The least width >= width with 2^width != 1 (mod p).
+
+    At 2^W = 1 (mod p), p divides Phi_p(2^W) and w - 1 maps to a non-unit,
+    so every multiple of it (the determinant of any 2 x 2 minor) does too.
+    """
+    while pow(2, width, p) == 1:
+        width += 1
+    return width
+
+
+class ResidueRing:
+    """Z/N for N = Phi_p(2^W) = (2^(pW) - 1) / (2^W - 1), an image of Z[w].
+
+    Phi_p(2^W) = 0 (mod N), so w -> 2^W is a ring map Z[w] -> Z/N and one
+    residue carries all p - 1 embeddings of a value at once.  A value whose
+    power-basis coefficients lie below 2^(W-2) in absolute value is
+    sum_i c_i 2^(W*i), which lies in (-N/2, N/2), so its balanced residue
+    gives it back: its balanced base-2^W digits are its coefficients.
+    for_minors picks a W at which every n x n minor of a matrix has such
+    coefficients.
+    """
+
+    __slots__ = ("modulus", "width", "n", "_bias")
+
+    def __init__(self, modulus: PrimeModulus, width: int):
+        p = modulus.p
+        self.modulus = modulus
+        self.width = width
+        self.n = ((1 << p * width) - 1) // ((1 << width) - 1)
+        # 2^(W-1) in each of the p - 1 digits that decode reads.
+        self._bias = (self.n - (1 << (p - 1) * width)) << (width - 1)
+
+    @classmethod
+    def for_minors(cls, modulus: PrimeModulus, rows) -> ResidueRing:
+        """The narrowest ring that decodes every n x n minor of rows.
+
+        rows is an n x m matrix over Z[w] with m >= n.  Under each
+        embedding, a column's norm is at most the root of the sum of its
+        squared _embedding_bound values, so by Hadamard's inequality every
+        n x n minor has embeddings of modulus at most H, the product of the
+        n largest column bounds.  A minor's coefficients are then below 2H:
+        c_i = (1/p) sum_j chat_j w^(-i*j) over chat_j = sum_k c_k w^(j*k),
+        the p - 1 embeddings and chat_0, which c_(p-1) = 0 bounds by
+        (p - 1) H.  So W = bits(2H) + 2, the least width at or above it
+        with 2^W != 1 (mod p).
+        """
+        squares = sorted(sum([_embedding_bound(v._num) ** 2 for v in col])
+                         for col in zip(*rows))
+        # isqrt(4 H^2) + 1 >= 2H.
+        twice = math.isqrt(4 * math.prod(squares[len(squares) - len(rows):])) + 1
+        return cls(modulus, _unit_width(modulus.p, twice.bit_length() + 2))
+
+    def wider(self) -> ResidueRing:
+        """The ring at the next width with 2^W != 1 (mod p)."""
+        return ResidueRing(self.modulus, _unit_width(self.modulus.p, self.width + 1))
+
+    def encode(self, value: CycloNum) -> int:
+        """The residue of a value of Z[w] (denominator 1)."""
+        w = self.width
+        return sum([c << w * i for i, c in enumerate(value._num) if c]) % self.n
+
+    def decode(self, residue: int) -> CycloNum:
+        """The value of Z[w] with coefficients below 2^(W-2) that has this residue."""
+        n, w = self.n, self.width
+        r = residue % n
+        if r > n >> 1:
+            r -= n
+        r += self._bias
+        mask, half = (1 << w) - 1, 1 << (w - 1)
+        num = tuple([(r >> w * i & mask) - half for i in range(self.modulus.p - 1)])
+        return CycloNum._raw(self.modulus, num, 1)
+
+
 class CycloNum:
     """An exact element of Q(w), w a primitive p-th root of unity.
 
@@ -424,7 +535,7 @@ class CycloNum:
         p = self.modulus.p
         den = self._den * other._den
         # A single-term operand is a scaled rotation, cheapest term by term.
-        if na * nb > _DENSE_MUL_THRESHOLD and min(na, nb) > 1:
+        if na * nb > _DENSE_MUL_THRESHOLD * p and min(na, nb) > 1:
             acc = _packed_convolution(self._num, other._num, p)
         else:
             acc = [0] * p

@@ -13,15 +13,29 @@ cyclotomic.character_sums, the one integer kernel behind every character
 sum: convolve goes through them by the convolution theorem, and in
 applications so do the sparse zero count and the (Z/pZ)^n transform.  The
 kernel packs each value into one big integer, so a sum costs a few
-big-integer operations per term.  _eliminate, the one Gaussian elimination
-behind minor_det and minor_solve, pivots on the diagonal without a search.
+big-integer operations per term.
 
-minor_nonsingular decides whether a minor is nonsingular by reduction modulo
-a prime, as in the proofs of Chebotarev's lemma: w -> g, for g of order p
-in F_q with q = 1 (mod p), is a ring map Z[w] -> F_q, and a minor's
-determinant lies in Z[w], so a nonzero image in F_q proves it nonzero.  The
-image is built from the row and column residues alone.  A zero image decides
-nothing, and the exact minor_det, the single source of truth, settles it.
+Every elimination is one integer loop, _triangular, which pivots on the
+diagonal without a search (each leading block of a Fourier minor is itself a
+nonsingular minor) and gives up at a pivot that is not a unit.  It runs in
+two rings that are images of Z[w]:
+
+- minor_det and minor_solve run it in Z/N for N = Phi_p(2^W), the image of
+  w -> 2^W (cyclotomic.ResidueRing), where one big integer carries all p - 1
+  embeddings of a value.  A minor's determinant and the Cramer numerators
+  det * c_i lie in Z[w], and Hadamard's inequality bounds their embeddings,
+  so a W chosen from that bound makes their residues decode to them
+  exactly; the solve then divides once over Q(w).  A pivot that is not a
+  unit mod N retries at the next few widths, and after that _eliminate, the
+  same diagonal elimination over Q(w), decides: it is the source of truth,
+  and a zero pivot there raises TheoremViolationError naming the singular
+  leading block.
+- minor_nonsingular decides whether a minor is nonsingular by reduction
+  modulo a prime, as in the proofs of Chebotarev's lemma: w -> g, for g of
+  order p in F_q with q = 1 (mod p), is a ring map Z[w] -> F_q, so a nonzero
+  image of the determinant in F_q proves it nonzero.  The image is built
+  from the row and column residues alone.  A zero image decides nothing, and
+  the exact minor_det settles it.
 """
 
 from __future__ import annotations
@@ -29,8 +43,19 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .cyclotomic import CycloNum, PrimeModulus, character_sums, image_prime
+from .cyclotomic import (
+    CycloNum,
+    PrimeModulus,
+    ResidueRing,
+    character_sums,
+    image_prime,
+    integral_rows,
+)
 from .errors import TheoremViolationError
+
+# Widths of Z/Phi_p(2^W) that _residue_eliminate tries before it falls back to
+# the exact _eliminate.
+_RESIDUE_WIDTHS = 4
 
 
 class SupportSet:
@@ -304,8 +329,68 @@ def _eliminate(minor: FourierMinor, rhs=None):
     return a, inverses
 
 
+def _triangular(a: list[list[int]], m: int):
+    """Diagonal-pivot elimination of the integer rows a modulo m.
+
+    Returns (det, rows, inverses): the product of the pivots mod m, the
+    triangular rows (row k holds columns k, k + 1, ... of the k-th
+    eliminated row, its pivot first) and each pivot's inverse mod m.  A
+    pivot that is not a unit mod m returns None.
+    """
+    det = 1
+    rows, inverses = [], []
+    while a:
+        top, *below = a
+        try:
+            inv = pow(top[0], -1, m)
+        except ValueError:
+            return None
+        det = det * top[0] % m
+        rows.append(top)
+        inverses.append(inv)
+        rest = top[1:]
+        a = []
+        for row in below:
+            factor = row[0] * inv % m
+            a.append([(x - factor * t) % m for x, t in zip(row[1:], rest)])
+    return det, rows, inverses
+
+
+def _residue_eliminate(minor: FourierMinor, rhs=None):
+    """_triangular on [M | rhs] in a ResidueRing that decodes its minors.
+
+    Each row is cleared of denominators first (integral_rows), which scales
+    the determinant by `scale` and leaves the solution alone.  A pivot that
+    is not a unit retries at the next width, up to _RESIDUE_WIDTHS widths;
+    then None, and the caller falls back to _eliminate.  Returns
+    (ring, scale, det, rows, inverses).
+    """
+    a = [list(row) for row in minor.entries]
+    if rhs is not None:
+        for row, b in zip(a, rhs):
+            row.append(b)
+    scale, a = integral_rows(a)
+    ring = ResidueRing.for_minors(minor.modulus, a)
+    for _ in range(_RESIDUE_WIDTHS):
+        reduced = _triangular([[ring.encode(v) for v in row] for row in a], ring.n)
+        if reduced is not None:
+            return ring, scale, *reduced
+        ring = ring.wider()
+    return None
+
+
 def minor_det(minor: FourierMinor) -> CycloNum:
-    """Exact determinant: the product of the diagonal elimination pivots."""
+    """Exact determinant, decoded from its residue in Z/Phi_p(2^W).
+
+    The pivots multiply to the determinant's residue, and W is wide enough
+    that the residue decodes to the determinant itself (ResidueRing).  If a
+    pivot is not a unit in any of the widths tried, the product of the
+    pivots of _eliminate over Q(w) is the determinant.
+    """
+    reduced = _residue_eliminate(minor)
+    if reduced is not None:
+        ring, scale, det, _, _ = reduced
+        return ring.decode(det) / scale
     a, _ = _eliminate(minor)
     det = a[0][0]
     for i in range(1, minor.n):
@@ -317,29 +402,16 @@ def _image_det(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> int
     """The determinant of the minor on (rows, cols) mapped to F_q, or 0.
 
     (q, g) = image_prime(p), and w -> g maps the entry w^(x*xi) to
-    g^(x*xi mod p).  Diagonal elimination mod q multiplies the pivots; a zero
-    pivot returns 0, which decides nothing.
+    g^(x*xi mod p).  _triangular mod q multiplies the pivots; a zero pivot
+    returns 0, which decides nothing.
     """
     p = modulus.p
     q, g = image_prime(p)
     powers = [1] * p
     for k in range(1, p):
         powers[k] = powers[k - 1] * g % q
-    a = [[powers[x * xi % p] for xi in cols.members] for x in rows.members]
-    det = 1
-    while a:
-        top, *below = a
-        pivot = top[0]
-        if not pivot:
-            return 0
-        det = det * pivot % q
-        inv = pow(pivot, -1, q)
-        rest = top[1:]
-        a = []
-        for row in below:
-            factor = row[0] * inv % q
-            a.append([(x - factor * t) % q for x, t in zip(row[1:], rest)])
-    return det
+    reduced = _triangular([[powers[x * xi % p] for xi in cols.members] for x in rows.members], q)
+    return reduced[0] if reduced else 0
 
 
 def minor_nonsingular(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> bool:
@@ -355,7 +427,14 @@ def minor_nonsingular(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet)
 
 
 def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:
-    """The unique exact solution of M*c = rhs (elimination + back substitution)."""
+    """The unique exact solution of M*c = rhs.
+
+    Elimination and back substitution run in Z/Phi_p(2^W) on the rows
+    cleared of denominators, whose determinant det and Cramer numerators
+    y_i = det * c_i lie in Z[w] and decode exactly (ResidueRing).  Then
+    c_i = y_i * det^-1: one inverse and n products over Q(w).  If a pivot
+    is not a unit in any of the widths tried, _eliminate solves over Q(w).
+    """
     n = minor.n
     modulus = minor.modulus
     b = []
@@ -363,6 +442,17 @@ def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:
         b.append(v if isinstance(v, CycloNum) else CycloNum.from_rational(modulus, v))
     if len(b) != n:
         raise ValueError(f"right-hand side must have length {n}, got {len(b)}")
+    reduced = _residue_eliminate(minor, b)
+    if reduced is not None:
+        ring, _, det, rows, inverses = reduced
+        m = ring.n
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            top = rows[i]
+            total = top[-1] - sum([t * v for t, v in zip(top[1:-1], x[i + 1:])])
+            x[i] = total % m * inverses[i] % m
+        det_inverse = ring.decode(det).inverse()
+        return [ring.decode(det * v) * det_inverse for v in x]
     a, inverses = _eliminate(minor, b)
     inverses.append(a[n - 1][n - 1].inverse())
     sol: list[CycloNum] = [CycloNum.zero(modulus)] * n

@@ -21,8 +21,8 @@ from primefourier import (
     support,
     vandermonde_det_mod_p,
 )
-from primefourier import fourier, uncertainty
-from primefourier.cyclotomic import character_sums, image_prime
+from primefourier import cyclotomic, fourier, uncertainty
+from primefourier.cyclotomic import ResidueRing, character_sums, image_prime
 
 from conftest import float_dft, random_cyclo, random_dense_signal, random_int_signal
 
@@ -391,8 +391,10 @@ class TestMinorDet:
                         ))
                         assert not det.is_zero()
 
-    def test_det_matches_cofactor_expansion(self):
-        # Independent oracle: Laplace expansion on random 3x3 / 4x4 minors.
+    def test_det_matches_cofactor_expansion(self, monkeypatch):
+        # Independent oracle: Laplace expansion on random 3x3 / 4x4 minors,
+        # each decoded from Z/Phi_7(2^W) without the Q(w) fallback.
+        monkeypatch.setattr(fourier, "_eliminate", None)
         def laplace(entries, modulus):
             n = len(entries)
             if n == 1:
@@ -515,6 +517,107 @@ class TestMinorSolve:
         with pytest.raises(ValueError):
             minor_solve(minor, [1, 2])
 
+
+
+def eliminated(monkeypatch, call):
+    """call() with the residue route switched off, so _eliminate answers."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fourier, "_RESIDUE_WIDTHS", 0)
+        return call()
+
+
+class TestResidueElimination:
+    @pytest.mark.parametrize("p", [7, 11, 17, 31])
+    def test_matches_eliminate_on_random_minors(self, monkeypatch, p):
+        # Right-hand sides with rational denominators and 2^16-sized weights,
+        # as construct_support_pair's combination case draws them.
+        rng = random.Random(p)
+        modulus = PrimeModulus(p)
+        for n in (1, 2, p // 3, p // 2):
+            rows = SupportSet(modulus, rng.sample(range(p), n))
+            cols = SupportSet(modulus, rng.sample(range(p), n))
+            minor = minor_matrix(modulus, rows, cols)
+            rhs = [CycloNum(modulus, [Fraction(rng.randint(-1 << 16, 1 << 16), rng.randint(1, 12))
+                                      for _ in range(p - 1)]) for _ in range(n)]
+            weights = [rng.randint(1, 1 << 16) for _ in range(n)]
+            for b in (rhs, weights):
+                assert minor_solve(minor, b) == eliminated(monkeypatch, lambda: minor_solve(minor, b))
+            assert minor_det(minor) == eliminated(monkeypatch, lambda: minor_det(minor))
+
+    def test_rational_entries_scale_the_determinant(self, monkeypatch):
+        # Not a Fourier minor: each row divided by its own integer, so the
+        # rows are cleared of denominators before encoding.
+        p7 = PrimeModulus(7)
+        good = minor_matrix(p7, SupportSet(p7, [1, 2, 4]), SupportSet(p7, [0, 3, 5]))
+        entries = tuple(tuple(v / d for v in row) for row, d in zip(good.entries, (2, 3, 5)))
+        minor = FourierMinor(p7, good.rows, good.cols, entries)
+        assert minor_det(minor) == minor_det(good) / 30
+        assert minor_det(minor) == eliminated(monkeypatch, lambda: minor_det(minor))
+        rhs = [Fraction(1, 7), 2, CycloNum.root_power(p7, 3)]
+        assert minor.apply(minor_solve(minor, rhs)) == [CycloNum.from_rational(p7, rhs[0]),
+                                                        CycloNum.from_rational(p7, 2), rhs[2]]
+
+    def test_non_unit_pivots_fall_back_to_eliminate(self, monkeypatch):
+        # ord_7(2) = 3, so every width a multiple of 3 has 2^W = 1 (mod 7):
+        # 7 divides N, every root power maps to 1 mod 7 and the second
+        # pivot is no unit, at every width tried.
+        p7 = PrimeModulus(7)
+        minor = minor_matrix(p7, SupportSet(p7, [1, 2, 4]), SupportSet(p7, [0, 3, 5]))
+        rhs = [1, CycloNum.root_power(p7, 2), Fraction(5, 3)]
+        expected = minor_det(minor), minor_solve(minor, rhs)
+        moduli, calls = [], []
+        real_triangular, real_eliminate = fourier._triangular, fourier._eliminate
+
+        def triangular(a, m):
+            moduli.append(m)
+            return real_triangular(a, m)
+
+        def spy(*args):
+            calls.append(args)
+            return real_eliminate(*args)
+
+        monkeypatch.setattr(cyclotomic, "_unit_width", lambda p, width: -(-width // 3) * 3)
+        monkeypatch.setattr(fourier, "_triangular", triangular)
+        monkeypatch.setattr(fourier, "_eliminate", spy)
+        assert (minor_det(minor), minor_solve(minor, rhs)) == expected
+        assert len(calls) == 2
+        # Each call tried every width, and 7 divided each N = Phi_7(2^W).
+        assert len(moduli) == 2 * fourier._RESIDUE_WIDTHS
+        assert all(m % 7 == 0 for m in moduli)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 17, 31])
+    def test_width_never_has_two_to_the_w_one_mod_p(self, p):
+        rng = random.Random(p)
+        modulus = PrimeModulus(p)
+        for n in range(1, min(p, 6) + 1):
+            rows = SupportSet(modulus, rng.sample(range(p), n))
+            cols = SupportSet(modulus, rng.sample(range(p), n))
+            ring = ResidueRing.for_minors(modulus, minor_matrix(modulus, rows, cols).entries)
+            for _ in range(12):
+                assert pow(2, ring.width, p) != 1, (n, ring.width)
+                wider = ring.wider()
+                assert wider.width > ring.width
+                ring = wider
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 17])
+    def test_encode_then_decode_at_the_coefficient_bound(self, p):
+        # Coefficients of modulus up to 2^(W-2) - 1 come back; encode is
+        # the ring map w -> 2^W, so it also commutes with products.
+        rng = random.Random(p)
+        modulus = PrimeModulus(p)
+        for width in (3, 4, 9, 40):
+            ring = ResidueRing(modulus, width)
+            top = (1 << width - 2) - 1
+            values = [CycloNum(modulus, [rng.choice((top, -top)) for _ in range(p - 1)])
+                      for _ in range(8)]
+            values.append(CycloNum(modulus, [top] * (p - 1)))
+            values.append(CycloNum(modulus, [-top] * (p - 1)))
+            for v in values:
+                assert ring.decode(ring.encode(v)) == v
+            w = CycloNum.root_power(modulus, 1)
+            assert ring.encode(w) == pow(2, width, ring.n)
+            for a, b in zip(values, values[1:]):
+                assert ring.encode(a * b) == ring.encode(a) * ring.encode(b) % ring.n
 
 
 class TestHandBuiltMinors:
