@@ -13,11 +13,12 @@ Products run on the redundant spanning set {1, w, ..., w^(p-1)}, where
 multiplying by w is a cyclic shift and the automorphism w -> w^k (galois) is a
 permutation of the coefficients.  Only this module knows how a value is
 stored and packed: dense products and character_sums, the kernel behind
-every transform in fourier, turn each vector into one big integer through
-one linear-time codec (Kronecker substitution).  Inverses come from the
-Galois norm: the product of all p - 1 conjugates of a nonzero element is a
-nonzero rational, so dividing the product of the other p - 2 conjugates by
-it inverts the element with integer vector arithmetic alone.  The Galois
+every transform in fourier, turn each vector with two or more nonzero
+coefficients into one big integer through one linear-time codec (Kronecker
+substitution), with digits just as wide as their bound needs.  Inverses
+come from the Galois norm: the product of all p - 1 conjugates of a nonzero
+element is a nonzero rational, so dividing the product of the other p - 2
+conjugates by it inverts the element with integer vector arithmetic alone.  The Galois
 group is cyclic, generated by w -> w^g for a generator g of (Z/p)^*, so a
 doubling chain builds that product in O(log p) multiplications.
 
@@ -151,7 +152,12 @@ class PrimeModulus:
 
 def _rational_parts(value) -> tuple[int, int]:
     # Exact inputs only: a float stands for its binary expansion and a string
-    # for parsed text, so both are refused rather than converted.
+    # for parsed text, so both are refused rather than converted.  int and
+    # Fraction, nearly every input, skip the slower numbers.Rational check.
+    if type(value) is int:
+        return value, 1
+    if type(value) is Fraction:
+        return value.numerator, value.denominator
     if not isinstance(value, numbers.Rational):
         raise TypeError(f"expected an int or a Fraction, got {type(value).__name__} {value!r}")
     return int(value.numerator), int(value.denominator)
@@ -185,44 +191,56 @@ def _root_power_num(p: int, k: int) -> tuple[int, ...]:
 # all p digits of a redundant vector by one constant, which adds a multiple
 # of the all-ones vector J.  Sums and cyclic products keep it a multiple of J
 # (a*J = (sum a)*J, J*J = p*J), and _from_redundant cancels it.  The kernels
-# take the width from their inputs through _digit_bytes, which rounds up to
-# an array item size where one fits: such a width converts in one C call
-# (array items are native-endian, so they are byteswapped on big-endian
-# hosts), any other width digit by digit.  Both directions are linear.
+# take the width from their inputs through _digit_bytes, which gives the
+# bytes the largest digit needs and no more, since every shift, sum and
+# product of the packed integers grows with it.  A width of up to 8 bytes
+# converts through the next array item size in one C call (array items are
+# native-endian, so they are byteswapped on big-endian hosts).  Below that
+# item size, _pack drops the top bytes of every item with one strided
+# deletion per byte dropped, and _unpack spreads the digits into items with
+# one strided slice assignment per byte kept.  Wider digits convert one at
+# a time.  Both directions are linear.
 _ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
-# Bytes a digit needs -> bytes it gets: the smallest array item size that
-# holds it.  Wider digits get just the bytes they need.
-_ROUNDED_WIDTH = {need: min(k for k in _ARRAY_CODES if k >= need)
-                  for need in range(1, max(_ARRAY_CODES) + 1)}
+# Digit width in bytes -> the smallest array item size that holds it.
+_ITEM_BYTES = {need: min(k for k in _ARRAY_CODES if k >= need)
+               for need in range(1, max(_ARRAY_CODES) + 1)}
 
 
 def _digit_bytes(top: int) -> int:
     """Digit width in bytes for non-negative digits up to top."""
-    need = (top.bit_length() + 7) // 8 or 1
-    return _ROUNDED_WIDTH.get(need, need)
+    return (top.bit_length() + 7) // 8 or 1
 
 
 def _pack(digits, nbytes: int) -> int:
-    code = _ARRAY_CODES.get(nbytes)
-    if code is None:
-        raw = b"".join([d.to_bytes(nbytes, "little") for d in digits])
-    else:
-        items = array(code, digits)
-        if _BIG_ENDIAN:
-            items.byteswap()
-        raw = items.tobytes()
+    item = _ITEM_BYTES.get(nbytes)
+    if item is None:
+        return int.from_bytes(b"".join([d.to_bytes(nbytes, "little") for d in digits]),
+                              "little")
+    items = array(_ARRAY_CODES[item], digits)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    if item == nbytes:
+        return int.from_bytes(items.tobytes(), "little")
+    raw = bytearray(items)
+    for k in range(item, nbytes, -1):
+        del raw[k - 1::k]  # the top byte of every k-byte digit
     return int.from_bytes(raw, "little")
 
 
 def _unpack(value: int, count: int, nbytes: int) -> list[int]:
     # to_bytes raises OverflowError unless 0 <= value < 256**(count*nbytes).
     raw = value.to_bytes(count * nbytes, "little")
-    code = _ARRAY_CODES.get(nbytes)
-    if code is None:
+    item = _ITEM_BYTES.get(nbytes)
+    if item is None:
         return [int.from_bytes(raw[i:i + nbytes], "little")
                 for i in range(0, len(raw), nbytes)]
-    items = array(code, raw)
+    if item != nbytes:
+        wide = bytearray(count * item)
+        for j in range(nbytes):
+            wide[j::item] = raw[j::nbytes]
+        raw = wide
+    items = array(_ARRAY_CODES[item], raw)
     if _BIG_ENDIAN:
         items.byteswap()
     return items.tolist()
@@ -252,18 +270,29 @@ def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
 
     Kronecker substitution on the redundant spanning set {1, w, ..., w^(p-1)}.
     The values are put over one common denominator and zero values are
-    dropped.  Each remaining numerator vector, biased to non-negative digits,
-    is packed into one integer P by the cyclotomic codec and stored twice
-    side by side, P | P << (p digits), so that multiplying by w^s is one
-    right shift by (p - s) mod p digits.  A sum is then one shift per term,
-    one mask and one unpack.  The digits are wide enough that the biased
-    sum never carries between them, and the bias, equal in every digit,
-    cancels when _from_redundant folds the top coefficient.
+    dropped.  Each remaining numerator vector with two or more nonzero
+    coefficients, biased to non-negative digits, is packed into one integer P
+    by the cyclotomic codec and stored twice side by side, P | P << (p
+    digits), so that multiplying by w^s is one right shift by (p - s) mod p
+    digits.  A sum is then one shift per packed term, one mask and one
+    unpack.  The digits are wide enough that the biased sum never carries
+    between them, and the bias, equal in every digit, cancels when
+    _from_redundant folds the top coefficient.  A value with one nonzero
+    coefficient, c * w^i (every rational is one), is not packed: for each t
+    it adds c, over the common denominator, at index (i + e * t) mod p of the
+    unpacked sum, so the bias and the width come from the packed values only.
     """
     p = modulus.p
     common = math.lcm(*(v._den for v in values))
-    rows = [(e, v._num, common // v._den)
-            for v, e in zip(values, exponents) if not v.is_zero()]
+    rows, monomials = [], []
+    for v, e in zip(values, exponents):
+        num = v._num
+        nonzero = len(num) - num.count(0)
+        if nonzero == 1:
+            c = max(num) or min(num)  # the one nonzero coefficient
+            monomials.append((e, num.index(c), c * (common // v._den)))
+        elif nonzero:
+            rows.append((e, num, common // v._den))
     bias = max([max(max(num), -min(num)) * m for _, num, m in rows], default=0)
     # A biased digit is at most 2 * bias, so no digit of a sum exceeds this.
     nbytes = _digit_bytes(2 * bias * len(rows))
@@ -279,6 +308,8 @@ def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
     for t in multipliers:
         total = sum([doubled >> (-e * t % p * width) for e, doubled in terms])
         acc = _unpack(total & mask, p, nbytes)
+        for e, i, c in monomials:
+            acc[(i + e * t) % p] += c
         out.append(CycloNum._from_redundant(modulus, acc, den))
     return out
 
@@ -519,7 +550,8 @@ class CycloNum:
         return (-self) + other
 
     def _scaled(self, value: Fraction) -> CycloNum:
-        num = [c * value.numerator for c in self._num]
+        numerator = value.numerator
+        num = [c * numerator for c in self._num]
         return CycloNum._raw(self.modulus, *_normalize(num, self._den * value.denominator))
 
     def __mul__(self, other) -> CycloNum:

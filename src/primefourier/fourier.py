@@ -8,12 +8,13 @@ minor determinants and solves over Q(w).  vandermonde_det_mod_p, the factor
 prod (xi_k - xi_k') mod p of Tao's proof of Chebotarev's lemma, illustrates
 that proof; it is nonzero for any distinct residues and certifies no minor.
 
-The module never looks inside a Q(w) value.  dft and idft call
-cyclotomic.character_sums, the one integer kernel behind every character
-sum: convolve goes through them by the convolution theorem, and in
-applications so do the sparse zero count and the (Z/pZ)^n transform.  The
-kernel packs each value into one big integer, so a sum costs a few
-big-integer operations per term.
+The module never looks inside a Q(w) value.  dft, idft and convolve (by
+the convolution theorem) call cyclotomic.character_sums, the one integer
+kernel behind every character sum, and in applications so do the sparse
+zero count and the (Z/pZ)^n transform through dft and idft.  The kernel
+packs each value into one big integer, so a sum costs a few big-integer
+operations per term; a single-term value such as a rational costs one
+scalar addition per sum.
 
 Every elimination is one integer loop, _triangular, which pivots on the
 diagonal without a search (each leading block of a Fourier minor is itself a
@@ -204,11 +205,16 @@ class SignalFn:
         return f"SignalFn(p={self.modulus.p}, [{', '.join(str(v) for v in self.values)}])"
 
 
-def dft(f: SignalFn) -> SignalFn:
-    """Exact transform fhat(xi) = (1/p) * sum_x f(x) * w^(-x*xi)."""
+def _forward_sums(f: SignalFn, den_factor: int) -> list[CycloNum]:
+    # [sum_x f(x) * w^(-x*xi) / den_factor for xi in Z/p]
     p = f.modulus.p
     negated = [-xi % p for xi in range(p)]
-    return SignalFn(f.modulus, character_sums(f.modulus, f.values, range(p), negated, p))
+    return character_sums(f.modulus, f.values, range(p), negated, den_factor)
+
+
+def dft(f: SignalFn) -> SignalFn:
+    """Exact transform fhat(xi) = (1/p) * sum_x f(x) * w^(-x*xi)."""
+    return SignalFn(f.modulus, _forward_sums(f, f.modulus.p))
 
 
 def idft(spectrum: SignalFn) -> SignalFn:
@@ -227,13 +233,16 @@ def convolve(f: SignalFn, g: SignalFn) -> SignalFn:
     """Cyclic convolution (f*g)(x) = sum_y f(y) g(x-y).
 
     Computed by the convolution theorem dft(f*g) = p * dft(f) * dft(g)
-    pointwise: three kernel transforms and p products.  Hence the Fourier
-    support of f*g is the intersection of the factors' Fourier supports.
+    pointwise, on the unnormalised spectra F = p * dft(f) and G = p * dft(g):
+    f*g is the inverse sum of F * G, divided by p once.  That is three
+    character_sums calls and p products.  Hence the Fourier support of f*g
+    is the intersection of the factors' Fourier supports.
     """
     if f.modulus != g.modulus:
         raise ValueError("modulus mismatch")
     p = f.modulus.p
-    return idft(SignalFn(f.modulus, [p * a * b for a, b in zip(dft(f).values, dft(g).values)]))
+    products = [a * b for a, b in zip(_forward_sums(f, 1), _forward_sums(g, 1))]
+    return SignalFn(f.modulus, character_sums(f.modulus, products, range(p), range(p), p))
 
 
 class FourierMinor:

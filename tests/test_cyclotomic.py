@@ -574,18 +574,30 @@ def check_packed_convolution(p, ha, hb, nbytes):
 
 class TestPackedConvolution:
     # (p, largest |coefficient| of both operands, digit width in bytes that
-    # the biased product needs)
+    # the biased product needs).  At p = 31 a folded digit reaches
+    # 124 * top^2, and each pair of rows sits on either side of a byte
+    # boundary: 367 | 368 at 3 bytes, 5885 | 5886 at 4, and so on to 8.
     @pytest.mark.parametrize("p, top, nbytes", [
         (2, 11, 2),
         (5, 3, 1),
         (5, 4, 2),
         (5, 5, 2),
         (5, 6, 2),
-        (13, 50, 4),
+        (13, 50, 3),
+        (31, 367, 3),
+        (31, 368, 4),
         (31, 500, 4),
         (31, 5885, 4),
-        (31, 5886, 8),
-        (31, 8000, 8),
+        (31, 5886, 5),
+        (31, 8000, 5),
+        (31, 94164, 5),
+        (31, 94165, 6),
+        (31, 1506638, 6),
+        (31, 1506639, 7),
+        (31, 24106215, 7),
+        (31, 24106216, 8),
+        (31, 385699449, 8),
+        (31, 385699450, 9),
         (31, 2**29, 9),
         (3, 2**31, 9),
         (13, 2**100, 26),
@@ -616,7 +628,9 @@ class TestPackedConvolution:
 
 
 class TestCodec:
-    @pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 5, 8, 9, 16])
+    # Widths 1, 2, 4 and 8 are array item sizes; 3, 5, 6 and 7 convert
+    # through the next item size; 9 and 16 convert digit by digit.
+    @pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
     def test_round_trip(self, nbytes):
         rng = random.Random(nbytes)
         top = 256**nbytes - 1
@@ -633,9 +647,11 @@ class TestCodec:
             _unpack(-1, 3, 2)
 
     def test_digit_bytes(self):
-        assert [_digit_bytes(t) for t in (0, 255, 256, 2**16, 2**32 - 1, 2**32)] == [
-            1, 1, 2, 4, 4, 8]
-        assert _digit_bytes(2**64) == 9
+        # The bytes the largest digit needs, with no rounding to an item size.
+        tops = [0, 1, 255, 256, 2**16 - 1, 2**16, 2**24 - 1, 2**24, 2**32 - 1, 2**32,
+                2**40, 2**48, 2**56 - 1, 2**56, 2**64 - 1, 2**64, 2**128 - 1]
+        assert [_digit_bytes(t) for t in tops] == [
+            1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6, 7, 7, 8, 8, 9, 16]
 
 
 class TestIntPolynomial:

@@ -183,6 +183,29 @@ class TestCharacterSums:
             assert (character_sums(modulus, values, exponents, multipliers, p)
                     == direct_character_sums(modulus, values, exponents, multipliers, p))
 
+    @pytest.mark.parametrize("p", [2, 3, 7, 101])
+    def test_mixed_rows(self, p):
+        # Zero, rational and single-term values c * w^i are added into the
+        # unpacked sum, not packed, and the digit width follows from the
+        # dense rows alone: the 80-bit single terms would overflow those
+        # digits inside the packed sum.  w^(p-1) is dense on the power basis
+        # for p > 2 and is packed.  The second input is all single-term.
+        rng = random.Random(300 + p)
+        modulus = PrimeModulus(p)
+        singles = [CycloNum.zero(modulus), CycloNum.from_rational(modulus, Fraction(-7, 3))]
+        singles += [Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**80), rng.randint(1, 9))
+                    * CycloNum.root_power(modulus, rng.randrange(p - 1)) for _ in range(4)]
+        dense = [CycloNum.root_power(modulus, p - 1)]
+        dense += [random_cyclo(rng, modulus, den_max=5) for _ in range(2)]
+        multipliers = range(p) if p < 101 else [0, 1, 2, 50, 99, 100]
+        for values in (singles + dense, singles):
+            values = rng.sample(values, len(values))
+            exponents = [rng.randrange(p) for _ in values]
+            for den_factor in (1, p):
+                assert (character_sums(modulus, values, exponents, multipliers, den_factor)
+                        == direct_character_sums(modulus, values, exponents, multipliers,
+                                                 den_factor))
+
 
 class TestIdft:
     def test_round_trip_dirac(self):
@@ -281,6 +304,39 @@ class TestConvolve:
                                             for _ in range(7)])))
         for f, g in cases:
             assert convolve(f, g) == direct(f, g)
+
+    def test_matches_normalised_convolution_theorem(self):
+        # convolve divides the product of the unnormalised spectra by p once;
+        # it must equal idft(p * dft(f) * dft(g)).  Values mix zeros,
+        # rationals, single terms and dense values with denominators.
+        rng = random.Random(210)
+
+        def value(modulus):
+            kind = rng.randrange(4)
+            if kind == 0:
+                return 0
+            if kind == 1:
+                return Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+            if kind == 2:
+                return (Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+                        * CycloNum.root_power(modulus, rng.randrange(modulus.p)))
+            return random_cyclo(rng, modulus, den_max=6)
+
+        cases = []
+        for p in (2, 3, 5, 7, 11, 13):
+            modulus = PrimeModulus(p)
+            for _ in range(4):
+                cases.append([SignalFn(modulus, [value(modulus) for _ in range(p)])
+                              for _ in range(2)])
+        p97 = PrimeModulus(97)
+        points = set(rng.sample(range(97), 16))
+        dense = random_dense_signal(rng, p97, bits=12)
+        cases.append([SignalFn(p97, [v if x in points else 0 for x, v in enumerate(dense.values)]),
+                      random_dense_signal(rng, p97, bits=12)])
+        for f, g in cases:
+            p = f.modulus.p
+            spectrum = [p * a * b for a, b in zip(dft(f).values, dft(g).values)]
+            assert convolve(f, g) == idft(SignalFn(f.modulus, spectrum))
 
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
