@@ -50,10 +50,11 @@ for x, value in enumerate(witness.signal.values):
 print(f"  supp(f)    = {support(witness.signal).members}")
 print(f"  supp(fhat) = {support(dft(witness.signal)).members}\n")
 
-print("Oversized pairs take seeded random values on |A| + |B| - p free points")
-print("of A, solve once for the rest, and are re-verified exactly:")
+print("Oversized pairs take the values 1, t, ..., t^(k-1) on the k = |A| + |B| - p")
+print("free points of A, solve once for the rest, and are re-verified exactly;")
+print("the least t that works is at most p(k - 1) + 1:")
 full = SupportSet.full(p)
-witness = construct_support_pair(full, full, seed=0)
+witness = construct_support_pair(full, full)
 print(f"  A = B = all of Z/7Z: combination weights = {witness.combination_coeffs}\n")
 
 summary = exhaustive_certification(PrimeModulus(5))

@@ -193,7 +193,7 @@ def cd_proof_witness(a: SupportSet, b: SupportSet, seed: int = 0) -> CDWitness:
     """Constructively replay the convolution proof for one pair (A, B).
 
     f and g are exact-case constructions (|A| + |X| = |B| + |Y| = p + 1),
-    which draw nothing, so seed is passed on but never takes effect.
+    whose weight is 1.  seed is accepted and ignored: nothing is drawn.
     """
     if a.modulus != b.modulus:
         raise ValueError("modulus mismatch")
@@ -202,8 +202,8 @@ def cd_proof_witness(a: SupportSet, b: SupportSet, seed: int = 0) -> CDWitness:
     modulus = a.modulus
     p = modulus.p
     x, y, overlap = _witness_spectra(modulus, a, b)
-    f = uncertainty.construct_support_pair(a, x, seed=seed).signal
-    g = uncertainty.construct_support_pair(b, y, seed=seed).signal
+    f = uncertainty.construct_support_pair(a, x).signal
+    g = uncertainty.construct_support_pair(b, y).signal
     conv = fourier.convolve(f, g)
     conv_support = fourier.support(conv)
     conv_spectrum = fourier.support(fourier.dft(conv))

@@ -88,6 +88,8 @@ def _witness_payload(witness) -> dict:
 
 
 def _cmd_certify(args) -> tuple[dict, dict, Iterable[dict]]:
+    if not 0 <= args.seed < 1 << 64:
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {args.seed}")
     modulus = PrimeModulus(args.p)
     if args.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
@@ -111,9 +113,7 @@ def _cmd_construct(args) -> tuple[dict, dict, list[dict]]:
     modulus = PrimeModulus(args.p)
     a = SupportSet(modulus, _parse_residues(args.a))
     b = SupportSet(modulus, _parse_residues(args.b))
-    witness = uncertainty.construct_support_pair(
-        a, b, seed=args.seed, max_attempts=args.retries
-    )
+    witness = uncertainty.construct_support_pair(a, b)
     result = _witness_payload(witness)
     counts = {"a": len(a), "b": len(b),
               "combination_terms": len(witness.combination_coeffs)}
@@ -228,14 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=None):
+    def common(sp):
         sp.add_argument("--p", type=int, required=True, help="prime modulus")
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        if seed:
-            sp.add_argument("--seed", type=int, default=0, help=seed)
 
     sp = sub.add_parser("certify", help="exhaustive minor/tightness/achievability sweep")
-    common(sp, seed="64-bit seed, range-checked and ignored: the sweep is not randomized")
+    common(sp)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="64-bit seed, range-checked and ignored: the sweep is not randomized")
     sp.add_argument("--budget", type=int, default=uncertainty.DEFAULT_MAX_CERTIFY_P,
                     help="largest p the sweep will accept (default %(default)s, which "
                          "takes a few seconds serially)")
@@ -243,13 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="at least 1, range-checked and ignored: the sweep runs serially")
 
     sp = sub.add_parser("construct", help="build a signal with prescribed supports")
-    common(sp, seed="64-bit seed for the weights on k >= 2 free points (default 0); "
-                    "the exact case draws nothing")
+    common(sp)
     sp.add_argument("--a", required=True, help="target support, comma-separated residues")
     sp.add_argument("--b", required=True, help="target Fourier support")
-    sp.add_argument("--retries", type=int, default=uncertainty.DEFAULT_MAX_ATTEMPTS,
-                    help="redraw budget for k >= 2 free points (at least 1, "
-                         "default %(default)s); the exact case draws nothing")
 
     sp = sub.add_parser("sparse", help="count zeros of a sparse polynomial at roots of unity")
     common(sp)
@@ -309,8 +305,6 @@ def main(argv=None) -> int:
     rows: Iterable[dict] = ()
     error = None
     try:
-        if not 0 <= getattr(args, "seed", 0) < 1 << 64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {args.seed}")
         result, counts, rows = _COMMANDS[args.command](args)
         status = "ok"
     except (ValueError, OSError) as exc:

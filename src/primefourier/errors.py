@@ -12,4 +12,4 @@ class TheoremViolationError(RuntimeError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A configured work budget (size bound or retry limit) was exhausted."""
+    """A configured work budget (a size bound) was exhausted."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from collections import Counter
 from dataclasses import dataclass
 
@@ -24,8 +23,6 @@ from .errors import BudgetExceededError, TheoremViolationError
 from .fourier import SignalFn, SupportSet
 
 DEFAULT_MAX_CERTIFY_P = 17
-DEFAULT_MAX_ATTEMPTS = 32
-COEFF_RANGE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,8 +43,9 @@ class AchievabilityWitness:
     """A signal realizing prescribed supports, plus how it was built.
 
     combination_coeffs holds the integer weights the construction fixed: the
-    signal's values on the last k = |A| + |B| - p members of A.  In the exact
-    case k = 1 it is (1,), so f(max A) = 1.
+    signal's values (1, t, ..., t^(k-1)) on the last k = |A| + |B| - p members
+    of A, for the least t in 1, 2, ..., p(k - 1) + 1 that gives both supports.
+    In the exact case k = 1 it is (1,), so f(max A) = 1.
     """
 
     target_support: SupportSet
@@ -93,19 +91,18 @@ def _verify_witness_supports(signal: SignalFn, support_set: SupportSet,
 
 
 def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
-                           seed: int = 0,
-                           max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> AchievabilityWitness:
+                           seed: int = 0) -> AchievabilityWitness:
     """Realize supports (A, B) for any nonempty sets with |A| + |B| >= p + 1.
 
     The signals on A whose transform vanishes off B form a space of dimension
     k = |A| + |B| - p, with the last k members of A as free coordinates: f
-    takes integer weights there, and one minor_solve gives its values on the
-    first p - |B| members (none when B is all of Z/p).  In the exact case
-    k = 1 the space is a line, so the weight is 1 (f(max A) = 1), nothing
-    is drawn, and a signal whose supports do not verify exactly raises
-    TheoremViolationError.  For k >= 2 the weights are seeded random integers
-    in [1, 2^16], redrawn up to max_attempts times (at least 1) before
-    BudgetExceededError.
+    takes the weights 1, t, ..., t^(k-1) there, and one minor_solve gives its
+    values on the first p - |B| members (none when B is all of Z/p).  The
+    least t in 1, 2, ..., p(k - 1) + 1 whose signal has exactly the supports
+    (A, B) wins; at most p(k - 1) values of t can fail (see _checked), so a
+    run past the bound raises TheoremViolationError.  In the exact case k = 1
+    there is one try, with f(max A) = 1.  seed is accepted and ignored:
+    nothing is drawn.
     """
     if support_set.modulus != spectrum_set.modulus:
         raise ValueError("modulus mismatch between target sets")
@@ -113,8 +110,6 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
         raise ValueError("target sets must be nonempty")
     modulus = support_set.modulus
     p = modulus.p
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
     total = len(support_set) + len(spectrum_set)
     if total < p + 1:
         raise ValueError(
@@ -129,9 +124,9 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
     # side, one entry per row in the sorted order minor_matrix uses.
     rows = SupportSet(modulus, ((-eta) % p for eta in spectrum_set.complement()))
     minor = fourier.minor_matrix(modulus, rows, SupportSet(modulus, pivots)) if n else None
-    rng = random.Random(seed)
-    for _ in range(max_attempts if k > 1 else 1):
-        coeffs = [rng.randint(1, COEFF_RANGE) for _ in free] if k > 1 else [1]
+    tries = p * (k - 1) + 1
+    for t in range(1, tries + 1):
+        coeffs = [t ** i for i in range(k)]
         values = [0] * p
         for j, lam in zip(free, coeffs):
             values[j] = lam
@@ -143,15 +138,9 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
         signal = SignalFn(modulus, values)
         if _verify_witness_supports(signal, support_set, spectrum_set):
             return AchievabilityWitness(support_set, spectrum_set, signal, tuple(coeffs))
-        if k == 1:
-            raise TheoremViolationError(
-                f"exact-case witness has supports {fourier.support(signal).members} / "
-                f"{fourier.support(fourier.dft(signal)).members}, expected "
-                f"{support_set.members} / {spectrum_set.members} (p={p})"
-            )
-    raise BudgetExceededError(
-        f"no generic combination found in {max_attempts} attempts "
-        f"(seed={seed}, A={support_set.members}, B={spectrum_set.members})"
+    raise TheoremViolationError(
+        f"no weights (1, t, ..., t^{k - 1}) with 1 <= t <= {tries} realize "
+        f"A={support_set.members}, B={spectrum_set.members} (p={p})"
     )
 
 
@@ -247,8 +236,11 @@ def _checked(modulus: PrimeModulus, records):
     #   P + {j} and B, since a zero value or a zero transform value in B
     #   would leave a nonzero signal in a nonsingular minor's kernel.  So
     #   each f(a) and each fhat(b) is a nonzero linear form in the weights
-    #   lambda on F: for k = 1, lambda = 1 gives both supports exactly, and
-    #   for k >= 2 so does every lambda outside finitely many hyperplanes.
+    #   lambda on F.  With lambda_i = t^(i-1) each of these p forms becomes a
+    #   nonzero polynomial in t of degree <= k - 1, and the free values are
+    #   never 0, so at most p(k - 1) values of t fail and one of
+    #   t = 1, ..., p(k - 1) + 1 gives both supports exactly (for k = 1,
+    #   lambda = 1).
     for record in records:
         kind, first, second, _ = record
         if kind == "minor":

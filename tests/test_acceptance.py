@@ -137,7 +137,7 @@ def test_criterion_3_constructive_converse():
                     continue
                 a_set = SupportSet(modulus, a)
                 b_set = SupportSet(modulus, b)
-                witness = construct_support_pair(a_set, b_set, seed=0)
+                witness = construct_support_pair(a_set, b_set)
                 # Independent re-check through the exact transform.
                 assert support(witness.signal) == a_set
                 assert support(dft(witness.signal)) == b_set
@@ -199,7 +199,7 @@ def test_criterion_5_cauchy_davenport():
         for _ in range(200):
             a = SupportSet(modulus, rng.sample(range(p), rng.randint(1, p)))
             b = SupportSet(modulus, rng.sample(range(p), rng.randint(1, p)))
-            w = cd_proof_witness(a, b, seed=0)
+            w = cd_proof_witness(a, b)
             overlap = w.spectrum_a.intersection(w.spectrum_b)
             assert len(w.spectrum_a) == p + 1 - len(a)
             assert len(w.spectrum_b) == p + 1 - len(b)

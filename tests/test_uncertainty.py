@@ -105,13 +105,15 @@ class TestVerifyUncertainty:
             assert support(dft(scaled)) == support(dft(f))
 
 
-def _spy_solves(monkeypatch, corrupt_first=False):
+def _spy_solves(monkeypatch, corrupt_first=False, corrupt_every=False):
+    # Records each solve; a corrupted solve returns 0 at the first pivot, so
+    # its signal misses A.
     calls = []
 
     def spy(minor, rhs):
         sol = minor_solve(minor, rhs)
         calls.append((minor, list(rhs), sol))
-        if corrupt_first and len(calls) == 1:
+        if corrupt_every or corrupt_first and len(calls) == 1:
             sol = [CycloNum.zero(minor.modulus)] + sol[1:]
         return sol
 
@@ -171,8 +173,6 @@ class TestConstructExactPair:
                     assert support(dft(witness.signal)).members == b
                     assert witness.combination_coeffs == (1,)
                     assert witness.signal[a[-1]] == CycloNum.one(modulus)
-                    # Nothing is drawn, so the seed cannot move the witness.
-                    assert construct_support_pair(a_set, b_set, seed=7) == witness
 
     def test_one_solve_on_rows_minus_b_complement(self, monkeypatch):
         # The rows are -(B^c) = -{0, 3, 5}, sorted (0, 2, 4); the pivots are
@@ -190,13 +190,13 @@ class TestConstructExactPair:
         assert witness.signal[5] == CycloNum.one(p7)
 
     def test_spoilt_solution_raises_at_once(self, monkeypatch):
-        # The exact case has no draw to redraw: a witness that misses A is a
-        # theorem violation after one solve, whatever max_attempts allows.
+        # The exact case's bound p(k - 1) + 1 is one try: a witness that
+        # misses A is a theorem violation after one solve.
         calls = _spy_solves(monkeypatch, corrupt_first=True)
         p7 = PrimeModulus(7)
         a, b = SupportSet(p7, [0, 1, 3, 5]), SupportSet(p7, [1, 2, 4, 6])
-        with pytest.raises(TheoremViolationError, match="exact-case witness"):
-            construct_support_pair(a, b, max_attempts=32)
+        with pytest.raises(TheoremViolationError, match="1 <= t <= 1 "):
+            construct_support_pair(a, b)
         assert len(calls) == 1
 
 
@@ -221,32 +221,37 @@ class TestConstructSupportPair:
             construct_support_pair(SupportSet(p5, [0]), SupportSet(p5, [0]))
 
     def test_deterministic_for_fixed_seed(self):
+        # Nothing is drawn: the seed keyword is accepted and ignored, so two
+        # seeds give the same witness in the exact and the combination case.
         p7 = PrimeModulus(7)
         a = SupportSet(p7, [0, 1, 2, 3, 4])
-        b = SupportSet(p7, [0, 2, 4, 5, 6])
-        w1 = construct_support_pair(a, b, seed=5)
-        w2 = construct_support_pair(a, b, seed=5)
-        assert w1 == w2
-        # The weights are the seed's first k = 3 draws; another seed moves them.
-        rng = random.Random(5)
-        assert w1.combination_coeffs == tuple(rng.randint(1, 1 << 16) for _ in range(3))
-        other = construct_support_pair(a, b, seed=6)
-        assert other.combination_coeffs != w1.combination_coeffs
-        assert other.signal != w1.signal
+        for b in (SupportSet(p7, [0, 2, 4]), SupportSet(p7, [0, 2, 4, 5, 6])):
+            witness = construct_support_pair(a, b)
+            assert construct_support_pair(a, b, seed=5) == witness
+            assert construct_support_pair(a, b, seed=6) == witness
 
     def test_coefficients_within_documented_range(self):
+        # The weights are (1, t, ..., t^(k-1)) with 1 <= t <= p(k - 1) + 1.
         p7 = PrimeModulus(7)
-        witness = construct_support_pair(SupportSet.full(p7), SupportSet.full(p7))
-        assert witness.combination_coeffs
-        assert all(1 <= c <= 1 << 16 for c in witness.combination_coeffs)
+        full = SupportSet.full(p7)
+        assert construct_support_pair(full, full).combination_coeffs == (1, 2, 4, 8, 16, 32, 64)
+        rng = random.Random(710)
+        for _ in range(10):
+            a = SupportSet(p7, rng.sample(range(7), rng.randint(1, 7)))
+            b = SupportSet(p7, rng.sample(range(7), rng.randint(8 - len(a), 7)))
+            coeffs = construct_support_pair(a, b).combination_coeffs
+            k = len(a) + len(b) - 7
+            t = coeffs[1] if k > 1 else 1
+            assert 1 <= t <= 7 * (k - 1) + 1
+            assert coeffs == tuple(t ** i for i in range(k))
 
-    def test_retry_budget_exhaustion_reports_seed(self):
+    def test_full_pair_at_p2_needs_t_2(self):
         # At p=2 the full pair's witness is (lambda_1, lambda_2), with transform
-        # value (lambda_1 - lambda_2)/2 at 1; seed 30891 draws two equal weights first.
+        # value (lambda_1 - lambda_2)/2 at 1, so t = 1 fails and t = 2 works.
         full = SupportSet.full(PrimeModulus(2))
-        with pytest.raises(BudgetExceededError, match="seed=30891"):
-            construct_support_pair(full, full, seed=30891, max_attempts=1)
-        witness = construct_support_pair(full, full, seed=30891, max_attempts=2)
+        witness = construct_support_pair(full, full)
+        assert witness.combination_coeffs == (1, 2)
+        assert support(witness.signal) == full
         assert support(dft(witness.signal)) == full
 
     @pytest.mark.parametrize("p, a_size, b_size", [(7, 5, 5), (11, 5, 9), (13, 9, 6),
@@ -256,10 +261,10 @@ class TestConstructSupportPair:
         # the witness takes the recorded weights there.
         modulus = PrimeModulus(p)
         rng = random.Random(700 + p)
-        for seed in range(3):
+        for _ in range(3):
             a = SupportSet(modulus, rng.sample(range(p), a_size))
             b = SupportSet(modulus, rng.sample(range(p), b_size))
-            witness = construct_support_pair(a, b, seed=seed)
+            witness = construct_support_pair(a, b)
             k = a_size + b_size - p
             assert len(witness.combination_coeffs) == k
             assert [witness.signal[x] for x in a.members[-k:]] == [
@@ -274,7 +279,7 @@ class TestConstructSupportPair:
         calls = _spy_solves(monkeypatch)
         p7 = PrimeModulus(7)
         a = SupportSet(p7, [0, 1, 2, 3, 4])
-        witness = construct_support_pair(a, SupportSet(p7, [0, 2, 4, 5, 6]), seed=3)
+        witness = construct_support_pair(a, SupportSet(p7, [0, 2, 4, 5, 6]))
         assert len(calls) == 1
         minor, rhs, sol = calls[0]
         assert (minor.rows.members, minor.cols.members) == ((4, 6), (0, 1))
@@ -288,36 +293,33 @@ class TestConstructSupportPair:
         calls = _spy_solves(monkeypatch)
         p7 = PrimeModulus(7)
         for a in (SupportSet.full(p7), SupportSet(p7, [1, 2, 5])):
-            witness = construct_support_pair(a, SupportSet.full(p7), seed=2)
+            witness = construct_support_pair(a, SupportSet.full(p7))
             assert witness.signal == SignalFn(p7, [
                 witness.combination_coeffs[a.members.index(x)] if x in a else 0
                 for x in range(7)])
         assert calls == []
 
     def test_a_failed_attempt_redraws_and_solves_again(self, monkeypatch):
-        # The first solution is spoilt at the first pivot, so the first
-        # attempt misses A and the second draw, with a solve of its own, wins.
+        # The first solution (t = 1) is spoilt at the first pivot, so it
+        # misses A, and t = 2, with a solve of its own, wins.
         calls = _spy_solves(monkeypatch, corrupt_first=True)
         p7 = PrimeModulus(7)
         a, b = SupportSet(p7, [0, 1, 2, 3, 4]), SupportSet(p7, [0, 2, 4, 5, 6])
-        with pytest.raises(BudgetExceededError, match="in 1 attempts"):
-            construct_support_pair(a, b, seed=3, max_attempts=1)
-        calls.clear()
-        witness = construct_support_pair(a, b, seed=3, max_attempts=2)
+        witness = construct_support_pair(a, b)
         assert len(calls) == 2
-        rng = random.Random(3)
-        draws = [rng.randint(1, 1 << 16) for _ in range(6)]
-        assert witness.combination_coeffs == tuple(draws[3:])
+        assert witness.combination_coeffs == (1, 2, 4)
         assert support(witness.signal) == a
 
-    @pytest.mark.parametrize("max_attempts", [0, -3])
-    def test_max_attempts_below_one_rejected(self, max_attempts):
-        p5 = PrimeModulus(5)
-        full = SupportSet.full(p5)
-        exact = (SupportSet(p5, [0, 2]), SupportSet(p5, [0, 1, 3, 4]))
-        for a, b in ((full, full), exact):
-            with pytest.raises(ValueError, match="max_attempts"):
-                construct_support_pair(a, b, max_attempts=max_attempts)
+    @pytest.mark.parametrize("b_members, k", [((1, 2, 4, 6), 1), ((0, 2, 4, 5, 6), 3)])
+    def test_every_t_failing_is_a_theorem_violation(self, monkeypatch, b_members, k):
+        # A solver that spoils every solution exhausts t = 1, ..., p(k - 1) + 1,
+        # one solve each, and then raises.
+        calls = _spy_solves(monkeypatch, corrupt_every=True)
+        p7 = PrimeModulus(7)
+        a = SupportSet(p7, [0, 1, 3, 5] if k == 1 else [0, 1, 2, 3, 4])
+        with pytest.raises(TheoremViolationError, match=f"1 <= t <= {7 * (k - 1) + 1} "):
+            construct_support_pair(a, SupportSet(p7, b_members))
+        assert len(calls) == 7 * (k - 1) + 1
 
 
 class TestTranslationIdentity:
@@ -648,8 +650,7 @@ class TestCertificationOrbits:
         achievable = [(a, b) for kind, a, b, _ in uncertainty._certification_orbits(p)
                       if kind == "achievability"]
         for a, b in rng.sample(achievable, 3):
-            signal = construct_support_pair(SupportSet(modulus, a), SupportSet(modulus, b),
-                                            seed=p).signal
+            signal = construct_support_pair(SupportSet(modulus, a), SupportSet(modulus, b)).signal
             for _ in range(3):
                 u, k = rng.randrange(2, p - 1), rng.randrange(2, p - 1)
                 t, s = rng.randrange(1, p), rng.randrange(1, p)
