@@ -16,10 +16,11 @@ packs each value into one big integer, so a sum costs a few big-integer
 operations per term; a single-term value such as a rational costs one
 scalar addition per sum.
 
-Every elimination is one integer loop, _triangular, which pivots on the
+Every elimination is one integer pivot step, _pivot, which pivots on the
 diagonal without a search (each leading block of a Fourier minor is itself a
-nonsingular minor) and gives up at a pivot that is not a unit.  It runs in
-two rings that are images of Z[w]:
+nonsingular minor) and gives up at a pivot that is not a unit.  _triangular
+repeats it down one minor, and image_dets down a trie of minors that share
+their rows.  It runs in two rings that are images of Z[w]:
 
 - minor_det and minor_solve run it in Z/N for N = Phi_p(2^W), the image of
   w -> 2^W (cyclotomic.ResidueRing), where one big integer carries all p - 1
@@ -36,7 +37,9 @@ two rings that are images of Z[w]:
   order p in F_q with q = 1 (mod p), is a ring map Z[w] -> F_q, so a nonzero
   image of the determinant in F_q proves it nonzero.  The image is built
   from the row and column residues alone.  A zero image decides nothing, and
-  the exact minor_det settles it.
+  the exact minor_det settles it.  The certification sweep decides its
+  minors with image_dets, one elimination mod q per row set shared across
+  the sorted column sets, and sends a zero image to minor_nonsingular.
 """
 
 from __future__ import annotations
@@ -338,6 +341,23 @@ def _eliminate(minor: FourierMinor, rhs=None):
     return a, inverses
 
 
+def _pivot(a: list[list[int]], k: int, m: int):
+    """One diagonal pivot step mod m, on entry k of the first of the rows a.
+
+    Returns the pivot's inverse and the rows below the first, each cleared
+    in column k and cut to the columns after k.  A pivot that is not a unit
+    mod m raises ValueError.
+    """
+    top = a[0]
+    inv = pow(top[k], -1, m)
+    rest = top[k + 1:]
+    below = []
+    for row in a[1:]:
+        factor = row[k] * inv % m
+        below.append([(x - factor * t) % m for x, t in zip(row[k + 1:], rest)])
+    return inv, below
+
+
 def _triangular(a: list[list[int]], m: int):
     """Diagonal-pivot elimination of the integer rows a modulo m.
 
@@ -349,19 +369,14 @@ def _triangular(a: list[list[int]], m: int):
     det = 1
     rows, inverses = [], []
     while a:
-        top, *below = a
         try:
-            inv = pow(top[0], -1, m)
+            inv, below = _pivot(a, 0, m)
         except ValueError:
             return None
-        det = det * top[0] % m
-        rows.append(top)
+        det = det * a[0][0] % m
+        rows.append(a[0])
         inverses.append(inv)
-        rest = top[1:]
-        a = []
-        for row in below:
-            factor = row[0] * inv % m
-            a.append([(x - factor * t) % m for x, t in zip(row[1:], rest)])
+        a = below
     return det, rows, inverses
 
 
@@ -410,17 +425,59 @@ def minor_det(minor: FourierMinor) -> CycloNum:
 def _image_det(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> int:
     """The determinant of the minor on (rows, cols) mapped to F_q, or 0.
 
-    (q, g) = image_prime(p), and w -> g maps the entry w^(x*xi) to
-    g^(x*xi mod p).  _triangular mod q multiplies the pivots; a zero pivot
-    returns 0, which decides nothing.
+    image_dets on one column set; a zero pivot returns 0, which decides
+    nothing.
+    """
+    return image_dets(modulus, rows.members, [cols.members])[0]
+
+
+def image_dets(modulus: PrimeModulus, rows: tuple[int, ...], col_sets) -> list[int]:
+    """The determinant of each minor (rows, cols), cols in col_sets, mapped to F_q, or 0.
+
+    rows and every cols are sorted residue tuples of one size n, unchecked,
+    and col_sets is a nonempty sequence.  (q, g) = image_prime(p), read at
+    call time, and w -> g maps the entry w^(x*xi) to g^(x*xi mod p).  One
+    elimination mod q serves all the column sets: the image rows, over the
+    columns the sets use, are built once, and the state after each pivot
+    (the rows left, holding only the columns to the right of that pivot,
+    and the product of the pivots) is kept, so a column set resumes from
+    its longest common prefix with the one before it.  Sorted column sets
+    share the longest prefixes.  The pivots are _triangular's diagonal
+    pivots, and a zero pivot at depth k (the leading k x k block's image
+    vanishes) gives 0, which decides nothing, for every column set under
+    that prefix.
     """
     p = modulus.p
     q, g = image_prime(p)
     powers = [1] * p
     for k in range(1, p):
         powers[k] = powers[k - 1] * g % q
-    reduced = _triangular([[powers[x * xi % p] for xi in cols.members] for x in rows.members], q)
-    return reduced[0] if reduced else 0
+    held = sorted(set().union(*col_sets))
+    position = {xi: i for i, xi in enumerate(held)}
+    n = len(rows)
+    # states[k] is (position of the first column held, rows left, product
+    # of the pivots) after pivoting on the current cols[:k], or None after a
+    # zero pivot.
+    states = [(0, [[powers[x * xi % p] for xi in held] for x in rows], 1)]
+    previous = ()
+    dets = []
+    for cols in col_sets:
+        shared = 0
+        while shared < len(states) - 1 and cols[shared] == previous[shared]:
+            shared += 1
+        del states[shared + 1:]
+        state = states[-1]
+        while state is not None and len(states) <= n:
+            first, a, det = state
+            k = position[cols[len(states) - 1]] - first
+            try:
+                state = first + k + 1, _pivot(a, k, q)[1], det * a[0][k] % q
+            except ValueError:
+                state = None
+            states.append(state)
+        dets.append(state[2] if state else 0)
+        previous = cols
+    return dets
 
 
 def minor_nonsingular(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> bool:

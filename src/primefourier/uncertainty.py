@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .cyclotomic import CycloNum, PrimeModulus, character_sums
 from .errors import BudgetExceededError, TheoremViolationError
 from .fourier import SignalFn, SupportSet
 
-DEFAULT_MAX_CERTIFY_P = 17
+DEFAULT_MAX_CERTIFY_P = 19
 
 
 @dataclass(frozen=True)
@@ -175,23 +176,26 @@ def _set_orbits(p: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
     """The AGL(1,p)-orbits of subsets of Z/p as (representative, orbit size).
 
     A subset's orbit is its p(p - 1) images u*S + t (u a unit), taken as
-    bitmasks; the representative is the least image and the orbit size the
-    number of distinct images.  Entry n lists the orbits of n-sets, sorted
-    by representative.  Cached per p, as tuples, so a second walk of the
-    same p (the CSV rows after the sweep) reuses the first one's orbits.
+    bitmasks: the p - 1 dilated masks u*S and the p cyclic rotations of
+    each, since adding t rotates a p-bit mask by t.  The representative is
+    the least image and the orbit size the number of distinct images.
+    Entry n lists the orbits of n-sets, sorted by representative.  Cached
+    per p, as tuples, so a second walk of the same p (the CSV rows after the
+    sweep) reuses the first one's orbits.
     """
+    full = (1 << p) - 1
     seen = bytearray(1 << p)
     by_size = [[] for _ in range(p + 1)]
-    for mask in range(1 << p):
-        if seen[mask]:
-            continue
+    mask = 0
+    while mask >= 0:
         # Masks are met in increasing order, so this one is its orbit's least.
         members = tuple(x for x in range(p) if mask >> x & 1)
-        images = {sum(1 << (u * x + t) % p for x in members)
-                  for u in range(1, p) for t in range(p)}
+        dilated = {sum(1 << u * x % p for x in members) for u in range(1, p)}
+        images = {d << t & full | d >> (p - t) for d in dilated for t in range(p)}
         for image in images:
             seen[image] = 1
         by_size[len(members)].append((members, len(images)))
+        mask = seen.find(0, mask + 1)
     return tuple(tuple(sorted(orbits)) for orbits in by_size)
 
 
@@ -226,8 +230,19 @@ def _certification_orbits(p: int):
 def _checked(modulus: PrimeModulus, records):
     # Yields each record once it is checked.  Only minors compute: their
     # records come (and pass) first, and every minor lies in the orbit of one
-    # (any two same-size set representatives form one), so the pairs follow
-    # from "every minor is nonsingular", as in the paper's proof of sharpness:
+    # (any two same-size set representatives form one).  Of the minors only
+    # the sizes n <= p/2 and the full matrix F = (w^(x*xi)) take an
+    # elimination, by Jacobi's complementary-minor identity: for F
+    # nonsingular, the minor of F on (X^c, Xi^c) is +-det F times the minor
+    # of F^-1 on (Xi, X).  F^-1 = (w^(-x*xi))/p, so that minor is p^-n times
+    # the Galois conjugate (w -> w^-1) of F's minor on (Xi, X), nonzero when
+    # that n-minor is.  So once F and every n-minor pass, every (p - n)-minor
+    # does, and the records of sizes p/2 < n < p are derived, after F passes.
+    # Each row representative's column representatives, sorted, share one
+    # prefix-shared elimination mod q (fourier.image_dets); a minor it
+    # leaves undecided goes to the exact fourier.minor_nonsingular.
+    # The pairs then follow from "every minor is nonsingular", as in the
+    # paper's proof of sharpness:
     # - tightness: its certify_tightness minor is nonsingular;
     # - achievability: V = {f on A : fhat = 0 off B} has the last
     #   k = |A| + |B| - p >= 1 members F of A as free coordinates, the rest P
@@ -241,13 +256,26 @@ def _checked(modulus: PrimeModulus, records):
     #   never 0, so at most p(k - 1) values of t fail and one of
     #   t = 1, ..., p(k - 1) + 1 gives both supports exactly (for k = 1,
     #   lambda = 1).
-    for record in records:
-        kind, first, second, _ = record
-        if kind == "minor":
-            rows, cols = SupportSet(modulus, first), SupportSet(modulus, second)
-            if not fourier.minor_nonsingular(modulus, rows, cols):
-                raise TheoremViolationError(f"zero minor rows={first} cols={second} p={modulus.p}")
-        yield record
+    p = modulus.p
+    everything = tuple(range(p))
+    _check_minors(modulus, everything, [everything])
+    for kind, group in itertools.groupby(records, operator.itemgetter(0)):
+        if kind != "minor":
+            yield from group
+            continue
+        for rows, row_group in itertools.groupby(group, operator.itemgetter(1)):
+            row_group = list(row_group)
+            if 2 * len(rows) <= p:
+                _check_minors(modulus, rows, [cols for _, _, cols, _ in row_group])
+            yield from row_group
+
+
+def _check_minors(modulus: PrimeModulus, rows: tuple[int, ...], col_sets) -> None:
+    """Raise TheoremViolationError unless every minor (rows, cols) is nonsingular."""
+    for cols, image in zip(col_sets, fourier.image_dets(modulus, rows, col_sets)):
+        if not image and not fourier.minor_nonsingular(
+                modulus, SupportSet(modulus, rows), SupportSet(modulus, cols)):
+            raise TheoremViolationError(f"zero minor rows={rows} cols={cols} p={modulus.p}")
 
 
 def iter_certification_checks(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CERTIFY_P):
@@ -256,7 +284,9 @@ def iter_certification_checks(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CE
     Each record is (kind, first, second, orbit_size): kind is "minor",
     "tightness" or "achievability", first/second the representative's
     residue tuples, orbit_size the number of instances it stands for.  Only
-    a minor is computed (fourier.minor_nonsingular); the pairs are derived
+    minors are computed, the full matrix and the sizes n <= p/2
+    (fourier.image_dets, then fourier.minor_nonsingular for a zero
+    image); the sizes p/2 < n < p follow by complementation, and the pairs
     from the certified minors, which come first.  A failing representative
     raises instead of yielding; p above max_p raises BudgetExceededError at
     the call.
@@ -279,14 +309,17 @@ def exhaustive_certification(modulus: PrimeModulus,
     from the certified minors.  Any failure raises; the summary counts the
     instances of each class.  Each property holds on whole AGL(1,p) x
     AGL(1,p) orbits, so one representative per orbit is checked and counted
-    with its orbit size, and only the 11 / 73 / 393 / 18,069 minor
-    representatives at p = 7 / 11 / 13 / 17 take a determinant, each decided
-    by its image in F_q with the exact determinant as the fallback
-    (fourier.minor_nonsingular).  The sweep is one serial pass over
-    iter_certification_checks.
+    with its orbit size.  Of the minor representatives only the full matrix
+    and those of size n <= p/2 take an elimination, 6 / 37 / 197 / 9,035 /
+    81,906 at p = 7 / 11 / 13 / 17 / 19: each row representative's are
+    decided together by their images in F_q (fourier.image_dets), with
+    the exact determinant as the fallback (fourier.minor_nonsingular).  The
+    larger sizes follow by Jacobi's complementary-minor identity (see
+    _checked).  The sweep is one serial pass over iter_certification_checks.
     """
     counts = Counter()
-    for kind, _, _, orbit_size in iter_certification_checks(modulus, max_p):
-        counts[kind] += orbit_size
+    for kind, records in itertools.groupby(iter_certification_checks(modulus, max_p),
+                                           operator.itemgetter(0)):
+        counts[kind] += sum(map(operator.itemgetter(3), records))
     return CertificationSummary(modulus.p, counts["minor"], counts["tightness"],
                                 counts["achievability"])

@@ -540,6 +540,60 @@ class TestMinorNonsingular:
             minor_nonsingular(p5, SupportSet(p7, [0]), SupportSet(p7, [0]))
 
 
+class TestImageDets:
+    # image_dets shares one elimination across a stream of column sets;
+    # _image_det is the same elimination on one column set, checked against
+    # the exact determinant in TestMinorNonsingular.
+
+    @staticmethod
+    def streams(p):
+        """The sweep's column streams: the full matrix, and each row
+        representative of size n <= p/2 with its column representatives."""
+        everything = tuple(range(p))
+        by_rows = {everything: [everything]}
+        for kind, rows, cols, _ in uncertainty._certification_orbits(p):
+            if kind == "minor" and 2 * len(rows) <= p:
+                by_rows.setdefault(rows, []).append(cols)
+        return by_rows
+
+    @staticmethod
+    def one_by_one(modulus, rows, col_sets):
+        return [fourier._image_det(modulus, SupportSet(modulus, rows), SupportSet(modulus, cols))
+                for cols in col_sets]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_shared_prefixes_give_each_image_determinant(self, p):
+        modulus = PrimeModulus(p)
+        for rows, col_sets in self.streams(p).items():
+            images = fourier.image_dets(modulus, rows, col_sets)
+            assert images == self.one_by_one(modulus, rows, col_sets), rows
+            assert all(images)
+
+    def test_zero_pivots_under_an_image_override(self, monkeypatch):
+        # At (q, g) = (23, 2) some leading blocks at p = 11 vanish mod 23:
+        # every column set under such a prefix must still get 0, and the
+        # others their own image determinant.
+        monkeypatch.setattr(fourier, "image_prime", lambda p: (23, 2))
+        modulus = PrimeModulus(11)
+        undecided = 0
+        for rows, col_sets in self.streams(11).items():
+            images = fourier.image_dets(modulus, rows, col_sets)
+            assert images == self.one_by_one(modulus, rows, col_sets), rows
+            undecided += images.count(0)
+        assert undecided == 5
+
+    def test_every_column_set_in_any_order(self):
+        # All 3-sets of columns at p = 7, forwards and backwards, against a
+        # few row sets: resuming from a shared prefix must not depend on the
+        # stream being the sweep's.
+        modulus = PrimeModulus(7)
+        col_sets = list(itertools.combinations(range(7), 3))
+        for rows in [(0, 1, 2), (0, 1, 3), (2, 4, 5)]:
+            for stream in (col_sets, col_sets[::-1]):
+                assert (fourier.image_dets(modulus, rows, stream)
+                        == self.one_by_one(modulus, rows, stream))
+
+
 class TestMinorSolve:
     def test_column_recovers_unit_vector(self):
         p7 = PrimeModulus(7)

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -384,7 +385,7 @@ class TestExhaustiveCertification:
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            exhaustive_certification(PrimeModulus(19))
+            exhaustive_certification(PrimeModulus(23))
         summary = exhaustive_certification(PrimeModulus(2), max_p=2)
         assert summary.minors_checked == 5
 
@@ -395,22 +396,30 @@ class TestExhaustiveCertification:
         kinds = [kind for kind, _, _, _ in records]
         assert (kinds.count("minor"), kinds.count("tightness"),
                 kinds.count("achievability")) == (minors, tight, achievable)
-        # One nonsingularity check per minor representative, and no
-        # computation of its own for a tightness or an achievable one.
-        calls = {"minor": [], "tight": [], "built": []}
-        spies = [(fourier, "minor_nonsingular", "minor"),
+        # One image elimination per row representative of size n <= p/2,
+        # over its column representatives in stream order, and one for the
+        # full matrix first.  No exact check (every image is nonzero here),
+        # and no computation of its own for a tightness or an achievable one.
+        everything = tuple(range(p))
+        calls = {"images": [], "minor": [], "tight": [], "built": []}
+        spies = [(fourier, "image_dets", "images"),
+                 (fourier, "minor_nonsingular", "minor"),
                  (uncertainty, "certify_tightness", "tight"),
                  (uncertainty, "construct_support_pair", "built")]
         for module, name, key in spies:
             def spy(*args, _real=getattr(module, name), _key=key):
-                calls[_key].append(args)
+                calls[_key].append(args[1:])
                 return _real(*args)
             monkeypatch.setattr(module, name, spy)
         exhaustive_certification(PrimeModulus(p))
-        assert calls["tight"] == []
-        assert [(rows.members, cols.members) for _, rows, cols in calls["minor"]] == [
-            (a, b) for kind, a, b, _ in records if kind == "minor"]
-        assert calls["built"] == []
+        checked = {}
+        for kind, a, b, _ in records:
+            if kind == "minor" and 2 * len(a) <= p:
+                checked.setdefault(a, []).append(b)
+        assert calls["images"] == [(everything, [everything])] + list(checked.items())
+        eliminated = 1 + sum(len(cols) for cols in checked.values())
+        assert eliminated == {3: 2, 5: 3, 7: 6}[p]
+        assert calls["minor"] == calls["tight"] == calls["built"] == []
 
     def test_achievable_representatives_have_witnesses(self):
         # The sweep derives achievability from the minors; here every
@@ -441,12 +450,12 @@ class TestExhaustiveCertification:
         assert kinds["tightness"] == summary.tightness_checked
         assert kinds["achievability"] == summary.achievability_checked
 
-    @pytest.mark.parametrize("p", [19, 31])
+    @pytest.mark.parametrize("p", [23, 31])
     def test_iterator_budget_raises_at_call(self, p):
         # Raised by the call itself, before any subset is enumerated.
         with pytest.raises(BudgetExceededError, match=f"p={p} exceeds"):
             iter_certification_checks(PrimeModulus(p))
-        checks = iter_certification_checks(PrimeModulus(19), max_p=19)
+        checks = iter_certification_checks(PrimeModulus(23), max_p=23)
         assert hasattr(checks, "__next__")
         checks.close()
 
@@ -471,12 +480,16 @@ class TestExhaustiveCertification:
             exact.append((minor.rows.members, minor.cols.members))
             return real(minor)
 
-        monkeypatch.setattr(fourier, "_image_det", lambda modulus, rows, cols: 0)
+        monkeypatch.setattr(fourier, "image_dets",
+                            lambda modulus, rows, col_sets: [0] * len(col_sets))
         monkeypatch.setattr(fourier, "minor_det", spy)
         summary = exhaustive_certification(PrimeModulus(7))
-        assert exact == [(a, b) for kind, a, b, _ in uncertainty._certification_orbits(7)
-                         if kind == "minor"]
-        assert len(exact) == 11
+        # The full matrix first, then every representative of size <= 3.
+        everything = tuple(range(7))
+        assert exact == [(everything, everything)] + [
+            (a, b) for kind, a, b, _ in uncertainty._certification_orbits(7)
+            if kind == "minor" and len(a) <= 3]
+        assert len(exact) == 6
         assert summary.minors_checked == closed_form_counts(7)["minor"]
         assert summary.tightness_checked == closed_form_counts(7)["tightness"]
         assert summary.achievability_checked == closed_form_counts(7)["achievability"]
@@ -485,7 +498,9 @@ class TestExhaustiveCertification:
         # 2 has order 11 mod 23, so w -> 2 maps Z[w] at p = 11 into F_23.  23
         # divides the norm of some Fourier minors there: their images vanish
         # (or meet a zero pivot) although the minors are nonsingular, and
-        # only the exact determinant can certify them.
+        # only the exact determinant can certify them.  The sweep eliminates
+        # sizes n <= 5 and the full matrix; the zero images among them are at
+        # sizes 4 and 5.
         assert pow(2, 11, 23) == 1
         real = fourier.minor_det
         exact = []
@@ -501,17 +516,51 @@ class TestExhaustiveCertification:
         assert (summary.minors_checked, summary.tightness_checked,
                 summary.achievability_checked) == (
             counts["minor"], counts["tightness"], counts["achievability"])
-        assert len(exact) == 9
+        assert len(exact) == 5
+        assert {len(rows) for rows, _ in exact} == {4, 5}
         assert ((0, 1, 2, 4), (0, 1, 2, 4)) in exact
 
     def test_singular_minor_names_rows_and_cols(self, monkeypatch):
-        # ((0, 1), (0, 1)) represents the 2 x 2 minors at p = 3; both its
-        # image in F_q and its exact determinant are made to vanish.
-        real_image, real_det = fourier._image_det, fourier.minor_det
-        bad = ((0, 1), (0, 1))
+        # ((0, 1, 2, 4), (0, 1, 2, 4)) is a representative of 4 x 4 minors at
+        # p = 11, a checked size, whose image in F_23 vanishes; its exact
+        # determinant is made to vanish too.
+        real_det = fourier.minor_det
+        bad = ((0, 1, 2, 4), (0, 1, 2, 4))
+
+        def fake_det(minor):
+            if (minor.rows.members, minor.cols.members) == bad:
+                return CycloNum.zero(minor.modulus)
+            return real_det(minor)
+
+        monkeypatch.setattr(fourier, "image_prime", lambda p: (23, 2))
+        monkeypatch.setattr(fourier, "minor_det", fake_det)
+        with pytest.raises(TheoremViolationError,
+                           match=r"^zero minor rows=\(0, 1, 2, 4\) cols=\(0, 1, 2, 4\) p=11$"):
+            exhaustive_certification(PrimeModulus(11))
+        monkeypatch.undo()
+        # The first two residues outside B = {} are the rows of A's certificate.
+        self.inject_fault(monkeypatch, ((0, 1), (0, 1)))
+        p3 = PrimeModulus(3)
+        with pytest.raises(TheoremViolationError,
+                           match=r"^tightness certificate failed: singular minor "
+                                 r"rows=\(0, 1\) cols=\(0, 1\) \(p=3\)$"):
+            certify_tightness(p3, SupportSet(p3, [0, 1]), SupportSet(p3, []))
+        assert certify_tightness(p3, SupportSet(p3, [0, 2]), SupportSet(p3, []))
+
+    @staticmethod
+    def inject_fault(monkeypatch, bad):
+        """Make the minor bad = (rows, cols) singular to the image and the exact test."""
+        real_images, real_image, real_det = (fourier.image_dets, fourier._image_det,
+                                             fourier.minor_det)
+        consulted = []
+
+        def fake_images(modulus, rows, col_sets):
+            images = real_images(modulus, rows, col_sets)
+            return [0 if (rows, cols) == bad else image for cols, image in zip(col_sets, images)]
 
         def fake_image(modulus, rows, cols):
             if (rows.members, cols.members) == bad:
+                consulted.append(bad)
                 return 0
             return real_image(modulus, rows, cols)
 
@@ -520,18 +569,58 @@ class TestExhaustiveCertification:
                 return CycloNum.zero(minor.modulus)
             return real_det(minor)
 
+        monkeypatch.setattr(fourier, "image_dets", fake_images)
         monkeypatch.setattr(fourier, "_image_det", fake_image)
         monkeypatch.setattr(fourier, "minor_det", fake_det)
-        with pytest.raises(TheoremViolationError,
-                           match=r"^zero minor rows=\(0, 1\) cols=\(0, 1\) p=3$"):
-            exhaustive_certification(PrimeModulus(3))
-        # The first two residues outside B = {} are the rows of A's certificate.
-        p3 = PrimeModulus(3)
-        with pytest.raises(TheoremViolationError,
-                           match=r"^tightness certificate failed: singular minor "
-                                 r"rows=\(0, 1\) cols=\(0, 1\) \(p=3\)$"):
-            certify_tightness(p3, SupportSet(p3, [0, 1]), SupportSet(p3, []))
-        assert certify_tightness(p3, SupportSet(p3, [0, 2]), SupportSet(p3, []))
+        return consulted
+
+    @pytest.mark.parametrize("bad, checked", [
+        (((0, 1, 3), (0, 1, 3)), True),
+        (((0,), (0,)), True),
+        (((0, 1, 2, 3), (0, 1, 2, 4)), False),
+        (((0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5)), False),
+    ])
+    def test_faults_are_consulted_only_at_checked_sizes(self, monkeypatch, bad, checked):
+        # At p = 7 the sizes 1 to 3 and 7 are eliminated; 4 to 6 follow by
+        # complementation, so a fault there is never looked at.
+        modulus = PrimeModulus(7)
+        records = list(uncertainty._certification_orbits(7))
+        assert ("minor", *bad) in [record[:3] for record in records]
+        consulted = self.inject_fault(monkeypatch, bad)
+        if checked:
+            message = re.escape(f"zero minor rows={bad[0]} cols={bad[1]} p=7")
+            with pytest.raises(TheoremViolationError, match=f"^{message}$"):
+                exhaustive_certification(modulus)
+            assert consulted == [bad]
+        else:
+            assert list(iter_certification_checks(modulus)) == records
+            assert consulted == []
+
+    def test_no_derived_record_before_the_full_matrix_passes(self, monkeypatch):
+        p = 7
+        everything = tuple(range(p))
+        events = []
+        real = fourier.image_dets
+
+        def spy(modulus, rows, col_sets):
+            events.append(("check", len(rows)))
+            return real(modulus, rows, col_sets)
+
+        monkeypatch.setattr(fourier, "image_dets", spy)
+        for kind, first, _, _ in iter_certification_checks(PrimeModulus(p)):
+            events.append(("yield", len(first) if kind == "minor" else 0))
+        derived = [i for i, event in enumerate(events)
+                   if event[0] == "yield" and p / 2 < event[1] < p]
+        assert derived and events.index(("check", p)) < derived[0]
+        # With the full matrix singular, the sweep raises before it yields a
+        # derived record.
+        monkeypatch.undo()
+        self.inject_fault(monkeypatch, (everything, everything))
+        yielded = []
+        with pytest.raises(TheoremViolationError, match=r"^zero minor rows=\(0, 1, 2, 3, 4, 5, 6\)"):
+            for kind, first, _, _ in iter_certification_checks(PrimeModulus(p)):
+                yielded.append(len(first))
+        assert all(n <= p / 2 for n in yielded)
 
 
 def burnside_orbit_counts(p):
@@ -582,6 +671,25 @@ class TestCertificationOrbits:
         assert uncertainty._set_orbits(7) is first
         assert uncertainty._set_orbits.cache_info().misses == 1
         assert isinstance(first, tuple) and all(isinstance(o, tuple) for o in first)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_set_orbits_match_sets_of_images(self, p):
+        # Reference: each orbit as the set of its images u*S + t, built from
+        # residue sets, its representative the image of least bitmask.
+        def mask(members):
+            return sum(1 << x for x in members)
+
+        reference = [[] for _ in range(p + 1)]
+        done = set()
+        for n in range(p + 1):
+            for members in itertools.combinations(range(p), n):
+                if members in done:
+                    continue
+                orbit = {tuple(sorted((u * x + t) % p for x in members))
+                         for u in range(1, p) for t in range(p)}
+                done |= orbit
+                reference[n].append((min(orbit, key=mask), len(orbit)))
+        assert uncertainty._set_orbits(p) == tuple(tuple(sorted(o)) for o in reference)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_set_orbits_match_burnside(self, p):
