@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="64-bit seed, range-checked and ignored: the sweep is not randomized")
     sp.add_argument("--budget", type=int, default=uncertainty.DEFAULT_MAX_CERTIFY_P,
                     help="largest p the sweep will accept (default %(default)s, which "
-                         "takes about 3 s serially; p = 23 takes minutes)")
+                         "takes about 2 s serially; p = 23 takes minutes)")
     sp.add_argument("--jobs", type=int, default=1,
                     help="at least 1, range-checked and ignored: the sweep runs serially")
 

@@ -34,6 +34,7 @@ roots of unity has P(1, ..., 1) divisible by p.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -57,19 +58,26 @@ MAX_PRIME = 10007
 _DENSE_MUL_THRESHOLD = 8
 
 
-# The first twelve primes.  No composite below _MR_LIMIT passes the strong
-# (Miller-Rabin) test to all of them; _MR_LIMIT itself, 318665857834031151167461,
-# is the least composite that does (Sorenson and Webster, "Strong pseudoprimes
-# to twelve prime bases", Math. Comp. 86 (2017)).
+# The first twelve primes, and psi_k for k = 1 .. 12: the least composite that
+# passes the strong (Miller-Rabin) test to the first k of them (OEIS A014233;
+# Jaeschke, "On strong pseudoprimes to several bases", Math. Comp. 61 (1993),
+# up to k = 8; Jiang and Deng, Math. Comp. 83 (2014), for k = 9 to 11;
+# Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math.
+# Comp. 86 (2017), for k = 12).  So n < psi_k is prime iff it passes the
+# first k bases, and _MR_LIMIT = psi_12 bounds the proven range.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 318665857834031151167461
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051, 318665857834031151167461)
+_MR_LIMIT = _MR_PSI[-1]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test to the first twelve prime bases.
+    """Deterministic Miller-Rabin test to the first k prime bases.
 
-    Proven for every n below 3.18 * 10^23 (_MR_LIMIT); a larger n raises
-    ValueError rather than risk a strong pseudoprime.
+    k is the least with n < psi_k (see _MR_PSI): 4 bases near 2^31, at most
+    12.  Proven for every n below 3.18 * 10^23 (_MR_LIMIT); a larger n
+    raises ValueError rather than risk a strong pseudoprime.
     """
     if n < 2:
         return False
@@ -82,7 +90,7 @@ def is_prime(n: int) -> bool:
     while not d & 1:
         d >>= 1
         s += 1
-    for b in _MR_BASES:
+    for b in _MR_BASES[:bisect.bisect_right(_MR_PSI, n) + 1]:
         x = pow(b, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
-from collections import Counter
 from dataclasses import dataclass
 
 from . import fourier
@@ -100,9 +98,9 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
     takes the weights 1, t, ..., t^(k-1) there, and one minor_solve gives its
     values on the first p - |B| members (none when B is all of Z/p).  The
     least t in 1, 2, ..., p(k - 1) + 1 whose signal has exactly the supports
-    (A, B) wins; at most p(k - 1) values of t can fail (see _checked), so a
-    run past the bound raises TheoremViolationError.  In the exact case k = 1
-    there is one try, with f(max A) = 1.  seed is accepted and ignored:
+    (A, B) wins; at most p(k - 1) values of t can fail (see _certify_minors),
+    so a run past the bound raises TheoremViolationError.  In the exact case
+    k = 1 there is one try, with f(max A) = 1.  seed is accepted and ignored:
     nothing is drawn.
     """
     if support_set.modulus != spectrum_set.modulus:
@@ -178,7 +176,9 @@ def _set_orbits(p: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
     A subset's orbit is its p(p - 1) images u*S + t (u a unit), taken as
     bitmasks: the p - 1 dilated masks u*S and the p cyclic rotations of
     each, since adding t rotates a p-bit mask by t.  The representative is
-    the least image and the orbit size the number of distinct images.
+    the least image and the orbit size the number of distinct images.  The
+    complements of an orbit's images form an orbit of the same size, whose
+    least image is full ^ the greatest, so each orbit met gives two.
     Entry n lists the orbits of n-sets, sorted by representative.  Cached
     per p, as tuples, so a second walk of the same p (the CSV rows after the
     sweep) reuses the first one's orbits.
@@ -193,8 +193,10 @@ def _set_orbits(p: int) -> tuple[tuple[tuple[tuple[int, ...], int], ...], ...]:
         dilated = {sum(1 << u * x % p for x in members) for u in range(1, p)}
         images = {d << t & full | d >> (p - t) for d in dilated for t in range(p)}
         for image in images:
-            seen[image] = 1
-        by_size[len(members)].append((members, len(images)))
+            seen[image] = seen[full ^ image] = 1
+        for least in {mask, full ^ max(images)}:  # equal only at p = 2, n = 1
+            by_size[least.bit_count()].append(
+                (tuple(x for x in range(p) if least >> x & 1), len(images)))
         mask = seen.find(0, mask + 1)
     return tuple(tuple(sorted(orbits)) for orbits in by_size)
 
@@ -227,9 +229,9 @@ def _certification_orbits(p: int):
                             yield kind, a, b, a_orbit * b_orbit
 
 
-def _checked(modulus: PrimeModulus, records):
-    # Yields each record once it is checked.  Only minors compute: their
-    # records come (and pass) first, and every minor lies in the orbit of one
+def _certify_minors(modulus: PrimeModulus) -> None:
+    """Raise TheoremViolationError unless every Fourier minor at p is nonsingular."""
+    # Only minors compute, and every minor lies in the orbit of one record
     # (any two same-size set representatives form one).  Of the minors only
     # the sizes n <= p/2 and the full matrix F = (w^(x*xi)) take an
     # elimination, by Jacobi's complementary-minor identity: for F
@@ -259,15 +261,10 @@ def _checked(modulus: PrimeModulus, records):
     p = modulus.p
     everything = tuple(range(p))
     _check_minors(modulus, everything, [everything])
-    for kind, group in itertools.groupby(records, operator.itemgetter(0)):
-        if kind != "minor":
-            yield from group
-            continue
-        for rows, row_group in itertools.groupby(group, operator.itemgetter(1)):
-            row_group = list(row_group)
-            if 2 * len(rows) <= p:
-                _check_minors(modulus, rows, [cols for _, _, cols, _ in row_group])
-            yield from row_group
+    for orbits in _set_orbits(p)[1:p // 2 + 1]:
+        reps = [rep for rep, _ in orbits]
+        for i, rows in enumerate(reps):
+            _check_minors(modulus, rows, reps[i:])
 
 
 def _check_minors(modulus: PrimeModulus, rows: tuple[int, ...], col_sets) -> None:
@@ -278,25 +275,30 @@ def _check_minors(modulus: PrimeModulus, rows: tuple[int, ...], col_sets) -> Non
             raise TheoremViolationError(f"zero minor rows={rows} cols={cols} p={modulus.p}")
 
 
-def iter_certification_checks(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CERTIFY_P):
-    """Check one representative per orbit in canonical order, yielding records.
-
-    Each record is (kind, first, second, orbit_size): kind is "minor",
-    "tightness" or "achievability", first/second the representative's
-    residue tuples, orbit_size the number of instances it stands for.  Only
-    minors are computed, the full matrix and the sizes n <= p/2
-    (fourier.image_dets, then fourier.minor_nonsingular for a zero
-    image); the sizes p/2 < n < p follow by complementation, and the pairs
-    from the certified minors, which come first.  A failing representative
-    raises instead of yielding; p above max_p raises BudgetExceededError at
-    the call.
-    """
+def _require_budget(modulus: PrimeModulus, max_p: int) -> None:
     if modulus.p > max_p:
         raise BudgetExceededError(
             f"p={modulus.p} exceeds the certification budget {max_p}; "
             "raise the budget explicitly"
         )
-    return _checked(modulus, _certification_orbits(modulus.p))
+
+
+def iter_certification_checks(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CERTIFY_P):
+    """Certify every minor, then yield one record per orbit in canonical order.
+
+    Each record is (kind, first, second, orbit_size): kind is "minor",
+    "tightness" or "achievability", first/second the representative's
+    residue tuples, orbit_size the number of instances it stands for.  The
+    first next() runs the whole check of exhaustive_certification and
+    raises on a failing minor; the records, all passed, follow.  p above
+    max_p raises BudgetExceededError at the call, before any check.
+    """
+    _require_budget(modulus, max_p)
+
+    def checked():
+        _certify_minors(modulus)
+        yield from _certification_orbits(modulus.p)
+    return checked()
 
 
 def exhaustive_certification(modulus: PrimeModulus,
@@ -306,20 +308,18 @@ def exhaustive_certification(modulus: PrimeModulus,
     (a) every equal-size minor has nonzero determinant; (b) every (A, B)
     with nonempty A and |A| + |B| <= p is unreachable; (c) every nonempty
     (A, B) with |A| + |B| >= p + 1 is achievable; (b) and (c) are derived
-    from the certified minors.  Any failure raises; the summary counts the
-    instances of each class.  Each property holds on whole AGL(1,p) x
-    AGL(1,p) orbits, so one representative per orbit is checked and counted
-    with its orbit size.  Of the minor representatives only the full matrix
-    and those of size n <= p/2 take an elimination, 6 / 37 / 197 / 9,035 /
-    81,906 at p = 7 / 11 / 13 / 17 / 19: each row representative's are
-    decided together by their images in F_q (fourier.image_dets), with
-    the exact determinant as the fallback (fourier.minor_nonsingular).  The
-    larger sizes follow by Jacobi's complementary-minor identity (see
-    _checked).  The sweep is one serial pass over iter_certification_checks.
+    from the certified minors (see _certify_minors, which eliminates 6 / 37 /
+    197 / 9,035 / 81,906 minor representatives at p = 7 / 11 / 13 / 17 / 19).
+    Any failure raises.  Each property holds on whole AGL(1,p) x AGL(1,p)
+    orbits, and the summary counts instances without building a record: with
+    s_n the orbit sizes of the n-sets summed, there are sum s_n^2 minors
+    (n >= 1) and s_a * s_b pairs of sizes (a, b) for each a >= 1.
     """
-    counts = Counter()
-    for kind, records in itertools.groupby(iter_certification_checks(modulus, max_p),
-                                           operator.itemgetter(0)):
-        counts[kind] += sum(map(operator.itemgetter(3), records))
-    return CertificationSummary(modulus.p, counts["minor"], counts["tightness"],
-                                counts["achievability"])
+    _require_budget(modulus, max_p)
+    _certify_minors(modulus)
+    p = modulus.p
+    s = [sum(size for _, size in orbits) for orbits in _set_orbits(p)]
+    pairs = [(a, b) for a in range(1, p + 1) for b in range(p + 1)]
+    return CertificationSummary(p, sum(s[n] ** 2 for n in range(1, p + 1)),
+                                sum(s[a] * s[b] for a, b in pairs if a + b <= p),
+                                sum(s[a] * s[b] for a, b in pairs if a + b > p))

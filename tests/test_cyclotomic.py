@@ -67,8 +67,9 @@ def trial_division_prime(n):
 
 
 class TestIsPrime:
-    def test_agrees_with_a_sieve_below_10_5(self):
-        limit = 10**5
+    def test_agrees_with_a_sieve_below_2_10_5(self):
+        # Past psi_1 = 2047, so both the one-base and the two-base prefix.
+        limit = 2 * 10**5
         sieve = bytearray([1]) * limit
         sieve[:2] = b"\0\0"
         for n in range(2, math.isqrt(limit) + 1):
@@ -81,6 +82,15 @@ class TestIsPrime:
         (561, ()),                     # Carmichael: a Fermat liar to every coprime base
         (3215031751, (2, 3, 5, 7)),    # strong pseudoprime to 2, 3, 5 and 7
         (2152302898747, (2, 3, 5, 7, 11)),
+        # The other psi_k below the proven range, the least strong
+        # pseudoprimes to the first k prime bases (psi_4 and psi_5 above):
+        # is_prime must take more than k bases for each.
+        (2047, (2,)),
+        (1373653, (2, 3)),
+        (25326001, (2, 3, 5)),
+        (3474749660383, (2, 3, 5, 7, 11, 13)),
+        (341550071728321, (2, 3, 5, 7, 11, 13, 17, 19)),
+        (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
     ])
     def test_rejects_pseudoprimes(self, n, bases):
         assert all(strong_probable_prime(n, b) for b in bases)
@@ -112,6 +122,20 @@ class TestImagePrime:
         # Least: no prime q' = 1 (mod p) lies between 2^31 and q.
         assert not any(is_prime(n) for n in range(2**31 + 1, q) if n % p == 1)
         assert g != 1 and pow(g, p, q) == 1
+
+    def test_matches_twelve_bases_up_to_max_prime(self):
+        def twelve_base_image_prime(p):
+            q = -(-(1 << 31) // p) * p + 1
+            while not all(q % b and strong_probable_prime(q, b) for b in cyclotomic._MR_BASES):
+                q += p
+            h = 2
+            while pow(h, (q - 1) // p, q) == 1:
+                h += 1
+            return q, pow(h, (q - 1) // p, q)
+
+        primes = [p for p in range(2, cyclotomic.MAX_PRIME + 1) if trial_division_prime(p)]
+        assert primes[-1] == 10007
+        assert all(image_prime(p) == twelve_base_image_prime(p) for p in primes)
 
 
 class TestRootPower:

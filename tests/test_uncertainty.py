@@ -459,12 +459,17 @@ class TestExhaustiveCertification:
         assert hasattr(checks, "__next__")
         checks.close()
 
-    @pytest.mark.parametrize("p", [7, 11, 13])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_counts_match_closed_forms(self, monkeypatch, p):
         # Every image in F_q is nonzero here, so the exact determinant, the
-        # fallback, is never taken.
+        # fallback, is never taken.  The counts come from the orbit sizes
+        # per set size, without a single record.
+        def no_records(p):
+            raise AssertionError("the summary must not walk the record stream")
+
         exact = []
         monkeypatch.setattr(fourier, "minor_det", lambda minor: exact.append(minor))
+        monkeypatch.setattr(uncertainty, "_certification_orbits", no_records)
         summary = exhaustive_certification(PrimeModulus(p))
         counts = closed_form_counts(p)
         assert (summary.minors_checked, summary.tightness_checked,
@@ -621,6 +626,27 @@ class TestExhaustiveCertification:
             for kind, first, _, _ in iter_certification_checks(PrimeModulus(p)):
                 yielded.append(len(first))
         assert all(n <= p / 2 for n in yielded)
+
+    def test_iterator_checks_everything_before_its_first_record(self, monkeypatch):
+        records = list(uncertainty._certification_orbits(7))
+        events = []
+        real = fourier.image_dets
+
+        def spy(modulus, rows, col_sets):
+            events.append("check")
+            return real(modulus, rows, col_sets)
+
+        monkeypatch.setattr(fourier, "image_dets", spy)
+        checks = iter_certification_checks(PrimeModulus(7))
+        assert events == []
+        yielded = []
+        for record in checks:
+            events.append("yield")
+            yielded.append(record)
+        assert yielded == records
+        # One call for the full matrix and one per row representative of
+        # size <= 3: one each of sizes 1 and 2, two of size 3.
+        assert events == ["check"] * 5 + ["yield"] * len(records)
 
 
 def burnside_orbit_counts(p):
