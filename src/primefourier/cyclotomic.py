@@ -12,15 +12,16 @@ is sound and complete.
 Products run on the redundant spanning set {1, w, ..., w^(p-1)}, where
 multiplying by w is a cyclic shift and the automorphism w -> w^k (galois) is a
 permutation of the coefficients.  Only this module knows how a value is
-stored and packed: dense products and character_sums, the kernel behind
-every transform in fourier, turn each vector with two or more nonzero
-coefficients into one big integer through one linear-time codec (Kronecker
+stored and packed: dense products, character_sums (the kernel behind every
+transform in fourier, with its slots in discrete-log order) and
+cyclic_convolution (packed from the forward sums to the inverse) turn
+vectors into big integers through one linear-time codec (Kronecker
 substitution), with digits just as wide as their bound needs.  Inverses
 come from the Galois norm: the product of all p - 1 conjugates of a nonzero
 element is a nonzero rational, so dividing the product of the other p - 2
-conjugates by it inverts the element with integer vector arithmetic alone.  The Galois
-group is cyclic, generated by w -> w^g for a generator g of (Z/p)^*, so a
-doubling chain builds that product in O(log p) multiplications.
+conjugates by it inverts the element with integer vector arithmetic alone.
+The Galois group is cyclic, generated by w -> w^g for a generator g of
+(Z/p)^*, so a doubling chain builds that product in O(log p) multiplications.
 
 ResidueRing is the codec of fourier's exact eliminations: Z[w] maps onto
 Z/N for N = Phi_p(2^W) by w -> 2^W, and a value whose coefficients are small
@@ -236,19 +237,25 @@ def _pack(digits, nbytes: int) -> int:
     return int.from_bytes(raw, "little")
 
 
-def _unpack(value: int, count: int, nbytes: int) -> list[int]:
+def _widen(value: int, count: int, nbytes: int, wide: int) -> bytes:
+    """The count digits of value, nbytes bytes each, as digits of wide bytes."""
     # to_bytes raises OverflowError unless 0 <= value < 256**(count*nbytes).
     raw = value.to_bytes(count * nbytes, "little")
+    if wide == nbytes:
+        return raw
+    out = bytearray(count * wide)
+    for j in range(nbytes):
+        out[j::wide] = raw[j::nbytes]
+    return out
+
+
+def _unpack(value: int, count: int, nbytes: int) -> list[int]:
     item = _ITEM_BYTES.get(nbytes)
     if item is None:
+        raw = value.to_bytes(count * nbytes, "little")
         return [int.from_bytes(raw[i:i + nbytes], "little")
                 for i in range(0, len(raw), nbytes)]
-    if item != nbytes:
-        wide = bytearray(count * item)
-        for j in range(nbytes):
-            wide[j::item] = raw[j::nbytes]
-        raw = wide
-    items = array(_ARRAY_CODES[item], raw)
+    items = array(_ARRAY_CODES[item], _widen(value, count, nbytes, item))
     if _BIG_ENDIAN:
         items.byteswap()
     return items.tolist()
@@ -272,25 +279,82 @@ def _packed_convolution(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[
     return _unpack((prod & ((1 << cut) - 1)) + (prod >> cut), p, nbytes)
 
 
+@functools.lru_cache(maxsize=None)
+def _log_order(p: int) -> tuple[list[int], dict[int, int]]:
+    # powers[a] = g^a mod p for a < p - 1 and logs[g^a] = a, g = _primitive_root(p).
+    g = _primitive_root(p)
+    powers = [pow(g, a, p) for a in range(p - 1)]
+    return powers, {r: a for a, r in enumerate(powers)}
+
+
+def _packed_rows(rows) -> tuple[int, int, list[tuple[int, int]]]:
+    """(top, nbytes, [(e, packed)]) for rows (e, num, m): num * m biased and packed.
+
+    Biased by max |c * m|, the digits of a sum of all rows are at most top.
+    """
+    bias = max([max(max(num), -min(num)) * m for _, num, m in rows], default=0)
+    top = 2 * bias * len(rows)
+    nbytes = _digit_bytes(top)
+    return top, nbytes, [(e, _pack([c * m + bias for c in num] + [bias], nbytes))
+                         for e, num, m in rows]
+
+
+def _shifted_sums(p: int, terms, multipliers, width: int):
+    """Yield sum_j P_j * z^(e_j * t) mod z^p - 1, packed, for t in multipliers.
+
+    terms are (e_j, P_j), P_j packed p-digit vectors whose digits (width
+    bits) never carry when all are added.  Each P is stored twice side by
+    side, P | P << (p digits), so multiplying by z^s is one right shift by
+    (p - s) mod p digits.  Fewer than p / 4 terms (measured crossover) shift
+    one by one.  More merge into slots in discrete-log order: slot a holds
+    exponent g^a (g = _primitive_root(p)), and exponent 0 never shifts.  For
+    t = g^b slot a shifts by S[(a + b) mod (p - 1)], S[a] = (-g^a mod p)
+    digits, so the shifts of one sum are one slice of S + S.
+    """
+    cut = width * p
+    mask = (1 << cut) - 1
+    if 4 * len(terms) < p:
+        doubled = [(e, packed | packed << cut) for e, packed in terms]
+        for t in multipliers:
+            yield sum([d >> (-e * t % p * width) for e, d in doubled]) & mask
+        return
+    powers, logs = _log_order(p)
+    units = [0] * (p - 1)
+    fixed = 0
+    for e, packed in terms:
+        if e % p:
+            units[logs[e % p]] += packed
+        else:
+            fixed += packed
+    units = [u | u << cut for u in units]
+    turns = [(p - r) * width for r in powers] * 2
+    for t in multipliers:
+        if t % p:
+            b = logs[t % p]
+            # Empty slots shift to 0, and adding 0 would copy the sum.
+            yield sum(filter(None, map(operator.rshift, units, turns[b:b + p - 1])),
+                      fixed) & mask
+        else:
+            yield sum(units, fixed) & mask
+
+
 def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
                    den_factor: int) -> list[CycloNum]:
     """[sum_j values[j] * w^(exponents[j] * t) / den_factor for t in multipliers].
 
     Kronecker substitution on the redundant spanning set {1, w, ..., w^(p-1)}.
     The values are put over one common denominator and zero values are
-    dropped.  Each remaining numerator vector with two or more nonzero
-    coefficients, biased to non-negative digits, is packed into one integer P
-    by the cyclotomic codec and stored twice side by side, P | P << (p
-    digits), so that multiplying by w^s is one right shift by (p - s) mod p
-    digits.  A sum is then one shift per packed term, one mask and one
-    unpack.  The digits are wide enough that the biased sum never carries
-    between them, and the bias, equal in every digit, cancels when
-    _from_redundant folds the top coefficient.  A value with one nonzero
-    coefficient, c * w^i (every rational is one), is not packed: for each t
-    it adds c, over the common denominator, at index (i + e * t) mod p of the
-    unpacked sum, so the bias and the width come from the packed values only.
+    dropped.  Each numerator vector with two or more nonzero coefficients is
+    biased and packed (_packed_rows), _shifted_sums adds the packed vectors
+    turned by their powers of w, and each sum is unpacked on its own.  The
+    bias, equal in every digit, cancels when _from_redundant folds the top
+    coefficient.  A value with one nonzero coefficient, c * w^i (every
+    rational is one), is not packed: for each t it adds c, over the common
+    denominator, at index (i + e * t) mod p of the unpacked sum, so the bias
+    and the width come from the packed values only.
     """
     p = modulus.p
+    multipliers = list(multipliers)
     common = math.lcm(*(v._den for v in values))
     rows, monomials = [], []
     for v, e in zip(values, exponents):
@@ -301,25 +365,48 @@ def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
             monomials.append((e, num.index(c), c * (common // v._den)))
         elif nonzero:
             rows.append((e, num, common // v._den))
-    bias = max([max(max(num), -min(num)) * m for _, num, m in rows], default=0)
-    # A biased digit is at most 2 * bias, so no digit of a sum exceeds this.
-    nbytes = _digit_bytes(2 * bias * len(rows))
-    width = 8 * nbytes
-    cut = width * p
-    terms = []
-    for e, num, m in rows:
-        packed = _pack([c * m + bias for c in num] + [bias], nbytes)
-        terms.append((e, packed | packed << cut))
-    mask = (1 << cut) - 1
-    den = common * den_factor
+    _, nbytes, terms = _packed_rows(rows)
     out = []
-    for t in multipliers:
-        total = sum([doubled >> (-e * t % p * width) for e, doubled in terms])
-        acc = _unpack(total & mask, p, nbytes)
+    for t, total in zip(multipliers, _shifted_sums(p, terms, multipliers, 8 * nbytes)):
+        acc = _unpack(total, p, nbytes)
         for e, i, c in monomials:
             acc[(i + e * t) % p] += c
-        out.append(CycloNum._from_redundant(modulus, acc, den))
+        out.append(CycloNum._from_redundant(modulus, acc, common * den_factor))
     return out
+
+
+def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
+    """[sum_y f[y] * g[(x - y) mod p] for x in Z/p], for sequences of p CycloNums.
+
+    The convolution theorem on the unnormalised spectra F(xi) = sum_x f[x]
+    w^(-x*xi) and G: the result at x is (1/p) sum_xi F(xi) G(xi) w^(x*xi).
+    Every nonzero value of f is packed over f's common denominator, and
+    likewise for g, and the forward sums stay packed with digits at most
+    top_f and top_g.  Each pair is widened to _digit_bytes(p^2 * top_f * top_g)
+    bytes per digit, multiplied and folded by z^p = 1, and the products go
+    straight into the inverse sum, decoded over common_f * common_g * p.
+    The biases add multiples of J, which _from_redundant cancels.
+    """
+    p = modulus.p
+    sides = []
+    for values in (f, g):
+        common = math.lcm(*(v._den for v in values))
+        rows = [(x, v._num, common // v._den) for x, v in enumerate(values) if any(v._num)]
+        sides.append((common, *_packed_rows(rows)))
+    (common_f, top_f, bytes_f, terms_f), (common_g, top_g, bytes_g, terms_g) = sides
+    # A folded product has digits at most p * top_f * top_g; the inverse sum adds p.
+    wide = _digit_bytes(p * p * top_f * top_g)
+    cut = 8 * wide * p
+    forward = range(0, -p, -1)
+    products = []
+    for xi, (a, b) in enumerate(zip(_shifted_sums(p, terms_f, forward, 8 * bytes_f),
+                                    _shifted_sums(p, terms_g, forward, 8 * bytes_g))):
+        product = (int.from_bytes(_widen(a, p, bytes_f, wide), "little")
+                   * int.from_bytes(_widen(b, p, bytes_g, wide), "little"))
+        products.append((xi, (product & ((1 << cut) - 1)) + (product >> cut)))
+    den = common_f * common_g * p
+    return [CycloNum._from_redundant(modulus, _unpack(total, p, wide), den)
+            for total in _shifted_sums(p, products, range(p), 8 * wide)]
 
 
 def integral_rows(rows) -> tuple[int, list[list[CycloNum]]]:

@@ -8,13 +8,14 @@ minor determinants and solves over Q(w).  vandermonde_det_mod_p, the factor
 prod (xi_k - xi_k') mod p of Tao's proof of Chebotarev's lemma, illustrates
 that proof; it is nonzero for any distinct residues and certifies no minor.
 
-The module never looks inside a Q(w) value.  dft, idft and convolve (by
-the convolution theorem) call cyclotomic.character_sums, the one integer
-kernel behind every character sum, and in applications so do the sparse
-zero count and the (Z/pZ)^n transform through dft and idft.  The kernel
-packs each value into one big integer, so a sum costs a few big-integer
-operations per term; a single-term value such as a rational costs one
-scalar addition per sum.
+The module never looks inside a Q(w) value.  dft and idft call
+cyclotomic.character_sums, the one integer kernel behind every character
+sum, and in applications so do the sparse zero count and the (Z/pZ)^n
+transform through them.  convolve calls cyclotomic.cyclic_convolution, the
+same packed sums with the spectra multiplied in between while still packed.
+The kernel packs each value into one big integer, so a dense sum costs one
+shift and addition per term; a single-term value such as a rational costs
+one scalar addition per sum.
 
 Every elimination is one integer pivot step, _pivot, which pivots on the
 diagonal without a search (each leading block of a Fourier minor is itself a
@@ -52,6 +53,7 @@ from .cyclotomic import (
     PrimeModulus,
     ResidueRing,
     character_sums,
+    cyclic_convolution,
     image_prime,
     integral_rows,
 )
@@ -208,16 +210,11 @@ class SignalFn:
         return f"SignalFn(p={self.modulus.p}, [{', '.join(str(v) for v in self.values)}])"
 
 
-def _forward_sums(f: SignalFn, den_factor: int) -> list[CycloNum]:
-    # [sum_x f(x) * w^(-x*xi) / den_factor for xi in Z/p]
-    p = f.modulus.p
-    negated = [-xi % p for xi in range(p)]
-    return character_sums(f.modulus, f.values, range(p), negated, den_factor)
-
-
 def dft(f: SignalFn) -> SignalFn:
     """Exact transform fhat(xi) = (1/p) * sum_x f(x) * w^(-x*xi)."""
-    return SignalFn(f.modulus, _forward_sums(f, f.modulus.p))
+    p = f.modulus.p
+    return SignalFn(f.modulus, character_sums(f.modulus, f.values, range(p),
+                                              [-xi % p for xi in range(p)], p))
 
 
 def idft(spectrum: SignalFn) -> SignalFn:
@@ -236,16 +233,12 @@ def convolve(f: SignalFn, g: SignalFn) -> SignalFn:
     """Cyclic convolution (f*g)(x) = sum_y f(y) g(x-y).
 
     Computed by the convolution theorem dft(f*g) = p * dft(f) * dft(g)
-    pointwise, on the unnormalised spectra F = p * dft(f) and G = p * dft(g):
-    f*g is the inverse sum of F * G, divided by p once.  That is three
-    character_sums calls and p products.  Hence the Fourier support of f*g
-    is the intersection of the factors' Fourier supports.
+    pointwise (cyclotomic.cyclic_convolution), so the Fourier support of
+    f*g is the intersection of the factors' Fourier supports.
     """
     if f.modulus != g.modulus:
         raise ValueError("modulus mismatch")
-    p = f.modulus.p
-    products = [a * b for a, b in zip(_forward_sums(f, 1), _forward_sums(g, 1))]
-    return SignalFn(f.modulus, character_sums(f.modulus, products, range(p), range(p), p))
+    return SignalFn(f.modulus, cyclic_convolution(f.modulus, f.values, g.values))
 
 
 class FourierMinor:

@@ -206,6 +206,37 @@ class TestCharacterSums:
                         == direct_character_sums(modulus, values, exponents, multipliers,
                                                  den_factor))
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 13, 31])
+    def test_both_shift_orders(self, p, monkeypatch):
+        # Below p / 4 packed rows the sums shift row by row; from there on
+        # they run in discrete-log order, which calls _log_order.  The row
+        # counts lie just either side of that switch and above p.  Exponents
+        # 0 and p share slot 0, which never shifts, and 2, 2 + p and 2 - p
+        # share one slot.  Multipliers include 0, negatives, values of p and
+        # above, and repeats.  At p = 2 every value is a single term.
+        rng = random.Random(400 + p)
+        modulus = PrimeModulus(p)
+        calls = []
+        log_order = cyclotomic._log_order
+        monkeypatch.setattr(cyclotomic, "_log_order",
+                            lambda q: calls.append(q) or log_order(q))
+        switch = -(-p // 4)
+        multipliers = [0, 1, 2, p - 1, -1, -2, -p, p, p + 1, 2 * p - 1, 1, 0]
+        for rows in sorted({switch - 1, switch, p, p + 3}):
+            values = [CycloNum(modulus, [Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**40),
+                                                  rng.randint(1, 6)) for _ in range(p - 1)])
+                      for _ in range(rows)]
+            exponents = ([0, p, 2, 2 + p, 2 - p] + [rng.randrange(-p, 2 * p)
+                                                    for _ in range(rows)])[:rows]
+            values += [CycloNum.zero(modulus), Fraction(5, 3) * CycloNum.root_power(modulus, 1)]
+            exponents += [rng.randrange(p), rng.randrange(p)]
+            calls.clear()
+            for den_factor in (1, p):
+                assert (character_sums(modulus, values, exponents, multipliers, den_factor)
+                        == direct_character_sums(modulus, values, exponents, multipliers,
+                                                 den_factor))
+            assert bool(calls) == (p > 2 and 4 * rows >= p)
+
 
 class TestIdft:
     def test_round_trip_dirac(self):
@@ -302,8 +333,41 @@ class TestConvolve:
                                Fraction(-3, 4), 0, 0])
         cases.append((sparse, SignalFn(p7, [random_cyclo(rng, p7, den_max=6)
                                             for _ in range(7)])))
+        # Coefficients above 2^40 make the product digits wider than 8
+        # bytes, which unpack one at a time.  Then zero, rational-only and
+        # single-term signals against dense ones, and p = 2.
+        for p in (11, 13):
+            modulus = PrimeModulus(p)
+            big = [SignalFn(modulus, [random_cyclo(rng, modulus, -2**45, 2**45, den_max=9)
+                                      for _ in range(p)]) for _ in range(2)]
+            rational = SignalFn(modulus, [Fraction(rng.randint(-2**50, 2**50), rng.randint(1, 9))
+                                          for _ in range(p)])
+            single = SignalFn(modulus, [rng.randint(-9, 9) * CycloNum.root_power(modulus, x * x)
+                                        for x in range(p)])
+            cases += [big, (big[0], rational), (rational, rational), (single, big[1]),
+                      (single, rational), (SignalFn.zero(modulus), big[0]),
+                      (big[1], SignalFn.zero(modulus))]
+        p2 = PrimeModulus(2)
+        cases += [(SignalFn(p2, [Fraction(3, 4), -5]), SignalFn(p2, [7, Fraction(1, 6)])),
+                  (SignalFn(p2, [0, 2**70]), SignalFn(p2, [-1, 0])),
+                  (SignalFn.zero(p2), SignalFn(p2, [1, 1]))]
         for f, g in cases:
             assert convolve(f, g) == direct(f, g)
+
+    def test_builds_no_cyclotomic_products(self, monkeypatch):
+        # The spectra stay packed between the forward and inverse sums, so
+        # convolve never multiplies two CycloNums.
+        rng = random.Random(211)
+        p11 = PrimeModulus(11)
+        f, g = (random_dense_signal(rng, p11) for _ in range(2))
+        expected = idft(SignalFn(p11, [11 * a * b for a, b in zip(dft(f).values,
+                                                                   dft(g).values)]))
+
+        def refuse(self, other):
+            raise AssertionError("convolve multiplied two CycloNums")
+
+        monkeypatch.setattr(CycloNum, "__mul__", refuse)
+        assert convolve(f, g) == expected
 
     def test_matches_normalised_convolution_theorem(self):
         # convolve divides the product of the unnormalised spectra by p once;
