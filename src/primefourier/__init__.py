@@ -37,6 +37,7 @@ from .fourier import (
     SupportSet,
     convolve,
     dft,
+    fourier_support,
     idft,
     minor_det,
     minor_matrix,
@@ -85,6 +86,7 @@ __all__ = [
     "convolve",
     "dft",
     "exhaustive_certification",
+    "fourier_support",
     "galois_divisibility_check",
     "galois_reduce",
     "idft",

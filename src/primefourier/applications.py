@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 
 from . import fourier, uncertainty
-from .cyclotomic import CycloNum, PrimeModulus
+from .cyclotomic import CycloNum, PrimeModulus, vanishing_sums
 from .errors import BudgetExceededError, TheoremViolationError
 from .fourier import SignalFn, SupportSet
 
@@ -86,18 +86,15 @@ class SparseZeroReport:
 def sparse_zero_count(poly: SparsePoly) -> SparseZeroReport:
     """Exactly evaluate the polynomial at every p-th root of unity.
 
-    P(w^t) is idft(coefficient signal) at t.  Returns the set of t with
+    vanishing_sums tests each P(w^t) for zero.  Returns the set of t with
     P(w^t) = 0; a polynomial with k + 1 terms can vanish at no more than k
     of the p roots, and exceeding that raises TheoremViolationError.
     """
     modulus = poly.modulus
     p = modulus.p
-    coefficients = [CycloNum.zero(modulus)] * p
-    for exponent, coeff in poly.terms:
-        coefficients[exponent] = coeff
-    values = fourier.idft(SignalFn(modulus, coefficients)).values
-    zeros = [t for t, v in enumerate(values) if v.is_zero()]
-    zero_set = SupportSet(modulus, zeros)
+    exponents, coefficients = zip(*poly.terms)
+    zero_set = SupportSet(modulus, (t for t, z in enumerate(
+        vanishing_sums(modulus, coefficients, exponents, range(p))) if z))
     bound = len(zero_set) <= poly.max_zeros
     if not bound:
         raise TheoremViolationError(
@@ -206,7 +203,7 @@ def cd_proof_witness(a: SupportSet, b: SupportSet, seed: int = 0) -> CDWitness:
     g = uncertainty.construct_support_pair(b, y).signal
     conv = fourier.convolve(f, g)
     conv_support = fourier.support(conv)
-    conv_spectrum = fourier.support(fourier.dft(conv))
+    conv_spectrum = fourier.fourier_support(conv)
     sums = sumset(a, b)
     if conv_spectrum != overlap:
         raise TheoremViolationError(

@@ -10,18 +10,19 @@ identical, so the zero test (and with it every "non-zero" claim downstream)
 is sound and complete.
 
 Products run on the redundant spanning set {1, w, ..., w^(p-1)}, where
-multiplying by w is a cyclic shift and the automorphism w -> w^k (galois) is a
-permutation of the coefficients.  Only this module knows how a value is
-stored and packed: dense products, character_sums (the kernel behind every
-transform in fourier, with its slots in discrete-log order) and
+multiplying by w is a cyclic shift and the automorphism w -> w^(g^b) (galois,
+g a generator of (Z/p)^*) rotates the coefficients in discrete-log order by
+b.  Only this module knows how a value is stored and packed: dense products,
+character_sums (the kernel behind every transform in fourier, with its slots
+in discrete-log order; vanishing_sums only tests its sums for zero) and
 cyclic_convolution (packed from the forward sums to the inverse) turn
 vectors into big integers through one linear-time codec (Kronecker
 substitution), with digits just as wide as their bound needs.  Inverses
 come from the Galois norm: the product of all p - 1 conjugates of a nonzero
 element is a nonzero rational, so dividing the product of the other p - 2
 conjugates by it inverts the element with integer vector arithmetic alone.
-The Galois group is cyclic, generated by w -> w^g for a generator g of
-(Z/p)^*, so a doubling chain builds that product in O(log p) multiplications.
+The Galois group is cyclic, so a doubling chain builds that product in
+O(log p) multiplications.
 
 ResidueRing is the codec of fourier's exact eliminations: Z[w] maps onto
 Z/N for N = Phi_p(2^W) by w -> 2^W, and a value whose coefficients are small
@@ -38,6 +39,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -187,11 +189,10 @@ def _normalize(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _root_power_num(p: int, k: int) -> tuple[int, ...]:
-    # w^(p-1) = -(1 + w + ... + w^(p-2)); smaller powers are basis vectors.
-    if k == p - 1:
-        return (-1,) * (p - 1)
-    return tuple(1 if i == k else 0 for i in range(p - 1))
+def _root_power(p: int, k: int) -> CycloNum:
+    # One shared object per (p, k), 0 <= k < p: w^(p-1) = -(1 + ... + w^(p-2)).
+    num = (-1,) * (p - 1) if k == p - 1 else tuple(1 if i == k else 0 for i in range(p - 1))
+    return CycloNum._raw(PrimeModulus(p), num, 1)
 
 
 # Kronecker codec of the two packed kernels (_packed_convolution and
@@ -287,14 +288,23 @@ def _log_order(p: int) -> tuple[list[int], dict[int, int]]:
     return powers, {r: a for a, r in enumerate(powers)}
 
 
-def _packed_rows(rows) -> tuple[int, int, list[tuple[int, int]]]:
+@functools.lru_cache(maxsize=None)
+def _log_getters(p: int):
+    # galois at p > 2: redundant vector -> slots in log order, (c_0, slots) -> basis.
+    powers, logs = _log_order(p)
+    return (operator.itemgetter(*powers),
+            operator.itemgetter(0, *[1 + logs[i] for i in range(1, p - 1)]))
+
+
+def _packed_rows(rows, room: int = 0) -> tuple[int, int, list[tuple[int, int]]]:
     """(top, nbytes, [(e, packed)]) for rows (e, num, m): num * m biased and packed.
 
-    Biased by max |c * m|, the digits of a sum of all rows are at most top.
+    Biased by max |c * m|, the digits of a sum of all rows are at most top,
+    and nbytes leaves room for digits up to top + room.
     """
     bias = max([max(max(num), -min(num)) * m for _, num, m in rows], default=0)
     top = 2 * bias * len(rows)
-    nbytes = _digit_bytes(top)
+    nbytes = _digit_bytes(top + room)
     return top, nbytes, [(e, _pack([c * m + bias for c in num] + [bias], nbytes))
                          for e, num, m in rows]
 
@@ -338,6 +348,21 @@ def _shifted_sums(p: int, terms, multipliers, width: int):
             yield sum(units, fixed) & mask
 
 
+def _split_values(values, exponents):
+    """(common, rows, monomials) of character_sums: rows (e, num, m) and c * w^i as (e, i, c)."""
+    common = math.lcm(*(v._den for v in values))
+    rows, monomials = [], []
+    for v, e in zip(values, exponents):
+        num = v._num
+        nonzero = len(num) - num.count(0)
+        if nonzero == 1:
+            c = max(num) or min(num)  # the one nonzero coefficient
+            monomials.append((e, num.index(c), c * (common // v._den)))
+        elif nonzero:
+            rows.append((e, num, common // v._den))
+    return common, rows, monomials
+
+
 def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
                    den_factor: int) -> list[CycloNum]:
     """[sum_j values[j] * w^(exponents[j] * t) / den_factor for t in multipliers].
@@ -355,16 +380,7 @@ def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
     """
     p = modulus.p
     multipliers = list(multipliers)
-    common = math.lcm(*(v._den for v in values))
-    rows, monomials = [], []
-    for v, e in zip(values, exponents):
-        num = v._num
-        nonzero = len(num) - num.count(0)
-        if nonzero == 1:
-            c = max(num) or min(num)  # the one nonzero coefficient
-            monomials.append((e, num.index(c), c * (common // v._den)))
-        elif nonzero:
-            rows.append((e, num, common // v._den))
+    common, rows, monomials = _split_values(values, exponents)
     _, nbytes, terms = _packed_rows(rows)
     out = []
     for t, total in zip(multipliers, _shifted_sums(p, terms, multipliers, 8 * nbytes)):
@@ -372,6 +388,27 @@ def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
         for e, i, c in monomials:
             acc[(i + e * t) % p] += c
         out.append(CycloNum._from_redundant(modulus, acc, common * den_factor))
+    return out
+
+
+def vanishing_sums(modulus: PrimeModulus, values, exponents, multipliers) -> list[bool]:
+    """[sum_j values[j] * w^(exponents[j] * t) == 0 for t in multipliers].
+
+    A redundant vector is zero in Q(w) exactly when its p digits are equal,
+    so a packed sum is tested against its top digit times the packed all-ones
+    vector J, never unpacked.  The single terms c * w^i (|c| summing to s) go
+    into each sum in place, over s * J with room for 2s in the width.
+    """
+    p, multipliers = modulus.p, list(multipliers)
+    _, rows, monomials = _split_values(values, exponents)
+    lift = sum([abs(c) for _, _, c in monomials])
+    _, nbytes, terms = _packed_rows(rows, 2 * lift)
+    width = 8 * nbytes
+    ones = ((1 << width * p) - 1) // ((1 << width) - 1)
+    out = []
+    for t, total in zip(multipliers, _shifted_sums(p, terms, multipliers, width)):
+        total += lift * ones + sum([c << width * ((i + e * t) % p) for e, i, c in monomials])
+        out.append(total == (total >> width * (p - 1)) * ones)
     return out
 
 
@@ -409,23 +446,14 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
             for total in _shifted_sums(p, products, range(p), 8 * wide)]
 
 
-def integral_rows(rows) -> tuple[int, list[list[CycloNum]]]:
-    """Each row of a CycloNum matrix times the lcm of its denominators.
+def integral_rows(rows) -> tuple[int, list[int]]:
+    """The lcm of each CycloNum row's denominators, which puts it in Z[w], and their product.
 
-    Returns the product of those multipliers and the rows, whose entries then
-    lie in Z[w].  Scaling a row by d scales every determinant that uses the
-    row by d, so the product is the factor on each n x n minor.
+    Scaling a row by d scales every determinant that uses it by d, so the
+    product is the factor on each n x n minor.
     """
-    scale = 1
-    out = []
-    for row in rows:
-        d = math.lcm(*(v._den for v in row))
-        if d > 1:
-            scale *= d
-            row = [CycloNum._raw(v.modulus, tuple(c * (d // v._den) for c in v._num), 1)
-                   for v in row]
-        out.append(row)
-    return scale, out
+    multipliers = [math.lcm(*(v._den for v in row)) for row in rows]
+    return math.prod(multipliers), multipliers
 
 
 def _embedding_bound(num: tuple[int, ...]) -> int:
@@ -438,6 +466,12 @@ def _embedding_bound(num: tuple[int, ...]) -> int:
     full = sorted(num + (0,))
     t = full[len(full) // 2]
     return sum([abs(c - t) for c in full])
+
+
+def _distinct(rows) -> dict[int, CycloNum]:
+    # The entries of a matrix, one per object, keyed by id while rows hold them.
+    entries = list(itertools.chain.from_iterable(rows))
+    return dict(zip(map(id, entries), entries))
 
 
 def _unit_width(p: int, width: int) -> int:
@@ -474,10 +508,11 @@ class ResidueRing:
         self._bias = (self.n - (1 << (p - 1) * width)) << (width - 1)
 
     @classmethod
-    def for_minors(cls, modulus: PrimeModulus, rows) -> ResidueRing:
+    def for_minors(cls, modulus: PrimeModulus, rows, multipliers=None) -> ResidueRing:
         """The narrowest ring that decodes every n x n minor of rows.
 
-        rows is an n x m matrix over Z[w] with m >= n.  Under each
+        rows is an n x m matrix, m >= n, over Z[w] once each row is scaled by
+        its multiplier (integral_rows; 1 by default).  Under each
         embedding, a column's norm is at most the root of the sum of its
         squared _embedding_bound values, so by Hadamard's inequality every
         n x n minor has embeddings of modulus at most H, the product of the
@@ -485,10 +520,14 @@ class ResidueRing:
         c_i = (1/p) sum_j chat_j w^(-i*j) over chat_j = sum_k c_k w^(j*k),
         the p - 1 embeddings and chat_0, which c_(p-1) = 0 bounds by
         (p - 1) H.  So W = bits(2H) + 2, the least width at or above it
-        with 2^W != 1 (mod p).
+        with 2^W != 1 (mod p).  Each distinct entry is bounded once: the
+        bound of d * v is d times that of v.
         """
-        squares = sorted(sum([_embedding_bound(v._num) ** 2 for v in col])
-                         for col in zip(*rows))
+        squared = {key: _embedding_bound(v._num) ** 2 for key, v in _distinct(rows).items()}
+        squares = sorted(map(sum, zip(*[
+            list(map(squared.__getitem__, map(id, row))) if d == 1
+            else [(d // v._den) ** 2 * squared[id(v)] for v in row]
+            for row, d in zip(rows, multipliers or [1] * len(rows))])))
         # isqrt(4 H^2) + 1 >= 2H.
         twice = math.isqrt(4 * math.prod(squares[len(squares) - len(rows):])) + 1
         return cls(modulus, _unit_width(modulus.p, twice.bit_length() + 2))
@@ -498,9 +537,16 @@ class ResidueRing:
         return ResidueRing(self.modulus, _unit_width(self.modulus.p, self.width + 1))
 
     def encode(self, value: CycloNum) -> int:
-        """The residue of a value of Z[w] (denominator 1)."""
+        """The residue of a value's numerator vector: the value's own in Z[w]."""
         w = self.width
         return sum([c << w * i for i, c in enumerate(value._num) if c]) % self.n
+
+    def encode_rows(self, rows, multipliers) -> list[list[int]]:
+        """The residues of the rows times their multipliers, each distinct entry encoded once."""
+        codes = {key: self.encode(v) for key, v in _distinct(rows).items()}
+        return [list(map(codes.__getitem__, map(id, row))) if d == 1
+                else [codes[id(v)] * (d // v._den) % self.n for v in row]
+                for row, d in zip(rows, multipliers)]
 
     def decode(self, residue: int) -> CycloNum:
         """The value of Z[w] with coefficients below 2^(W-2) that has this residue."""
@@ -573,8 +619,8 @@ class CycloNum:
 
     @classmethod
     def root_power(cls, modulus: PrimeModulus, k: int) -> CycloNum:
-        """The canonical representation of w^k (exponent reduced mod p)."""
-        return cls._raw(modulus, _root_power_num(modulus.p, k % modulus.p), 1)
+        """The canonical representation of w^k (exponent reduced mod p), shared."""
+        return _root_power(modulus.p, k % modulus.p)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -697,17 +743,23 @@ class CycloNum:
     def galois(self, k: int) -> CycloNum:
         """Image under the automorphism w -> w^k, for k not divisible by p.
 
-        On the redundant spanning set {1, w, ..., w^(p-1)} this only permutes
-        the coefficients (index i goes to i*k mod p).
+        On the redundant spanning set {1, w, ..., w^(p-1)} index i goes to
+        i*k mod p.  For k = g^b (g = _primitive_root(p)) index g^a goes to
+        g^(a+b): coefficient 0 stays and the others, in discrete-log order,
+        rotate by b.  The fold keeps the numerators' gcd, so no normalising.
         """
         p = self.modulus.p
         if k % p == 0:
             raise ValueError(f"w -> w^{k} is not an automorphism of Q(w) for p={p}")
-        acc = [0] * p
-        for i, c in enumerate(self._num):
-            if c:
-                acc[i * k % p] = c
-        return CycloNum._from_redundant(self.modulus, acc, self._den)
+        if p == 2:
+            return self
+        to_log, from_log = _log_getters(p)
+        b = _log_order(p)[1][k % p]
+        slots = to_log(self._num + (0,))
+        turned = (self._num[0],) + slots[-b:] + slots[:-b]
+        top = turned[1 + (p - 1) // 2]  # w^(p-1), at log (p - 1) / 2
+        return CycloNum._raw(self.modulus, tuple(map(operator.sub, from_log(turned),
+                                                     itertools.repeat(top))), self._den)
 
     def inverse(self) -> CycloNum:
         """Multiplicative inverse through the Galois norm.

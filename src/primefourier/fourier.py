@@ -10,9 +10,10 @@ that proof; it is nonzero for any distinct residues and certifies no minor.
 
 The module never looks inside a Q(w) value.  dft and idft call
 cyclotomic.character_sums, the one integer kernel behind every character
-sum, and in applications so do the sparse zero count and the (Z/pZ)^n
-transform through them.  convolve calls cyclotomic.cyclic_convolution, the
-same packed sums with the spectra multiplied in between while still packed.
+sum, and in applications so does the (Z/pZ)^n transform through them.
+fourier_support and the sparse zero count test the same sums for zero with
+cyclotomic.vanishing_sums.  convolve calls cyclotomic.cyclic_convolution,
+the same packed sums with the spectra multiplied in between while packed.
 The kernel packs each value into one big integer, so a dense sum costs one
 shift and addition per term; a single-term value such as a rational costs
 one scalar addition per sum.
@@ -56,6 +57,7 @@ from .cyclotomic import (
     cyclic_convolution,
     image_prime,
     integral_rows,
+    vanishing_sums,
 )
 from .errors import TheoremViolationError
 
@@ -229,6 +231,13 @@ def support(f: SignalFn) -> SupportSet:
     return SupportSet(f.modulus, (x for x, v in enumerate(f.values) if not v.is_zero()))
 
 
+def fourier_support(f: SignalFn) -> SupportSet:
+    """support(dft(f)), decided on the packed sums without building the transform."""
+    p = f.modulus.p
+    zero = vanishing_sums(f.modulus, f.values, range(p), [-xi % p for xi in range(p)])
+    return SupportSet(f.modulus, (xi for xi, z in enumerate(zero) if not z))
+
+
 def convolve(f: SignalFn, g: SignalFn) -> SignalFn:
     """Cyclic convolution (f*g)(x) = sum_y f(y) g(x-y).
 
@@ -386,10 +395,10 @@ def _residue_eliminate(minor: FourierMinor, rhs=None):
     if rhs is not None:
         for row, b in zip(a, rhs):
             row.append(b)
-    scale, a = integral_rows(a)
-    ring = ResidueRing.for_minors(minor.modulus, a)
+    scale, multipliers = integral_rows(a)
+    ring = ResidueRing.for_minors(minor.modulus, a, multipliers)
     for _ in range(_RESIDUE_WIDTHS):
-        reduced = _triangular([[ring.encode(v) for v in row] for row in a], ring.n)
+        reduced = _triangular(ring.encode_rows(a, multipliers), ring.n)
         if reduced is not None:
             return ring, scale, *reduced
         ring = ring.wider()

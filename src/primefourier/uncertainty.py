@@ -69,7 +69,7 @@ def verify_uncertainty(f: SignalFn) -> UncertaintyReport:
         raise ValueError("the zero signal has empty support; bounds need a nonzero input")
     p = f.modulus.p
     supp = fourier.support(f)
-    fsupp = fourier.support(fourier.dft(f))
+    fsupp = fourier.fourier_support(f)
     total = len(supp) + len(fsupp)
     product = len(supp) * len(fsupp)
     additive = total >= p + 1
@@ -86,7 +86,7 @@ def _verify_witness_supports(signal: SignalFn, support_set: SupportSet,
                              spectrum_set: SupportSet) -> bool:
     """Whether supp f is exactly A and supp fhat exactly B, decided exactly."""
     return (fourier.support(signal) == support_set
-            and fourier.support(fourier.dft(signal)) == spectrum_set)
+            and fourier.fourier_support(signal) == spectrum_set)
 
 
 def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,

@@ -21,6 +21,7 @@ from primefourier import (
     cd_proof_witness,
     dft,
     galois_reduce,
+    idft,
     meshulam_check,
     minor_matrix,
     minor_solve,
@@ -144,6 +145,37 @@ class TestSparseZeroCount:
         # z - w vanishes exactly at z = w, i.e. t = 1.
         report = sparse_zero_count(SparsePoly(p5, [(0, -w), (1, CycloNum.one(p5))]))
         assert report.zeros.members == (1,)
+
+    @pytest.mark.parametrize("p", [2, 7, 13])
+    def test_cyclotomic_coefficients_match_idft(self, p):
+        # Zeros decided by vanishing_sums against the decoded idft of the
+        # coefficient signal, on dense, single-term and rational
+        # coefficients.  c * (z^a - w^k z^b) vanishes where (a - b) t = k.
+        rng = random.Random(410 + p)
+        modulus = PrimeModulus(p)
+        polys = []
+        for _ in range(12):
+            exponents = rng.sample(range(p), rng.randint(1, min(p, 5)))
+            coeffs = [rng.choice((random_cyclo(rng, modulus, den_max=4),
+                                  Fraction(rng.randint(1, 9), 7) * CycloNum.root_power(
+                                      modulus, rng.randrange(p)),
+                                  rng.randint(1, 2**70)))
+                      for _ in exponents]
+            polys.append([(e, c) for e, c in zip(exponents, coeffs) if c != 0])
+        for k in range(p):
+            c = random_cyclo(rng, modulus, den_max=3) + Fraction(1, 2)
+            polys.append([(0, c), (1, -c * CycloNum.root_power(modulus, k))] if p > 2 else [(0, c)])
+        for terms in filter(None, polys):
+            poly = SparsePoly(modulus, terms)
+            values = [CycloNum.zero(modulus)] * p
+            for e, c in poly.terms:
+                values[e] = c
+            spectrum = idft(SignalFn(modulus, values))
+            expected = tuple(t for t, v in enumerate(spectrum.values) if v.is_zero())
+            assert sparse_zero_count(poly).zeros.members == expected
+        if p > 2:
+            w = CycloNum.root_power(modulus, 1)
+            assert sparse_zero_count(SparsePoly(modulus, [(0, 1), (1, -w)])).zeros.members == (p - 1,)
 
     def test_random_bound_small_sample(self):
         rng = random.Random(402)

@@ -156,6 +156,17 @@ class TestRootPower:
         p7 = PrimeModulus(7)
         assert CycloNum.root_power(p7, -2) == CycloNum.root_power(p7, 5)
 
+    def test_one_shared_object_per_exponent(self):
+        # Shared per (p, k), so a Fourier minor holds at most p distinct
+        # entry objects, whichever PrimeModulus instance asked.
+        p7 = PrimeModulus(7)
+        for k in range(7):
+            w = CycloNum.root_power(p7, k)
+            assert CycloNum.root_power(PrimeModulus(7), k + 14) is w
+            assert CycloNum.root_power(p7, k - 7) is w
+            assert w.modulus == p7
+        assert CycloNum.one(p7) is CycloNum.root_power(p7, 0)
+
 
 class TestRingOps:
     def test_additive_inverse(self):
@@ -485,6 +496,38 @@ class TestGalois:
         for k in (0, 5, -10):
             with pytest.raises(ValueError):
                 a.galois(k)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 31])
+    def test_matches_the_defining_permutation(self, p):
+        # sigma_k sends w^i to w^(i*k mod p): move each redundant coefficient
+        # and fold, for every unit k, negative k and k >= p, on dense
+        # values with rational coefficients and on root powers.
+        rng = random.Random(700 + p)
+        modulus = PrimeModulus(p)
+        values = [CycloNum(modulus, [Fraction(rng.randint(-2**60, 2**60), rng.randint(1, 9))
+                                     for _ in range(p - 1)]) for _ in range(3)]
+        values += [CycloNum.root_power(modulus, i) for i in range(p)]
+        values.append(CycloNum.zero(modulus))
+        for a in values:
+            for k in [*range(1, p), -1, -p - 2, p + 1, 3 * p - 1]:
+                if k % p == 0:
+                    continue
+                acc = [Fraction(0)] * p
+                for i, c in enumerate(a.coeffs):
+                    acc[i * k % p] = c
+                assert a.galois(k) == CycloNum(modulus, [c - acc[-1] for c in acc[:-1]]), k
+            with pytest.raises(ValueError):
+                a.galois(0)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
+    def test_inverse_of_dense_60_bit_values(self, p):
+        rng = random.Random(800 + p)
+        modulus = PrimeModulus(p)
+        for _ in range(3):
+            a = CycloNum(modulus, [Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**60),
+                                            rng.randint(1, 2**20)) for _ in range(p - 1)])
+            assert a * a.inverse() == 1
+            assert a.inverse() * a == CycloNum.one(modulus)
 
 class TestConjugation:
     def test_conj_of_w(self):

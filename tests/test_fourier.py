@@ -13,6 +13,7 @@ from primefourier import (
     TheoremViolationError,
     convolve,
     dft,
+    fourier_support,
     idft,
     minor_det,
     minor_matrix,
@@ -22,7 +23,7 @@ from primefourier import (
     vandermonde_det_mod_p,
 )
 from primefourier import cyclotomic, fourier, uncertainty
-from primefourier.cyclotomic import ResidueRing, character_sums, image_prime
+from primefourier.cyclotomic import ResidueRing, character_sums, image_prime, vanishing_sums
 
 from conftest import float_dft, random_cyclo, random_dense_signal, random_int_signal
 
@@ -269,6 +270,92 @@ class TestSupport:
         p5 = PrimeModulus(5)
         f = SignalFn(p5, [1 - CycloNum.root_power(p5, x) for x in range(5)])
         assert support(f).members == (1, 2, 3, 4)
+
+
+class TestVanishingSums:
+    # vanishing_sums and fourier_support against the decoded sums: a kernel
+    # that skipped the top digit, or dropped the single-term values, would
+    # call nonzero sums zero below.
+    @staticmethod
+    def _agree(modulus, values, exponents, multipliers):
+        decoded = character_sums(modulus, values, exponents, multipliers, 1)
+        assert vanishing_sums(modulus, values, exponents, multipliers) == [
+            v.is_zero() for v in decoded]
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 31])
+    def test_boundary_witnesses(self, p):
+        # |A| + |B| = p + 1: the witness is Q(w)-valued on all but max A, and
+        # fhat vanishes at exactly p - |B| points.
+        rng = random.Random(500 + p)
+        modulus = PrimeModulus(p)
+        for a_size in (1, 2, p // 2, p - 1, p):
+            a = SupportSet(modulus, rng.sample(range(p), a_size))
+            b = SupportSet(modulus, rng.sample(range(p), p + 1 - a_size))
+            f = uncertainty.construct_support_pair(a, b).signal
+            assert fourier_support(f) == support(dft(f)) == b
+            self._agree(modulus, f.values, range(p), range(-p, 2 * p))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_rational_single_term_mixed_and_zero_signals(self, p):
+        rng = random.Random(600 + p)
+        modulus = PrimeModulus(p)
+        zero = CycloNum.zero(modulus)
+
+        def single():
+            i = rng.randrange(p - 1)
+            return Fraction(rng.randint(-2**70, 2**70), rng.randint(1, 9)) * CycloNum.root_power(
+                modulus, i)
+
+        signals = [
+            SignalFn.zero(modulus),
+            SignalFn.constant(modulus, 3),
+            SignalFn.dirac(modulus, rng.randrange(p), Fraction(-5, 7)),
+            SignalFn(modulus, [rng.choice((0, 1, -1, Fraction(1, 3))) for _ in range(p)]),
+            SignalFn(modulus, [rng.choice((zero, single())) for _ in range(p)]),
+            SignalFn(modulus, [rng.choice((zero, single(), random_cyclo(rng, modulus, den_max=5)))
+                               for _ in range(p)]),
+            random_dense_signal(rng, modulus, bits=60),
+        ]
+        # Differences of two unit-valued signals vanish on whole lines.
+        signals.append(SignalFn.dirac(modulus, 1) + SignalFn.dirac(modulus, 0, -1))
+        for f in signals:
+            assert fourier_support(f) == support(dft(f))
+            self._agree(modulus, f.values, range(p), [0, 1, p - 1, -2, p + 3])
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 13])
+    def test_all_digits_equal_but_the_top(self, p):
+        # c * (1 + w + ... + w^(p-2)) has redundant digits (c, ..., c, 0): it
+        # is -c * w^(p-1), nonzero, and only its top digit differs.
+        modulus = PrimeModulus(p)
+        for c in (1, -3, 2**65):
+            value = CycloNum(modulus, [c] * (p - 1))
+            assert vanishing_sums(modulus, [value], [0], range(p)) == [False] * p
+            # Twice over with -value it sums to a multiple of J, so zero.
+            assert vanishing_sums(modulus, [value, -value, value], [1, 1, 0],
+                                  [0, 1]) == [False, False]
+            assert vanishing_sums(modulus, [value, -value], [1, 1], range(p)) == [True] * p
+
+    @pytest.mark.parametrize("p", [3, 5, 13])
+    def test_single_terms_complete_a_multiple_of_j(self, p):
+        # (1, ..., 1) plus w^(p-2) turned once by t = 1 lands on index p - 1:
+        # the sum is J, zero, at t = 1 and nonzero at every other t.
+        modulus = PrimeModulus(p)
+        ones = CycloNum(modulus, [1] * (p - 1))
+        top = CycloNum.root_power(modulus, p - 2)
+        expected = [t % p == 1 for t in range(-p, 2 * p)]
+        assert vanishing_sums(modulus, [ones, top], [0, 1], range(-p, 2 * p)) == expected
+        self._agree(modulus, [ones, top], [0, 1], range(-p, 2 * p))
+        # The same sum in a signal: f(0) = 1 + ... + w^(p-2), f(1) = w^(p-2),
+        # so fhat(xi) vanishes at xi = -1 alone.
+        f = SignalFn(modulus, [ones, top] + [0] * (p - 2))
+        assert fourier_support(f) == support(dft(f)) == SupportSet(modulus, range(p - 1))
+
+    def test_p2_values_are_all_single_terms(self):
+        p2 = PrimeModulus(2)
+        for values in ([1, 1], [1, -1], [Fraction(1, 2), 3], [0, 0], [0, 5]):
+            f = SignalFn(p2, values)
+            assert fourier_support(f) == support(dft(f))
+            self._agree(p2, f.values, range(2), range(-2, 4))
 
 
 class TestConvolve:
@@ -730,6 +817,84 @@ class TestResidueElimination:
         rhs = [Fraction(1, 7), 2, CycloNum.root_power(p7, 3)]
         assert minor.apply(minor_solve(minor, rhs)) == [CycloNum.from_rational(p7, rhs[0]),
                                                         CycloNum.from_rational(p7, 2), rhs[2]]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 13, 23, 29, 31])
+    def test_integer_rational_and_dense_right_hand_sides(self, monkeypatch, p):
+        rng = random.Random(900 + p)
+        modulus = PrimeModulus(p)
+        # Full-size minors only up to p = 13, where the Q(w) route stays fast.
+        for n in sorted({1, 2, min(p // 2, 6)} | ({p - 1} if p <= 13 else set())):
+            rows = SupportSet(modulus, rng.sample(range(p), n))
+            cols = SupportSet(modulus, rng.sample(range(p), n))
+            minor = minor_matrix(modulus, rows, cols)
+            for rhs in ([rng.randint(-50, 50) for _ in range(n)],
+                        [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(n)],
+                        [random_cyclo(rng, modulus, -2**40, 2**40, den_max=9) for _ in range(n)]):
+                assert minor_solve(minor, rhs) == eliminated(
+                    monkeypatch, lambda: minor_solve(minor, rhs))
+            assert minor_det(minor) == eliminated(monkeypatch, lambda: minor_det(minor))
+
+    @pytest.mark.parametrize("p", [7, 13])
+    def test_equal_entries_that_are_distinct_objects(self, monkeypatch, p):
+        # Rebuilt entry by entry, no two entries of the minor are one object,
+        # so each is encoded and bounded on its own: same answers.
+        rng = random.Random(950 + p)
+        modulus = PrimeModulus(p)
+        rows = SupportSet(modulus, rng.sample(range(p), 4))
+        cols = SupportSet(modulus, rng.sample(range(p), 4))
+        good = minor_matrix(modulus, rows, cols)
+        copies = FourierMinor(modulus, rows, cols, tuple(
+            tuple(CycloNum(modulus, v.coeffs) for v in row) for row in good.entries))
+        assert all(a is not b for row, copy in zip(good.entries, copies.entries)
+                   for a, b in zip(row, copy))
+        rhs = [random_cyclo(rng, modulus, den_max=4) for _ in range(4)]
+        for minor in (good, copies):
+            assert minor_det(minor) == eliminated(monkeypatch, lambda: minor_det(good))
+            assert minor_solve(minor, rhs) == eliminated(monkeypatch,
+                                                         lambda: minor_solve(good, rhs))
+
+    def test_rational_row_scales(self, monkeypatch):
+        # Row r times s_r = a_r / b_r scales the determinant by prod s_r.  The
+        # last row mixes denominators 2, 3 and 1, so each entry of it is
+        # scaled by its own factor within the row's multiplier 6.
+        p13 = PrimeModulus(13)
+        good = minor_matrix(p13, SupportSet(p13, [0, 2, 5, 11]), SupportSet(p13, [1, 3, 4, 9]))
+        scales = [Fraction(3, 2), Fraction(-5, 7), 4, Fraction(1, 9)]
+        entries = [[v * s for v in row] for row, s in zip(good.entries, scales)]
+        entries[3][1] = entries[3][1] * Fraction(9, 2)
+        entries[3][2] = entries[3][2] * Fraction(9, 3)
+        minor = FourierMinor(p13, good.rows, good.cols, tuple(map(tuple, entries)))
+        assert minor_det(minor) == eliminated(monkeypatch, lambda: minor_det(minor))
+        rhs = [Fraction(2, 5), CycloNum.root_power(p13, 7) / 3, -1, random_cyclo(
+            random.Random(13), p13, den_max=6)]
+        solution = minor_solve(minor, rhs)
+        assert solution == eliminated(monkeypatch, lambda: minor_solve(minor, rhs))
+        assert minor.apply(solution) == [v if isinstance(v, CycloNum)
+                                         else CycloNum.from_rational(p13, v) for v in rhs]
+        unmixed = FourierMinor(p13, good.rows, good.cols, tuple(
+            tuple(v * s for v in row) for row, s in zip(good.entries, scales)))
+        assert minor_det(unmixed) == minor_det(good) * (Fraction(3, 2) * Fraction(-5, 7) * 4
+                                                        * Fraction(1, 9))
+
+    def test_each_distinct_entry_is_encoded_and_bounded_once(self, monkeypatch):
+        # A 6 x 6 minor at p = 13 holds at most 13 distinct root powers; with
+        # its right-hand side that is at most 19 entries of 42.
+        p13 = PrimeModulus(13)
+        minor = minor_matrix(p13, SupportSet(p13, [0, 1, 3, 4, 8, 12]),
+                             SupportSet(p13, [2, 3, 5, 6, 7, 10]))
+        rhs = [random_cyclo(random.Random(6), p13) for _ in range(6)]
+        distinct = len({id(v) for row in minor.entries for v in row}) + 6
+        encoded, bounded = [], []
+        encode, bound = ResidueRing.encode, cyclotomic._embedding_bound
+        monkeypatch.setattr(ResidueRing, "encode",
+                            lambda ring, v: encoded.append(v) or encode(ring, v))
+        monkeypatch.setattr(cyclotomic, "_embedding_bound",
+                            lambda num: bounded.append(num) or bound(num))
+        solution = minor_solve(minor, rhs)
+        assert distinct <= 19
+        assert len(bounded) == distinct
+        assert len(encoded) % distinct == 0 and encoded
+        assert minor.apply(solution) == rhs
 
     def test_non_unit_pivots_fall_back_to_eliminate(self, monkeypatch):
         # ord_7(2) = 3, so every width a multiple of 3 has 2^W = 1 (mod 7):
