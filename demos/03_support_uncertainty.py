@@ -15,6 +15,8 @@ from primefourier import (
     construct_support_pair,
     dft,
     exhaustive_certification,
+    minor_det,
+    minor_matrix,
     support,
     verify_uncertainty,
 )
@@ -40,19 +42,26 @@ b = SupportSet(p, [2, 3, 5, 6])
 print(f"  A = {a.members}, B = {b.members}: "
       f"certified = {certify_tightness(p, a, b)}\n")
 
-print("Constructive converse: prescribe supports, get a signal.")
+print("Constructive converse: prescribe supports, get a signal.  fhat = 0 off B")
+print("is one linear system on the Fourier minor M with rows -(B^c) and the first")
+print("p - |B| members of A; by Cramer's rule its values are minors of the character")
+print("table, so they lie in Z[w], and f(max A) = det M.")
 a = SupportSet(p, [0, 2, 5])
 b = SupportSet(p, [1, 2, 3, 4, 6])
 witness = construct_support_pair(a, b)
+rows = SupportSet(p, ((-eta) % p.p for eta in b.complement()))
+pivots = SupportSet(p, a.members[:p.p - len(b)])
 print(f"  targets A = {a.members}, B = {b.members}")
 for x, value in enumerate(witness.signal.values):
     print(f"    f({x}) = {value}")
+print(f"  det M = {minor_det(minor_matrix(p, rows, pivots))}"
+      f"  (rows {rows.members}, columns {pivots.members})")
 print(f"  supp(f)    = {support(witness.signal).members}")
 print(f"  supp(fhat) = {support(dft(witness.signal)).members}\n")
 
-print("Oversized pairs take the values 1, t, ..., t^(k-1) on the k = |A| + |B| - p")
-print("free points of A, solve once for the rest, and are re-verified exactly;")
-print("the least t that works is at most p(k - 1) + 1:")
+print("Oversized pairs weight the k = |A| + |B| - p free points of A by 1, t, ...,")
+print("t^(k-1) (f there is det M times the weight), solve once for the rest, and are")
+print("re-verified exactly; the least t that works is at most p(k - 1) + 1:")
 full = SupportSet.full(p)
 witness = construct_support_pair(full, full)
 print(f"  A = B = all of Z/7Z: combination weights = {witness.combination_coeffs}\n")

@@ -39,6 +39,7 @@ from .fourier import (
     dft,
     fourier_support,
     idft,
+    minor_cramer,
     minor_det,
     minor_matrix,
     minor_nonsingular,
@@ -93,6 +94,7 @@ __all__ = [
     "is_prime",
     "iter_certification_checks",
     "meshulam_check",
+    "minor_cramer",
     "minor_det",
     "minor_matrix",
     "minor_nonsingular",

@@ -190,7 +190,8 @@ def cd_proof_witness(a: SupportSet, b: SupportSet, seed: int = 0) -> CDWitness:
     """Constructively replay the convolution proof for one pair (A, B).
 
     f and g are exact-case constructions (|A| + |X| = |B| + |Y| = p + 1),
-    whose weight is 1.  seed is accepted and ignored: nothing is drawn.
+    with values in Z[w] (construct_support_pair).  seed is accepted and
+    ignored: nothing is drawn.
     """
     if a.modulus != b.modulus:
         raise ValueError("modulus mismatch")

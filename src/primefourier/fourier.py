@@ -20,20 +20,23 @@ one scalar addition per sum.
 
 Every elimination is one integer pivot step, _pivot, which pivots on the
 diagonal without a search (each leading block of a Fourier minor is itself a
-nonsingular minor) and gives up at a pivot that is not a unit.  _triangular
-repeats it down one minor, and image_dets down a trie of minors that share
-their rows.  It runs in two rings that are images of Z[w]:
+nonsingular minor) and takes no inverse: it scales each row below by the
+pivot before clearing it.  _triangular repeats it down one minor and inverts
+the product of the pivots once, giving up when that product is not a unit;
+image_dets repeats it down a trie of minors that share their rows.  It runs
+in two rings that are images of Z[w]:
 
-- minor_det and minor_solve run it in Z/N for N = Phi_p(2^W), the image of
+- minor_det and minor_cramer run it in Z/N for N = Phi_p(2^W), the image of
   w -> 2^W (cyclotomic.ResidueRing), where one big integer carries all p - 1
   embeddings of a value.  A minor's determinant and the Cramer numerators
   det * c_i lie in Z[w], and Hadamard's inequality bounds their embeddings,
   so a W chosen from that bound makes their residues decode to them
-  exactly; the solve then divides once over Q(w).  A pivot that is not a
-  unit mod N retries at the next few widths, and after that _eliminate, the
-  same diagonal elimination over Q(w), decides: it is the source of truth,
-  and a zero pivot there raises TheoremViolationError naming the singular
-  leading block.
+  exactly.  minor_cramer returns that pair with no division over Q(w), and
+  minor_solve divides it once.  A pivot that is not a unit mod N retries at
+  the next few widths, and after that _eliminate, the same diagonal
+  elimination over Q(w), decides: it is the source of truth, and a zero
+  pivot there raises TheoremViolationError naming the singular leading
+  block.
 - minor_nonsingular decides whether a minor is nonsingular by reduction
   modulo a prime, as in the proofs of Chebotarev's lemma: w -> g, for g of
   order p in F_q with q = 1 (mod p), is a ring map Z[w] -> F_q, so a nonzero
@@ -344,41 +347,54 @@ def _eliminate(minor: FourierMinor, rhs=None):
 
 
 def _pivot(a: list[list[int]], k: int, m: int):
-    """One diagonal pivot step mod m, on entry k of the first of the rows a.
+    """One diagonal pivot step mod m, on entry u = a[0][k] of the first of the rows a.
 
-    Returns the pivot's inverse and the rows below the first, each cleared
-    in column k and cut to the columns after k.  A pivot that is not a unit
-    mod m raises ValueError.
+    Returns u and the rows below the first, each replaced by
+    u * row - row[k] * top, so cleared in column k, and cut to the columns
+    after k.  Each row below is scaled by u, and no inverse is taken.
     """
     top = a[0]
-    inv = pow(top[k], -1, m)
+    u = top[k]
     rest = top[k + 1:]
     below = []
     for row in a[1:]:
-        factor = row[k] * inv % m
-        below.append([(x - factor * t) % m for x, t in zip(row[k + 1:], rest)])
-    return inv, below
+        r = row[k]
+        below.append([(u * x - r * t) % m for x, t in zip(row[k + 1:], rest)])
+    return u, below
 
 
 def _triangular(a: list[list[int]], m: int):
     """Diagonal-pivot elimination of the integer rows a modulo m.
 
-    Returns (det, rows, inverses): the product of the pivots mod m, the
-    triangular rows (row k holds columns k, k + 1, ... of the k-th
-    eliminated row, its pivot first) and each pivot's inverse mod m.  A
-    pivot that is not a unit mod m returns None.
+    Returns (det, rows, inverses): the determinant mod m, the triangular
+    rows (row k holds columns k, k + 1, ... of the k-th eliminated row,
+    its pivot U_k first) and each U_k's inverse mod m.  Row k comes out
+    scaled by S_k = U_0 ... U_(k-1), so U_k = S_k P_k for the true pivot
+    P_k, and det = prod P_k = prod U_k / S_k.  One inverse, of
+    S_n = prod U_k, gives every U_k^-1 = S_k / S_(k+1) and S_k^-1 on the
+    way back; if it does not exist, a pivot is not a unit mod m and the
+    result is None.
     """
-    det = 1
-    rows, inverses = [], []
+    rows, pivots = [], []
     while a:
-        try:
-            inv, below = _pivot(a, 0, m)
-        except ValueError:
-            return None
-        det = det * a[0][0] % m
+        u, below = _pivot(a, 0, m)
         rows.append(a[0])
-        inverses.append(inv)
+        pivots.append(u)
         a = below
+    prefix = [1]
+    for u in pivots:
+        prefix.append(prefix[-1] * u % m)
+    try:
+        inv = pow(prefix[-1], -1, m)
+    except ValueError:
+        return None
+    det = prefix[-1]
+    inverses = [0] * len(pivots)
+    for k in range(len(pivots) - 1, -1, -1):
+        # inv is S_(k+1)^-1 here.
+        inverses[k] = inv * prefix[k] % m
+        inv = inv * pivots[k] % m
+        det = det * inv % m
     return det, rows, inverses
 
 
@@ -387,9 +403,9 @@ def _residue_eliminate(minor: FourierMinor, rhs=None):
 
     Each row is cleared of denominators first (integral_rows), which scales
     the determinant by `scale` and leaves the solution alone.  A pivot that
-    is not a unit retries at the next width, up to _RESIDUE_WIDTHS widths;
-    then None, and the caller falls back to _eliminate.  Returns
-    (ring, scale, det, rows, inverses).
+    is not a unit retries at the next width, up to _RESIDUE_WIDTHS widths.
+    Returns (scale, reduced): reduced is (ring, det, rows, inverses), or
+    None when no width worked and the caller falls back to _eliminate.
     """
     a = [list(row) for row in minor.entries]
     if rhs is not None:
@@ -400,9 +416,9 @@ def _residue_eliminate(minor: FourierMinor, rhs=None):
     for _ in range(_RESIDUE_WIDTHS):
         reduced = _triangular(ring.encode_rows(a, multipliers), ring.n)
         if reduced is not None:
-            return ring, scale, *reduced
+            return scale, (ring, *reduced)
         ring = ring.wider()
-    return None
+    return scale, None
 
 
 def minor_det(minor: FourierMinor) -> CycloNum:
@@ -413,9 +429,9 @@ def minor_det(minor: FourierMinor) -> CycloNum:
     pivot is not a unit in any of the widths tried, the product of the
     pivots of _eliminate over Q(w) is the determinant.
     """
-    reduced = _residue_eliminate(minor)
+    scale, reduced = _residue_eliminate(minor)
     if reduced is not None:
-        ring, scale, det, _, _ = reduced
+        ring, det, _, _ = reduced
         return ring.decode(det) / scale
     a, _ = _eliminate(minor)
     det = a[0][0]
@@ -457,10 +473,12 @@ def image_dets(modulus: PrimeModulus, rows: tuple[int, ...], col_sets) -> list[i
     held = sorted(set().union(*col_sets))
     position = {xi: i for i, xi in enumerate(held)}
     n = len(rows)
-    # states[k] is (position of the first column held, rows left, product
-    # of the pivots) after pivoting on the current cols[:k], or None after a
-    # zero pivot.
-    states = [(0, [[powers[x * xi % p] for xi in held] for x in rows], 1)]
+    # states[k] is (position of the first column held, rows left, S, D)
+    # after pivoting on the current cols[:k], or None after a zero pivot:
+    # the rows left are scaled by S, the product of the pivots U_j taken,
+    # and the leading block's image is S / D, D the product of the S_j
+    # before each pivot (see _triangular).
+    states = [(0, [[powers[x * xi % p] for xi in held] for x in rows], 1, 1)]
     previous = ()
     dets = []
     for cols in col_sets:
@@ -470,14 +488,15 @@ def image_dets(modulus: PrimeModulus, rows: tuple[int, ...], col_sets) -> list[i
         del states[shared + 1:]
         state = states[-1]
         while state is not None and len(states) <= n:
-            first, a, det = state
+            first, a, scale, den = state
             k = position[cols[len(states) - 1]] - first
-            try:
-                state = first + k + 1, _pivot(a, k, q)[1], det * a[0][k] % q
-            except ValueError:
+            if a[0][k]:
+                u, below = _pivot(a, k, q)
+                state = first + k + 1, below, scale * u % q, den * scale % q
+            else:
                 state = None
             states.append(state)
-        dets.append(state[2] if state else 0)
+        dets.append(state[2] * pow(state[3], -1, q) % q if state else 0)
         previous = cols
     return dets
 
@@ -494,14 +513,16 @@ def minor_nonsingular(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet)
     return not minor_det(minor_matrix(modulus, rows, cols)).is_zero()
 
 
-def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:
-    """The unique exact solution of M*c = rhs.
+def minor_cramer(minor: FourierMinor, rhs) -> tuple[CycloNum, list[CycloNum]]:
+    """Cramer's rule for M*c = rhs: (d, [d * c_i]), both in Z[w].
 
-    Elimination and back substitution run in Z/Phi_p(2^W) on the rows
-    cleared of denominators, whose determinant det and Cramer numerators
-    y_i = det * c_i lie in Z[w] and decode exactly (ResidueRing).  Then
-    c_i = y_i * det^-1: one inverse and n products over Q(w).  If a pivot
-    is not a unit in any of the widths tried, _eliminate solves over Q(w).
+    d is the determinant of [M | rhs] cleared of denominators row by row
+    (integral_rows), scale * det M, and d * c_i is that matrix's minor on
+    M's columns with column i replaced by rhs.  Elimination and back
+    substitution run in Z/Phi_p(2^W), where both decode exactly
+    (ResidueRing), so no inverse over Q(w) is taken.  If a pivot is not a
+    unit in any of the widths tried, _eliminate solves over Q(w) and the
+    same pair is formed from its pivots.
     """
     n = minor.n
     modulus = minor.modulus
@@ -510,19 +531,19 @@ def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:
         b.append(v if isinstance(v, CycloNum) else CycloNum.from_rational(modulus, v))
     if len(b) != n:
         raise ValueError(f"right-hand side must have length {n}, got {len(b)}")
-    reduced = _residue_eliminate(minor, b)
+    scale, reduced = _residue_eliminate(minor, b)
     if reduced is not None:
-        ring, _, det, rows, inverses = reduced
+        ring, det, rows, inverses = reduced
         m = ring.n
         x = [0] * n
         for i in range(n - 1, -1, -1):
             top = rows[i]
             total = top[-1] - sum([t * v for t, v in zip(top[1:-1], x[i + 1:])])
             x[i] = total % m * inverses[i] % m
-        det_inverse = ring.decode(det).inverse()
-        return [ring.decode(det * v) * det_inverse for v in x]
+        return ring.decode(det), [ring.decode(det * v) for v in x]
     a, inverses = _eliminate(minor, b)
     inverses.append(a[n - 1][n - 1].inverse())
+    det = CycloNum.from_rational(modulus, scale)
     sol: list[CycloNum] = [CycloNum.zero(modulus)] * n
     for i in range(n - 1, -1, -1):
         total = a[i][n]
@@ -530,7 +551,18 @@ def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:
         for j in range(i + 1, n):
             total = total - row[j] * sol[j]
         sol[i] = total * inverses[i]
-    return sol
+        det = det * row[i]
+    return det, [det * c for c in sol]
+
+
+def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:
+    """The unique exact solution of M*c = rhs: minor_cramer's numerators over d.
+
+    One inverse and n products over Q(w).
+    """
+    det, numerators = minor_cramer(minor, rhs)
+    inverse = det.inverse()
+    return [y * inverse for y in numerators]
 
 
 def vandermonde_det_mod_p(cols: SupportSet) -> int:

@@ -41,10 +41,13 @@ class UncertaintyReport:
 class AchievabilityWitness:
     """A signal realizing prescribed supports, plus how it was built.
 
-    combination_coeffs holds the integer weights the construction fixed: the
-    signal's values (1, t, ..., t^(k-1)) on the last k = |A| + |B| - p members
-    of A, for the least t in 1, 2, ..., p(k - 1) + 1 that gives both supports.
-    In the exact case k = 1 it is (1,), so f(max A) = 1.
+    combination_coeffs holds the integer weights the construction fixed,
+    (1, t, ..., t^(k-1)) for the least t in 1, 2, ..., p(k - 1) + 1 that
+    gives both supports: the ratios f(free_j) / f(free_0) on the last
+    k = |A| + |B| - p members of A.  The signal's values lie in Z[w]: f takes
+    d * t^j on free point j, where d is the determinant of the pivot minor
+    (construct_support_pair), 1 when B is all of Z/p.  In the exact case
+    k = 1 the weights are (1,), so f(max A) = d.
     """
 
     target_support: SupportSet
@@ -94,14 +97,17 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
     """Realize supports (A, B) for any nonempty sets with |A| + |B| >= p + 1.
 
     The signals on A whose transform vanishes off B form a space of dimension
-    k = |A| + |B| - p, with the last k members of A as free coordinates: f
-    takes the weights 1, t, ..., t^(k-1) there, and one minor_solve gives its
-    values on the first p - |B| members (none when B is all of Z/p).  The
-    least t in 1, 2, ..., p(k - 1) + 1 whose signal has exactly the supports
-    (A, B) wins; at most p(k - 1) values of t can fail (see _certify_minors),
-    so a run past the bound raises TheoremViolationError.  In the exact case
-    k = 1 there is one try, with f(max A) = 1.  seed is accepted and ignored:
-    nothing is drawn.
+    k = |A| + |B| - p, with the last k members of A as free coordinates.  With
+    the weights 1, t, ..., t^(k-1) there, fhat = 0 off B is M c = rhs for the
+    pivot minor M on rows -(B^c) and the first n = p - |B| members of A, and
+    one minor_cramer gives d = det M and the Cramer numerators d * c_i.  The
+    witness is d times that solution: d * c_i on the first n members and
+    d * t^j on the free points (d = 1 when n = 0), all in Z[w], so it takes
+    no inverse over Q(w).  The least t in 1, 2, ..., p(k - 1) + 1 whose
+    signal has exactly the supports (A, B) wins; at most p(k - 1) values of
+    t can fail (see _certify_minors), so a run past the bound raises
+    TheoremViolationError.  In the exact case k = 1 there is one try, with
+    f(max A) = d.  seed is accepted and ignored: nothing is drawn.
     """
     if support_set.modulus != spectrum_set.modulus:
         raise ValueError("modulus mismatch between target sets")
@@ -127,13 +133,15 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
     for t in range(1, tries + 1):
         coeffs = [t ** i for i in range(k)]
         values = [0] * p
-        for j, lam in zip(free, coeffs):
-            values[j] = lam
+        det = 1
         if n:
             weights = [CycloNum.from_rational(modulus, -lam) for lam in coeffs]
             rhs = character_sums(modulus, weights, free, rows.members, 1)
-            for a, v in zip(pivots, fourier.minor_solve(minor, rhs)):
+            det, numerators = fourier.minor_cramer(minor, rhs)
+            for a, v in zip(pivots, numerators):
                 values[a] = v
+        for j, lam in zip(free, coeffs):
+            values[j] = det * lam
         signal = SignalFn(modulus, values)
         if _verify_witness_supports(signal, support_set, spectrum_set):
             return AchievabilityWitness(support_set, spectrum_set, signal, tuple(coeffs))

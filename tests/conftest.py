@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from primefourier import CycloNum, PrimeModulus, SignalFn
+from primefourier import CycloNum, PrimeModulus, SignalFn, SupportSet, minor_det, minor_matrix
 
 
 def float_dft(values, p):
@@ -38,6 +38,28 @@ def random_int_signal(rng: random.Random, modulus: PrimeModulus, lo=-9, hi=9) ->
         values = [rng.randint(lo, hi) for _ in range(modulus.p)]
         if any(values):
             return SignalFn(modulus, values)
+
+
+def pivot_minor(a: SupportSet, b: SupportSet):
+    """The minor on rows -(B^c) and the first p - |B| members of A, or None when B = Z/p."""
+    modulus = a.modulus
+    p = modulus.p
+    n = p - len(b)
+    if not n:
+        return None
+    rows = SupportSet(modulus, ((-eta) % p for eta in b.complement()))
+    return minor_matrix(modulus, rows, SupportSet(modulus, a.members[:n]))
+
+
+def pivot_det(a: SupportSet, b: SupportSet) -> CycloNum:
+    """det of pivot_minor(a, b), or 1 when B = Z/p: the witness's value at the first free point."""
+    minor = pivot_minor(a, b)
+    return CycloNum.one(a.modulus) if minor is None else minor_det(minor)
+
+
+def integral(f: SignalFn) -> bool:
+    """Whether every value of f lies in Z[w] (all its coefficients are integers)."""
+    return all(c.denominator == 1 for v in f.values for c in v.coeffs)
 
 
 # The four generators of the symmetry group of supports.  Each is written on

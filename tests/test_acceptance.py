@@ -35,7 +35,7 @@ from primefourier import (
     verify_uncertainty,
 )
 
-from conftest import float_dft, random_dense_signal
+from conftest import float_dft, integral, pivot_det, random_dense_signal
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -141,12 +141,15 @@ def test_criterion_3_constructive_converse():
                 # Independent re-check through the exact transform.
                 assert support(witness.signal) == a_set
                 assert support(dft(witness.signal)) == b_set
-                # One weight per free point; the exact case's one is 1.
+                # One weight per free point; the exact case's one is 1, so
+                # the witness over det of the pivot minor is 1 at max A.
                 k = len(a) + len(b) - p
                 assert len(witness.combination_coeffs) == k
+                assert integral(witness.signal)
                 if k == 1:
                     assert witness.combination_coeffs == (1,)
-                    assert witness.signal[a[-1]] == CycloNum.one(modulus)
+                    normalized = witness.signal * pivot_det(a_set, b_set).inverse()
+                    assert normalized[a[-1]] == CycloNum.one(modulus)
                 else:
                     combined += 1
                 built += 1

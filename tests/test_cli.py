@@ -9,13 +9,14 @@ import pytest
 from primefourier import (
     CycloNum,
     PrimeModulus,
+    SupportSet,
     TheoremViolationError,
     applications,
     cli,
     uncertainty,
 )
 
-from conftest import closed_form_counts
+from conftest import closed_form_counts, pivot_det
 
 
 def run_cli(capsys, argv):
@@ -166,8 +167,14 @@ class TestConstruct:
         assert code == 0
         assert report["counts"]["combination_terms"] == 3
         result = report["result"]
+        p11 = PrimeModulus(11)
+        # The free points carry det of the pivot minor times the weights,
+        # and no value has a denominator.
+        det = pivot_det(SupportSet(p11, [0, 1, 2, 4, 6, 9]),
+                        SupportSet(p11, [0, 1, 2, 3, 5, 7, 8, 10]))
         assert [result["signal"][x] for x in (4, 6, 9)] == [
-            str(CycloNum.from_rational(PrimeModulus(11), c)) for c in result["combination_coeffs"]]
+            str(det * c) for c in result["combination_coeffs"]]
+        assert not any("/" in value for value in result["signal"])
         zero = str(CycloNum.zero(PrimeModulus(11)))
         assert [result["signal"][x] for x in (3, 5, 7, 8, 10)] == [zero] * 5
 
@@ -321,15 +328,16 @@ class TestMeshulam:
 
 
 class TestStatusMapping:
-    def test_impossible_inverse_exits_4(self, capsys, monkeypatch):
-        # Identity conjugates make every non-rational "norm" non-rational,
-        # so the elimination behind the witness reaches the impossible branch.
-        monkeypatch.setattr(CycloNum, "galois", lambda self, k: self)
+    def test_unrealized_witness_exits_4(self, capsys, monkeypatch):
+        # A support check that rejects every try exhausts the weights whose
+        # bound the paper's argument proves, the impossible branch of
+        # construct.
+        monkeypatch.setattr(uncertainty, "_verify_witness_supports", lambda *args: False)
         code, report = run_json(capsys, ["construct", "--p", "7", "--a", "0,1,2",
                                          "--b", "0,1,2,3,4"])
         assert code == 4
         assert report["status"] == "theorem-violation"
-        assert "Galois norm" in report["error"]
+        assert "1 <= t <= 1 realize A=(0, 1, 2)" in report["error"]
 
     def test_theorem_violation_exit_code(self, capsys, monkeypatch):
         # The library treats this status as unreachable; force it to pin the

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from primefourier import (
     dft,
     fourier_support,
     idft,
+    minor_cramer,
     minor_det,
     minor_matrix,
     minor_nonsingular,
@@ -957,6 +959,122 @@ class TestResidueElimination:
             assert ring.encode(w) == pow(2, width, ring.n)
             for a, b in zip(values, values[1:]):
                 assert ring.encode(a * b) == ring.encode(a) * ring.encode(b) % ring.n
+
+
+class TestMinorCramer:
+    # minor_cramer(M, rhs) is (d, [d * c_i]) for the row-cleared [M | rhs]:
+    # d = scale * det M, scale the product of each row's denominator lcm.
+
+    @staticmethod
+    def row_scale(minor, rhs):
+        return math.prod(math.lcm(*(c.denominator for v in row + (b,) for c in v.coeffs))
+                         for row, b in zip(minor.entries, rhs))
+
+    @staticmethod
+    def replaced_det(minor, rhs, i):
+        """det of M with column i replaced by rhs, computed with that column
+        moved last (a sign of (-1)^(n-1-i)), so every leading block of a
+        Fourier minor's matrix stays a Fourier minor."""
+        entries = tuple(row[:i] + row[i + 1:] + (b,) for row, b in zip(minor.entries, rhs))
+        moved = FourierMinor(minor.modulus, minor.rows, minor.cols, entries)
+        return minor_det(moved) * (-1) ** (minor.n - 1 - i)
+
+    def check_against_minor_det(self, minor, rhs):
+        modulus = minor.modulus
+        rhs = [v if isinstance(v, CycloNum) else CycloNum.from_rational(modulus, v) for v in rhs]
+        det, numerators = minor_cramer(minor, rhs)
+        scale = self.row_scale(minor, rhs)
+        assert det == minor_det(minor) * scale
+        assert numerators == [self.replaced_det(minor, rhs, i) * scale for i in range(minor.n)]
+        assert all(c.denominator == 1 for v in numerators + [det] for c in v.coeffs)
+        return det, numerators
+
+    @staticmethod
+    def scaled_minor(p, rows, cols, scales):
+        """A hand-built minor: row r of the Fourier minor times scales[r]."""
+        modulus = PrimeModulus(p)
+        good = minor_matrix(modulus, SupportSet(modulus, rows), SupportSet(modulus, cols))
+        return FourierMinor(modulus, good.rows, good.cols, tuple(
+            tuple(v * s for v in row) for row, s in zip(good.entries, scales)))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+    def test_fourier_minors_against_minor_det(self, p):
+        rng = random.Random(1100 + p)
+        modulus = PrimeModulus(p)
+        for n in sorted({1, 2, min(p // 2, 5)} - {0}):
+            rows = SupportSet(modulus, rng.sample(range(p), n))
+            cols = SupportSet(modulus, rng.sample(range(p), n))
+            minor = minor_matrix(modulus, rows, cols)
+            for rhs in ([rng.randint(1, 50) for _ in range(n)],
+                        [random_cyclo(rng, modulus, -2**20, 2**20) for _ in range(n)]):
+                self.check_against_minor_det(minor, rhs)
+
+    def test_rational_row_scales_multiply_d(self):
+        # The row lcms here are 2, 21, 1 and 45 (the right-hand side's 5/3
+        # and 2/5 share rows with 7 and 9), so d = 1890 * det M: a d that
+        # dropped the row-clearing scale would be det M itself.
+        minor = self.scaled_minor(13, (0, 2, 5, 11), (1, 3, 4, 9),
+                                  [Fraction(3, 2), Fraction(-5, 7), 4, Fraction(1, 9)])
+        rhs = [1, Fraction(5, 3), -2, Fraction(2, 5)]
+        assert self.row_scale(minor, [CycloNum.from_rational(minor.modulus, v)
+                                      for v in rhs]) == 1890
+        det, _ = self.check_against_minor_det(minor, rhs)
+        assert det != minor_det(minor)
+
+    @pytest.mark.parametrize("p", [3, 7, 13, 31])
+    def test_same_pair_when_eliminate_answers(self, monkeypatch, p):
+        # The Q(w) fallback forms the same (d, numerators) as the residue
+        # route, on Fourier minors and on hand-built ones with rational row
+        # scales, with integer, rational and dense right-hand sides.
+        rng = random.Random(1200 + p)
+        modulus = PrimeModulus(p)
+        n = min(p - 1, 4)
+        rows, cols = sorted(rng.sample(range(p), n)), sorted(rng.sample(range(p), n))
+        scales = [Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 9))
+                  for _ in range(n)]
+        for minor in (minor_matrix(modulus, SupportSet(modulus, rows), SupportSet(modulus, cols)),
+                      self.scaled_minor(p, rows, cols, scales)):
+            for rhs in ([rng.randint(-50, 50) for _ in range(n)],
+                        [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(n)],
+                        [random_cyclo(rng, modulus, -2**30, 2**30, den_max=9) for _ in range(n)]):
+                assert minor_cramer(minor, rhs) == eliminated(
+                    monkeypatch, lambda: minor_cramer(minor, rhs))
+
+
+class TestTriangular:
+    # _triangular pivots without an inverse per pivot: its determinant and
+    # the inverses of the scaled pivots must still be exact mod m.
+
+    @staticmethod
+    def leibniz(a, m):
+        n = len(a)
+        total = 0
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            total += (-1) ** inversions * math.prod(a[i][perm[i]] for i in range(n))
+        return total % m
+
+    @pytest.mark.parametrize("q", [101, 2147483647])
+    def test_det_and_inverses_mod_a_prime(self, q):
+        rng = random.Random(q)
+        for n in (1, 2, 3, 5):
+            for _ in range(10):
+                a = [[rng.randrange(q) for _ in range(n + 1)] for _ in range(n)]
+                square = [row[:n] for row in a]
+                reduced = fourier._triangular([list(row) for row in a], q)
+                if reduced is None:
+                    continue
+                det, rows, inverses = reduced
+                assert det == self.leibniz(square, q)
+                assert [len(row) for row in rows] == list(range(n + 1, 1, -1))
+                assert all(row[0] * inv % q == 1 for row, inv in zip(rows, inverses))
+
+    def test_a_non_unit_pivot_gives_none(self):
+        # Mod 15 the second pivot 5 * 1 - 2 * 0 = 5 is a zero divisor, and
+        # no later pivot can make the product a unit again.
+        assert fourier._triangular([[1, 0, 4], [2, 5, 1], [0, 1, 1]], 15) is None
+        assert fourier._triangular([[1, 0, 4], [2, 7, 1], [0, 1, 1]], 15)[0] == (
+            self.leibniz([[1, 0, 4], [2, 7, 1], [0, 1, 1]], 15))
 
 
 class TestHandBuiltMinors:

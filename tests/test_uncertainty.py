@@ -20,6 +20,8 @@ from primefourier import (
     dft,
     exhaustive_certification,
     iter_certification_checks,
+    minor_cramer,
+    minor_det,
     minor_matrix,
     minor_solve,
     support,
@@ -32,7 +34,10 @@ from conftest import (
     closed_form_counts,
     dilate,
     galois,
+    integral,
     modulate,
+    pivot_det,
+    pivot_minor,
     random_int_signal,
     translate,
 )
@@ -107,24 +112,25 @@ class TestVerifyUncertainty:
 
 
 def _spy_solves(monkeypatch, corrupt_first=False, corrupt_every=False):
-    # Records each solve; a corrupted solve returns 0 at the first pivot, so
-    # its signal misses A.
+    # Records each solve as (minor, rhs, det, numerators); a corrupted solve
+    # returns 0 at the first pivot, so its signal misses A.
     calls = []
 
     def spy(minor, rhs):
-        sol = minor_solve(minor, rhs)
-        calls.append((minor, list(rhs), sol))
+        det, numerators = minor_cramer(minor, rhs)
+        calls.append((minor, list(rhs), det, numerators))
         if corrupt_every or corrupt_first and len(calls) == 1:
-            sol = [CycloNum.zero(minor.modulus)] + sol[1:]
-        return sol
+            numerators = [CycloNum.zero(minor.modulus)] + numerators[1:]
+        return det, numerators
 
-    monkeypatch.setattr(fourier, "minor_solve", spy)
+    monkeypatch.setattr(fourier, "minor_cramer", spy)
     return calls
 
 
 class TestConstructExactPair:
     # The exact case |A| + |B| = p + 1 of construct_support_pair: one free
-    # point, max A, with the weight 1.
+    # point, max A, with the weight 1, so f(max A) is the determinant d of
+    # the pivot minor and f / d is the witness normalized to f(max A) = 1.
 
     def test_singleton_support_forces_dirac_type(self):
         p3 = PrimeModulus(3)
@@ -173,22 +179,29 @@ class TestConstructExactPair:
                     assert support(witness.signal).members == a
                     assert support(dft(witness.signal)).members == b
                     assert witness.combination_coeffs == (1,)
-                    assert witness.signal[a[-1]] == CycloNum.one(modulus)
+                    assert integral(witness.signal)
+                    normalized = witness.signal * pivot_det(a_set, b_set).inverse()
+                    assert normalized[a[-1]] == CycloNum.one(modulus)
 
     def test_one_solve_on_rows_minus_b_complement(self, monkeypatch):
         # The rows are -(B^c) = -{0, 3, 5}, sorted (0, 2, 4); the pivots are
         # the first |A| - 1 members of A, and the free point 5 carries the
-        # weight 1, so the right-hand side is minus its column.
+        # weight 1, so the right-hand side is minus its column.  The witness
+        # is the solution with f(5) = 1 times d = det M.
         calls = _spy_solves(monkeypatch)
         p7 = PrimeModulus(7)
         a = SupportSet(p7, [0, 1, 3, 5])
         witness = construct_support_pair(a, SupportSet(p7, [1, 2, 4, 6]))
         assert len(calls) == 1
-        minor, rhs, sol = calls[0]
+        minor, rhs, det, numerators = calls[0]
         assert (minor.rows.members, minor.cols.members) == ((0, 2, 4), (0, 1, 3))
         assert rhs == [-CycloNum.root_power(p7, 5 * r) for r in (0, 2, 4)]
-        assert [witness.signal[x] for x in (0, 1, 3)] == sol
-        assert witness.signal[5] == CycloNum.one(p7)
+        assert det == minor_det(minor_matrix(p7, SupportSet(p7, [0, 2, 4]),
+                                             SupportSet(p7, [0, 1, 3])))
+        assert [witness.signal[x] for x in (0, 1, 3)] == numerators
+        normalized = witness.signal * det.inverse()
+        assert [normalized[x] for x in (0, 1, 3)] == minor_solve(minor, rhs)
+        assert normalized[5] == CycloNum.one(p7)
 
     def test_spoilt_solution_raises_at_once(self, monkeypatch):
         # The exact case's bound p(k - 1) + 1 is one try: a witness that
@@ -268,7 +281,9 @@ class TestConstructSupportPair:
             witness = construct_support_pair(a, b)
             k = a_size + b_size - p
             assert len(witness.combination_coeffs) == k
-            assert [witness.signal[x] for x in a.members[-k:]] == [
+            assert integral(witness.signal)
+            normalized = witness.signal * pivot_det(a, b).inverse()
+            assert [normalized[x] for x in a.members[-k:]] == [
                 CycloNum.from_rational(modulus, c) for c in witness.combination_coeffs]
             assert support(witness.signal) == a
             assert support(dft(witness.signal)) == b
@@ -276,19 +291,25 @@ class TestConstructSupportPair:
     def test_one_solve_on_the_pivot_minor(self, monkeypatch):
         # n = p - |B| = 2 pivots (the first members of A) against the sorted
         # rows -(B^c) = (4, 6); the free points 2, 3, 4 carry the weights, and
-        # their columns, negated and weighted, are the right-hand side.
+        # their columns, negated and weighted, are the right-hand side.  The
+        # witness is the solution with those weights times d = det M.
         calls = _spy_solves(monkeypatch)
         p7 = PrimeModulus(7)
         a = SupportSet(p7, [0, 1, 2, 3, 4])
         witness = construct_support_pair(a, SupportSet(p7, [0, 2, 4, 5, 6]))
         assert len(calls) == 1
-        minor, rhs, sol = calls[0]
+        minor, rhs, det, numerators = calls[0]
         assert (minor.rows.members, minor.cols.members) == ((4, 6), (0, 1))
         weights = witness.combination_coeffs
         assert rhs == [sum((-lam * CycloNum.root_power(p7, r * j)
                             for lam, j in zip(weights, (2, 3, 4))), CycloNum.zero(p7))
                        for r in (4, 6)]
-        assert [witness.signal[0], witness.signal[1]] == sol
+        assert det == minor_det(minor_matrix(p7, SupportSet(p7, [4, 6]), SupportSet(p7, [0, 1])))
+        assert [witness.signal[0], witness.signal[1]] == numerators
+        normalized = witness.signal * det.inverse()
+        assert [normalized[0], normalized[1]] == minor_solve(minor, rhs)
+        assert [normalized[x] for x in (2, 3, 4)] == [
+            CycloNum.from_rational(p7, lam) for lam in weights]
 
     def test_full_spectrum_needs_no_solve(self, monkeypatch):
         calls = _spy_solves(monkeypatch)
@@ -327,9 +348,9 @@ class TestTranslationIdentity:
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_translate_turns_the_exact_witness(self, p):
         # Translating A by t turns fhat by w^(-t*xi), so the translate still
-        # lies on the exact case's line of signals; f(max A) = 1 then fixes
-        # the scalar.  Both supports survive any nonzero scalar, so only this
-        # identity checks the values.
+        # lies on the exact case's line of signals; f(max A) = det of the
+        # pivot minor then fixes the scalar.  Both supports survive any
+        # nonzero scalar, so only this identity checks the values.
         modulus = PrimeModulus(p)
         rng = random.Random(1000 + p)
         for a_size in (1, rng.randint(2, p - 1), p):
@@ -338,9 +359,45 @@ class TestTranslationIdentity:
             base = construct_support_pair(a, b).signal
             for t in range(p):
                 shifted = base.translate(t)
-                top = a.translate(t).members[-1]
-                moved = construct_support_pair(a.translate(t), b)
-                assert moved.signal == shifted * shifted[top].inverse()
+                moved_a = a.translate(t)
+                top = moved_a.members[-1]
+                moved = construct_support_pair(moved_a, b)
+                det = pivot_det(moved_a, b)
+                assert moved.signal * det.inverse() == shifted * shifted[top].inverse()
+                assert moved.signal[top] == det
+
+
+class TestCramerWitness:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_values_are_cramer_numerators(self, p):
+        # M f = rhs on the first n members a_i of A, where rhs is minus the
+        # free points' columns weighted by (1, t, ..., t^(k-1)).  By Cramer's
+        # rule f(a_i) is det M with column i replaced by rhs, computed here
+        # with that column moved last (a sign of (-1)^(n-1-i)) so that every
+        # leading block is a Fourier minor; the free points carry det M times
+        # the weights, and every value lies in Z[w].
+        modulus = PrimeModulus(p)
+        rng = random.Random(1300 + p)
+        for k in (1, 3) if p > 3 else (1,):
+            for _ in range(4):
+                b_size = rng.randint(k, p - 1)
+                a = SupportSet(modulus, rng.sample(range(p), p + k - b_size))
+                b = SupportSet(modulus, rng.sample(range(p), b_size))
+                witness = construct_support_pair(a, b)
+                f, weights = witness.signal, witness.combination_coeffs
+                minor = pivot_minor(a, b)
+                n = minor.n
+                free = a.members[n:]
+                rhs = [sum((-lam * CycloNum.root_power(modulus, r * x)
+                            for lam, x in zip(weights, free)), CycloNum.zero(modulus))
+                       for r in minor.rows.members]
+                for i, x in enumerate(a.members[:n]):
+                    moved = fourier.FourierMinor(modulus, minor.rows, minor.cols, tuple(
+                        row[:i] + row[i + 1:] + (v,) for row, v in zip(minor.entries, rhs)))
+                    assert f[x] == minor_det(moved) * (-1) ** (n - 1 - i), (a, b, x)
+                det = minor_det(minor)
+                assert [f[x] for x in free] == [det * lam for lam in weights]
+                assert integral(f)
 
 
 class TestCertifyTightness:
