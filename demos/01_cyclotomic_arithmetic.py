@@ -10,7 +10,7 @@ them.
 
 from fractions import Fraction
 
-from primefourier import CycloNum, IntPolynomial, PrimeModulus, galois_divisibility_check
+from primefourier import CycloNum, PrimeModulus, SparsePoly, sparse_zero_count
 
 p = PrimeModulus(7)
 w = CycloNum.root_power(p, 1)
@@ -42,9 +42,11 @@ print(f"  |1/2 + w|^2   = {z * z.conj()}\n")
 print("Double-precision embedding (used only as a test oracle):")
 print(f"  embed(w) = {w.embed():.6f}\n")
 
-print("Divisibility lemma: if an integer polynomial vanishes at p-th roots")
-print("of unity, its value at (1, ..., 1) is a multiple of p.")
-poly = IntPolynomial.univariate([1, 1, 1])  # 1 + z + z^2
-report = galois_divisibility_check(poly, [1], PrimeModulus(3))
-print(f"  P = 1 + z + z^2 at p = 3: vanishes = {report.vanishes_at_roots}, "
-      f"P(1) = {report.value_at_one}, divisible by 3 = {report.divisible_by_p}")
+print("Divisibility lemma: if an integer polynomial vanishes at a p-th root of")
+print("unity w != 1, its value at 1 is a multiple of p (w -> 1 maps Z[w] onto F_p).")
+coefficients = [1, 1, 1]  # 1 + z + z^2
+report = sparse_zero_count(SparsePoly(PrimeModulus(3), enumerate(coefficients)))
+value_at_one = sum(coefficients)
+print(f"  P = 1 + z + z^2 at p = 3 vanishes at w^t for t in {report.zeros.members}; "
+      f"P(1) = {value_at_one}, divisible by 3: {value_at_one % 3 == 0}")
+assert report.zeros.members == (1, 2) and value_at_one % 3 == 0

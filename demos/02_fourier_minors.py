@@ -4,13 +4,17 @@
 The p x p character table (w^(x*xi)) has the striking property, special to
 prime p, that EVERY square submatrix is invertible (Chebotarev's theorem).
 This script computes transforms exactly, then certifies the property for
-p = 5 by brute force: all 251 minors, all determinants nonzero.
+p = 5 by brute force: all 251 minors, all determinants nonzero.  Last, it
+checks the reason Tao's proof gives: an n x n minor is (1 - w)^N times a
+unit u mod (1 - w), N = n(n - 1)/2, with u fixed by two Vandermonde
+products of residues.
 """
 
 import itertools
 import math
 
 from primefourier import (
+    CycloNum,
     PrimeModulus,
     SignalFn,
     SupportSet,
@@ -19,7 +23,6 @@ from primefourier import (
     minor_det,
     minor_matrix,
     support,
-    vandermonde_det_mod_p,
 )
 
 p = PrimeModulus(5)
@@ -52,7 +55,25 @@ for n in range(1, 6):
 expected = math.comb(10, 5) - 1
 print(f"  {checked} minors checked (C(10,5) - 1 = {expected}), all nonsingular\n")
 
-print("The residue-level reason: the Vandermonde product of any distinct")
-print("frequencies stays nonzero mod p.")
+
+def vandermonde(members):
+    return math.prod(b - a for a, b in itertools.combinations(members, 2))
+
+
+print("The reason in Tao's proof: w -> 1 maps Z[w] onto F_5, so u mod (1 - w) is")
+print("u's coefficient sum mod 5, and it equals")
+print("(-1)^N V(rows) V(cols) / V(0, ..., n - 1) with V(S) = prod_{j<k} (s_k - s_j):")
+inverse = (1 - CycloNum.root_power(p, 1)).inverse()
 for cols in ([0, 1], [0, 1, 2], [1, 3, 4]):
-    print(f"  cols {cols}: product = {vandermonde_det_mod_p(SupportSet(p, cols))} (mod 5)")
+    n = len(cols)
+    rows = list(range(1, n + 1))
+    N = n * (n - 1) // 2
+    u = minor_det(minor_matrix(p, SupportSet(p, rows), SupportSet(p, cols)))
+    for _ in range(N):
+        u = u * inverse
+    assert all(c.denominator == 1 for c in u.coeffs)
+    residue = int(sum(u.coeffs)) % 5
+    expected = ((-1) ** N * vandermonde(rows) * vandermonde(cols)
+                * pow(vandermonde(range(n)), -1, 5)) % 5
+    assert residue == expected != 0
+    print(f"  rows {rows}, cols {cols}: det = (1 - w)^{N} * ({u}), u = {residue} mod (1 - w)")

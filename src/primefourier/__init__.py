@@ -23,11 +23,7 @@ from .applications import (
 )
 from .cyclotomic import (
     CycloNum,
-    GaloisReport,
-    IntPolynomial,
     PrimeModulus,
-    galois_divisibility_check,
-    galois_reduce,
     is_prime,
 )
 from .errors import BudgetExceededError, TheoremViolationError
@@ -45,7 +41,6 @@ from .fourier import (
     minor_nonsingular,
     minor_solve,
     support,
-    vandermonde_det_mod_p,
 )
 from .uncertainty import (
     AchievabilityWitness,
@@ -69,8 +64,6 @@ __all__ = [
     "CertificationSummary",
     "CycloNum",
     "FourierMinor",
-    "GaloisReport",
-    "IntPolynomial",
     "MeshulamReport",
     "MultiSignal",
     "PrimeModulus",
@@ -88,8 +81,6 @@ __all__ = [
     "dft",
     "exhaustive_certification",
     "fourier_support",
-    "galois_divisibility_check",
-    "galois_reduce",
     "idft",
     "is_prime",
     "iter_certification_checks",
@@ -104,6 +95,5 @@ __all__ = [
     "sparse_zero_count",
     "sumset",
     "support",
-    "vandermonde_det_mod_p",
     "verify_uncertainty",
 ]

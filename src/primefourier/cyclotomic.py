@@ -27,11 +27,6 @@ O(log p) multiplications.
 ResidueRing is the codec of fourier's exact eliminations: Z[w] maps onto
 Z/N for N = Phi_p(2^W) by w -> 2^W, and a value whose coefficients are small
 enough for W comes back from its residue as its balanced base-2^W digits.
-
-The module also provides sparse integer polynomials in several variables,
-the folding substitution P(z^(k_1), ..., z^(k_n)) mod z^p - 1, and the
-divisibility check built on it: an integer polynomial that vanishes at p-th
-roots of unity has P(1, ..., 1) divisible by p.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ import numbers
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TheoremViolationError
@@ -840,123 +834,3 @@ class CycloNum:
 
     def __repr__(self) -> str:
         return f"CycloNum(p={self.modulus.p}, '{self}')"
-
-
-class IntPolynomial:
-    """Sparse polynomial in n variables with integer coefficients.
-
-    Terms map exponent tuples (length n, entries >= 0) to nonzero integers.
-    """
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms):
-        if nvars < 1:
-            raise ValueError("need at least one variable")
-        clean: dict[tuple[int, ...], int] = {}
-        for exps, coeff in dict(terms).items():
-            exps = tuple(operator.index(e) for e in exps)
-            coeff = operator.index(coeff)
-            if len(exps) != nvars:
-                raise ValueError(f"exponent tuple {exps} does not have length {nvars}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            if coeff:
-                clean[exps] = clean.get(exps, 0) + coeff
-        self.nvars = nvars
-        self.terms = {e: c for e, c in clean.items() if c}
-
-    @classmethod
-    def univariate(cls, coeffs) -> IntPolynomial:
-        """Build a one-variable polynomial from a dense coefficient list."""
-        return cls(1, {(i,): c for i, c in enumerate(coeffs) if c})
-
-    def value_at_one(self) -> int:
-        return sum(self.terms.values())
-
-    def evaluate(self, args: list[CycloNum]) -> CycloNum:
-        """Direct evaluation at cyclotomic arguments (used as a cross-check)."""
-        if len(args) != self.nvars:
-            raise ValueError("argument count mismatch")
-        modulus = args[0].modulus
-        total = CycloNum.zero(modulus)
-        for exps, coeff in self.terms.items():
-            term = CycloNum.from_rational(modulus, coeff)
-            for base, e in zip(args, exps):
-                if e:
-                    term = term * base**e
-            total = total + term
-        return total
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, IntPolynomial)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{e}: {c}" for e, c in sorted(self.terms.items()))
-        return f"IntPolynomial({self.nvars}, {{{body}}})"
-
-
-@dataclass(frozen=True)
-class GaloisReport:
-    """Outcome of the root-of-unity divisibility check."""
-
-    vanishes_at_roots: bool
-    value_at_one: int
-    divisible_by_p: bool
-
-
-def _validate_powers(poly: IntPolynomial, powers, modulus: PrimeModulus) -> list[int]:
-    powers = [operator.index(k) for k in powers]
-    if len(powers) != poly.nvars:
-        raise ValueError(
-            f"expected {poly.nvars} powers, got {len(powers)}"
-        )
-    for k in powers:
-        if not 0 <= k < modulus.p:
-            raise ValueError(f"power {k} outside [0, {modulus.p})")
-    return powers
-
-
-def galois_reduce(poly: IntPolynomial, powers, modulus: PrimeModulus) -> IntPolynomial:
-    """Substitute z_j = z^(k_j) and fold exponents mod z^p - 1.
-
-    The result Q has degree at most p - 1, Q(1) = P(1, ..., 1), and
-    Q(w) = P(w^(k_1), ..., w^(k_n)).
-    """
-    powers = _validate_powers(poly, powers, modulus)
-    p = modulus.p
-    folded: dict[tuple[int], int] = {}
-    for exps, coeff in poly.terms.items():
-        e = sum(ei * ki for ei, ki in zip(exps, powers)) % p
-        folded[(e,)] = folded.get((e,), 0) + coeff
-    return IntPolynomial(1, folded)
-
-
-def galois_divisibility_check(poly: IntPolynomial, powers, modulus: PrimeModulus) -> GaloisReport:
-    """Evaluate P at the given root-of-unity powers and report divisibility.
-
-    If P(w^(k_1), ..., w^(k_n)) = 0 then P(1, ..., 1) must be a multiple of p;
-    a vanishing value with a non-divisible integer is impossible and raises
-    TheoremViolationError.
-    """
-    reduced = galois_reduce(poly, powers, modulus)
-    p = modulus.p
-    acc = [0] * p
-    for (e,), coeff in reduced.terms.items():
-        acc[e] += coeff
-    vanishes = CycloNum._from_redundant(modulus, acc, 1).is_zero()
-    value_at_one = poly.value_at_one()
-    divisible = value_at_one % p == 0
-    if vanishes and not divisible:
-        raise TheoremViolationError(
-            f"P vanishes at p-th roots of unity but P(1,...,1)={value_at_one} "
-            f"is not divisible by p={p}"
-        )
-    return GaloisReport(vanishes, value_at_one, divisible)

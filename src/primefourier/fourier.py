@@ -4,9 +4,7 @@ The transform is normalized as fhat(xi) = (1/p) * sum_x f(x) w^(-x*xi) with
 the 1/p carried as an exact rational, so supports are decided by the sound
 zero test of CycloNum.  Alongside the transform live its inverse, cyclic
 convolution, square minors of the character table (w^(x*xi)), and exact
-minor determinants and solves over Q(w).  vandermonde_det_mod_p, the factor
-prod (xi_k - xi_k') mod p of Tao's proof of Chebotarev's lemma, illustrates
-that proof; it is nonzero for any distinct residues and certifies no minor.
+minor determinants and solves over Q(w).
 
 The module never looks inside a Q(w) value.  dft and idft call
 cyclotomic.character_sums, the one integer kernel behind every character
@@ -40,11 +38,14 @@ in two rings that are images of Z[w]:
 - minor_nonsingular decides whether a minor is nonsingular by reduction
   modulo a prime, as in the proofs of Chebotarev's lemma: w -> g, for g of
   order p in F_q with q = 1 (mod p), is a ring map Z[w] -> F_q, so a nonzero
-  image of the determinant in F_q proves it nonzero.  The image is built
-  from the row and column residues alone.  A zero image decides nothing, and
-  the exact minor_det settles it.  The certification sweep decides its
-  minors with image_dets, one elimination mod q per row set shared across
-  the sorted column sets, and sends a zero image to minor_nonsingular.
+  image of the determinant in F_q proves it nonzero.  (Tao's proof reduces
+  by w -> 1, a ring map Z[w] -> F_p; hence the divisibility lemma: an
+  integer polynomial P with P(w) = 0 has P(1) divisible by p.)  The image
+  is built from the row and column residues alone.  A zero image decides
+  nothing, and the exact minor_det settles it.  The certification sweep
+  decides its minors with image_dets, one elimination mod q per row set
+  shared across the sorted column sets, and sends a zero image to
+  minor_nonsingular.
 """
 
 from __future__ import annotations
@@ -564,23 +565,3 @@ def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:
     inverse = det.inverse()
     return [y * inverse for y in numerators]
 
-
-def vandermonde_det_mod_p(cols: SupportSet) -> int:
-    """prod_{k<k'} (xi_k - xi_k') mod p over the sorted members of cols.
-
-    Nonzero for any set of distinct residues modulo a prime; a zero result
-    is impossible and raises TheoremViolationError.
-    """
-    if len(cols) == 0:
-        raise ValueError("column set must be nonempty")
-    p = cols.modulus.p
-    total = 1
-    members = cols.members
-    for k in range(len(members)):
-        for kk in range(k + 1, len(members)):
-            total = total * (members[k] - members[kk]) % p
-    if total == 0:
-        raise TheoremViolationError(
-            f"Vandermonde product vanished mod {p} for distinct residues {members}"
-        )
-    return total

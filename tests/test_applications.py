@@ -9,7 +9,6 @@ import pytest
 from primefourier import (
     BudgetExceededError,
     CycloNum,
-    IntPolynomial,
     MultiSignal,
     PrimeModulus,
     SignalFn,
@@ -20,7 +19,6 @@ from primefourier import (
     cauchy_davenport_check,
     cd_proof_witness,
     dft,
-    galois_reduce,
     idft,
     meshulam_check,
     minor_matrix,
@@ -47,9 +45,6 @@ INTEGER_SITES = {
     "SupportSet residue": lambda x: SupportSet(P5, [x]),
     "SparsePoly exponent": lambda x: SparsePoly(P5, [(x, 1)]),
     "MultiSignal coordinate": lambda x: MultiSignal(P5, 1, {(x,): 1}),
-    "IntPolynomial exponent": lambda x: IntPolynomial(1, {(x,): 1}),
-    "IntPolynomial coefficient": lambda x: IntPolynomial(1, {(0,): x}),
-    "galois_reduce power": lambda x: galois_reduce(IntPolynomial(1, {(1,): 1}), [x], P5),
 }
 
 

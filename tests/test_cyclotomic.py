@@ -7,11 +7,8 @@ import pytest
 
 from primefourier import (
     CycloNum,
-    IntPolynomial,
     PrimeModulus,
     TheoremViolationError,
-    galois_divisibility_check,
-    galois_reduce,
     is_prime,
 )
 from primefourier import cyclotomic
@@ -719,119 +716,3 @@ class TestCodec:
                 2**40, 2**48, 2**56 - 1, 2**56, 2**64 - 1, 2**64, 2**128 - 1]
         assert [_digit_bytes(t) for t in tops] == [
             1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6, 7, 7, 8, 8, 9, 16]
-
-
-class TestIntPolynomial:
-    def test_drops_zero_terms(self):
-        poly = IntPolynomial(2, {(1, 0): 3, (0, 1): 0})
-        assert poly.terms == {(1, 0): 3}
-
-    def test_rejects_bad_exponents(self):
-        with pytest.raises(ValueError):
-            IntPolynomial(2, {(1,): 1})
-        with pytest.raises(ValueError):
-            IntPolynomial(1, {(-1,): 1})
-
-    def test_value_at_one(self):
-        poly = IntPolynomial.univariate([1, 1, 1])
-        assert poly.value_at_one() == 3
-
-
-class TestGaloisReduce:
-    def test_fold_single_variable(self):
-        # z1^2 with z1 = z^3 gives z^6, which folds to z at p=5.
-        p5 = PrimeModulus(5)
-        poly = IntPolynomial(1, {(2,): 1})
-        assert galois_reduce(poly, [3], p5) == IntPolynomial.univariate([0, 1])
-
-    def test_fold_two_variables(self):
-        p5 = PrimeModulus(5)
-        poly = IntPolynomial(2, {(1, 1): 1})
-        assert galois_reduce(poly, [2, 3], p5) == IntPolynomial.univariate([1])
-
-    def test_already_reduced(self):
-        p3 = PrimeModulus(3)
-        poly = IntPolynomial.univariate([1, 1, 1])
-        assert galois_reduce(poly, [1], p3) == poly
-
-    def test_powers_validated(self):
-        p5 = PrimeModulus(5)
-        poly = IntPolynomial.univariate([0, 1])
-        with pytest.raises(ValueError):
-            galois_reduce(poly, [5], p5)
-        with pytest.raises(ValueError):
-            galois_reduce(poly, [0, 1], p5)
-
-    def test_reduction_preserves_evaluations(self):
-        rng = random.Random(31)
-        for p in (3, 5, 7):
-            modulus = PrimeModulus(p)
-            for _ in range(10):
-                nvars = rng.randint(1, 3)
-                terms = {
-                    tuple(rng.randint(0, 6) for _ in range(nvars)): rng.randint(-5, 5)
-                    for _ in range(rng.randint(1, 5))
-                }
-                poly = IntPolynomial(nvars, terms)
-                powers = [rng.randint(0, p - 1) for _ in range(nvars)]
-                reduced = galois_reduce(poly, powers, modulus)
-                assert reduced.value_at_one() == poly.value_at_one()
-                roots = [CycloNum.root_power(modulus, k) for k in powers]
-                w = [CycloNum.root_power(modulus, 1)]
-                assert reduced.evaluate(w) == poly.evaluate(roots)
-
-
-class TestGaloisDivisibility:
-    def test_minimal_polynomial_case(self):
-        # 1 + z + z^2 vanishes at w (p=3) and evaluates to 3 at z=1.
-        report = galois_divisibility_check(
-            IntPolynomial.univariate([1, 1, 1]), [1], PrimeModulus(3)
-        )
-        assert report.vanishes_at_roots
-        assert report.value_at_one == 3
-        assert report.divisible_by_p
-
-    def test_zero_value_at_one(self):
-        report = galois_divisibility_check(
-            IntPolynomial.univariate([-1, 1]), [0], PrimeModulus(5)
-        )
-        assert report.vanishes_at_roots
-        assert report.value_at_one == 0
-        assert report.divisible_by_p
-
-    def test_distinct_roots_do_not_vanish(self):
-        report = galois_divisibility_check(
-            IntPolynomial(2, {(1, 0): 1, (0, 1): -1}), [1, 2], PrimeModulus(5)
-        )
-        assert not report.vanishes_at_roots
-
-    def test_never_vanishing_without_divisibility(self):
-        # Random stress of the implication: vanishing at roots forces p | P(1,...,1).
-        rng = random.Random(41)
-        for _ in range(300):
-            p = rng.choice([2, 3, 5, 7, 11, 13])
-            modulus = PrimeModulus(p)
-            nvars = rng.randint(1, 4)
-            terms = {
-                tuple(rng.randint(0, 20) for _ in range(nvars)): rng.randint(-9, 9)
-                for _ in range(rng.randint(1, 6))
-            }
-            poly = IntPolynomial(nvars, terms)
-            powers = [rng.randint(0, p - 1) for _ in range(nvars)]
-            report = galois_divisibility_check(poly, powers, modulus)
-            if report.vanishes_at_roots:
-                assert report.divisible_by_p
-
-    def test_engineered_vanishing_cases(self):
-        # Multiples of the minimal polynomial composed with power substitutions.
-        rng = random.Random(42)
-        for p in (3, 5, 7):
-            modulus = PrimeModulus(p)
-            for _ in range(20):
-                scale = rng.randint(1, 9)
-                poly = IntPolynomial.univariate([scale] * p)
-                k = rng.randint(1, p - 1)  # z^k runs over all p-th roots
-                report = galois_divisibility_check(poly, [k], modulus)
-                assert report.vanishes_at_roots
-                assert report.value_at_one == scale * p
-                assert report.divisible_by_p

@@ -22,7 +22,6 @@ from primefourier import (
     minor_nonsingular,
     minor_solve,
     support,
-    vandermonde_det_mod_p,
 )
 from primefourier import cyclotomic, fourier, uncertainty
 from primefourier.cyclotomic import ResidueRing, character_sums, image_prime, vanishing_sums
@@ -1125,26 +1124,62 @@ class TestHandBuiltMinors:
                                match=r"rows=\(1, 2\) cols=\(0, 3\) \(p=7\)"):
                 call(minor)
 
-class TestVandermonde:
-    def test_pair(self):
-        p5 = PrimeModulus(5)
-        assert vandermonde_det_mod_p(SupportSet(p5, [0, 1])) == 4
 
-    def test_triple(self):
-        p5 = PrimeModulus(5)
-        assert vandermonde_det_mod_p(SupportSet(p5, [0, 1, 2])) == 3
+class TestLeadingTerm:
+    # Tao's proof of Chebotarev's lemma, as an oracle that does not eliminate:
+    # for n x n rows X and columns Xi, det M = (1 - w)^N * u with
+    # N = n(n - 1)/2 and u = (-1)^N V(X) V(Xi) / V(0, ..., n - 1) mod (1 - w),
+    # where V(S) = prod_{j<k} (s_k - s_j) over the sorted members of S.  The
+    # map w -> 1 is the ring map Z[w] -> F_p = Z[w]/(1 - w), so a value's
+    # residue mod (1 - w) is its coefficient sum mod p.
 
-    def test_singleton_empty_product(self):
-        p5 = PrimeModulus(5)
-        assert vandermonde_det_mod_p(SupportSet(p5, [3])) == 1
+    @staticmethod
+    def vandermonde(members):
+        return math.prod(b - a for a, b in itertools.combinations(members, 2))
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            vandermonde_det_mod_p(SupportSet(PrimeModulus(5), []))
+    @staticmethod
+    def leading_term(det):
+        """(v, u mod p) for det = (1 - w)^v * u with u not divisible by 1 - w."""
+        modulus = det.modulus
+        p = modulus.p
+        inverse = (1 - CycloNum.root_power(modulus, 1)).inverse()
+        valuation = 0
+        while sum(det.coeffs) % p == 0:
+            det = det * inverse
+            assert all(c.denominator == 1 for c in det.coeffs)
+            valuation += 1
+        return valuation, int(sum(det.coeffs)) % p
 
-    def test_exhaustive_nonzero_up_to_13(self):
-        for p in (2, 3, 5, 7, 11, 13):
-            modulus = PrimeModulus(p)
-            for n in range(1, p + 1):
-                for cols in itertools.combinations(range(p), n):
-                    assert vandermonde_det_mod_p(SupportSet(modulus, cols)) != 0
+    def check(self, minor):
+        p, n = minor.modulus.p, minor.n
+        N = n * (n - 1) // 2
+        digit = ((-1) ** N * self.vandermonde(minor.rows) * self.vandermonde(minor.cols)
+                 * pow(self.vandermonde(range(n)), -1, p)) % p
+        assert self.leading_term(minor_det(minor)) == (N, digit)
+
+    def random_minors(self, p, count):
+        rng = random.Random(2600 + p)
+        modulus = PrimeModulus(p)
+        for _ in range(count):
+            n = rng.randint(1, min(p, 8))
+            yield minor_matrix(modulus, SupportSet(modulus, rng.sample(range(p), n)),
+                               SupportSet(modulus, rng.sample(range(p), n)))
+
+    def test_two_by_two_p3(self):
+        # det = w - 1 = (1 - w) * (-1), and (-1)^1 * 1 * 1 / 1 = -1.
+        p3 = PrimeModulus(3)
+        idx = SupportSet(p3, [0, 1])
+        minor = minor_matrix(p3, idx, idx)
+        assert self.leading_term(minor_det(minor)) == (1, 2)
+        self.check(minor)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 23, 31])
+    def test_random_minors(self, p):
+        for minor in self.random_minors(p, 150):
+            self.check(minor)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_random_minors_when_eliminate_answers(self, monkeypatch, p):
+        monkeypatch.setattr(fourier, "_RESIDUE_WIDTHS", 0)
+        for minor in self.random_minors(p, 40):
+            self.check(minor)
