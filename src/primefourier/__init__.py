@@ -49,7 +49,6 @@ from .uncertainty import (
     certify_tightness,
     construct_support_pair,
     exhaustive_certification,
-    iter_certification_checks,
     verify_uncertainty,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "fourier_support",
     "idft",
     "is_prime",
-    "iter_certification_checks",
     "meshulam_check",
     "minor_cramer",
     "minor_det",

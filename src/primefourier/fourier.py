@@ -24,17 +24,18 @@ the product of the pivots once, giving up when that product is not a unit;
 image_dets repeats it down a trie of minors that share their rows.  It runs
 in two rings that are images of Z[w]:
 
-- minor_det and minor_cramer run it in Z/N for N = Phi_p(2^W), the image of
-  w -> 2^W (cyclotomic.ResidueRing), where one big integer carries all p - 1
-  embeddings of a value.  A minor's determinant and the Cramer numerators
-  det * c_i lie in Z[w], and Hadamard's inequality bounds their embeddings,
-  so a W chosen from that bound makes their residues decode to them
-  exactly.  minor_cramer returns that pair with no division over Q(w), and
-  minor_solve divides it once.  A pivot that is not a unit mod N retries at
-  the next few widths, and after that _eliminate, the same diagonal
-  elimination over Q(w), decides: it is the source of truth, and a zero
-  pivot there raises TheoremViolationError naming the singular leading
-  block.
+- _cramer, behind minor_det and minor_cramer, runs it in Z/N for
+  N = Phi_p(2^W), the image of w -> 2^W (cyclotomic.ResidueRing), where one
+  big integer carries all p - 1 embeddings of a value.  A minor's
+  determinant and the Cramer numerators det * c_i lie in Z[w], and
+  Hadamard's inequality bounds their embeddings, so a W chosen from that
+  bound makes their residues decode to them exactly.  minor_det divides
+  out the rows' denominators, minor_cramer returns the pair with no
+  division over Q(w), and minor_solve divides it once.  A pivot
+  that is not a unit mod N retries at the next few widths, and after that
+  _eliminate, the same diagonal elimination over Q(w), decides once: it is
+  the source of truth, and a zero pivot there raises TheoremViolationError
+  naming the singular leading block.
 - minor_nonsingular decides whether a minor is nonsingular by reduction
   modulo a prime, as in the proofs of Chebotarev's lemma: w -> g, for g of
   order p in F_q with q = 1 (mod p), is a ring map Z[w] -> F_q, so a nonzero
@@ -43,9 +44,9 @@ in two rings that are images of Z[w]:
   integer polynomial P with P(w) = 0 has P(1) divisible by p.)  The image
   is built from the row and column residues alone.  A zero image decides
   nothing, and the exact minor_det settles it.  The certification sweep
-  decides its minors with image_dets, one elimination mod q per row set
-  shared across the sorted column sets, and sends a zero image to
-  minor_nonsingular.
+  images its minors with image_dets, one elimination mod q per row set
+  shared across the sorted column sets, and takes minor_det for a zero
+  image, so no minor is imaged twice.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ from .cyclotomic import (
 )
 from .errors import TheoremViolationError
 
-# Widths of Z/Phi_p(2^W) that _residue_eliminate tries before it falls back to
-# the exact _eliminate.
+# Widths of Z/Phi_p(2^W) that _cramer tries before it falls back to the exact
+# _eliminate.
 _RESIDUE_WIDTHS = 4
 
 
@@ -399,15 +400,18 @@ def _triangular(a: list[list[int]], m: int):
     return det, rows, inverses
 
 
-def _residue_eliminate(minor: FourierMinor, rhs=None):
-    """_triangular on [M | rhs] in a ResidueRing that decodes its minors.
+def _cramer(minor: FourierMinor, rhs=None):
+    """Cramer's rule on [M | rhs], each row cleared of denominators first.
 
-    Each row is cleared of denominators first (integral_rows), which scales
-    the determinant by `scale` and leaves the solution alone.  A pivot that
-    is not a unit retries at the next width, up to _RESIDUE_WIDTHS widths.
-    Returns (scale, reduced): reduced is (ring, det, rows, inverses), or
-    None when no width worked and the caller falls back to _eliminate.
+    Returns (scale, d, numerators): scale is the product of the rows'
+    multipliers (integral_rows), d = scale * det M, and numerators is
+    [d * c_i] for the solution c of M*c = rhs, empty without rhs.  d and
+    the numerators lie in Z[w].  _triangular and back substitution run in a
+    ResidueRing that decodes them exactly; a pivot that is not a unit
+    retries at the next width, up to _RESIDUE_WIDTHS widths, and after that
+    _eliminate forms the same values from its pivots over Q(w).
     """
+    n = minor.n
     a = [list(row) for row in minor.entries]
     if rhs is not None:
         for row, b in zip(a, rhs):
@@ -417,37 +421,36 @@ def _residue_eliminate(minor: FourierMinor, rhs=None):
     for _ in range(_RESIDUE_WIDTHS):
         reduced = _triangular(ring.encode_rows(a, multipliers), ring.n)
         if reduced is not None:
-            return scale, (ring, *reduced)
+            det, rows, inverses = reduced
+            m = ring.n
+            x = [0] * n if rhs is not None else []
+            for i in range(len(x) - 1, -1, -1):
+                top = rows[i]
+                total = top[-1] - sum([t * v for t, v in zip(top[1:-1], x[i + 1:])])
+                x[i] = total % m * inverses[i] % m
+            return scale, ring.decode(det), [ring.decode(det * v) for v in x]
         ring = ring.wider()
-    return scale, None
+    a, inverses = _eliminate(minor, rhs)
+    d = CycloNum.from_rational(minor.modulus, scale)
+    for i in range(n):
+        d = d * a[i][i]
+    if rhs is None:
+        return scale, d, []
+    inverses.append(a[n - 1][n - 1].inverse())
+    sol: list[CycloNum] = [CycloNum.zero(minor.modulus)] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        total = row[n]
+        for j in range(i + 1, n):
+            total = total - row[j] * sol[j]
+        sol[i] = total * inverses[i]
+    return scale, d, [d * c for c in sol]
 
 
 def minor_det(minor: FourierMinor) -> CycloNum:
-    """Exact determinant, decoded from its residue in Z/Phi_p(2^W).
-
-    The pivots multiply to the determinant's residue, and W is wide enough
-    that the residue decodes to the determinant itself (ResidueRing).  If a
-    pivot is not a unit in any of the widths tried, the product of the
-    pivots of _eliminate over Q(w) is the determinant.
-    """
-    scale, reduced = _residue_eliminate(minor)
-    if reduced is not None:
-        ring, det, _, _ = reduced
-        return ring.decode(det) / scale
-    a, _ = _eliminate(minor)
-    det = a[0][0]
-    for i in range(1, minor.n):
-        det = det * a[i][i]
-    return det
-
-
-def _image_det(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> int:
-    """The determinant of the minor on (rows, cols) mapped to F_q, or 0.
-
-    image_dets on one column set; a zero pivot returns 0, which decides
-    nothing.
-    """
-    return image_dets(modulus, rows.members, [cols.members])[0]
+    """Exact determinant: _cramer's d, decoded from Z/Phi_p(2^W), over its row scale."""
+    scale, d, _ = _cramer(minor)
+    return d / scale
 
 
 def image_dets(modulus: PrimeModulus, rows: tuple[int, ...], col_sets) -> list[int]:
@@ -505,11 +508,11 @@ def image_dets(modulus: PrimeModulus, rows: tuple[int, ...], col_sets) -> list[i
 def minor_nonsingular(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> bool:
     """Whether the minor on (rows, cols) has a nonzero determinant.
 
-    A nonzero image in F_q (_image_det) decides it without building the
+    A nonzero image in F_q (image_dets) decides it without building the
     minor; otherwise the exact minor_det decides.
     """
     _check_minor_shape(modulus, rows, cols)
-    if _image_det(modulus, rows, cols):
+    if image_dets(modulus, rows.members, [cols.members])[0]:
         return True
     return not minor_det(minor_matrix(modulus, rows, cols)).is_zero()
 
@@ -519,41 +522,23 @@ def minor_cramer(minor: FourierMinor, rhs) -> tuple[CycloNum, list[CycloNum]]:
 
     d is the determinant of [M | rhs] cleared of denominators row by row
     (integral_rows), scale * det M, and d * c_i is that matrix's minor on
-    M's columns with column i replaced by rhs.  Elimination and back
-    substitution run in Z/Phi_p(2^W), where both decode exactly
-    (ResidueRing), so no inverse over Q(w) is taken.  If a pivot is not a
-    unit in any of the widths tried, _eliminate solves over Q(w) and the
-    same pair is formed from its pivots.
+    M's columns with column i replaced by rhs (_cramer).  No inverse over
+    Q(w) is taken unless the residue route gives up.
     """
     n = minor.n
     modulus = minor.modulus
     b = []
     for v in rhs:
-        b.append(v if isinstance(v, CycloNum) else CycloNum.from_rational(modulus, v))
+        if not isinstance(v, CycloNum):
+            v = CycloNum.from_rational(modulus, v)
+        elif v.modulus != modulus:
+            raise ValueError(f"modulus mismatch: right-hand side at p={v.modulus.p}, "
+                             f"minor at p={modulus.p}")
+        b.append(v)
     if len(b) != n:
         raise ValueError(f"right-hand side must have length {n}, got {len(b)}")
-    scale, reduced = _residue_eliminate(minor, b)
-    if reduced is not None:
-        ring, det, rows, inverses = reduced
-        m = ring.n
-        x = [0] * n
-        for i in range(n - 1, -1, -1):
-            top = rows[i]
-            total = top[-1] - sum([t * v for t, v in zip(top[1:-1], x[i + 1:])])
-            x[i] = total % m * inverses[i] % m
-        return ring.decode(det), [ring.decode(det * v) for v in x]
-    a, inverses = _eliminate(minor, b)
-    inverses.append(a[n - 1][n - 1].inverse())
-    det = CycloNum.from_rational(modulus, scale)
-    sol: list[CycloNum] = [CycloNum.zero(modulus)] * n
-    for i in range(n - 1, -1, -1):
-        total = a[i][n]
-        row = a[i]
-        for j in range(i + 1, n):
-            total = total - row[j] * sol[j]
-        sol[i] = total * inverses[i]
-        det = det * row[i]
-    return det, [det * c for c in sol]
+    _, d, numerators = _cramer(minor, b)
+    return d, numerators
 
 
 def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:

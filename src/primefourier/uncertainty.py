@@ -249,8 +249,8 @@ def _certify_minors(modulus: PrimeModulus) -> None:
     # that n-minor is.  So once F and every n-minor pass, every (p - n)-minor
     # does, and the records of sizes p/2 < n < p are derived, after F passes.
     # Each row representative's column representatives, sorted, share one
-    # prefix-shared elimination mod q (fourier.image_dets); a minor it
-    # leaves undecided goes to the exact fourier.minor_nonsingular.
+    # prefix-shared elimination mod q (fourier.image_dets); a minor whose
+    # image is 0 goes straight to the exact fourier.minor_det.
     # The pairs then follow from "every minor is nonsingular", as in the
     # paper's proof of sharpness:
     # - tightness: its certify_tightness minor is nonsingular;
@@ -278,8 +278,8 @@ def _certify_minors(modulus: PrimeModulus) -> None:
 def _check_minors(modulus: PrimeModulus, rows: tuple[int, ...], col_sets) -> None:
     """Raise TheoremViolationError unless every minor (rows, cols) is nonsingular."""
     for cols, image in zip(col_sets, fourier.image_dets(modulus, rows, col_sets)):
-        if not image and not fourier.minor_nonsingular(
-                modulus, SupportSet(modulus, rows), SupportSet(modulus, cols)):
+        if not image and fourier.minor_det(fourier.minor_matrix(
+                modulus, SupportSet(modulus, rows), SupportSet(modulus, cols))).is_zero():
             raise TheoremViolationError(f"zero minor rows={rows} cols={cols} p={modulus.p}")
 
 
@@ -289,24 +289,6 @@ def _require_budget(modulus: PrimeModulus, max_p: int) -> None:
             f"p={modulus.p} exceeds the certification budget {max_p}; "
             "raise the budget explicitly"
         )
-
-
-def iter_certification_checks(modulus: PrimeModulus, max_p: int = DEFAULT_MAX_CERTIFY_P):
-    """Certify every minor, then yield one record per orbit in canonical order.
-
-    Each record is (kind, first, second, orbit_size): kind is "minor",
-    "tightness" or "achievability", first/second the representative's
-    residue tuples, orbit_size the number of instances it stands for.  The
-    first next() runs the whole check of exhaustive_certification and
-    raises on a failing minor; the records, all passed, follow.  p above
-    max_p raises BudgetExceededError at the call, before any check.
-    """
-    _require_budget(modulus, max_p)
-
-    def checked():
-        _certify_minors(modulus)
-        yield from _certification_orbits(modulus.p)
-    return checked()
 
 
 def exhaustive_certification(modulus: PrimeModulus,

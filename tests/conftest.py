@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from primefourier import CycloNum, PrimeModulus, SignalFn, SupportSet, minor_det, minor_matrix
+from primefourier import fourier
 
 
 def float_dft(values, p):
@@ -55,6 +56,29 @@ def pivot_det(a: SupportSet, b: SupportSet) -> CycloNum:
     """det of pivot_minor(a, b), or 1 when B = Z/p: the witness's value at the first free point."""
     minor = pivot_minor(a, b)
     return CycloNum.one(a.modulus) if minor is None else minor_det(minor)
+
+
+def inject_fault(monkeypatch, bad):
+    """Make the minor bad = (rows, cols) singular to the image and the exact test.
+
+    Returns the list of times bad was imaged, one entry each.
+    """
+    real_images, real_det = fourier.image_dets, fourier.minor_det
+    consulted = []
+
+    def fake_images(modulus, rows, col_sets):
+        images = real_images(modulus, rows, col_sets)
+        consulted.extend((rows, cols) for cols in col_sets if (rows, cols) == bad)
+        return [0 if (rows, cols) == bad else image for cols, image in zip(col_sets, images)]
+
+    def fake_det(minor):
+        if (minor.rows.members, minor.cols.members) == bad:
+            return CycloNum.zero(minor.modulus)
+        return real_det(minor)
+
+    monkeypatch.setattr(fourier, "image_dets", fake_images)
+    monkeypatch.setattr(fourier, "minor_det", fake_det)
+    return consulted
 
 
 def integral(f: SignalFn) -> bool:

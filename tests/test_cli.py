@@ -16,7 +16,7 @@ from primefourier import (
     uncertainty,
 )
 
-from conftest import closed_form_counts, pivot_det
+from conftest import closed_form_counts, inject_fault, pivot_det
 
 
 def run_cli(capsys, argv):
@@ -113,6 +113,17 @@ class TestCertify:
         for kind, _, _, orbit_size in records:
             sizes[kind] += orbit_size
         assert sizes == closed_form_counts(p)
+
+    def test_csv_after_a_failed_sweep_has_no_orbit_record(self, capsys, monkeypatch):
+        # The rows are walked only once the sweep has passed: with the
+        # representative ((0, 1, 3), (0, 1, 3)) made singular to the image
+        # and the exact test, the CSV is one status row.
+        inject_fault(monkeypatch, ((0, 1, 3), (0, 1, 3)))
+        code, out = run_cli(capsys, ["certify", "--p", "7", "--format", "csv"])
+        assert code == 4
+        assert list(csv.DictReader(io.StringIO(out))) == [{
+            "status": "theorem-violation",
+            "error": "zero minor rows=(0, 1, 3) cols=(0, 1, 3) p=7"}]
 
     def test_csv_reuses_the_sweep_orbits(self, capsys):
         # The rows walk the orbit records again after the sweep; the set

@@ -676,7 +676,7 @@ class TestMinorNonsingular:
         assert len(pairs) == count
         for rows, cols in pairs:
             rows, cols = SupportSet(modulus, rows), SupportSet(modulus, cols)
-            image = fourier._image_det(modulus, rows, cols)
+            image = fourier.image_dets(modulus, rows.members, [cols.members])[0]
             assert image == image_mod_q(minor_det(minor_matrix(modulus, rows, cols)), q, g)
             assert image != 0
             assert minor_nonsingular(modulus, rows, cols)
@@ -694,8 +694,8 @@ class TestMinorNonsingular:
 
 class TestImageDets:
     # image_dets shares one elimination across a stream of column sets;
-    # _image_det is the same elimination on one column set, checked against
-    # the exact determinant in TestMinorNonsingular.
+    # on one column set it is checked against the exact determinant in
+    # TestMinorNonsingular.
 
     @staticmethod
     def streams(p):
@@ -710,8 +710,7 @@ class TestImageDets:
 
     @staticmethod
     def one_by_one(modulus, rows, col_sets):
-        return [fourier._image_det(modulus, SupportSet(modulus, rows), SupportSet(modulus, cols))
-                for cols in col_sets]
+        return [fourier.image_dets(modulus, rows, [cols])[0] for cols in col_sets]
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_shared_prefixes_give_each_image_determinant(self, p):
@@ -1019,6 +1018,19 @@ class TestMinorCramer:
                                       for v in rhs]) == 1890
         det, _ = self.check_against_minor_det(minor, rhs)
         assert det != minor_det(minor)
+
+    @pytest.mark.parametrize("route", ["residue", "eliminate"])
+    def test_right_hand_side_of_another_modulus_is_refused(self, monkeypatch, route):
+        # A p = 5 value in a p = 7 solve: refused up front on both routes,
+        # not encoded as if it were a p = 7 value.
+        if route == "eliminate":
+            monkeypatch.setattr(fourier, "_RESIDUE_WIDTHS", 0)
+        p7 = PrimeModulus(7)
+        minor = minor_matrix(p7, SupportSet(p7, [0, 1]), SupportSet(p7, [0, 1]))
+        rhs = [1, CycloNum.root_power(PrimeModulus(5), 1)]
+        for solve in (minor_cramer, minor_solve):
+            with pytest.raises(ValueError, match="^modulus mismatch"):
+                solve(minor, rhs)
 
     @pytest.mark.parametrize("p", [3, 7, 13, 31])
     def test_same_pair_when_eliminate_answers(self, monkeypatch, p):

@@ -19,7 +19,6 @@ from primefourier import (
     construct_support_pair,
     dft,
     exhaustive_certification,
-    iter_certification_checks,
     minor_cramer,
     minor_det,
     minor_matrix,
@@ -34,6 +33,7 @@ from conftest import (
     closed_form_counts,
     dilate,
     galois,
+    inject_fault,
     integral,
     modulate,
     pivot_det,
@@ -441,8 +441,9 @@ class TestExhaustiveCertification:
         assert summary.minors_checked == 251
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            exhaustive_certification(PrimeModulus(23))
+        for p in (23, 31):
+            with pytest.raises(BudgetExceededError, match=f"p={p} exceeds"):
+                exhaustive_certification(PrimeModulus(p))
         summary = exhaustive_certification(PrimeModulus(2), max_p=2)
         assert summary.minors_checked == 5
 
@@ -460,7 +461,7 @@ class TestExhaustiveCertification:
         everything = tuple(range(p))
         calls = {"images": [], "minor": [], "tight": [], "built": []}
         spies = [(fourier, "image_dets", "images"),
-                 (fourier, "minor_nonsingular", "minor"),
+                 (fourier, "minor_det", "minor"),
                  (uncertainty, "certify_tightness", "tight"),
                  (uncertainty, "construct_support_pair", "built")]
         for module, name, key in spies:
@@ -496,25 +497,6 @@ class TestExhaustiveCertification:
             assert len(witness.combination_coeffs) == k
             combined += k > 1
         assert 0 < combined < len(achievable)
-
-    def test_iterator_matches_summary(self):
-        modulus = PrimeModulus(5)
-        kinds = {"minor": 0, "tightness": 0, "achievability": 0}
-        for kind, _, _, orbit_size in iter_certification_checks(modulus):
-            kinds[kind] += orbit_size
-        summary = exhaustive_certification(modulus)
-        assert kinds["minor"] == summary.minors_checked
-        assert kinds["tightness"] == summary.tightness_checked
-        assert kinds["achievability"] == summary.achievability_checked
-
-    @pytest.mark.parametrize("p", [23, 31])
-    def test_iterator_budget_raises_at_call(self, p):
-        # Raised by the call itself, before any subset is enumerated.
-        with pytest.raises(BudgetExceededError, match=f"p={p} exceeds"):
-            iter_certification_checks(PrimeModulus(p))
-        checks = iter_certification_checks(PrimeModulus(23), max_p=23)
-        assert hasattr(checks, "__next__")
-        checks.close()
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_counts_match_closed_forms(self, monkeypatch, p):
@@ -562,23 +544,36 @@ class TestExhaustiveCertification:
         # (or meet a zero pivot) although the minors are nonsingular, and
         # only the exact determinant can certify them.  The sweep eliminates
         # sizes n <= 5 and the full matrix; the zero images among them are at
-        # sizes 4 and 5.
+        # sizes 4 and 5.  Each minor is imaged once: one image_dets call for
+        # the full matrix and one per row representative, and each zero
+        # image goes straight to one exact determinant.
         assert pow(2, 11, 23) == 1
-        real = fourier.minor_det
-        exact = []
+        real_images, real_det = fourier.image_dets, fourier.minor_det
+        calls, zeros, exact = [], [], []
 
-        def spy(minor):
+        def spy_images(modulus, rows, col_sets):
+            images = real_images(modulus, rows, col_sets)
+            calls.append(rows)
+            zeros.extend((rows, cols) for cols, image in zip(col_sets, images) if not image)
+            return images
+
+        def spy_det(minor):
             exact.append((minor.rows.members, minor.cols.members))
-            return real(minor)
+            return real_det(minor)
 
         monkeypatch.setattr(fourier, "image_prime", lambda p: (23, 2))
-        monkeypatch.setattr(fourier, "minor_det", spy)
+        monkeypatch.setattr(fourier, "image_dets", spy_images)
+        monkeypatch.setattr(fourier, "minor_det", spy_det)
         summary = exhaustive_certification(PrimeModulus(11))
         counts = closed_form_counts(11)
         assert (summary.minors_checked, summary.tightness_checked,
                 summary.achievability_checked) == (
             counts["minor"], counts["tightness"], counts["achievability"])
-        assert len(exact) == 5
+        representatives = {a for kind, a, _, _ in uncertainty._certification_orbits(11)
+                           if kind == "minor" and len(a) <= 5}
+        assert len(calls) == 1 + len(representatives)
+        assert len(zeros) == 5
+        assert exact == zeros
         assert {len(rows) for rows, _ in exact} == {4, 5}
         assert ((0, 1, 2, 4), (0, 1, 2, 4)) in exact
 
@@ -601,40 +596,13 @@ class TestExhaustiveCertification:
             exhaustive_certification(PrimeModulus(11))
         monkeypatch.undo()
         # The first two residues outside B = {} are the rows of A's certificate.
-        self.inject_fault(monkeypatch, ((0, 1), (0, 1)))
+        inject_fault(monkeypatch, ((0, 1), (0, 1)))
         p3 = PrimeModulus(3)
         with pytest.raises(TheoremViolationError,
                            match=r"^tightness certificate failed: singular minor "
                                  r"rows=\(0, 1\) cols=\(0, 1\) \(p=3\)$"):
             certify_tightness(p3, SupportSet(p3, [0, 1]), SupportSet(p3, []))
         assert certify_tightness(p3, SupportSet(p3, [0, 2]), SupportSet(p3, []))
-
-    @staticmethod
-    def inject_fault(monkeypatch, bad):
-        """Make the minor bad = (rows, cols) singular to the image and the exact test."""
-        real_images, real_image, real_det = (fourier.image_dets, fourier._image_det,
-                                             fourier.minor_det)
-        consulted = []
-
-        def fake_images(modulus, rows, col_sets):
-            images = real_images(modulus, rows, col_sets)
-            return [0 if (rows, cols) == bad else image for cols, image in zip(col_sets, images)]
-
-        def fake_image(modulus, rows, cols):
-            if (rows.members, cols.members) == bad:
-                consulted.append(bad)
-                return 0
-            return real_image(modulus, rows, cols)
-
-        def fake_det(minor):
-            if (minor.rows.members, minor.cols.members) == bad:
-                return CycloNum.zero(minor.modulus)
-            return real_det(minor)
-
-        monkeypatch.setattr(fourier, "image_dets", fake_images)
-        monkeypatch.setattr(fourier, "_image_det", fake_image)
-        monkeypatch.setattr(fourier, "minor_det", fake_det)
-        return consulted
 
     @pytest.mark.parametrize("bad, checked", [
         (((0, 1, 3), (0, 1, 3)), True),
@@ -648,62 +616,19 @@ class TestExhaustiveCertification:
         modulus = PrimeModulus(7)
         records = list(uncertainty._certification_orbits(7))
         assert ("minor", *bad) in [record[:3] for record in records]
-        consulted = self.inject_fault(monkeypatch, bad)
+        consulted = inject_fault(monkeypatch, bad)
         if checked:
             message = re.escape(f"zero minor rows={bad[0]} cols={bad[1]} p=7")
             with pytest.raises(TheoremViolationError, match=f"^{message}$"):
                 exhaustive_certification(modulus)
             assert consulted == [bad]
         else:
-            assert list(iter_certification_checks(modulus)) == records
+            summary = exhaustive_certification(modulus)
+            counts = closed_form_counts(7)
+            assert (summary.minors_checked, summary.tightness_checked,
+                    summary.achievability_checked) == (
+                counts["minor"], counts["tightness"], counts["achievability"])
             assert consulted == []
-
-    def test_no_derived_record_before_the_full_matrix_passes(self, monkeypatch):
-        p = 7
-        everything = tuple(range(p))
-        events = []
-        real = fourier.image_dets
-
-        def spy(modulus, rows, col_sets):
-            events.append(("check", len(rows)))
-            return real(modulus, rows, col_sets)
-
-        monkeypatch.setattr(fourier, "image_dets", spy)
-        for kind, first, _, _ in iter_certification_checks(PrimeModulus(p)):
-            events.append(("yield", len(first) if kind == "minor" else 0))
-        derived = [i for i, event in enumerate(events)
-                   if event[0] == "yield" and p / 2 < event[1] < p]
-        assert derived and events.index(("check", p)) < derived[0]
-        # With the full matrix singular, the sweep raises before it yields a
-        # derived record.
-        monkeypatch.undo()
-        self.inject_fault(monkeypatch, (everything, everything))
-        yielded = []
-        with pytest.raises(TheoremViolationError, match=r"^zero minor rows=\(0, 1, 2, 3, 4, 5, 6\)"):
-            for kind, first, _, _ in iter_certification_checks(PrimeModulus(p)):
-                yielded.append(len(first))
-        assert all(n <= p / 2 for n in yielded)
-
-    def test_iterator_checks_everything_before_its_first_record(self, monkeypatch):
-        records = list(uncertainty._certification_orbits(7))
-        events = []
-        real = fourier.image_dets
-
-        def spy(modulus, rows, col_sets):
-            events.append("check")
-            return real(modulus, rows, col_sets)
-
-        monkeypatch.setattr(fourier, "image_dets", spy)
-        checks = iter_certification_checks(PrimeModulus(7))
-        assert events == []
-        yielded = []
-        for record in checks:
-            events.append("yield")
-            yielded.append(record)
-        assert yielded == records
-        # One call for the full matrix and one per row representative of
-        # size <= 3: one each of sizes 1 and 2, two of size 3.
-        assert events == ["check"] * 5 + ["yield"] * len(records)
 
 
 def burnside_orbit_counts(p):
