@@ -27,6 +27,8 @@ O(log p) multiplications.
 ResidueRing is the codec of fourier's exact eliminations: Z[w] maps onto
 Z/N for N = Phi_p(2^W) by w -> 2^W, and a value whose coefficients are small
 enough for W comes back from its residue as its balanced base-2^W digits.
+It picks W for a Fourier minor and its right-hand side, and encodes the
+minor's root powers as powers of 2^W.
 """
 
 from __future__ import annotations
@@ -440,16 +442,6 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
             for total in _shifted_sums(p, products, range(p), 8 * wide)]
 
 
-def integral_rows(rows) -> tuple[int, list[int]]:
-    """The lcm of each CycloNum row's denominators, which puts it in Z[w], and their product.
-
-    Scaling a row by d scales every determinant that uses it by d, so the
-    product is the factor on each n x n minor.
-    """
-    multipliers = [math.lcm(*(v._den for v in row)) for row in rows]
-    return math.prod(multipliers), multipliers
-
-
 def _embedding_bound(num: tuple[int, ...]) -> int:
     # |sigma(v)| <= sum_i |c_i - t| over the redundant vector (num, 0), for
     # every embedding sigma and any t, since adding t to every coefficient
@@ -460,12 +452,6 @@ def _embedding_bound(num: tuple[int, ...]) -> int:
     full = sorted(num + (0,))
     t = full[len(full) // 2]
     return sum([abs(c - t) for c in full])
-
-
-def _distinct(rows) -> dict[int, CycloNum]:
-    # The entries of a matrix, one per object, keyed by id while rows hold them.
-    entries = list(itertools.chain.from_iterable(rows))
-    return dict(zip(map(id, entries), entries))
 
 
 def _unit_width(p: int, width: int) -> int:
@@ -487,8 +473,8 @@ class ResidueRing:
     power-basis coefficients lie below 2^(W-2) in absolute value is
     sum_i c_i 2^(W*i), which lies in (-N/2, N/2), so its balanced residue
     gives it back: its balanced base-2^W digits are its coefficients.
-    for_minors picks a W at which every n x n minor of a matrix has such
-    coefficients.
+    for_fourier picks a W at which every n x n minor of a Fourier minor
+    with a right-hand side column has such coefficients.
     """
 
     __slots__ = ("modulus", "width", "n", "_bias")
@@ -502,28 +488,26 @@ class ResidueRing:
         self._bias = (self.n - (1 << (p - 1) * width)) << (width - 1)
 
     @classmethod
-    def for_minors(cls, modulus: PrimeModulus, rows, multipliers=None) -> ResidueRing:
-        """The narrowest ring that decodes every n x n minor of rows.
+    def for_fourier(cls, modulus: PrimeModulus, n: int, rhs=()) -> ResidueRing:
+        """The narrowest ring that decodes every n x n minor of [M | rhs].
 
-        rows is an n x m matrix, m >= n, over Z[w] once each row is scaled by
-        its multiplier (integral_rows; 1 by default).  Under each
-        embedding, a column's norm is at most the root of the sum of its
-        squared _embedding_bound values, so by Hadamard's inequality every
+        M is an n x n Fourier minor and rhs holds n values or none; row r
+        of [M | rhs] is scaled by m_r, the denominator of rhs[r] (1 without
+        rhs), which puts it in Z[w] (encode_fourier).  Under each
+        embedding a root power has modulus 1, so each Fourier column has
+        squared norm S = sum m_r^2, and the rhs column at most
+        T = sum _embedding_bound(b_r)^2.  By Hadamard's inequality every
         n x n minor has embeddings of modulus at most H, the product of the
-        n largest column bounds.  A minor's coefficients are then below 2H:
-        c_i = (1/p) sum_j chat_j w^(-i*j) over chat_j = sum_k c_k w^(j*k),
-        the p - 1 embeddings and chat_0, which c_(p-1) = 0 bounds by
-        (p - 1) H.  So W = bits(2H) + 2, the least width at or above it
-        with 2^W != 1 (mod p).  Each distinct entry is bounded once: the
-        bound of d * v is d times that of v.
+        n largest column norms: H^2 = S^(n-1) max(S, T).  A minor's
+        coefficients are then below 2H: c_i = (1/p) sum_j chat_j w^(-i*j)
+        over chat_j = sum_k c_k w^(j*k), the p - 1 embeddings and chat_0,
+        which c_(p-1) = 0 bounds by (p - 1) H.  So W = bits(2H) + 2, the
+        least width at or above it with 2^W != 1 (mod p).
         """
-        squared = {key: _embedding_bound(v._num) ** 2 for key, v in _distinct(rows).items()}
-        squares = sorted(map(sum, zip(*[
-            list(map(squared.__getitem__, map(id, row))) if d == 1
-            else [(d // v._den) ** 2 * squared[id(v)] for v in row]
-            for row, d in zip(rows, multipliers or [1] * len(rows))])))
+        column = sum([v._den ** 2 for v in rhs]) or n
+        extra = sum([_embedding_bound(v._num) ** 2 for v in rhs])
         # isqrt(4 H^2) + 1 >= 2H.
-        twice = math.isqrt(4 * math.prod(squares[len(squares) - len(rows):])) + 1
+        twice = math.isqrt(4 * column ** (n - 1) * max(column, extra)) + 1
         return cls(modulus, _unit_width(modulus.p, twice.bit_length() + 2))
 
     def wider(self) -> ResidueRing:
@@ -535,12 +519,20 @@ class ResidueRing:
         w = self.width
         return sum([c << w * i for i, c in enumerate(value._num) if c]) % self.n
 
-    def encode_rows(self, rows, multipliers) -> list[list[int]]:
-        """The residues of the rows times their multipliers, each distinct entry encoded once."""
-        codes = {key: self.encode(v) for key, v in _distinct(rows).items()}
-        return [list(map(codes.__getitem__, map(id, row))) if d == 1
-                else [codes[id(v)] * (d // v._den) % self.n for v in row]
-                for row, d in zip(rows, multipliers)]
+    def encode_fourier(self, rows, cols, rhs=()) -> list[list[int]]:
+        """The residues of [M | rhs] for the Fourier minor M on (rows, cols).
+
+        Row r is scaled by m_r, the denominator of rhs[r] (1 without rhs):
+        entry (x, xi) is m_r * 2^(W * (x*xi mod p)) from one power table,
+        and rhs[r] is its numerator vector's residue.  No entry of M is
+        built, bounded or encoded as a value.
+        """
+        p, n = self.modulus.p, self.n
+        powers = [1 << self.width * k for k in range(p)]
+        if not rhs:
+            return [[powers[x * xi % p] for xi in cols] for x in rows]
+        return [[powers[x * xi % p] * v._den % n for xi in cols] + [self.encode(v)]
+                for x, v in zip(rows, rhs)]
 
     def decode(self, residue: int) -> CycloNum:
         """The value of Z[w] with coefficients below 2^(W-2) that has this residue."""

@@ -26,16 +26,19 @@ in two rings that are images of Z[w]:
 
 - _cramer, behind minor_det and minor_cramer, runs it in Z/N for
   N = Phi_p(2^W), the image of w -> 2^W (cyclotomic.ResidueRing), where one
-  big integer carries all p - 1 embeddings of a value.  A minor's
-  determinant and the Cramer numerators det * c_i lie in Z[w], and
-  Hadamard's inequality bounds their embeddings, so a W chosen from that
-  bound makes their residues decode to them exactly.  minor_det divides
-  out the rows' denominators, minor_cramer returns the pair with no
-  division over Q(w), and minor_solve divides it once.  A pivot
-  that is not a unit mod N retries at the next few widths, and after that
-  _eliminate, the same diagonal elimination over Q(w), decides once: it is
-  the source of truth, and a zero pivot there raises TheoremViolationError
-  naming the singular leading block.
+  big integer carries all p - 1 embeddings of a value.  A FourierMinor is
+  its rows and columns, so the ring encodes entry (x, xi) as 2^(W*(x*xi
+  mod p)) from one power table, each row scaled by its right-hand side's
+  denominator, and bounds and encodes only the right-hand side's values.
+  A minor's determinant and the Cramer numerators det * c_i lie in Z[w],
+  and Hadamard's inequality bounds their embeddings, so a W chosen from
+  that bound makes their residues decode to them exactly.  minor_det is
+  the decoded determinant, minor_cramer returns the pair with no division
+  over Q(w), and minor_solve divides it once.  A pivot that is not a unit
+  mod N retries at the next few widths, and after that _eliminate, the
+  same diagonal elimination over Q(w) on the minor's root powers, decides
+  once: it is the source of truth, and a zero pivot there raises
+  TheoremViolationError naming the singular leading block.
 - minor_nonsingular decides whether a minor is nonsingular by reduction
   modulo a prime, as in the proofs of Chebotarev's lemma: w -> g, for g of
   order p in F_q with q = 1 (mod p), is a ring map Z[w] -> F_q, so a nonzero
@@ -51,6 +54,7 @@ in two rings that are images of Z[w]:
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -61,7 +65,6 @@ from .cyclotomic import (
     character_sums,
     cyclic_convolution,
     image_prime,
-    integral_rows,
     vanishing_sums,
 )
 from .errors import TheoremViolationError
@@ -256,23 +259,36 @@ def convolve(f: SignalFn, g: SignalFn) -> SignalFn:
 
 
 class FourierMinor:
-    """A square submatrix (w^(x_j * xi_k)) of the p x p character table.
+    """The square submatrix (w^(x_j * xi_k)) of the p x p character table.
 
-    Its unchecked entries must form such a minor, as minor_matrix builds them.
+    It is its rows x_j and columns xi_k, two nonempty SupportSets of one size
+    and modulus; entries builds the root powers for the Q(w) elimination.
     """
 
-    __slots__ = ("modulus", "rows", "cols", "entries")
+    __slots__ = ("modulus", "rows", "cols")
 
-    def __init__(self, modulus: PrimeModulus, rows: SupportSet, cols: SupportSet,
-                 entries: tuple[tuple[CycloNum, ...], ...]):
+    def __init__(self, modulus: PrimeModulus, rows: SupportSet, cols: SupportSet):
+        if len(rows) == 0 or len(cols) == 0:
+            raise ValueError("row and column sets must be nonempty")
+        if len(rows) != len(cols):
+            raise ValueError(f"size mismatch: {len(rows)} rows vs {len(cols)} cols")
+        if rows.modulus != modulus or cols.modulus != modulus:
+            raise ValueError("modulus mismatch")
         self.modulus = modulus
         self.rows = rows
         self.cols = cols
-        self.entries = entries
 
     @property
     def n(self) -> int:
         return len(self.rows)
+
+    @property
+    def entries(self) -> tuple[tuple[CycloNum, ...], ...]:
+        """The root powers w^(x*xi), row by row, built on each read."""
+        return tuple(
+            tuple(CycloNum.root_power(self.modulus, x * xi) for xi in self.cols.members)
+            for x in self.rows.members
+        )
 
     def apply(self, vec: list[CycloNum]) -> list[CycloNum]:
         """Matrix-vector product, used to check solve residuals exactly."""
@@ -293,26 +309,12 @@ class FourierMinor:
         )
 
 
-def _check_minor_shape(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> None:
-    if len(rows) == 0 or len(cols) == 0:
-        raise ValueError("row and column sets must be nonempty")
-    if len(rows) != len(cols):
-        raise ValueError(f"size mismatch: {len(rows)} rows vs {len(cols)} cols")
-    if rows.modulus != modulus or cols.modulus != modulus:
-        raise ValueError("modulus mismatch")
-
-
 def minor_matrix(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> FourierMinor:
     """The minor selected by distinct positions (rows) and frequencies (cols)."""
-    _check_minor_shape(modulus, rows, cols)
-    entries = tuple(
-        tuple(CycloNum.root_power(modulus, x * xi) for xi in cols.members)
-        for x in rows.members
-    )
-    return FourierMinor(modulus, rows, cols, entries)
+    return FourierMinor(modulus, rows, cols)
 
 
-def _eliminate(minor: FourierMinor, rhs=None):
+def _eliminate(minor: FourierMinor, rhs=()):
     """Forward elimination on a copy of [M | rhs] over Q(w), diagonal pivots.
 
     The k-th pivot is det(M_k) / det(M_(k-1)) for the leading k x k block M_k,
@@ -323,9 +325,8 @@ def _eliminate(minor: FourierMinor, rhs=None):
     """
     n = minor.n
     a = [list(row) for row in minor.entries]
-    if rhs is not None:
-        for row, b in zip(a, rhs):
-            row.append(b)
+    for row, b in zip(a, rhs):
+        row.append(b)
     width = len(a[0])
     inverses = []
     for col in range(n):
@@ -400,42 +401,41 @@ def _triangular(a: list[list[int]], m: int):
     return det, rows, inverses
 
 
-def _cramer(minor: FourierMinor, rhs=None):
-    """Cramer's rule on [M | rhs], each row cleared of denominators first.
+def _cramer(minor: FourierMinor, rhs=()):
+    """Cramer's rule on [M | rhs], each row r scaled by the denominator m_r of rhs[r].
 
-    Returns (scale, d, numerators): scale is the product of the rows'
-    multipliers (integral_rows), d = scale * det M, and numerators is
-    [d * c_i] for the solution c of M*c = rhs, empty without rhs.  d and
-    the numerators lie in Z[w].  _triangular and back substitution run in a
-    ResidueRing that decodes them exactly; a pivot that is not a unit
-    retries at the next width, up to _RESIDUE_WIDTHS widths, and after that
+    Returns (d, numerators): d = scale * det M for scale = prod m_r (1
+    without rhs), and numerators is [d * c_i] for the solution c of
+    M*c = rhs, empty without rhs.  d and the numerators lie in Z[w].
+    _triangular and back substitution run in a ResidueRing that decodes
+    them exactly, on residues built from the minor's rows and columns
+    (ResidueRing.encode_fourier); a pivot that is not a unit retries at
+    the next width, up to _RESIDUE_WIDTHS widths, and after that
     _eliminate forms the same values from its pivots over Q(w).
     """
     n = minor.n
-    a = [list(row) for row in minor.entries]
-    if rhs is not None:
-        for row, b in zip(a, rhs):
-            row.append(b)
-    scale, multipliers = integral_rows(a)
-    ring = ResidueRing.for_minors(minor.modulus, a, multipliers)
+    rows, cols = minor.rows.members, minor.cols.members
+    ring = ResidueRing.for_fourier(minor.modulus, n, rhs)
     for _ in range(_RESIDUE_WIDTHS):
-        reduced = _triangular(ring.encode_rows(a, multipliers), ring.n)
+        reduced = _triangular(ring.encode_fourier(rows, cols, rhs), ring.n)
         if reduced is not None:
-            det, rows, inverses = reduced
+            det, triangle, inverses = reduced
             m = ring.n
-            x = [0] * n if rhs is not None else []
+            x = [0] * len(rhs)
             for i in range(len(x) - 1, -1, -1):
-                top = rows[i]
+                top = triangle[i]
                 total = top[-1] - sum([t * v for t, v in zip(top[1:-1], x[i + 1:])])
                 x[i] = total % m * inverses[i] % m
-            return scale, ring.decode(det), [ring.decode(det * v) for v in x]
+            return ring.decode(det), [ring.decode(det * v) for v in x]
         ring = ring.wider()
     a, inverses = _eliminate(minor, rhs)
-    d = CycloNum.from_rational(minor.modulus, scale)
+    # m_r is also the lcm of rhs[r]'s coefficient denominators.
+    d = CycloNum.from_rational(minor.modulus, math.prod(
+        math.lcm(*(c.denominator for c in b.coeffs)) for b in rhs))
     for i in range(n):
         d = d * a[i][i]
-    if rhs is None:
-        return scale, d, []
+    if not rhs:
+        return d, []
     inverses.append(a[n - 1][n - 1].inverse())
     sol: list[CycloNum] = [CycloNum.zero(minor.modulus)] * n
     for i in range(n - 1, -1, -1):
@@ -444,13 +444,12 @@ def _cramer(minor: FourierMinor, rhs=None):
         for j in range(i + 1, n):
             total = total - row[j] * sol[j]
         sol[i] = total * inverses[i]
-    return scale, d, [d * c for c in sol]
+    return d, [d * c for c in sol]
 
 
 def minor_det(minor: FourierMinor) -> CycloNum:
-    """Exact determinant: _cramer's d, decoded from Z/Phi_p(2^W), over its row scale."""
-    scale, d, _ = _cramer(minor)
-    return d / scale
+    """Exact determinant: _cramer's d, decoded from Z/Phi_p(2^W)."""
+    return _cramer(minor)[0]
 
 
 def image_dets(modulus: PrimeModulus, rows: tuple[int, ...], col_sets) -> list[int]:
@@ -511,19 +510,19 @@ def minor_nonsingular(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet)
     A nonzero image in F_q (image_dets) decides it without building the
     minor; otherwise the exact minor_det decides.
     """
-    _check_minor_shape(modulus, rows, cols)
+    minor = FourierMinor(modulus, rows, cols)
     if image_dets(modulus, rows.members, [cols.members])[0]:
         return True
-    return not minor_det(minor_matrix(modulus, rows, cols)).is_zero()
+    return not minor_det(minor).is_zero()
 
 
 def minor_cramer(minor: FourierMinor, rhs) -> tuple[CycloNum, list[CycloNum]]:
     """Cramer's rule for M*c = rhs: (d, [d * c_i]), both in Z[w].
 
-    d is the determinant of [M | rhs] cleared of denominators row by row
-    (integral_rows), scale * det M, and d * c_i is that matrix's minor on
-    M's columns with column i replaced by rhs (_cramer).  No inverse over
-    Q(w) is taken unless the residue route gives up.
+    d = scale * det M, where scale is the product of the rhs values'
+    denominators, which clear [M | rhs] row by row, and d * c_i is that
+    matrix's minor on M's columns with column i replaced by rhs (_cramer).
+    No inverse over Q(w) is taken unless the residue route gives up.
     """
     n = minor.n
     modulus = minor.modulus
@@ -537,8 +536,7 @@ def minor_cramer(minor: FourierMinor, rhs) -> tuple[CycloNum, list[CycloNum]]:
         b.append(v)
     if len(b) != n:
         raise ValueError(f"right-hand side must have length {n}, got {len(b)}")
-    _, d, numerators = _cramer(minor, b)
-    return d, numerators
+    return _cramer(minor, b)
 
 
 def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:

@@ -566,6 +566,36 @@ class TestMinorMatrix:
         with pytest.raises(ValueError):
             minor_matrix(p5, SupportSet(p5, []), SupportSet(p5, []))
 
+    def test_constructor_checks_the_shape(self):
+        # A FourierMinor is its rows and columns; there is no entries argument.
+        p5, p7 = PrimeModulus(5), PrimeModulus(7)
+        pair = SupportSet(p5, [0, 1])
+        for rows, cols in ((SupportSet(p5, []), pair), (pair, SupportSet(p5, []))):
+            with pytest.raises(ValueError, match="nonempty"):
+                FourierMinor(p5, rows, cols)
+        with pytest.raises(ValueError, match="size mismatch: 2 rows vs 1 cols"):
+            FourierMinor(p5, pair, SupportSet(p5, [3]))
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            FourierMinor(p5, pair, SupportSet(p7, [0, 1]))
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            FourierMinor(p7, pair, pair)
+        minor = FourierMinor(p5, pair, pair)
+        with pytest.raises(TypeError):
+            FourierMinor(p5, pair, pair, minor.entries)
+        assert minor.entries == minor_matrix(p5, pair, pair).entries
+
+    def test_nonsingular_validates_once(self, monkeypatch):
+        # A zero image sends the minor to minor_det, which reuses the minor
+        # minor_nonsingular validated, not a second one.
+        p7 = PrimeModulus(7)
+        built = []
+        init = FourierMinor.__init__
+        monkeypatch.setattr(FourierMinor, "__init__",
+                            lambda minor, *args: built.append(args) or init(minor, *args))
+        monkeypatch.setattr(fourier, "image_dets", lambda modulus, rows, col_sets: [0])
+        assert minor_nonsingular(p7, SupportSet(p7, [1, 2, 4]), SupportSet(p7, [0, 3, 5]))
+        assert len(built) == 1
+
 
 class TestMinorDet:
     def test_two_by_two_p3(self):
@@ -805,19 +835,6 @@ class TestResidueElimination:
                 assert minor_solve(minor, b) == eliminated(monkeypatch, lambda: minor_solve(minor, b))
             assert minor_det(minor) == eliminated(monkeypatch, lambda: minor_det(minor))
 
-    def test_rational_entries_scale_the_determinant(self, monkeypatch):
-        # Not a Fourier minor: each row divided by its own integer, so the
-        # rows are cleared of denominators before encoding.
-        p7 = PrimeModulus(7)
-        good = minor_matrix(p7, SupportSet(p7, [1, 2, 4]), SupportSet(p7, [0, 3, 5]))
-        entries = tuple(tuple(v / d for v in row) for row, d in zip(good.entries, (2, 3, 5)))
-        minor = FourierMinor(p7, good.rows, good.cols, entries)
-        assert minor_det(minor) == minor_det(good) / 30
-        assert minor_det(minor) == eliminated(monkeypatch, lambda: minor_det(minor))
-        rhs = [Fraction(1, 7), 2, CycloNum.root_power(p7, 3)]
-        assert minor.apply(minor_solve(minor, rhs)) == [CycloNum.from_rational(p7, rhs[0]),
-                                                        CycloNum.from_rational(p7, 2), rhs[2]]
-
     @pytest.mark.parametrize("p", [2, 3, 5, 13, 23, 29, 31])
     def test_integer_rational_and_dense_right_hand_sides(self, monkeypatch, p):
         rng = random.Random(900 + p)
@@ -834,67 +851,51 @@ class TestResidueElimination:
                     monkeypatch, lambda: minor_solve(minor, rhs))
             assert minor_det(minor) == eliminated(monkeypatch, lambda: minor_det(minor))
 
-    @pytest.mark.parametrize("p", [7, 13])
-    def test_equal_entries_that_are_distinct_objects(self, monkeypatch, p):
-        # Rebuilt entry by entry, no two entries of the minor are one object,
-        # so each is encoded and bounded on its own: same answers.
-        rng = random.Random(950 + p)
-        modulus = PrimeModulus(p)
-        rows = SupportSet(modulus, rng.sample(range(p), 4))
-        cols = SupportSet(modulus, rng.sample(range(p), 4))
-        good = minor_matrix(modulus, rows, cols)
-        copies = FourierMinor(modulus, rows, cols, tuple(
-            tuple(CycloNum(modulus, v.coeffs) for v in row) for row in good.entries))
-        assert all(a is not b for row, copy in zip(good.entries, copies.entries)
-                   for a, b in zip(row, copy))
-        rhs = [random_cyclo(rng, modulus, den_max=4) for _ in range(4)]
-        for minor in (good, copies):
-            assert minor_det(minor) == eliminated(monkeypatch, lambda: minor_det(good))
-            assert minor_solve(minor, rhs) == eliminated(monkeypatch,
-                                                         lambda: minor_solve(good, rhs))
-
     def test_rational_row_scales(self, monkeypatch):
-        # Row r times s_r = a_r / b_r scales the determinant by prod s_r.  The
-        # last row mixes denominators 2, 3 and 1, so each entry of it is
-        # scaled by its own factor within the row's multiplier 6.
+        # Row r of [M | rhs] is scaled by the denominator of rhs[r]: 5, 3, 1
+        # and the lcm 6 of a dense value's mixed denominators, so each row's
+        # Fourier entries are encoded times their own multiplier.
         p13 = PrimeModulus(13)
-        good = minor_matrix(p13, SupportSet(p13, [0, 2, 5, 11]), SupportSet(p13, [1, 3, 4, 9]))
-        scales = [Fraction(3, 2), Fraction(-5, 7), 4, Fraction(1, 9)]
-        entries = [[v * s for v in row] for row, s in zip(good.entries, scales)]
-        entries[3][1] = entries[3][1] * Fraction(9, 2)
-        entries[3][2] = entries[3][2] * Fraction(9, 3)
-        minor = FourierMinor(p13, good.rows, good.cols, tuple(map(tuple, entries)))
-        assert minor_det(minor) == eliminated(monkeypatch, lambda: minor_det(minor))
+        minor = minor_matrix(p13, SupportSet(p13, [0, 2, 5, 11]), SupportSet(p13, [1, 3, 4, 9]))
         rhs = [Fraction(2, 5), CycloNum.root_power(p13, 7) / 3, -1, random_cyclo(
             random.Random(13), p13, den_max=6)]
         solution = minor_solve(minor, rhs)
         assert solution == eliminated(monkeypatch, lambda: minor_solve(minor, rhs))
         assert minor.apply(solution) == [v if isinstance(v, CycloNum)
                                          else CycloNum.from_rational(p13, v) for v in rhs]
-        unmixed = FourierMinor(p13, good.rows, good.cols, tuple(
-            tuple(v * s for v in row) for row, s in zip(good.entries, scales)))
-        assert minor_det(unmixed) == minor_det(good) * (Fraction(3, 2) * Fraction(-5, 7) * 4
-                                                        * Fraction(1, 9))
 
-    def test_each_distinct_entry_is_encoded_and_bounded_once(self, monkeypatch):
-        # A 6 x 6 minor at p = 13 holds at most 13 distinct root powers; with
-        # its right-hand side that is at most 19 entries of 42.
-        p13 = PrimeModulus(13)
-        minor = minor_matrix(p13, SupportSet(p13, [0, 1, 3, 4, 8, 12]),
-                             SupportSet(p13, [2, 3, 5, 6, 7, 10]))
-        rhs = [random_cyclo(random.Random(6), p13) for _ in range(6)]
-        distinct = len({id(v) for row in minor.entries for v in row}) + 6
-        encoded, bounded = [], []
-        encode, bound = ResidueRing.encode, cyclotomic._embedding_bound
+    def test_no_fourier_entry_is_bounded_or_encoded(self, monkeypatch):
+        # The residue route reads M's residues from one power table: only
+        # the n right-hand-side values are bounded, once, and encoded, once
+        # per width tried.
+        encoded, bounded, moduli = [], [], []
+        encode, bound, triangular = ResidueRing.encode, cyclotomic._embedding_bound, fourier._triangular
         monkeypatch.setattr(ResidueRing, "encode",
                             lambda ring, v: encoded.append(v) or encode(ring, v))
         monkeypatch.setattr(cyclotomic, "_embedding_bound",
                             lambda num: bounded.append(num) or bound(num))
-        solution = minor_solve(minor, rhs)
-        assert distinct <= 19
-        assert len(bounded) == distinct
-        assert len(encoded) % distinct == 0 and encoded
-        assert minor.apply(solution) == rhs
+        monkeypatch.setattr(fourier, "_triangular",
+                            lambda a, m: moduli.append(m) or triangular(a, m))
+
+        def widths_tried(p, rows, cols):
+            modulus = PrimeModulus(p)
+            minor = minor_matrix(modulus, SupportSet(modulus, rows), SupportSet(modulus, cols))
+            minor_det(minor)
+            assert (encoded, bounded) == ([], [])
+            rhs = [random_cyclo(random.Random(6), modulus, den_max=4) for _ in rows]
+            del moduli[:]
+            d, numerators = minor_cramer(minor, rhs)
+            assert minor.apply(numerators) == [d * b for b in rhs]
+            assert len(bounded) == len(rows)
+            assert encoded == rhs * len(moduli)
+            del encoded[:], bounded[:]
+            return len(moduli)
+
+        assert widths_tried(13, [0, 1, 3, 4, 8, 12], [2, 3, 5, 6, 7, 10]) == 1
+        # With every width a multiple of 3 (see the next test), all widths
+        # are tried before _eliminate answers.
+        monkeypatch.setattr(cyclotomic, "_unit_width", lambda p, width: -(-width // 3) * 3)
+        assert widths_tried(7, [1, 2, 4], [0, 3, 5]) == fourier._RESIDUE_WIDTHS
 
     def test_non_unit_pivots_fall_back_to_eliminate(self, monkeypatch):
         # ord_7(2) = 3, so every width a multiple of 3 has 2^W = 1 (mod 7):
@@ -931,7 +932,7 @@ class TestResidueElimination:
         for n in range(1, min(p, 6) + 1):
             rows = SupportSet(modulus, rng.sample(range(p), n))
             cols = SupportSet(modulus, rng.sample(range(p), n))
-            ring = ResidueRing.for_minors(modulus, minor_matrix(modulus, rows, cols).entries)
+            ring = ResidueRing.for_fourier(modulus, n)
             for _ in range(12):
                 assert pow(2, ring.width, p) != 1, (n, ring.width)
                 wider = ring.wider()
@@ -961,39 +962,21 @@ class TestResidueElimination:
 
 class TestMinorCramer:
     # minor_cramer(M, rhs) is (d, [d * c_i]) for the row-cleared [M | rhs]:
-    # d = scale * det M, scale the product of each row's denominator lcm.
+    # d = scale * det M, scale the product of the rhs values' denominators.
 
     @staticmethod
-    def row_scale(minor, rhs):
-        return math.prod(math.lcm(*(c.denominator for v in row + (b,) for c in v.coeffs))
-                         for row, b in zip(minor.entries, rhs))
-
-    @staticmethod
-    def replaced_det(minor, rhs, i):
-        """det of M with column i replaced by rhs, computed with that column
-        moved last (a sign of (-1)^(n-1-i)), so every leading block of a
-        Fourier minor's matrix stays a Fourier minor."""
-        entries = tuple(row[:i] + row[i + 1:] + (b,) for row, b in zip(minor.entries, rhs))
-        moved = FourierMinor(minor.modulus, minor.rows, minor.cols, entries)
-        return minor_det(moved) * (-1) ** (minor.n - 1 - i)
+    def row_scale(rhs):
+        return math.prod(math.lcm(*(c.denominator for c in b.coeffs)) for b in rhs)
 
     def check_against_minor_det(self, minor, rhs):
+        # M is nonsingular, so M * numerators = d * rhs pins the numerators.
         modulus = minor.modulus
         rhs = [v if isinstance(v, CycloNum) else CycloNum.from_rational(modulus, v) for v in rhs]
         det, numerators = minor_cramer(minor, rhs)
-        scale = self.row_scale(minor, rhs)
-        assert det == minor_det(minor) * scale
-        assert numerators == [self.replaced_det(minor, rhs, i) * scale for i in range(minor.n)]
+        assert det == minor_det(minor) * self.row_scale(rhs)
+        assert minor.apply(numerators) == [det * b for b in rhs]
         assert all(c.denominator == 1 for v in numerators + [det] for c in v.coeffs)
         return det, numerators
-
-    @staticmethod
-    def scaled_minor(p, rows, cols, scales):
-        """A hand-built minor: row r of the Fourier minor times scales[r]."""
-        modulus = PrimeModulus(p)
-        good = minor_matrix(modulus, SupportSet(modulus, rows), SupportSet(modulus, cols))
-        return FourierMinor(modulus, good.rows, good.cols, tuple(
-            tuple(v * s for v in row) for row, s in zip(good.entries, scales)))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
     def test_fourier_minors_against_minor_det(self, p):
@@ -1008,14 +991,14 @@ class TestMinorCramer:
                 self.check_against_minor_det(minor, rhs)
 
     def test_rational_row_scales_multiply_d(self):
-        # The row lcms here are 2, 21, 1 and 45 (the right-hand side's 5/3
-        # and 2/5 share rows with 7 and 9), so d = 1890 * det M: a d that
-        # dropped the row-clearing scale would be det M itself.
-        minor = self.scaled_minor(13, (0, 2, 5, 11), (1, 3, 4, 9),
-                                  [Fraction(3, 2), Fraction(-5, 7), 4, Fraction(1, 9)])
-        rhs = [1, Fraction(5, 3), -2, Fraction(2, 5)]
-        assert self.row_scale(minor, [CycloNum.from_rational(minor.modulus, v)
-                                      for v in rhs]) == 1890
+        # The right-hand side's denominators are 7, 3, 1 and 5, so
+        # d = 105 * det M: a d that dropped the row-clearing scale would be
+        # det M itself.
+        p13 = PrimeModulus(13)
+        minor = minor_matrix(p13, SupportSet(p13, [0, 2, 5, 11]), SupportSet(p13, [1, 3, 4, 9]))
+        rhs = [CycloNum.root_power(p13, 4) / 7, Fraction(5, 3), -2, Fraction(2, 5)]
+        assert self.row_scale([CycloNum.from_rational(p13, v) if not isinstance(v, CycloNum)
+                               else v for v in rhs]) == 105
         det, _ = self.check_against_minor_det(minor, rhs)
         assert det != minor_det(minor)
 
@@ -1035,21 +1018,17 @@ class TestMinorCramer:
     @pytest.mark.parametrize("p", [3, 7, 13, 31])
     def test_same_pair_when_eliminate_answers(self, monkeypatch, p):
         # The Q(w) fallback forms the same (d, numerators) as the residue
-        # route, on Fourier minors and on hand-built ones with rational row
-        # scales, with integer, rational and dense right-hand sides.
+        # route, with integer, rational and dense right-hand sides.
         rng = random.Random(1200 + p)
         modulus = PrimeModulus(p)
         n = min(p - 1, 4)
-        rows, cols = sorted(rng.sample(range(p), n)), sorted(rng.sample(range(p), n))
-        scales = [Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 9))
-                  for _ in range(n)]
-        for minor in (minor_matrix(modulus, SupportSet(modulus, rows), SupportSet(modulus, cols)),
-                      self.scaled_minor(p, rows, cols, scales)):
-            for rhs in ([rng.randint(-50, 50) for _ in range(n)],
-                        [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(n)],
-                        [random_cyclo(rng, modulus, -2**30, 2**30, den_max=9) for _ in range(n)]):
-                assert minor_cramer(minor, rhs) == eliminated(
-                    monkeypatch, lambda: minor_cramer(minor, rhs))
+        minor = minor_matrix(modulus, SupportSet(modulus, rng.sample(range(p), n)),
+                             SupportSet(modulus, rng.sample(range(p), n)))
+        for rhs in ([rng.randint(-50, 50) for _ in range(n)],
+                    [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(n)],
+                    [random_cyclo(rng, modulus, -2**30, 2**30, den_max=9) for _ in range(n)]):
+            assert minor_cramer(minor, rhs) == eliminated(
+                monkeypatch, lambda: minor_cramer(minor, rhs))
 
 
 class TestTriangular:
@@ -1089,48 +1068,52 @@ class TestTriangular:
 
 
 class TestHandBuiltMinors:
-    # Matrices with two equal rows or a zero entry are not Fourier minors;
-    # built by hand, they reach a zero diagonal pivot, which real minors
-    # never reach: every leading block of a Fourier minor is nonsingular.
+    # Matrices with two equal rows or a zero entry are not Fourier minors,
+    # and a FourierMinor is only its rows and columns: here its entries are
+    # patched, and the residue route, which never reads them, is off.  They
+    # reach a zero diagonal pivot in _eliminate, which real minors never
+    # reach: every leading block of a Fourier minor is nonsingular.
     @staticmethod
-    def _repeated_row_minor():
+    def hand_built(monkeypatch, p, rows, cols, entries):
+        modulus = PrimeModulus(p)
+        monkeypatch.setattr(fourier, "_RESIDUE_WIDTHS", 0)
+        monkeypatch.setattr(FourierMinor, "entries", property(lambda minor: entries))
+        return FourierMinor(modulus, SupportSet(modulus, rows), SupportSet(modulus, cols))
+
+    def _repeated_row_minor(self, monkeypatch):
         p7 = PrimeModulus(7)
-        rows = SupportSet(p7, [1, 2, 4])
-        cols = SupportSet(p7, [0, 3, 5])
-        good = minor_matrix(p7, rows, cols).entries
-        return FourierMinor(p7, rows, cols, (good[0], good[1], good[0]))
+        good = minor_matrix(p7, SupportSet(p7, [1, 2, 4]), SupportSet(p7, [0, 3, 5])).entries
+        return self.hand_built(monkeypatch, 7, [1, 2, 4], [0, 3, 5], (good[0], good[1], good[0]))
 
-    def test_det_names_rows_cols_and_p(self):
+    def test_det_names_rows_cols_and_p(self, monkeypatch):
         with pytest.raises(TheoremViolationError,
                            match=r"rows=\(1, 2, 4\) cols=\(0, 3, 5\) \(p=7\)"):
-            minor_det(self._repeated_row_minor())
+            minor_det(self._repeated_row_minor(monkeypatch))
 
-    def test_solve_names_rows_cols_and_p(self):
+    def test_solve_names_rows_cols_and_p(self, monkeypatch):
         with pytest.raises(TheoremViolationError,
                            match=r"rows=\(1, 2, 4\) cols=\(0, 3, 5\) \(p=7\)"):
-            minor_solve(self._repeated_row_minor(), [1, 0, 0])
+            minor_solve(self._repeated_row_minor(monkeypatch), [1, 0, 0])
 
-    def test_zero_first_pivot_names_leading_entry(self):
+    def test_zero_first_pivot_names_leading_entry(self, monkeypatch):
         # [[0, w], [1, 0]] is nonsingular, but its leading 1 x 1 block is 0:
         # no row swap is tried.
         p5 = PrimeModulus(5)
         zero, one = CycloNum.zero(p5), CycloNum.one(p5)
         w = CycloNum.root_power(p5, 1)
-        idx = SupportSet(p5, [0, 1])
-        minor = FourierMinor(p5, idx, idx, ((zero, w), (one, zero)))
+        minor = self.hand_built(monkeypatch, 5, [0, 1], [0, 1], ((zero, w), (one, zero)))
         for call in (minor_det, lambda m: minor_solve(m, [w, 3])):
             with pytest.raises(TheoremViolationError,
                                match=r"rows=\(0,\) cols=\(0,\) \(p=5\)"):
                 call(minor)
 
-    def test_zero_middle_pivot_names_leading_2x2_minor(self):
+    def test_zero_middle_pivot_names_leading_2x2_minor(self, monkeypatch):
         # [[1, 1, 1], [1, 1, w], [1, w, 1]] has det -(w - 1)^2, but its
         # leading 2 x 2 block is singular, so the pivot in column 1 is zero.
         p7 = PrimeModulus(7)
         one, w = CycloNum.one(p7), CycloNum.root_power(p7, 1)
-        rows = SupportSet(p7, [1, 2, 4])
-        cols = SupportSet(p7, [0, 3, 5])
-        minor = FourierMinor(p7, rows, cols, ((one, one, one), (one, one, w), (one, w, one)))
+        minor = self.hand_built(monkeypatch, 7, [1, 2, 4], [0, 3, 5],
+                                ((one, one, one), (one, one, w), (one, w, one)))
         for call in (minor_det, lambda m: minor_solve(m, [1, 0, 0])):
             with pytest.raises(TheoremViolationError,
                                match=r"rows=\(1, 2\) cols=\(0, 3\) \(p=7\)"):
