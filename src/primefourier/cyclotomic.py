@@ -473,46 +473,46 @@ class ResidueRing:
     power-basis coefficients lie below 2^(W-2) in absolute value is
     sum_i c_i 2^(W*i), which lies in (-N/2, N/2), so its balanced residue
     gives it back: its balanced base-2^W digits are its coefficients.
-    for_fourier picks a W at which every n x n minor of a Fourier minor
-    with a right-hand side column has such coefficients.
+    for_fourier picks a W at which every n x n minor of [M | D * rhs] has
+    such coefficients, M a Fourier minor and D the denominator of rhs.
     """
 
-    __slots__ = ("modulus", "width", "n", "_bias")
+    __slots__ = ("modulus", "width", "n", "_bias", "_scale")
 
-    def __init__(self, modulus: PrimeModulus, width: int):
+    def __init__(self, modulus: PrimeModulus, width: int, scale: int = 1):
         p = modulus.p
         self.modulus = modulus
         self.width = width
         self.n = ((1 << p * width) - 1) // ((1 << width) - 1)
         # 2^(W-1) in each of the p - 1 digits that decode reads.
         self._bias = (self.n - (1 << (p - 1) * width)) << (width - 1)
+        self._scale = scale
 
     @classmethod
     def for_fourier(cls, modulus: PrimeModulus, n: int, rhs=()) -> ResidueRing:
-        """The narrowest ring that decodes every n x n minor of [M | rhs].
+        """The narrowest ring that decodes every n x n minor of [M | D * rhs].
 
-        M is an n x n Fourier minor and rhs holds n values or none; row r
-        of [M | rhs] is scaled by m_r, the denominator of rhs[r] (1 without
-        rhs), which puts it in Z[w] (encode_fourier).  Under each
-        embedding a root power has modulus 1, so each Fourier column has
-        squared norm S = sum m_r^2, and the rhs column at most
-        T = sum _embedding_bound(b_r)^2.  By Hadamard's inequality every
+        M is an n x n Fourier minor, rhs holds n values or none, and D is
+        the lcm of their denominators (1 without rhs), so D * rhs lies in
+        Z[w].  Under each embedding a root power has modulus 1, so each
+        Fourier column has squared norm n, and the column D * rhs at most
+        T = sum _embedding_bound(D * b_r)^2.  By Hadamard's inequality every
         n x n minor has embeddings of modulus at most H, the product of the
-        n largest column norms: H^2 = S^(n-1) max(S, T).  A minor's
+        n largest column norms: H^2 = n^(n-1) max(n, T).  A minor's
         coefficients are then below 2H: c_i = (1/p) sum_j chat_j w^(-i*j)
         over chat_j = sum_k c_k w^(j*k), the p - 1 embeddings and chat_0,
         which c_(p-1) = 0 bounds by (p - 1) H.  So W = bits(2H) + 2, the
         least width at or above it with 2^W != 1 (mod p).
         """
-        column = sum([v._den ** 2 for v in rhs]) or n
-        extra = sum([_embedding_bound(v._num) ** 2 for v in rhs])
+        scale = math.lcm(*[v._den for v in rhs])
+        extra = sum([(scale // v._den * _embedding_bound(v._num)) ** 2 for v in rhs])
         # isqrt(4 H^2) + 1 >= 2H.
-        twice = math.isqrt(4 * column ** (n - 1) * max(column, extra)) + 1
-        return cls(modulus, _unit_width(modulus.p, twice.bit_length() + 2))
+        twice = math.isqrt(4 * n ** (n - 1) * max(n, extra)) + 1
+        return cls(modulus, _unit_width(modulus.p, twice.bit_length() + 2), scale)
 
     def wider(self) -> ResidueRing:
-        """The ring at the next width with 2^W != 1 (mod p)."""
-        return ResidueRing(self.modulus, _unit_width(self.modulus.p, self.width + 1))
+        """The ring at the next width with 2^W != 1 (mod p), with the same D."""
+        return ResidueRing(self.modulus, _unit_width(self.modulus.p, self.width + 1), self._scale)
 
     def encode(self, value: CycloNum) -> int:
         """The residue of a value's numerator vector: the value's own in Z[w]."""
@@ -520,19 +520,19 @@ class ResidueRing:
         return sum([c << w * i for i, c in enumerate(value._num) if c]) % self.n
 
     def encode_fourier(self, rows, cols, rhs=()) -> list[list[int]]:
-        """The residues of [M | rhs] for the Fourier minor M on (rows, cols).
+        """The residues of [M | D * rhs] for the Fourier minor M on (rows, cols).
 
-        Row r is scaled by m_r, the denominator of rhs[r] (1 without rhs):
-        entry (x, xi) is m_r * 2^(W * (x*xi mod p)) from one power table,
-        and rhs[r] is its numerator vector's residue.  No entry of M is
-        built, bounded or encoded as a value.
+        rhs is for_fourier's.  Entry (x, xi) is 2^(W * (x*xi mod p)) from one
+        power table, and row r ends in D / m_r times the residue of rhs[r]'s
+        numerator vector.  No row is scaled, and no entry of M is built,
+        bounded or encoded as a value.
         """
-        p, n = self.modulus.p, self.n
+        p, scale = self.modulus.p, self._scale
         powers = [1 << self.width * k for k in range(p)]
-        if not rhs:
-            return [[powers[x * xi % p] for xi in cols] for x in rows]
-        return [[powers[x * xi % p] * v._den % n for xi in cols] + [self.encode(v)]
-                for x, v in zip(rows, rhs)]
+        a = [[powers[x * xi % p] for xi in cols] for x in rows]
+        for row, v in zip(a, rhs):
+            row.append(self.encode(v) * (scale // v._den) % self.n)
+        return a
 
     def decode(self, residue: int) -> CycloNum:
         """The value of Z[w] with coefficients below 2^(W-2) that has this residue."""
@@ -544,6 +544,12 @@ class ResidueRing:
         mask, half = (1 << w) - 1, 1 << (w - 1)
         num = tuple([(r >> w * i & mask) - half for i in range(self.modulus.p - 1)])
         return CycloNum._raw(self.modulus, num, 1)
+
+    def decode_numerator(self, residue: int) -> CycloNum:
+        """decode(residue) / D: a minor of [M | D * rhs] on the rhs column, over D."""
+        value = self.decode(residue)
+        return value if self._scale == 1 else CycloNum._raw(
+            self.modulus, *_normalize(value._num, self._scale))
 
 
 class CycloNum:

@@ -28,16 +28,16 @@ in two rings that are images of Z[w]:
   N = Phi_p(2^W), the image of w -> 2^W (cyclotomic.ResidueRing), where one
   big integer carries all p - 1 embeddings of a value.  A FourierMinor is
   its rows and columns, so the ring encodes entry (x, xi) as 2^(W*(x*xi
-  mod p)) from one power table, each row scaled by its right-hand side's
-  denominator, and bounds and encodes only the right-hand side's values.
-  A minor's determinant and the Cramer numerators det * c_i lie in Z[w],
-  and Hadamard's inequality bounds their embeddings, so a W chosen from
-  that bound makes their residues decode to them exactly.  minor_det is
-  the decoded determinant, minor_cramer returns the pair with no division
-  over Q(w), and minor_solve divides it once.  A pivot that is not a unit
-  mod N retries at the next few widths, and after that _eliminate, the
-  same diagonal elimination over Q(w) on the minor's root powers, decides
-  once: it is the source of truth, and a zero pivot there raises
+  mod p)) from one power table, and bounds and encodes only D * rhs, for
+  the one denominator D of the right-hand side.  det M and D * det M_i,
+  M_i being M with column i replaced by rhs, lie in Z[w], and Hadamard's
+  inequality bounds their embeddings, so a W chosen from that bound makes
+  their residues decode to them exactly.  minor_det is det M,
+  minor_cramer returns it and the det M_i with no division over Q(w), and
+  minor_solve divides once.  A pivot that is not a unit mod N retries at
+  the next few widths, and after that _eliminate, the same diagonal
+  elimination over Q(w) on the minor's root powers, decides once: it is
+  the source of truth, and a zero pivot there raises
   TheoremViolationError naming the singular leading block.
 - minor_nonsingular decides whether a minor is nonsingular by reduction
   modulo a prime, as in the proofs of Chebotarev's lemma: w -> g, for g of
@@ -54,7 +54,7 @@ in two rings that are images of Z[w]:
 
 from __future__ import annotations
 
-import math
+import functools
 import operator
 from fractions import Fraction
 
@@ -402,16 +402,15 @@ def _triangular(a: list[list[int]], m: int):
 
 
 def _cramer(minor: FourierMinor, rhs=()):
-    """Cramer's rule on [M | rhs], each row r scaled by the denominator m_r of rhs[r].
+    """Cramer's rule for M*c = rhs: (det M, [det M_i]), M_i being M with column i replaced by rhs.
 
-    Returns (d, numerators): d = scale * det M for scale = prod m_r (1
-    without rhs), and numerators is [d * c_i] for the solution c of
-    M*c = rhs, empty without rhs.  d and the numerators lie in Z[w].
-    _triangular and back substitution run in a ResidueRing that decodes
-    them exactly, on residues built from the minor's rows and columns
-    (ResidueRing.encode_fourier); a pivot that is not a unit retries at
-    the next width, up to _RESIDUE_WIDTHS widths, and after that
-    _eliminate forms the same values from its pivots over Q(w).
+    det M_i = det M * c_i, and the list is empty without rhs.  _triangular
+    and back substitution run in a ResidueRing on the residues of
+    [M | D * rhs], D the denominator of rhs (ResidueRing.encode_fourier),
+    and give det M and D * det M_i, which the ring decodes and divides by
+    D once.  A pivot that is not a unit retries at the next width, up to
+    _RESIDUE_WIDTHS widths, and after that _eliminate forms the same values
+    over Q(w), det M as the product of its pivots.
     """
     n = minor.n
     rows, cols = minor.rows.members, minor.cols.members
@@ -426,14 +425,10 @@ def _cramer(minor: FourierMinor, rhs=()):
                 top = triangle[i]
                 total = top[-1] - sum([t * v for t, v in zip(top[1:-1], x[i + 1:])])
                 x[i] = total % m * inverses[i] % m
-            return ring.decode(det), [ring.decode(det * v) for v in x]
+            return ring.decode(det), [ring.decode_numerator(det * v) for v in x]
         ring = ring.wider()
     a, inverses = _eliminate(minor, rhs)
-    # m_r is also the lcm of rhs[r]'s coefficient denominators.
-    d = CycloNum.from_rational(minor.modulus, math.prod(
-        math.lcm(*(c.denominator for c in b.coeffs)) for b in rhs))
-    for i in range(n):
-        d = d * a[i][i]
+    d = functools.reduce(operator.mul, [row[i] for i, row in enumerate(a)])
     if not rhs:
         return d, []
     inverses.append(a[n - 1][n - 1].inverse())
@@ -448,7 +443,7 @@ def _cramer(minor: FourierMinor, rhs=()):
 
 
 def minor_det(minor: FourierMinor) -> CycloNum:
-    """Exact determinant: _cramer's d, decoded from Z/Phi_p(2^W)."""
+    """Exact determinant, decoded from Z/Phi_p(2^W) by _cramer."""
     return _cramer(minor)[0]
 
 
@@ -507,8 +502,8 @@ def image_dets(modulus: PrimeModulus, rows: tuple[int, ...], col_sets) -> list[i
 def minor_nonsingular(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> bool:
     """Whether the minor on (rows, cols) has a nonzero determinant.
 
-    A nonzero image in F_q (image_dets) decides it without building the
-    minor; otherwise the exact minor_det decides.
+    FourierMinor validates the sets; a nonzero image in F_q (image_dets)
+    then decides, with no exact determinant, and otherwise minor_det does.
     """
     minor = FourierMinor(modulus, rows, cols)
     if image_dets(modulus, rows.members, [cols.members])[0]:
@@ -517,12 +512,11 @@ def minor_nonsingular(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet)
 
 
 def minor_cramer(minor: FourierMinor, rhs) -> tuple[CycloNum, list[CycloNum]]:
-    """Cramer's rule for M*c = rhs: (d, [d * c_i]), both in Z[w].
+    """Cramer's rule for M*c = rhs: (d, [d * c_i]) with d = det M = minor_det(M).
 
-    d = scale * det M, where scale is the product of the rhs values'
-    denominators, which clear [M | rhs] row by row, and d * c_i is that
-    matrix's minor on M's columns with column i replaced by rhs (_cramer).
-    No inverse over Q(w) is taken unless the residue route gives up.
+    d * c_i = det M_i, M_i being M with column i replaced by rhs, so the
+    numerators lie in Z[w] whenever rhs does (_cramer).  No inverse over
+    Q(w) is taken unless the residue route gives up.
     """
     n = minor.n
     modulus = minor.modulus
@@ -540,10 +534,7 @@ def minor_cramer(minor: FourierMinor, rhs) -> tuple[CycloNum, list[CycloNum]]:
 
 
 def minor_solve(minor: FourierMinor, rhs) -> list[CycloNum]:
-    """The unique exact solution of M*c = rhs: minor_cramer's numerators over d.
-
-    One inverse and n products over Q(w).
-    """
+    """The unique exact solution of M*c = rhs: minor_cramer's det M_i times (det M)^-1."""
     det, numerators = minor_cramer(minor, rhs)
     inverse = det.inverse()
     return [y * inverse for y in numerators]

@@ -851,10 +851,10 @@ class TestResidueElimination:
                     monkeypatch, lambda: minor_solve(minor, rhs))
             assert minor_det(minor) == eliminated(monkeypatch, lambda: minor_det(minor))
 
-    def test_rational_row_scales(self, monkeypatch):
-        # Row r of [M | rhs] is scaled by the denominator of rhs[r]: 5, 3, 1
-        # and the lcm 6 of a dense value's mixed denominators, so each row's
-        # Fourier entries are encoded times their own multiplier.
+    def test_rational_right_hand_side_shares_one_denominator(self, monkeypatch):
+        # The right-hand side's denominators are 5, 3, 1 and the lcm 6 of a
+        # dense value's mixed denominators: one D = 30 clears them all, and
+        # the Fourier entries are encoded unscaled.
         p13 = PrimeModulus(13)
         minor = minor_matrix(p13, SupportSet(p13, [0, 2, 5, 11]), SupportSet(p13, [1, 3, 4, 9]))
         rhs = [Fraction(2, 5), CycloNum.root_power(p13, 7) / 3, -1, random_cyclo(
@@ -867,7 +867,7 @@ class TestResidueElimination:
     def test_no_fourier_entry_is_bounded_or_encoded(self, monkeypatch):
         # The residue route reads M's residues from one power table: only
         # the n right-hand-side values are bounded, once, and encoded, once
-        # per width tried.
+        # per width tried, whatever the number of widths.
         encoded, bounded, moduli = [], [], []
         encode, bound, triangular = ResidueRing.encode, cyclotomic._embedding_bound, fourier._triangular
         monkeypatch.setattr(ResidueRing, "encode",
@@ -891,7 +891,10 @@ class TestResidueElimination:
             del encoded[:], bounded[:]
             return len(moduli)
 
-        assert widths_tried(13, [0, 1, 3, 4, 8, 12], [2, 3, 5, 6, 7, 10]) == 1
+        # With the right-hand side's denominators 1 to 4 cleared by D = 12,
+        # the first width is W = 20, where two pivots share the split prime
+        # 53 = 1 (mod 13) with N, so the second width answers.
+        assert widths_tried(13, [0, 1, 3, 4, 8, 12], [2, 3, 5, 6, 7, 10]) == 2
         # With every width a multiple of 3 (see the next test), all widths
         # are tried before _eliminate answers.
         monkeypatch.setattr(cyclotomic, "_unit_width", lambda p, width: -(-width // 3) * 3)
@@ -961,21 +964,18 @@ class TestResidueElimination:
 
 
 class TestMinorCramer:
-    # minor_cramer(M, rhs) is (d, [d * c_i]) for the row-cleared [M | rhs]:
-    # d = scale * det M, scale the product of the rhs values' denominators.
-
-    @staticmethod
-    def row_scale(rhs):
-        return math.prod(math.lcm(*(c.denominator for c in b.coeffs)) for b in rhs)
+    # minor_cramer(M, rhs) is Cramer's rule as stated: (det M, [det M_i]),
+    # M_i being M with column i replaced by rhs, whatever rhs's denominators.
 
     def check_against_minor_det(self, minor, rhs):
         # M is nonsingular, so M * numerators = d * rhs pins the numerators.
         modulus = minor.modulus
         rhs = [v if isinstance(v, CycloNum) else CycloNum.from_rational(modulus, v) for v in rhs]
         det, numerators = minor_cramer(minor, rhs)
-        assert det == minor_det(minor) * self.row_scale(rhs)
+        assert det == minor_det(minor)
         assert minor.apply(numerators) == [det * b for b in rhs]
-        assert all(c.denominator == 1 for v in numerators + [det] for c in v.coeffs)
+        if all(c.denominator == 1 for b in rhs for c in b.coeffs):
+            assert all(c.denominator == 1 for v in numerators for c in v.coeffs)
         return det, numerators
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
@@ -990,17 +990,52 @@ class TestMinorCramer:
                         [random_cyclo(rng, modulus, -2**20, 2**20) for _ in range(n)]):
                 self.check_against_minor_det(minor, rhs)
 
-    def test_rational_row_scales_multiply_d(self):
-        # The right-hand side's denominators are 7, 3, 1 and 5, so
-        # d = 105 * det M: a d that dropped the row-clearing scale would be
-        # det M itself.
+    @pytest.mark.parametrize("route", ["residue", "eliminate"])
+    def test_d_is_det_m_for_shared_denominators(self, monkeypatch, route):
+        # Denominators 2, 4, 6 and 12 share factors, so their lcm 12 is far
+        # below their product 576, and d must be det M for either.
+        if route == "eliminate":
+            monkeypatch.setattr(fourier, "_RESIDUE_WIDTHS", 0)
         p13 = PrimeModulus(13)
         minor = minor_matrix(p13, SupportSet(p13, [0, 2, 5, 11]), SupportSet(p13, [1, 3, 4, 9]))
-        rhs = [CycloNum.root_power(p13, 4) / 7, Fraction(5, 3), -2, Fraction(2, 5)]
-        assert self.row_scale([CycloNum.from_rational(p13, v) if not isinstance(v, CycloNum)
-                               else v for v in rhs]) == 105
-        det, _ = self.check_against_minor_det(minor, rhs)
-        assert det != minor_det(minor)
+        rhs = [CycloNum.root_power(p13, 4) / 2, Fraction(5, 4), Fraction(-7, 6),
+               CycloNum.root_power(p13, 9) * Fraction(11, 12)]
+        self.check_against_minor_det(minor, rhs)
+
+    @pytest.mark.parametrize("route", ["residue", "eliminate"])
+    @pytest.mark.parametrize("p", [5, 13, 31])
+    def test_d_is_det_m_on_transform_values(self, monkeypatch, route, p):
+        # Sparse recovery's systems: rows -Omega, columns T and right-hand
+        # side F(-x) for F = dft(f), every value carrying the 1/p; the
+        # solution is f on T.
+        if route == "eliminate":
+            monkeypatch.setattr(fourier, "_RESIDUE_WIDTHS", 0)
+        rng = random.Random(1300 + p)
+        modulus = PrimeModulus(p)
+        n = min(p // 2, 5)
+        cols = SupportSet(modulus, rng.sample(range(p), n))
+        f = SignalFn(modulus, [rng.randint(1, 9) if x in cols else 0 for x in range(p)])
+        rows = SupportSet(modulus, (-xi % p for xi in rng.sample(range(p), n)))
+        spectrum = dft(f)
+        rhs = [spectrum[-x] for x in rows]
+        assert [math.lcm(*(c.denominator for c in b.coeffs)) for b in rhs] == [p] * n
+        minor = minor_matrix(modulus, rows, cols)
+        self.check_against_minor_det(minor, rhs)
+        assert minor_solve(minor, rhs) == [f[x] / p for x in cols]
+
+    @pytest.mark.parametrize("p", [7, 13, 31])
+    def test_width_is_that_of_the_cleared_right_hand_side(self, p):
+        # for_fourier bounds the column D * rhs, so rhs and its cleared
+        # multiple D * rhs, which lies in Z[w], get one width.
+        rng = random.Random(1400 + p)
+        modulus = PrimeModulus(p)
+        for n in (1, 3, p // 2):
+            rhs = [random_cyclo(rng, modulus, -2**12, 2**12, den_max=12) for _ in range(n)]
+            scale = math.lcm(*(c.denominator for b in rhs for c in b.coeffs))
+            assert scale > 1
+            cleared = [b * scale for b in rhs]
+            assert (ResidueRing.for_fourier(modulus, n, rhs).width
+                    == ResidueRing.for_fourier(modulus, n, cleared).width)
 
     @pytest.mark.parametrize("route", ["residue", "eliminate"])
     def test_right_hand_side_of_another_modulus_is_refused(self, monkeypatch, route):
