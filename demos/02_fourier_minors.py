@@ -15,13 +15,13 @@ import math
 
 from primefourier import (
     CycloNum,
+    FourierMinor,
     PrimeModulus,
     SignalFn,
     SupportSet,
     dft,
     idft,
     minor_det,
-    minor_matrix,
     support,
 )
 
@@ -38,7 +38,7 @@ print(f"supp(f) = {support(f).members}, supp(fhat) = {support(F).members}\n")
 
 rows = SupportSet(p, [1, 2])
 cols = SupportSet(p, [1, 2])
-minor = minor_matrix(p, rows, cols)
+minor = FourierMinor(p, rows, cols)
 print(f"Minor on rows {rows.members}, cols {cols.members}:")
 for row in minor.entries:
     print("  [" + ", ".join(str(e) for e in row) + "]")
@@ -49,7 +49,7 @@ checked = 0
 for n in range(1, 6):
     for r in itertools.combinations(range(5), n):
         for c in itertools.combinations(range(5), n):
-            det = minor_det(minor_matrix(p, SupportSet(p, r), SupportSet(p, c)))
+            det = minor_det(FourierMinor(p, SupportSet(p, r), SupportSet(p, c)))
             assert not det.is_zero()
             checked += 1
 expected = math.comb(10, 5) - 1
@@ -68,7 +68,7 @@ for cols in ([0, 1], [0, 1, 2], [1, 3, 4]):
     n = len(cols)
     rows = list(range(1, n + 1))
     N = n * (n - 1) // 2
-    u = minor_det(minor_matrix(p, SupportSet(p, rows), SupportSet(p, cols)))
+    u = minor_det(FourierMinor(p, SupportSet(p, rows), SupportSet(p, cols)))
     for _ in range(N):
         u = u * inverse
     assert all(c.denominator == 1 for c in u.coeffs)

@@ -8,6 +8,7 @@ any pair of support sets satisfying it is realized by an explicit signal.
 """
 
 from primefourier import (
+    FourierMinor,
     PrimeModulus,
     SignalFn,
     SupportSet,
@@ -16,7 +17,6 @@ from primefourier import (
     dft,
     exhaustive_certification,
     minor_det,
-    minor_matrix,
     support,
     verify_uncertainty,
 )
@@ -54,7 +54,7 @@ pivots = SupportSet(p, a.members[:p.p - len(b)])
 print(f"  targets A = {a.members}, B = {b.members}")
 for x, value in enumerate(witness.signal.values):
     print(f"    f({x}) = {value}")
-print(f"  det M = {minor_det(minor_matrix(p, rows, pivots))}"
+print(f"  det M = {minor_det(FourierMinor(p, rows, pivots))}"
       f"  (rows {rows.members}, columns {pivots.members})")
 print(f"  supp(f)    = {support(witness.signal).members}")
 print(f"  supp(fhat) = {support(dft(witness.signal)).members}\n")

@@ -37,7 +37,6 @@ from .fourier import (
     idft,
     minor_cramer,
     minor_det,
-    minor_matrix,
     minor_nonsingular,
     minor_solve,
     support,
@@ -85,7 +84,6 @@ __all__ = [
     "meshulam_check",
     "minor_cramer",
     "minor_det",
-    "minor_matrix",
     "minor_nonsingular",
     "minor_solve",
     "multi_dft",

@@ -41,10 +41,7 @@ class SparsePoly:
             exponent = operator.index(exponent)
             if not 0 <= exponent < modulus.p:
                 raise ValueError(f"exponent {exponent} outside [0, {modulus.p})")
-            if not isinstance(coeff, CycloNum):
-                coeff = CycloNum.from_rational(modulus, coeff)
-            elif coeff.modulus != modulus:
-                raise ValueError("coefficient modulus mismatch")
+            coeff = CycloNum.of(modulus, coeff)
             if coeff.is_zero():
                 raise ValueError(f"zero coefficient at exponent {exponent}")
             cleaned.append((exponent, coeff))
@@ -252,11 +249,7 @@ class MultiSignal:
             point = tuple(operator.index(x) for x in point)
             if len(point) != ndim or not all(0 <= x < p for x in point):
                 raise ValueError(f"point {point} outside (Z/{p}Z)^{ndim}")
-            if not isinstance(value, CycloNum):
-                value = CycloNum.from_rational(modulus, value)
-            elif value.modulus != modulus:
-                raise ValueError("value modulus mismatch")
-            table[point] = value
+            table[point] = CycloNum.of(modulus, value)
         zero = CycloNum.zero(modulus)
         self.modulus = modulus
         self.ndim = ndim

@@ -10,19 +10,19 @@ identical, so the zero test (and with it every "non-zero" claim downstream)
 is sound and complete.
 
 Products run on the redundant spanning set {1, w, ..., w^(p-1)}, where
-multiplying by w is a cyclic shift and the automorphism w -> w^(g^b) (galois,
-g a generator of (Z/p)^*) rotates the coefficients in discrete-log order by
-b.  Only this module knows how a value is stored and packed: dense products,
-character_sums (the kernel behind every transform in fourier, with its slots
-in discrete-log order; vanishing_sums only tests its sums for zero) and
-cyclic_convolution (packed from the forward sums to the inverse) turn
-vectors into big integers through one linear-time codec (Kronecker
-substitution), with digits just as wide as their bound needs.  Inverses
-come from the Galois norm: the product of all p - 1 conjugates of a nonzero
-element is a nonzero rational, so dividing the product of the other p - 2
-conjugates by it inverts the element with integer vector arithmetic alone.
-The Galois group is cyclic, so a doubling chain builds that product in
-O(log p) multiplications.
+multiplying by w is a cyclic shift and the automorphism w -> w^k (galois)
+moves coefficient i to i*k mod p.  Only this module knows how a value is
+stored and packed: dense products, character_sums (the kernel behind every
+transform in fourier, with its slots in discrete-log order; vanishing_sums
+only tests its sums for zero) and cyclic_convolution (packed from the
+forward sums to the inverse) turn vectors into big integers through one
+linear-time codec (Kronecker substitution), with digits just as wide as
+their bound needs.  Inverses come from the Galois norm: the product of all
+p - 1 conjugates of a nonzero element is a nonzero rational, so dividing the
+product of the other p - 2 conjugates by it inverts the element with integer
+vector arithmetic alone.  The Galois group is cyclic, so a doubling chain
+builds that product in O(log p) multiplications.  CycloNum.of is the one way
+a caller's value gets into Q(w).
 
 ResidueRing is the codec of fourier's exact eliminations: Z[w] maps onto
 Z/N for N = Phi_p(2^W) by w -> 2^W, and a value whose coefficients are small
@@ -36,7 +36,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import functools
-import itertools
 import math
 import numbers
 import operator
@@ -282,14 +281,6 @@ def _log_order(p: int) -> tuple[list[int], dict[int, int]]:
     g = _primitive_root(p)
     powers = [pow(g, a, p) for a in range(p - 1)]
     return powers, {r: a for a, r in enumerate(powers)}
-
-
-@functools.lru_cache(maxsize=None)
-def _log_getters(p: int):
-    # galois at p > 2: redundant vector -> slots in log order, (c_0, slots) -> basis.
-    powers, logs = _log_order(p)
-    return (operator.itemgetter(*powers),
-            operator.itemgetter(0, *[1 + logs[i] for i in range(1, p - 1)]))
 
 
 def _packed_rows(rows, room: int = 0) -> tuple[int, int, list[tuple[int, int]]]:
@@ -610,6 +601,21 @@ class CycloNum:
         return cls._raw(modulus, *_normalize(num, denominator))
 
     @classmethod
+    def of(cls, modulus: PrimeModulus, value) -> CycloNum:
+        """value as an element of Q(w) at this modulus.
+
+        A CycloNum of this modulus is returned as is and an exact rational
+        goes through from_rational; a CycloNum of another modulus raises
+        ValueError, and a float or str TypeError.
+        """
+        if isinstance(value, CycloNum):
+            if value.modulus != modulus:
+                raise ValueError(f"modulus mismatch: value at p={value.modulus.p}, "
+                                 f"expected p={modulus.p}")
+            return value
+        return cls.from_rational(modulus, value)
+
+    @classmethod
     def root_power(cls, modulus: PrimeModulus, k: int) -> CycloNum:
         """The canonical representation of w^k (exponent reduced mod p), shared."""
         return _root_power(modulus.p, k % modulus.p)
@@ -642,21 +648,26 @@ class CycloNum:
             return CycloNum.from_rational(self.modulus, other)
         return None
 
-    def __add__(self, other) -> CycloNum:
+    def _combine(self, other, op) -> CycloNum:
+        # The one body of + and -: op is operator.add or operator.sub.
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         self._check_same(other)
         d1, d2 = self._den, other._den
         if d1 == d2:
-            num = [a + b for a, b in zip(self._num, other._num)]
+            num = list(map(op, self._num, other._num))
             den = d1
         else:
             g = math.gcd(d1, d2)
-            m1, m2 = d2 // g, d1 // g
+            # op(0, m) is m for + and -m for -, so one inline sum serves both.
+            m1, m2 = d2 // g, op(0, d1 // g)
             num = [a * m1 + b * m2 for a, b in zip(self._num, other._num)]
             den = d1 // g * d2
         return CycloNum._raw(self.modulus, *_normalize(num, den))
+
+    def __add__(self, other) -> CycloNum:
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
@@ -664,20 +675,7 @@ class CycloNum:
         return CycloNum._raw(self.modulus, tuple(-c for c in self._num), self._den)
 
     def __sub__(self, other) -> CycloNum:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        self._check_same(other)
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            num = [a - b for a, b in zip(self._num, other._num)]
-            den = d1
-        else:
-            g = math.gcd(d1, d2)
-            m1, m2 = d2 // g, d1 // g
-            num = [a * m1 - b * m2 for a, b in zip(self._num, other._num)]
-            den = d1 // g * d2
-        return CycloNum._raw(self.modulus, *_normalize(num, den))
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other) -> CycloNum:
         return (-self) + other
@@ -735,23 +733,19 @@ class CycloNum:
     def galois(self, k: int) -> CycloNum:
         """Image under the automorphism w -> w^k, for k not divisible by p.
 
-        On the redundant spanning set {1, w, ..., w^(p-1)} index i goes to
-        i*k mod p.  For k = g^b (g = _primitive_root(p)) index g^a goes to
-        g^(a+b): coefficient 0 stays and the others, in discrete-log order,
-        rotate by b.  The fold keeps the numerators' gcd, so no normalising.
+        On the redundant spanning set {1, w, ..., w^(p-1)} coefficient i
+        moves to i*k mod p, and w^(p-1) folds back onto the basis.  The map
+        is invertible over Z, so the numerators keep their gcd and the
+        denominator stays.
         """
         p = self.modulus.p
         if k % p == 0:
             raise ValueError(f"w -> w^{k} is not an automorphism of Q(w) for p={p}")
-        if p == 2:
-            return self
-        to_log, from_log = _log_getters(p)
-        b = _log_order(p)[1][k % p]
-        slots = to_log(self._num + (0,))
-        turned = (self._num[0],) + slots[-b:] + slots[:-b]
-        top = turned[1 + (p - 1) // 2]  # w^(p-1), at log (p - 1) / 2
-        return CycloNum._raw(self.modulus, tuple(map(operator.sub, from_log(turned),
-                                                     itertools.repeat(top))), self._den)
+        acc = [0] * p
+        for i, c in enumerate(self._num):
+            acc[i * k % p] = c
+        top = acc[-1]
+        return CycloNum._raw(self.modulus, tuple([c - top for c in acc[:-1]]), self._den)
 
     def inverse(self) -> CycloNum:
         """Multiplicative inverse through the Galois norm.
@@ -802,9 +796,8 @@ class CycloNum:
         return total
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = CycloNum.from_rational(self.modulus, other)
-        if not isinstance(other, CycloNum):
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         return (
             self.modulus == other.modulus

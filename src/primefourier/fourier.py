@@ -144,14 +144,7 @@ class SignalFn:
     __slots__ = ("modulus", "values")
 
     def __init__(self, modulus: PrimeModulus, values):
-        vals = []
-        for v in values:
-            if isinstance(v, CycloNum):
-                if v.modulus != modulus:
-                    raise ValueError("value modulus mismatch")
-                vals.append(v)
-            else:
-                vals.append(CycloNum.from_rational(modulus, v))
+        vals = [CycloNum.of(modulus, v) for v in values]
         if len(vals) != modulus.p:
             raise ValueError(f"expected {modulus.p} values, got {len(vals)}")
         self.modulus = modulus
@@ -307,11 +300,6 @@ class FourierMinor:
             f"FourierMinor(p={self.modulus.p}, rows={self.rows.members}, "
             f"cols={self.cols.members})"
         )
-
-
-def minor_matrix(modulus: PrimeModulus, rows: SupportSet, cols: SupportSet) -> FourierMinor:
-    """The minor selected by distinct positions (rows) and frequencies (cols)."""
-    return FourierMinor(modulus, rows, cols)
 
 
 def _eliminate(minor: FourierMinor, rhs=()):
@@ -519,15 +507,7 @@ def minor_cramer(minor: FourierMinor, rhs) -> tuple[CycloNum, list[CycloNum]]:
     Q(w) is taken unless the residue route gives up.
     """
     n = minor.n
-    modulus = minor.modulus
-    b = []
-    for v in rhs:
-        if not isinstance(v, CycloNum):
-            v = CycloNum.from_rational(modulus, v)
-        elif v.modulus != modulus:
-            raise ValueError(f"modulus mismatch: right-hand side at p={v.modulus.p}, "
-                             f"minor at p={modulus.p}")
-        b.append(v)
+    b = [CycloNum.of(minor.modulus, v) for v in rhs]
     if len(b) != n:
         raise ValueError(f"right-hand side must have length {n}, got {len(b)}")
     return _cramer(minor, b)

@@ -126,9 +126,9 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
     # The transform restricted to l2(A), evaluated at xi, is (1/p) sum_a
     # w^(-xi*a) f(a), so fhat = 0 off B reads M f = 0 for the minor M on rows
     # -(B^c) and columns A.  The free points' terms move to the right-hand
-    # side, one entry per row in the sorted order minor_matrix uses.
+    # side, one entry per row in the minor's sorted row order.
     rows = SupportSet(modulus, ((-eta) % p for eta in spectrum_set.complement()))
-    minor = fourier.minor_matrix(modulus, rows, SupportSet(modulus, pivots)) if n else None
+    minor = fourier.FourierMinor(modulus, rows, SupportSet(modulus, pivots)) if n else None
     tries = p * (k - 1) + 1
     for t in range(1, tries + 1):
         coeffs = [t ** i for i in range(k)]
@@ -278,7 +278,7 @@ def _certify_minors(modulus: PrimeModulus) -> None:
 def _check_minors(modulus: PrimeModulus, rows: tuple[int, ...], col_sets) -> None:
     """Raise TheoremViolationError unless every minor (rows, cols) is nonsingular."""
     for cols, image in zip(col_sets, fourier.image_dets(modulus, rows, col_sets)):
-        if not image and fourier.minor_det(fourier.minor_matrix(
+        if not image and fourier.minor_det(fourier.FourierMinor(
                 modulus, SupportSet(modulus, rows), SupportSet(modulus, cols))).is_zero():
             raise TheoremViolationError(f"zero minor rows={rows} cols={cols} p={modulus.p}")
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from primefourier import CycloNum, PrimeModulus, SignalFn, SupportSet, minor_det, minor_matrix
+from primefourier import CycloNum, FourierMinor, PrimeModulus, SignalFn, SupportSet, minor_det
 from primefourier import fourier
 
 
@@ -49,7 +49,7 @@ def pivot_minor(a: SupportSet, b: SupportSet):
     if not n:
         return None
     rows = SupportSet(modulus, ((-eta) % p for eta in b.complement()))
-    return minor_matrix(modulus, rows, SupportSet(modulus, a.members[:n]))
+    return FourierMinor(modulus, rows, SupportSet(modulus, a.members[:n]))
 
 
 def pivot_det(a: SupportSet, b: SupportSet) -> CycloNum:

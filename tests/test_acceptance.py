@@ -15,6 +15,7 @@ import pytest
 
 from primefourier import (
     CycloNum,
+    FourierMinor,
     MultiSignal,
     PrimeModulus,
     SignalFn,
@@ -29,7 +30,6 @@ from primefourier import (
     idft,
     meshulam_check,
     minor_det,
-    minor_matrix,
     sparse_zero_count,
     support,
     verify_uncertainty,
@@ -59,7 +59,7 @@ def test_criterion_1_minor_certification():
             subsets = list(itertools.combinations(range(p), n))
             for rows in subsets:
                 for cols in subsets:
-                    det = minor_det(minor_matrix(
+                    det = minor_det(FourierMinor(
                         modulus, SupportSet(modulus, rows), SupportSet(modulus, cols)
                     ))
                     assert not det.is_zero(), (p, rows, cols)

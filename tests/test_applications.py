@@ -9,6 +9,7 @@ import pytest
 from primefourier import (
     BudgetExceededError,
     CycloNum,
+    FourierMinor,
     MultiSignal,
     PrimeModulus,
     SignalFn,
@@ -21,7 +22,7 @@ from primefourier import (
     dft,
     idft,
     meshulam_check,
-    minor_matrix,
+    minor_cramer,
     minor_solve,
     multi_dft,
     multi_idft,
@@ -64,7 +65,7 @@ RATIONAL_SITES = {
     "MultiSignal value": lambda x: MultiSignal(P5, 1, {(0,): x}).values[(0,)],
     "SparsePoly coefficient": lambda x: SparsePoly(P5, [(0, x)]).terms[0][1],
     "minor_solve rhs": lambda x: minor_solve(
-        minor_matrix(P5, SupportSet(P5, [0]), SupportSet(P5, [0])), [x])[0],
+        FourierMinor(P5, SupportSet(P5, [0]), SupportSet(P5, [0])), [x])[0],
     "CycloNum coefficient": lambda x: CycloNum(P5, [x, 0, 0, 0]),
     "CycloNum.from_rational": lambda x: CycloNum.from_rational(P5, x),
 }
@@ -78,6 +79,31 @@ def test_inexact_value_is_rejected_not_converted(site):
     for value in (0.1, 2.0, np.float64(0.5), "1/3", "2", Decimal("0.1"), 1j):
         with pytest.raises(TypeError):
             build(value)
+
+
+P7 = PrimeModulus(7)
+P7_MINOR = FourierMinor(P7, SupportSet(P7, [0]), SupportSet(P7, [0]))
+
+# Each site that takes a Q(w) value at p = 7 from its caller, fed one value x.
+CYCLO_SITES = {
+    "SignalFn": lambda x: SignalFn(P7, [x, 0, 0, 0, 0, 0, 0]).values[0],
+    "SparsePoly": lambda x: SparsePoly(P7, [(0, x)]).terms[0][1],
+    "MultiSignal": lambda x: MultiSignal(P7, 1, {(0,): x}).values[(0,)],
+    "minor_cramer": lambda x: minor_cramer(P7_MINOR, [x])[1][0],
+    "minor_solve": lambda x: minor_solve(P7_MINOR, [x])[0],
+}
+
+
+@pytest.mark.parametrize("site", CYCLO_SITES)
+def test_one_way_into_q_w(site):
+    # Every site coerces through CycloNum.of: one rule, one message.
+    build = CYCLO_SITES[site]
+    for value in (3, Fraction(-2, 5), CycloNum.root_power(P7, 3)):
+        assert build(value) == value
+    with pytest.raises(ValueError, match=r"^modulus mismatch: value at p=5, expected p=7$"):
+        build(CycloNum.root_power(P5, 1))
+    with pytest.raises(TypeError):
+        build(0.5)
 
 
 class TestSparsePoly:

@@ -18,7 +18,6 @@ from primefourier import (
     idft,
     minor_cramer,
     minor_det,
-    minor_matrix,
     minor_nonsingular,
     minor_solve,
     support,
@@ -543,28 +542,28 @@ class TestPlancherel:
 class TestMinorMatrix:
     def test_one_by_one(self):
         p5 = PrimeModulus(5)
-        m = minor_matrix(p5, SupportSet(p5, [0]), SupportSet(p5, [0]))
+        m = FourierMinor(p5, SupportSet(p5, [0]), SupportSet(p5, [0]))
         assert m.entries == ((CycloNum.one(p5),),)
 
     def test_two_by_two_p3(self):
         p3 = PrimeModulus(3)
-        m = minor_matrix(p3, SupportSet(p3, [0, 1]), SupportSet(p3, [0, 1]))
+        m = FourierMinor(p3, SupportSet(p3, [0, 1]), SupportSet(p3, [0, 1]))
         w = CycloNum.root_power(p3, 1)
         one = CycloNum.one(p3)
         assert m.entries == ((one, one), (one, w))
 
     def test_power_table_p5(self):
         p5 = PrimeModulus(5)
-        m = minor_matrix(p5, SupportSet(p5, [1, 2]), SupportSet(p5, [1, 2]))
+        m = FourierMinor(p5, SupportSet(p5, [1, 2]), SupportSet(p5, [1, 2]))
         rp = lambda k: CycloNum.root_power(p5, k)
         assert m.entries == ((rp(1), rp(2)), (rp(2), rp(4)))
 
     def test_errors(self):
         p5 = PrimeModulus(5)
         with pytest.raises(ValueError):
-            minor_matrix(p5, SupportSet(p5, [0, 1]), SupportSet(p5, [0]))
+            FourierMinor(p5, SupportSet(p5, [0, 1]), SupportSet(p5, [0]))
         with pytest.raises(ValueError):
-            minor_matrix(p5, SupportSet(p5, []), SupportSet(p5, []))
+            FourierMinor(p5, SupportSet(p5, []), SupportSet(p5, []))
 
     def test_constructor_checks_the_shape(self):
         # A FourierMinor is its rows and columns; there is no entries argument.
@@ -582,7 +581,6 @@ class TestMinorMatrix:
         minor = FourierMinor(p5, pair, pair)
         with pytest.raises(TypeError):
             FourierMinor(p5, pair, pair, minor.entries)
-        assert minor.entries == minor_matrix(p5, pair, pair).entries
 
     def test_nonsingular_validates_once(self, monkeypatch):
         # A zero image sends the minor to minor_det, which reuses the minor
@@ -600,14 +598,14 @@ class TestMinorMatrix:
 class TestMinorDet:
     def test_two_by_two_p3(self):
         p3 = PrimeModulus(3)
-        det = minor_det(minor_matrix(p3, SupportSet(p3, [0, 1]), SupportSet(p3, [0, 1])))
+        det = minor_det(FourierMinor(p3, SupportSet(p3, [0, 1]), SupportSet(p3, [0, 1])))
         assert det.coeffs == (Fraction(-1), Fraction(1))  # w - 1
 
     def test_one_by_one_is_root_of_unity(self):
         p7 = PrimeModulus(7)
         for x in range(7):
             for xi in range(7):
-                det = minor_det(minor_matrix(p7, SupportSet(p7, [x]), SupportSet(p7, [xi])))
+                det = minor_det(FourierMinor(p7, SupportSet(p7, [x]), SupportSet(p7, [xi])))
                 assert det == CycloNum.root_power(p7, x * xi)
                 assert not det.is_zero()
 
@@ -615,7 +613,7 @@ class TestMinorDet:
         # |det| of the unnormalized p x p character table is p^(p/2).
         p5 = PrimeModulus(5)
         full = SupportSet.full(p5)
-        det = minor_det(minor_matrix(p5, full, full))
+        det = minor_det(FourierMinor(p5, full, full))
         assert abs(abs(det.embed()) - 5**2.5) < 1e-6
 
     def test_exhaustive_nonzero_small(self):
@@ -624,7 +622,7 @@ class TestMinorDet:
             for n in range(1, p + 1):
                 for rows in itertools.combinations(range(p), n):
                     for cols in itertools.combinations(range(p), n):
-                        det = minor_det(minor_matrix(
+                        det = minor_det(FourierMinor(
                             modulus, SupportSet(modulus, rows), SupportSet(modulus, cols)
                         ))
                         assert not det.is_zero()
@@ -650,7 +648,7 @@ class TestMinorDet:
             for _ in range(5):
                 rows = SupportSet(p7, rng.sample(range(7), n))
                 cols = SupportSet(p7, rng.sample(range(7), n))
-                minor = minor_matrix(p7, rows, cols)
+                minor = FourierMinor(p7, rows, cols)
                 assert minor_det(minor) == laplace([list(r) for r in minor.entries], p7)
 
     @pytest.mark.parametrize("p, count", [(3, 19), (5, 251), (7, 11)])
@@ -666,7 +664,7 @@ class TestMinorDet:
         def det(rows, cols):
             if not rows:
                 return CycloNum.one(modulus)
-            return minor_det(minor_matrix(modulus, SupportSet(modulus, rows),
+            return minor_det(FourierMinor(modulus, SupportSet(modulus, rows),
                                           SupportSet(modulus, cols)))
 
         everything = tuple(range(p))
@@ -707,11 +705,11 @@ class TestMinorNonsingular:
         for rows, cols in pairs:
             rows, cols = SupportSet(modulus, rows), SupportSet(modulus, cols)
             image = fourier.image_dets(modulus, rows.members, [cols.members])[0]
-            assert image == image_mod_q(minor_det(minor_matrix(modulus, rows, cols)), q, g)
+            assert image == image_mod_q(minor_det(FourierMinor(modulus, rows, cols)), q, g)
             assert image != 0
             assert minor_nonsingular(modulus, rows, cols)
 
-    def test_shape_checked_like_minor_matrix(self):
+    def test_shape_checked_like_fourier_minor(self):
         p5 = PrimeModulus(5)
         with pytest.raises(ValueError, match="size mismatch"):
             minor_nonsingular(p5, SupportSet(p5, [0, 1]), SupportSet(p5, [0]))
@@ -778,7 +776,7 @@ class TestImageDets:
 class TestMinorSolve:
     def test_column_recovers_unit_vector(self):
         p7 = PrimeModulus(7)
-        minor = minor_matrix(p7, SupportSet(p7, [1, 2, 4]), SupportSet(p7, [0, 3, 5]))
+        minor = FourierMinor(p7, SupportSet(p7, [1, 2, 4]), SupportSet(p7, [0, 3, 5]))
         for k in range(3):
             rhs = [row[k] for row in minor.entries]
             sol = minor_solve(minor, rhs)
@@ -787,7 +785,7 @@ class TestMinorSolve:
 
     def test_zero_rhs_gives_zero(self):
         p5 = PrimeModulus(5)
-        minor = minor_matrix(p5, SupportSet(p5, [0, 2]), SupportSet(p5, [1, 3]))
+        minor = FourierMinor(p5, SupportSet(p5, [0, 2]), SupportSet(p5, [1, 3]))
         sol = minor_solve(minor, [0, 0])
         assert all(v.is_zero() for v in sol)
 
@@ -797,14 +795,14 @@ class TestMinorSolve:
         for _ in range(10):
             rows = SupportSet(p7, rng.sample(range(7), 3))
             cols = SupportSet(p7, rng.sample(range(7), 3))
-            minor = minor_matrix(p7, rows, cols)
+            minor = FourierMinor(p7, rows, cols)
             rhs = [CycloNum.from_rational(p7, rng.randint(-9, 9)) for _ in range(3)]
             sol = minor_solve(minor, rhs)
             assert minor.apply(sol) == rhs
 
     def test_rhs_length_checked(self):
         p5 = PrimeModulus(5)
-        minor = minor_matrix(p5, SupportSet(p5, [0]), SupportSet(p5, [0]))
+        minor = FourierMinor(p5, SupportSet(p5, [0]), SupportSet(p5, [0]))
         with pytest.raises(ValueError):
             minor_solve(minor, [1, 2])
 
@@ -827,7 +825,7 @@ class TestResidueElimination:
         for n in (1, 2, p // 3, p // 2):
             rows = SupportSet(modulus, rng.sample(range(p), n))
             cols = SupportSet(modulus, rng.sample(range(p), n))
-            minor = minor_matrix(modulus, rows, cols)
+            minor = FourierMinor(modulus, rows, cols)
             rhs = [CycloNum(modulus, [Fraction(rng.randint(-1 << 16, 1 << 16), rng.randint(1, 12))
                                       for _ in range(p - 1)]) for _ in range(n)]
             weights = [rng.randint(1, 1 << 16) for _ in range(n)]
@@ -843,7 +841,7 @@ class TestResidueElimination:
         for n in sorted({1, 2, min(p // 2, 6)} | ({p - 1} if p <= 13 else set())):
             rows = SupportSet(modulus, rng.sample(range(p), n))
             cols = SupportSet(modulus, rng.sample(range(p), n))
-            minor = minor_matrix(modulus, rows, cols)
+            minor = FourierMinor(modulus, rows, cols)
             for rhs in ([rng.randint(-50, 50) for _ in range(n)],
                         [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(n)],
                         [random_cyclo(rng, modulus, -2**40, 2**40, den_max=9) for _ in range(n)]):
@@ -856,7 +854,7 @@ class TestResidueElimination:
         # dense value's mixed denominators: one D = 30 clears them all, and
         # the Fourier entries are encoded unscaled.
         p13 = PrimeModulus(13)
-        minor = minor_matrix(p13, SupportSet(p13, [0, 2, 5, 11]), SupportSet(p13, [1, 3, 4, 9]))
+        minor = FourierMinor(p13, SupportSet(p13, [0, 2, 5, 11]), SupportSet(p13, [1, 3, 4, 9]))
         rhs = [Fraction(2, 5), CycloNum.root_power(p13, 7) / 3, -1, random_cyclo(
             random.Random(13), p13, den_max=6)]
         solution = minor_solve(minor, rhs)
@@ -879,7 +877,7 @@ class TestResidueElimination:
 
         def widths_tried(p, rows, cols):
             modulus = PrimeModulus(p)
-            minor = minor_matrix(modulus, SupportSet(modulus, rows), SupportSet(modulus, cols))
+            minor = FourierMinor(modulus, SupportSet(modulus, rows), SupportSet(modulus, cols))
             minor_det(minor)
             assert (encoded, bounded) == ([], [])
             rhs = [random_cyclo(random.Random(6), modulus, den_max=4) for _ in rows]
@@ -905,7 +903,7 @@ class TestResidueElimination:
         # 7 divides N, every root power maps to 1 mod 7 and the second
         # pivot is no unit, at every width tried.
         p7 = PrimeModulus(7)
-        minor = minor_matrix(p7, SupportSet(p7, [1, 2, 4]), SupportSet(p7, [0, 3, 5]))
+        minor = FourierMinor(p7, SupportSet(p7, [1, 2, 4]), SupportSet(p7, [0, 3, 5]))
         rhs = [1, CycloNum.root_power(p7, 2), Fraction(5, 3)]
         expected = minor_det(minor), minor_solve(minor, rhs)
         moduli, calls = [], []
@@ -985,7 +983,7 @@ class TestMinorCramer:
         for n in sorted({1, 2, min(p // 2, 5)} - {0}):
             rows = SupportSet(modulus, rng.sample(range(p), n))
             cols = SupportSet(modulus, rng.sample(range(p), n))
-            minor = minor_matrix(modulus, rows, cols)
+            minor = FourierMinor(modulus, rows, cols)
             for rhs in ([rng.randint(1, 50) for _ in range(n)],
                         [random_cyclo(rng, modulus, -2**20, 2**20) for _ in range(n)]):
                 self.check_against_minor_det(minor, rhs)
@@ -997,7 +995,7 @@ class TestMinorCramer:
         if route == "eliminate":
             monkeypatch.setattr(fourier, "_RESIDUE_WIDTHS", 0)
         p13 = PrimeModulus(13)
-        minor = minor_matrix(p13, SupportSet(p13, [0, 2, 5, 11]), SupportSet(p13, [1, 3, 4, 9]))
+        minor = FourierMinor(p13, SupportSet(p13, [0, 2, 5, 11]), SupportSet(p13, [1, 3, 4, 9]))
         rhs = [CycloNum.root_power(p13, 4) / 2, Fraction(5, 4), Fraction(-7, 6),
                CycloNum.root_power(p13, 9) * Fraction(11, 12)]
         self.check_against_minor_det(minor, rhs)
@@ -1019,7 +1017,7 @@ class TestMinorCramer:
         spectrum = dft(f)
         rhs = [spectrum[-x] for x in rows]
         assert [math.lcm(*(c.denominator for c in b.coeffs)) for b in rhs] == [p] * n
-        minor = minor_matrix(modulus, rows, cols)
+        minor = FourierMinor(modulus, rows, cols)
         self.check_against_minor_det(minor, rhs)
         assert minor_solve(minor, rhs) == [f[x] / p for x in cols]
 
@@ -1044,7 +1042,7 @@ class TestMinorCramer:
         if route == "eliminate":
             monkeypatch.setattr(fourier, "_RESIDUE_WIDTHS", 0)
         p7 = PrimeModulus(7)
-        minor = minor_matrix(p7, SupportSet(p7, [0, 1]), SupportSet(p7, [0, 1]))
+        minor = FourierMinor(p7, SupportSet(p7, [0, 1]), SupportSet(p7, [0, 1]))
         rhs = [1, CycloNum.root_power(PrimeModulus(5), 1)]
         for solve in (minor_cramer, minor_solve):
             with pytest.raises(ValueError, match="^modulus mismatch"):
@@ -1057,7 +1055,7 @@ class TestMinorCramer:
         rng = random.Random(1200 + p)
         modulus = PrimeModulus(p)
         n = min(p - 1, 4)
-        minor = minor_matrix(modulus, SupportSet(modulus, rng.sample(range(p), n)),
+        minor = FourierMinor(modulus, SupportSet(modulus, rng.sample(range(p), n)),
                              SupportSet(modulus, rng.sample(range(p), n)))
         for rhs in ([rng.randint(-50, 50) for _ in range(n)],
                     [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(n)],
@@ -1117,7 +1115,7 @@ class TestHandBuiltMinors:
 
     def _repeated_row_minor(self, monkeypatch):
         p7 = PrimeModulus(7)
-        good = minor_matrix(p7, SupportSet(p7, [1, 2, 4]), SupportSet(p7, [0, 3, 5])).entries
+        good = FourierMinor(p7, SupportSet(p7, [1, 2, 4]), SupportSet(p7, [0, 3, 5])).entries
         return self.hand_built(monkeypatch, 7, [1, 2, 4], [0, 3, 5], (good[0], good[1], good[0]))
 
     def test_det_names_rows_cols_and_p(self, monkeypatch):
@@ -1192,14 +1190,14 @@ class TestLeadingTerm:
         modulus = PrimeModulus(p)
         for _ in range(count):
             n = rng.randint(1, min(p, 8))
-            yield minor_matrix(modulus, SupportSet(modulus, rng.sample(range(p), n)),
+            yield FourierMinor(modulus, SupportSet(modulus, rng.sample(range(p), n)),
                                SupportSet(modulus, rng.sample(range(p), n)))
 
     def test_two_by_two_p3(self):
         # det = w - 1 = (1 - w) * (-1), and (-1)^1 * 1 * 1 / 1 = -1.
         p3 = PrimeModulus(3)
         idx = SupportSet(p3, [0, 1])
-        minor = minor_matrix(p3, idx, idx)
+        minor = FourierMinor(p3, idx, idx)
         assert self.leading_term(minor_det(minor)) == (1, 2)
         self.check(minor)
 

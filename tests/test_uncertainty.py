@@ -11,6 +11,7 @@ import pytest
 from primefourier import (
     BudgetExceededError,
     CycloNum,
+    FourierMinor,
     PrimeModulus,
     SignalFn,
     SupportSet,
@@ -21,7 +22,6 @@ from primefourier import (
     exhaustive_certification,
     minor_cramer,
     minor_det,
-    minor_matrix,
     minor_solve,
     support,
     verify_uncertainty,
@@ -91,7 +91,7 @@ class TestVerifyUncertainty:
             signals.append(SignalFn.constant(p7, 1).modulate(b))
         for pattern in ([1, 1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 1, 0, 1]):
             signals.append(SignalFn(p7, pattern))
-        minor = minor_matrix(p7, SupportSet(p7, [0, 2, 3]), SupportSet(p7, [1, 4, 6]))
+        minor = FourierMinor(p7, SupportSet(p7, [0, 2, 3]), SupportSet(p7, [1, 4, 6]))
         sol = minor_solve(minor, [1, 2, 3])
         values = [CycloNum.zero(p7)] * 7
         for x, v in zip([1, 4, 6], sol):
@@ -196,7 +196,7 @@ class TestConstructExactPair:
         minor, rhs, det, numerators = calls[0]
         assert (minor.rows.members, minor.cols.members) == ((0, 2, 4), (0, 1, 3))
         assert rhs == [-CycloNum.root_power(p7, 5 * r) for r in (0, 2, 4)]
-        assert det == minor_det(minor_matrix(p7, SupportSet(p7, [0, 2, 4]),
+        assert det == minor_det(FourierMinor(p7, SupportSet(p7, [0, 2, 4]),
                                              SupportSet(p7, [0, 1, 3])))
         assert [witness.signal[x] for x in (0, 1, 3)] == numerators
         normalized = witness.signal * det.inverse()
@@ -304,7 +304,7 @@ class TestConstructSupportPair:
         assert rhs == [sum((-lam * CycloNum.root_power(p7, r * j)
                             for lam, j in zip(weights, (2, 3, 4))), CycloNum.zero(p7))
                        for r in (4, 6)]
-        assert det == minor_det(minor_matrix(p7, SupportSet(p7, [4, 6]), SupportSet(p7, [0, 1])))
+        assert det == minor_det(FourierMinor(p7, SupportSet(p7, [4, 6]), SupportSet(p7, [0, 1])))
         assert [witness.signal[0], witness.signal[1]] == numerators
         normalized = witness.signal * det.inverse()
         assert [normalized[0], normalized[1]] == minor_solve(minor, rhs)
