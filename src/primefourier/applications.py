@@ -336,21 +336,15 @@ class MeshulamReport:
     hull_ok: bool
 
 
-def _on_or_above_hull(s: int, sh: int, p: int, n: int) -> bool:
-    # Orientation test against each edge of the lower hull of the subgroup
-    # points (p^j, p^(n-j)), exact in integers.
-    points = [(p**j, p ** (n - j)) for j in range(n + 1)]
-    return all((x2 - x1) * (sh - y1) - (y2 - y1) * (s - x1) >= 0
-               for (x1, y1), (x2, y2) in zip(points, points[1:]))
-
-
 def meshulam_check(signal: MultiSignal) -> MeshulamReport:
     """Evaluate the lattice support bound for one nonzero multi-signal.
 
-    Checks p^j * s + p^(n-j-1) * sh >= p^n + p^(n-1) for every 0 <= j < n,
-    and independently that (s, sh) lies on or above the lower convex hull of
-    the subgroup extremes (p^j, p^(n-j)).  Either failing is impossible and
-    raises TheoremViolationError.
+    Checks p^j * s + p^(n-j-1) * sh >= p^n + p^(n-1) for every 0 <= j < n.
+    hull_ok, that (s, sh) lies on or above the lower convex hull of the
+    subgroup extremes (p^j, p^(n-j)), is the same n inequalities: the edge
+    from (p^j, p^(n-j)) to (p^(j+1), p^(n-j-1)) reduces to
+    p^(n-j-1) * s + p^j * sh >= p^n + p^(n-1), which is per_j[n - j - 1].
+    A failure is impossible and raises TheoremViolationError.
     """
     if signal.is_zero():
         raise ValueError("the zero signal has empty support; the bound needs a nonzero input")
@@ -360,8 +354,8 @@ def meshulam_check(signal: MultiSignal) -> MeshulamReport:
     sh = multi_dft(signal).support_size()
     threshold = p**n + p ** (n - 1)
     per_j = tuple(p**j * s + p ** (n - j - 1) * sh >= threshold for j in range(n))
-    hull_ok = _on_or_above_hull(s, sh, p, n)
-    if not (all(per_j) and hull_ok):
+    hull_ok = all(per_j)
+    if not hull_ok:
         raise TheoremViolationError(
             f"lattice support bound failed: s={s}, sh={sh}, per_j={list(per_j)}, "
             f"hull_ok={hull_ok}"

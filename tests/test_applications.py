@@ -448,8 +448,11 @@ class TestMeshulamCheck:
             meshulam_check(MultiSignal(PrimeModulus(3), 2, {}))
 
     def test_failed_hull_raises(self, monkeypatch):
-        monkeypatch.setattr(applications, "_on_or_above_hull", lambda *args: False)
-        with pytest.raises(TheoremViolationError, match="hull_ok=False"):
+        # A transform that returns its input gives a Dirac mass s = sh = 1,
+        # below every inequality of the bound.
+        monkeypatch.setattr(applications, "multi_dft", lambda signal: signal)
+        with pytest.raises(TheoremViolationError,
+                           match=r"s=1, sh=1, per_j=\[False, False\], hull_ok=False"):
             meshulam_check(MultiSignal.dirac(PrimeModulus(3), 2))
 
     def test_exhaustive_binary_functions_on_z2_squared(self):

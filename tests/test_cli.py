@@ -321,7 +321,9 @@ class TestMeshulam:
         assert report["status"] == "precondition-error"
 
     def test_library_violation_exits_4(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(applications, "_on_or_above_hull", lambda *args: False)
+        # A transform that returns its input gives a Dirac mass s = sh = 1,
+        # below every inequality of the bound.
+        monkeypatch.setattr(applications, "multi_dft", lambda signal: signal)
         path = tmp_path / "dirac.txt"
         path.write_text("0,0: 1\n")
         code, report = run_json(capsys, ["meshulam", "--p", "3", "--n", "2",

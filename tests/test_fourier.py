@@ -207,36 +207,49 @@ class TestCharacterSums:
                         == direct_character_sums(modulus, values, exponents, multipliers,
                                                  den_factor))
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 13, 31])
+    @pytest.mark.parametrize("p", [2, 3, 5, 13, 31, 59, 61, 97])
     def test_both_shift_orders(self, p, monkeypatch):
         # Below p / 4 packed rows the sums shift row by row; from there on
-        # they run in discrete-log order, which calls _log_order.  The row
-        # counts lie just either side of that switch and above p.  Exponents
-        # 0 and p share slot 0, which never shifts, and 2, 2 + p and 2 - p
-        # share one slot.  Multipliers include 0, negatives, values of p and
-        # above, and repeats.  At p = 2 every value is a single term.
+        # they run in discrete-log order, which calls _log_order, and from
+        # p = 61 on, with at least half the p - 1 slots filled, each slot
+        # turns in a baby and a giant step, which calls _two_step_layout.
+        # The row counts lie just either side of p / 4, fill just either side
+        # of half the slots, and reach p and above.  Exponents 0 and p share
+        # slot 0, which never shifts, and 2, 2 + p and 2 - p share one slot;
+        # the rest fill a new slot each until every slot is filled.
+        # Multipliers include 0, negatives, values of p and above, and
+        # repeats, and leave residues out from p = 13 on.  At p = 2 every
+        # value is a single term.
         rng = random.Random(400 + p)
         modulus = PrimeModulus(p)
         calls = []
-        log_order = cyclotomic._log_order
-        monkeypatch.setattr(cyclotomic, "_log_order",
-                            lambda q: calls.append(q) or log_order(q))
+        for name in ("_log_order", "_two_step_layout"):
+            spied = getattr(cyclotomic, name)
+            monkeypatch.setattr(cyclotomic, name,
+                                lambda q, name=name, spied=spied: calls.append(name) or spied(q))
         switch = -(-p // 4)
+        half = -(-(p - 1) // 2)
+        residues = [x for x in range(1, p) if x != 2]
+        rng.shuffle(residues)
+        exponents = [0, p, 2, 2 + p, 2 - p] + [x + p * rng.randrange(-1, 2)
+                                               for x in residues * 2]
         multipliers = [0, 1, 2, p - 1, -1, -2, -p, p, p + 1, 2 * p - 1, 1, 0]
-        for rows in sorted({switch - 1, switch, p, p + 3}):
+        # For p > 2 the first 5 + n exponents fill 1 + n slots, up to p - 1.
+        for rows in sorted({switch - 1, switch, half + 3, half + 4, p, p + 3}):
             values = [CycloNum(modulus, [Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**40),
                                                   rng.randint(1, 6)) for _ in range(p - 1)])
                       for _ in range(rows)]
-            exponents = ([0, p, 2, 2 + p, 2 - p] + [rng.randrange(-p, 2 * p)
-                                                    for _ in range(rows)])[:rows]
             values += [CycloNum.zero(modulus), Fraction(5, 3) * CycloNum.root_power(modulus, 1)]
-            exponents += [rng.randrange(p), rng.randrange(p)]
+            powers = exponents[:rows] + [rng.randrange(p), rng.randrange(p)]
+            filled = len({e % p for e in exponents[:rows]} - {0})
             calls.clear()
-            for den_factor in (1, p):
-                assert (character_sums(modulus, values, exponents, multipliers, den_factor)
-                        == direct_character_sums(modulus, values, exponents, multipliers,
-                                                 den_factor))
-            assert bool(calls) == (p > 2 and 4 * rows >= p)
+            expected = direct_character_sums(modulus, values, powers, multipliers, 1)
+            assert character_sums(modulus, values, powers, multipliers, 1) == expected
+            assert (character_sums(modulus, values, powers, multipliers, p)
+                    == [v / p for v in expected])
+            dense = p > 2 and 4 * rows >= p
+            assert ("_log_order" in calls) == dense
+            assert ("_two_step_layout" in calls) == (dense and p >= 61 and 2 * filled >= p - 1)
 
 
 class TestIdft:
@@ -282,18 +295,28 @@ class TestVanishingSums:
         assert vanishing_sums(modulus, values, exponents, multipliers) == [
             v.is_zero() for v in decoded]
 
-    @pytest.mark.parametrize("p", [5, 7, 13, 31])
-    def test_boundary_witnesses(self, p):
+    @pytest.mark.parametrize("p", [5, 7, 13, 31, 61])
+    def test_boundary_witnesses(self, p, monkeypatch):
         # |A| + |B| = p + 1: the witness is Q(w)-valued on all but max A, and
-        # fhat vanishes at exactly p - |B| points.
+        # fhat vanishes at exactly p - |B| points.  Its solve has |A| - 1
+        # unknowns, so at p = 61 |A| stays near p / 2, and |A| = 32 fills at
+        # least half the slots, whose sums take two steps.
         rng = random.Random(500 + p)
         modulus = PrimeModulus(p)
-        for a_size in (1, 2, p // 2, p - 1, p):
+        calls = []
+        layout = cyclotomic._two_step_layout
+        monkeypatch.setattr(cyclotomic, "_two_step_layout",
+                            lambda q: calls.append(q) or layout(q))
+        for a_size in (1, 2, p // 2, p - 1, p) if p < 61 else (1, 2, p // 2, p // 2 + 2):
             a = SupportSet(modulus, rng.sample(range(p), a_size))
             b = SupportSet(modulus, rng.sample(range(p), p + 1 - a_size))
             f = uncertainty.construct_support_pair(a, b).signal
             assert fourier_support(f) == support(dft(f)) == b
+            # Translated to start at 0, f keeps its spectrum's support and
+            # puts a nonzero value on exponent 0, which never turns.
+            assert fourier_support(f.translate(-a.members[0])) == b
             self._agree(modulus, f.values, range(p), range(-p, 2 * p))
+        assert bool(calls) == (p >= 61)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
     def test_rational_single_term_mixed_and_zero_signals(self, p):
