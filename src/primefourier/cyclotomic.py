@@ -25,11 +25,11 @@ builds that product in O(log p) multiplications.  CycloNum.of is the one way
 a caller's value gets into Q(w).
 
 A character sum turns each packed slot by some number of digits r.  From
-p = 61 on, with at least half the slots filled, r = 8j + s is split in two
-steps: each slot is turned by s = 0 .. 7 once per call (a table of 8 times
-the packed slots), and for each sum the slots of one giant step j are added
-unshifted and their total turned once.  Below that, one shift per slot is
-cheaper, and p <= 31 runs no two-step sum.
+p = 61 on, r = 8j + s is split in two steps: each slot is turned by
+s = 0 .. 7 once per call (a table of 8 times the packed slots), and for each
+sum the slots of one giant step j are added unshifted and their total turned
+once.  Below that, one shift per slot is cheaper, and p <= 31 runs no
+two-step sum.
 
 ResidueRing is the codec of fourier's exact eliminations: Z[w] maps onto
 Z/N for N = Phi_p(2^W) by w -> 2^W, and a value whose coefficients are small
@@ -304,9 +304,8 @@ def _packed_rows(rows, room: int = 0) -> tuple[int, int, list[tuple[int, int]]]:
 
 
 # Dense sums turn their slots in two steps (_two_step_sums) from this prime
-# on, when at least half the p - 1 slots are filled.  Below either, one shift
-# per slot costs less than the two steps' fixed cost per sum (measured in
-# _shifted_sums).
+# on.  Below it, one shift per slot costs less than the two steps' fixed cost
+# per sum unless nearly every slot is filled (measured in _shifted_sums).
 _TWO_STEP_PRIME = 61
 # Baby steps k per slot.  The table of turned slots holds k times the packed
 # slots, where one shift per slot holds each slot doubled.  The sums of one
@@ -370,7 +369,6 @@ def _two_step_sums(p: int, units: list[int], fixed: int, multipliers,
     baby += baby
     n = (p - 1) * k
     steps = [(lo, hi, left * width) for lo, hi, left in groups]
-    full = 0 not in units
     out = []
     for t in multipliers:
         if t % p:
@@ -378,8 +376,7 @@ def _two_step_sums(p: int, units: list[int], fixed: int, multipliers,
             row = gather(baby[start:start + n])
             total = fixed
             for lo, hi, shift in steps:
-                part = row[lo:hi]
-                total += sum(part if full else filter(None, part)) << shift
+                total += sum(filter(None, row[lo:hi])) << shift
             out.append((total & mask) + (total >> cut))
         else:
             out.append(sum(filter(None, units), fixed))
@@ -398,15 +395,20 @@ def _shifted_sums(p: int, terms, multipliers, width: int) -> list[int]:
     t = g^b slot a shifts by S[(a + b) mod (p - 1)], S[a] = (-g^a mod p)
     digits, so the shifts of one sum are one slice of S + S.
 
-    From p = _TWO_STEP_PRIME = 61 on, with at least half the slots filled,
-    each shift splits into a baby and a giant step (_two_step_sums), whose
-    table holds _BABY_STEPS = 8 times the packed slots.  The sums of dense
-    values for p multipliers, one shift per slot -> two steps (best of 41
-    interleaved runs, 2-vCPU host, CPython 3.11.7): every slot filled,
-    0.16 -> 0.17 ms at p = 31, 0.64 -> 0.54 ms at p = 53, 1.03 -> 0.72 ms
-    at p = 61 and 3.8 -> 2.2 ms at p = 97; half filled, 0.66 -> 0.73 ms at
-    p = 53 (27 of 52 slots) and 0.65 -> 0.66 ms at p = 61 (31 of 60).  So
-    the two steps start where half-filled sums break even.
+    From p = _TWO_STEP_PRIME = 61 on, each shift splits into a baby and a
+    giant step (_two_step_sums), whose table holds _BABY_STEPS = 8 times the
+    packed slots.  The sums of dense values for p multipliers, one shift per
+    slot -> two steps (best of 5 to 41 interleaved runs, 2-vCPU host,
+    CPython 3.11.7): every slot filled, 0.15 -> 0.17 ms at p = 31,
+    0.62 -> 0.55 ms at p = 53, 1.01 -> 0.78 ms at p = 61 and 3.4 -> 2.1 ms
+    at p = 97; half filled, 0.66 -> 0.73 ms at p = 53 (27 of 52 slots),
+    0.65 -> 0.66 ms at p = 61 (31 of 60) and 2.20 -> 1.89 ms at p = 97
+    (49 of 96); a quarter filled, the fewest a dense sum has, 0.38 -> 0.54 ms
+    at p = 61 (16 rows), 1.18 -> 1.56 ms at p = 97 (25), 3.36 -> 3.52 ms at
+    p = 131 (33), 10.9 -> 10.7 ms at p = 211 (53) and 1.06 -> 0.80 s at
+    p = 1009 (253).  So the two steps start where half-filled sums break
+    even.  Sums with fewer than about 40 slots filled lose up to p = 131,
+    and no benchmark workload makes them: its dense signals fill every slot.
     """
     cut = width * p
     mask = (1 << cut) - 1
@@ -422,7 +424,7 @@ def _shifted_sums(p: int, terms, multipliers, width: int) -> list[int]:
             units[logs[e % p]] += packed
         else:
             fixed += packed
-    if p >= _TWO_STEP_PRIME and 2 * units.count(0) <= p - 1:
+    if p >= _TWO_STEP_PRIME:
         return _two_step_sums(p, units, fixed, multipliers, width)
     units = [u | u << cut for u in units]
     turns = [(p - r) * width for r in powers] * 2

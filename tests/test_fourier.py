@@ -211,12 +211,11 @@ class TestCharacterSums:
     def test_both_shift_orders(self, p, monkeypatch):
         # Below p / 4 packed rows the sums shift row by row; from there on
         # they run in discrete-log order, which calls _log_order, and from
-        # p = 61 on, with at least half the p - 1 slots filled, each slot
-        # turns in a baby and a giant step, which calls _two_step_layout.
-        # The row counts lie just either side of p / 4, fill just either side
-        # of half the slots, and reach p and above.  Exponents 0 and p share
-        # slot 0, which never shifts, and 2, 2 + p and 2 - p share one slot;
-        # the rest fill a new slot each until every slot is filled.
+        # p = 61 on each slot turns in a baby and a giant step, which calls
+        # _two_step_layout.  The row counts lie just either side of p / 4 and
+        # reach p and above.  Exponents 0 and p share slot 0, which never
+        # shifts, and 2, 2 + p and 2 - p share one slot; the rest fill a new
+        # slot each, so p / 4 rows leave slots empty and p rows fill them all.
         # Multipliers include 0, negatives, values of p and above, and
         # repeats, and leave residues out from p = 13 on.  At p = 2 every
         # value is a single term.
@@ -228,20 +227,17 @@ class TestCharacterSums:
             monkeypatch.setattr(cyclotomic, name,
                                 lambda q, name=name, spied=spied: calls.append(name) or spied(q))
         switch = -(-p // 4)
-        half = -(-(p - 1) // 2)
         residues = [x for x in range(1, p) if x != 2]
         rng.shuffle(residues)
         exponents = [0, p, 2, 2 + p, 2 - p] + [x + p * rng.randrange(-1, 2)
                                                for x in residues * 2]
         multipliers = [0, 1, 2, p - 1, -1, -2, -p, p, p + 1, 2 * p - 1, 1, 0]
-        # For p > 2 the first 5 + n exponents fill 1 + n slots, up to p - 1.
-        for rows in sorted({switch - 1, switch, half + 3, half + 4, p, p + 3}):
+        for rows in sorted({switch - 1, switch, p, p + 3}):
             values = [CycloNum(modulus, [Fraction(rng.choice((-1, 1)) * rng.randint(1, 2**40),
                                                   rng.randint(1, 6)) for _ in range(p - 1)])
                       for _ in range(rows)]
             values += [CycloNum.zero(modulus), Fraction(5, 3) * CycloNum.root_power(modulus, 1)]
             powers = exponents[:rows] + [rng.randrange(p), rng.randrange(p)]
-            filled = len({e % p for e in exponents[:rows]} - {0})
             calls.clear()
             expected = direct_character_sums(modulus, values, powers, multipliers, 1)
             assert character_sums(modulus, values, powers, multipliers, 1) == expected
@@ -249,7 +245,7 @@ class TestCharacterSums:
                     == [v / p for v in expected])
             dense = p > 2 and 4 * rows >= p
             assert ("_log_order" in calls) == dense
-            assert ("_two_step_layout" in calls) == (dense and p >= 61 and 2 * filled >= p - 1)
+            assert ("_two_step_layout" in calls) == (dense and p >= 61)
 
 
 class TestIdft:
@@ -299,15 +295,15 @@ class TestVanishingSums:
     def test_boundary_witnesses(self, p, monkeypatch):
         # |A| + |B| = p + 1: the witness is Q(w)-valued on all but max A, and
         # fhat vanishes at exactly p - |B| points.  Its solve has |A| - 1
-        # unknowns, so at p = 61 |A| stays near p / 2, and |A| = 32 fills at
-        # least half the slots, whose sums take two steps.
+        # unknowns, so at p = 61 |A| stays at most p / 2, whose sums take two
+        # steps.
         rng = random.Random(500 + p)
         modulus = PrimeModulus(p)
         calls = []
         layout = cyclotomic._two_step_layout
         monkeypatch.setattr(cyclotomic, "_two_step_layout",
                             lambda q: calls.append(q) or layout(q))
-        for a_size in (1, 2, p // 2, p - 1, p) if p < 61 else (1, 2, p // 2, p // 2 + 2):
+        for a_size in (1, 2, p // 2, p - 1, p) if p < 61 else (1, 2, p // 2):
             a = SupportSet(modulus, rng.sample(range(p), a_size))
             b = SupportSet(modulus, rng.sample(range(p), p + 1 - a_size))
             f = uncertainty.construct_support_pair(a, b).signal
