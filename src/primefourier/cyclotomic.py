@@ -17,19 +17,23 @@ transform in fourier, with its slots in discrete-log order; vanishing_sums
 only tests its sums for zero) and cyclic_convolution (packed from the
 forward sums to the inverse) turn vectors into big integers through one
 linear-time codec (Kronecker substitution), with digits just as wide as
-their bound needs.  Inverses come from the Galois norm: the product of all
-p - 1 conjugates of a nonzero element is a nonzero rational, so dividing the
-product of the other p - 2 conjugates by it inverts the element with integer
-vector arithmetic alone.  The Galois group is cyclic, so a doubling chain
-builds that product in O(log p) multiplications.  CycloNum.of is the one way
-a caller's value gets into Q(w).
+their bound needs.  The sums pack the numerators of all their values as one
+string of signed digits, and a sum without single-term values folds its top
+coefficient on the packed integer and unpacks as signed digits, so neither
+the packing nor the fold visits a coefficient in Python.  Inverses come
+from the Galois norm: the product of all p - 1 conjugates of a nonzero
+element is a nonzero rational, so dividing the product of the other p - 2
+conjugates by it inverts the element with integer vector arithmetic alone.
+The Galois group is cyclic, so a doubling chain builds that product in
+O(log p) multiplications.  CycloNum.of is the one way a caller's value gets
+into Q(w).
 
 A character sum turns each packed slot by some number of digits r.  From
 p = 61 on, r = 8j + s is split in two steps: each slot is turned by
 s = 0 .. 7 once per call (a table of 8 times the packed slots), and for each
-sum the slots of one giant step j are added unshifted and their total turned
-once.  Below that, one shift per slot is cheaper, and p <= 31 runs no
-two-step sum.
+sum one getter per giant step j picks its slots, which are added unshifted
+and their total turned once.  Below that, one shift per slot is cheaper,
+and p <= 31 runs no two-step sum.
 
 ResidueRing is the codec of fourier's exact eliminations: Z[w] maps onto
 Z/N for N = Phi_p(2^W) by w -> 2^W, and a value whose coefficients are small
@@ -43,6 +47,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -59,8 +64,15 @@ MAX_PRIME = 10007
 # big-integer product (_packed_convolution, through the codec below), whose
 # cost depends on p and the coefficient size but not on how sparse the
 # operands are.  Measured crossovers of dense operands lie between 4p and 16p
-# products at p = 7 to 31, higher for wider coefficients.
+# products at p = 7 to 31, higher for wider coefficients.  The packed product
+# gives both operands digits as wide as the product's, so the count is
+# weighted by min(da, db) / max(da, db), da and db the machine digits of the
+# largest |coefficient| of each operand: 4-bit x 2000-bit dense products
+# were 2.4-6.9 times slower packed than schoolbook at p = 13-101, and on
+# dense pairs of 4 to 4000 bits at p = 13-101 the weighted rule's pick was
+# at most 2.2 times slower than the faster path, the plain count's 9.6.
 _DENSE_MUL_THRESHOLD = 8
+_DIGIT_BITS = sys.int_info.bits_per_digit
 
 
 # The first twelve primes, and psi_k for k = 1 .. 12: the least composite that
@@ -198,25 +210,34 @@ def _root_power(p: int, k: int) -> CycloNum:
 
 
 # Kronecker codec of the two packed kernels (_packed_convolution and
-# character_sums): a list of non-negative digits, each below 256**nbytes, is
-# one integer with digit i at bit 8*nbytes*i, and back.  Both kernels bias
-# all p digits of a redundant vector by one constant, which adds a multiple
-# of the all-ones vector J.  Sums and cyclic products keep it a multiple of J
-# (a*J = (sum a)*J, J*J = p*J), and _from_redundant cancels it.  The kernels
-# take the width from their inputs through _digit_bytes, which gives the
-# bytes the largest digit needs and no more, since every shift, sum and
-# product of the packed integers grows with it.  A width of up to 8 bytes
-# converts through the next array item size in one C call (array items are
-# native-endian, so they are byteswapped on big-endian hosts).  Below that
-# item size, _pack drops the top bytes of every item with one strided
-# deletion per byte dropped, and _unpack spreads the digits into items with
-# one strided slice assignment per byte kept.  Wider digits convert one at
-# a time.  Both directions are linear.
+# character_sums): a list of digits, each below 256**nbytes, is one integer
+# with digit i at bit 8*nbytes*i, and back.  Both kernels bias all p digits
+# of a redundant vector by one constant, which adds a multiple of the
+# all-ones vector J.  Sums and cyclic products keep it a multiple of J
+# (a*J = (sum a)*J, J*J = p*J), and folding the top coefficient cancels it.
+# The kernels take the width from their inputs through _digit_bytes, which
+# gives the bytes the largest digit needs and no more, since every shift,
+# sum and product of the packed integers grows with it.  A width of up to 8
+# bytes converts through the next array item size in one C call (array
+# items are native-endian, so they are byteswapped on big-endian hosts).
+# Below that item size, _digit_string drops the top bytes of every item
+# with one strided deletion per byte dropped, and _unpack spreads the digits
+# into items with one strided slice assignment per byte kept.  Wider digits
+# convert one at a time.  Both directions are linear.
+#
+# Digits may also be signed, |d| < 2**(8*nbytes - 1), as two's complement
+# items.  With H = 2**(8*nbytes - 1) in every digit, the items X of signed
+# digits d give sum_i d_i 256**(nbytes*i) as (X ^ H) - H, and that value
+# plus H has the digits d_i + 2**(8*nbytes - 1), all non-negative, so it
+# unpacks back through ^ H.  Below an item size, a signed digit fills the
+# bytes above it with its sign, one bytes.translate of its top bytes.
 _ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
 # Digit width in bytes -> the smallest array item size that holds it.
 _ITEM_BYTES = {need: min(k for k in _ARRAY_CODES if k >= need)
                for need in range(1, max(_ARRAY_CODES) + 1)}
+# Top byte of a two's complement digit -> the byte that extends its sign.
+_SIGN_FILL = bytes(128) + b"\xff" * 128
 
 
 def _digit_bytes(top: int) -> int:
@@ -224,20 +245,30 @@ def _digit_bytes(top: int) -> int:
     return (top.bit_length() + 7) // 8 or 1
 
 
-def _pack(digits, nbytes: int) -> int:
+def _ones(count: int, nbytes: int) -> int:
+    """J: count digits of nbytes bytes, each 1."""
+    return int.from_bytes((b"\x01" + bytes(nbytes - 1)) * count, "little")
+
+
+def _digit_string(digits, nbytes: int, signed: bool = False) -> bytes:
+    """The digits as little-endian nbytes-byte items, two's complement if signed."""
     item = _ITEM_BYTES.get(nbytes)
     if item is None:
-        return int.from_bytes(b"".join([d.to_bytes(nbytes, "little") for d in digits]),
-                              "little")
-    items = array(_ARRAY_CODES[item], digits)
+        return b"".join([d.to_bytes(nbytes, "little", signed=signed) for d in digits])
+    code = _ARRAY_CODES[item]
+    items = array(code.lower() if signed else code, digits)
     if _BIG_ENDIAN:
         items.byteswap()
     if item == nbytes:
-        return int.from_bytes(items.tobytes(), "little")
+        return items.tobytes()
     raw = bytearray(items)
     for k in range(item, nbytes, -1):
         del raw[k - 1::k]  # the top byte of every k-byte digit
-    return int.from_bytes(raw, "little")
+    return raw
+
+
+def _pack(digits, nbytes: int) -> int:
+    return int.from_bytes(_digit_string(digits, nbytes), "little")
 
 
 def _widen(value: int, count: int, nbytes: int, wide: int) -> bytes:
@@ -252,16 +283,30 @@ def _widen(value: int, count: int, nbytes: int, wide: int) -> bytes:
     return out
 
 
-def _unpack(value: int, count: int, nbytes: int) -> list[int]:
+def _unpack(value: int, count: int, nbytes: int, signed: bool = False) -> list[int]:
+    """The count digits of value, nbytes bytes each, two's complement if signed."""
     item = _ITEM_BYTES.get(nbytes)
     if item is None:
         raw = value.to_bytes(count * nbytes, "little")
-        return [int.from_bytes(raw[i:i + nbytes], "little")
+        return [int.from_bytes(raw[i:i + nbytes], "little", signed=signed)
                 for i in range(0, len(raw), nbytes)]
-    items = array(_ARRAY_CODES[item], _widen(value, count, nbytes, item))
+    raw = _widen(value, count, nbytes, item)
+    code = _ARRAY_CODES[item]
+    if signed:
+        code = code.lower()
+        if item > nbytes:
+            fill = raw[nbytes - 1::item].translate(_SIGN_FILL)
+            for j in range(nbytes, item):
+                raw[j::item] = fill
+    items = array(code, raw)
     if _BIG_ENDIAN:
         items.byteswap()
     return items.tolist()
+
+
+def _machine_digits(num: tuple[int, ...]) -> int:
+    """The machine digits of the largest |coefficient| of num, at least 1."""
+    return -(-max(max(num), -min(num)).bit_length() // _DIGIT_BITS) or 1
 
 
 def _packed_convolution(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
@@ -290,17 +335,34 @@ def _log_order(p: int) -> tuple[list[int], dict[int, int]]:
     return powers, {r: a for a, r in enumerate(powers)}
 
 
-def _packed_rows(rows, room: int = 0) -> tuple[int, int, list[tuple[int, int]]]:
+def _packed_rows(rows, room: int = 0,
+                 signed: bool = False) -> tuple[int, int, list[tuple[int, int]]]:
     """(top, nbytes, [(e, packed)]) for rows (e, num, m): num * m biased and packed.
 
     Biased by max |c * m|, the digits of a sum of all rows are at most top,
-    and nbytes leaves room for digits up to top + room.
+    and nbytes leaves room for digits up to top + room, or, if signed, one
+    spare bit for digits in [-top, top], to which _decode_folded folds them.
+    The numerators of all rows are one signed digit string (_digit_string),
+    and each row's slice X is sum_i c_i 2^(w*i) as (X ^ H) - H, which is
+    scaled by m and lifted by bias * J, so no coefficient is visited in
+    Python.
     """
     bias = max([max(max(num), -min(num)) * m for _, num, m in rows], default=0)
     top = 2 * bias * len(rows)
-    nbytes = _digit_bytes(top + room)
-    return top, nbytes, [(e, _pack([c * m + bias for c in num] + [bias], nbytes))
-                         for e, num, m in rows]
+    nbytes = _digit_bytes(2 * top if signed else top + room)
+    if not rows:
+        return top, nbytes, []
+    count = len(rows[0][1])
+    raw = _digit_string(itertools.chain.from_iterable([num for _, num, _ in rows]),
+                        nbytes, signed=True)
+    half = _ones(count, nbytes) << (8 * nbytes - 1)
+    lift = bias * _ones(count + 1, nbytes)
+    size = count * nbytes
+    packed = []
+    for k, (e, _, m) in enumerate(rows):
+        x = int.from_bytes(raw[k * size:k * size + size], "little")
+        packed.append((e, ((x ^ half) - half) * m + lift))
+    return top, nbytes, packed
 
 
 # Dense sums turn their slots in two steps (_two_step_sums) from this prime
@@ -318,22 +380,25 @@ _BABY_STEPS = 8
 
 
 @functools.lru_cache(maxsize=None)
-def _two_step_layout(p: int) -> tuple[operator.itemgetter, list[tuple[int, int, int]]]:
-    """(gather, groups) of _two_step_sums at p, O(p) entries.
+def _two_step_layout(p: int) -> list[tuple[operator.itemgetter, int]]:
+    """[(getter, left)] of _two_step_sums at p, one per giant step, O(p) entries.
 
     Position c of a sum turns right by r = (-g^c mod p) digits, with
     r = k*j + s, 0 <= s < k = _BABY_STEPS.  Entry c*k + s of a window of the
-    baby-step table is the slot at c turned by s, and gather picks those
-    entries in increasing r.  groups holds (lo, hi, left) for each giant step
-    j: entries lo:hi of the gathered tuple are the r with r // k = j, and
-    their sum turns k*j digits right, i.e. left = (p - k*j) mod p digits left.
+    baby-step table is the slot at c turned by s.  The getter of giant step
+    j picks from a window the entries with r // k = j, as a tuple (a step
+    with one entry picks a one-entry slice), and their sum turns k*j digits
+    right, i.e. left = (p - k*j) mod p digits left.
     """
     _, logs = _log_order(p)
     k = _BABY_STEPS
-    gather = operator.itemgetter(*[logs[p - r] * k + r % k for r in range(1, p)])
-    groups = [(max(k * j - 1, 0), min(k * j + k - 1, p - 1), (p - k * j) % p)
-              for j in range((p - 1) // k + 1)]
-    return gather, groups
+    steps = []
+    for j in range((p - 1) // k + 1):
+        picks = [logs[p - r] * k + r % k for r in range(max(k * j, 1), min(k * j + k, p))]
+        getter = (operator.itemgetter(*picks) if len(picks) > 1
+                  else operator.itemgetter(slice(picks[0], picks[0] + 1)))
+        steps.append((getter, (p - k * j) % p))
+    return steps
 
 
 def _two_step_sums(p: int, units: list[int], fixed: int, multipliers,
@@ -348,16 +413,18 @@ def _two_step_sums(p: int, units: list[int], fixed: int, multipliers,
        digits into exact p-digit values, k(p - 1) shifts.  The table lists
        them slot by slot, twice over, so that for t = g^b the window from
        entry (p - 1 - b) * k holds at c * k + s the slot at c turned by s.
-    2. For each t, the turned slots of one giant step j are added, p-digit
-       integers with no shift.
+    2. For each t, one getter per giant step j picks the turned slots of j
+       from the window, and one sum adds them: p-digit integers, no shift.
     3. Each group's sum turns once by k*j digits (a left shift, folded by
        z^p = 1 at the end), and the groups are added: ceil(p / k) shifts.
-    Empty slots are skipped, since adding 0 copies the total.
+    When some slot is empty, step 2 skips its zeros, since adding 0 copies
+    the total: the quarter-filled sums at p = 211 (_shifted_sums) took
+    12.6 ms without the skip and 10.6 ms with it, while with every slot
+    filled the skip cost 5-7% of the sums.
     """
     cut = width * p
     mask = (1 << cut) - 1
     k = _BABY_STEPS
-    gather, groups = _two_step_layout(p)
     _, logs = _log_order(p)
     baby = []
     for u in units:
@@ -368,15 +435,20 @@ def _two_step_sums(p: int, units: list[int], fixed: int, multipliers,
             baby += [0] * k
     baby += baby
     n = (p - 1) * k
-    steps = [(lo, hi, left * width) for lo, hi, left in groups]
+    steps = [(getter, left * width) for getter, left in _two_step_layout(p)]
+    full = all(units)
     out = []
     for t in multipliers:
         if t % p:
             start = (p - 1 - logs[t % p]) * k
-            row = gather(baby[start:start + n])
+            window = baby[start:start + n]
             total = fixed
-            for lo, hi, shift in steps:
-                total += sum(filter(None, row[lo:hi])) << shift
+            if full:
+                for getter, shift in steps:
+                    total += sum(getter(window)) << shift
+            else:
+                for getter, shift in steps:
+                    total += sum(filter(None, getter(window))) << shift
             out.append((total & mask) + (total >> cut))
         else:
             out.append(sum(filter(None, units), fixed))
@@ -398,17 +470,18 @@ def _shifted_sums(p: int, terms, multipliers, width: int) -> list[int]:
     From p = _TWO_STEP_PRIME = 61 on, each shift splits into a baby and a
     giant step (_two_step_sums), whose table holds _BABY_STEPS = 8 times the
     packed slots.  The sums of dense values for p multipliers, one shift per
-    slot -> two steps (best of 5 to 41 interleaved runs, 2-vCPU host,
-    CPython 3.11.7): every slot filled, 0.15 -> 0.17 ms at p = 31,
-    0.62 -> 0.55 ms at p = 53, 1.01 -> 0.78 ms at p = 61 and 3.4 -> 2.1 ms
-    at p = 97; half filled, 0.66 -> 0.73 ms at p = 53 (27 of 52 slots),
-    0.65 -> 0.66 ms at p = 61 (31 of 60) and 2.20 -> 1.89 ms at p = 97
-    (49 of 96); a quarter filled, the fewest a dense sum has, 0.38 -> 0.54 ms
-    at p = 61 (16 rows), 1.18 -> 1.56 ms at p = 97 (25), 3.36 -> 3.52 ms at
-    p = 131 (33), 10.9 -> 10.7 ms at p = 211 (53) and 1.06 -> 0.80 s at
-    p = 1009 (253).  So the two steps start where half-filled sums break
-    even.  Sums with fewer than about 40 slots filled lose up to p = 131,
-    and no benchmark workload makes them: its dense signals fill every slot.
+    slot -> two steps with one getter per giant step (best of 9 to 31
+    interleaved runs, 2-vCPU host, CPython 3.11.7): every slot filled,
+    0.165 -> 0.169 ms at p = 31, 0.50 -> 0.38 ms at p = 47, 1.02 -> 0.69 ms
+    at p = 61 and 3.7 -> 2.1 ms at p = 97; half filled, 0.336 -> 0.342 ms
+    at p = 47 (24 of 46 slots), 0.46 -> 0.46 ms at p = 53 (27 of 52),
+    0.63 -> 0.61 ms at p = 61 (31 of 60) and 2.10 -> 1.79 ms at p = 97
+    (49 of 96); a quarter filled, the fewest a dense sum has, 0.41 -> 0.54 ms
+    at p = 61 (16 rows), 1.24 -> 1.51 ms at p = 97 (25), 2.90 -> 3.15 ms at
+    p = 131 (33) and 11.4 -> 10.6 ms at p = 211 (53).  Half-filled sums
+    break even between p = 47 and 61, so the two steps still start at 61.
+    Sums with fewer than about 40 slots filled lose up to p = 131, and no
+    benchmark workload makes them: its dense signals fill every slot.
     """
     cut = width * p
     mask = (1 << cut) - 1
@@ -455,6 +528,29 @@ def _split_values(values, exponents):
     return common, rows, monomials
 
 
+def _decode_folded(modulus: PrimeModulus, sums, nbytes: int, den: int) -> list[CycloNum]:
+    """The packed redundant vectors of sums, each over den, as CycloNums.
+
+    Folding the top digit t through w^(p-1) = -(1 + ... + w^(p-2)) cancels
+    the codec's bias, and on the packed integer it is (total mod 2^(w(p-1)))
+    - t * J.  Its digits lie in [-top, top], within the spare bit that
+    _packed_rows(signed=True) leaves, so adding H and taking ^ H gives them
+    as two's complement digits, which unpack straight into numerators.
+    """
+    count = modulus.p - 1
+    width = 8 * nbytes
+    cut = width * count
+    mask = (1 << cut) - 1
+    ones = _ones(count, nbytes)
+    offset = 1 << (width - 1)
+    half = offset * ones
+    # (total mod 2^cut) - t * J + H, one multiple of J.
+    return [CycloNum._raw(modulus, *_normalize(_unpack(
+                ((total & mask) + (offset - (total >> cut)) * ones) ^ half,
+                count, nbytes, signed=True), den))
+            for total in sums]
+
+
 def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
                    den_factor: int) -> list[CycloNum]:
     """[sum_j values[j] * w^(exponents[j] * t) / den_factor for t in multipliers].
@@ -463,23 +559,28 @@ def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
     The values are put over one common denominator and zero values are
     dropped.  Each numerator vector with two or more nonzero coefficients is
     biased and packed (_packed_rows), _shifted_sums adds the packed vectors
-    turned by their powers of w, and each sum is unpacked on its own.  The
-    bias, equal in every digit, cancels when _from_redundant folds the top
-    coefficient.  A value with one nonzero coefficient, c * w^i (every
-    rational is one), is not packed: for each t it adds c, over the common
-    denominator, at index (i + e * t) mod p of the unpacked sum, so the bias
-    and the width come from the packed values only.
+    turned by their powers of w, and each sum is decoded on its own: folded
+    on the packed integer, which cancels the bias, and unpacked as signed
+    digits (_decode_folded).  A value with one nonzero coefficient, c * w^i
+    (every rational is one), is not packed: for each t it adds c, over the
+    common denominator, at index (i + e * t) mod p of the unpacked sum, so
+    the bias and the width come from the packed values only, and
+    _from_redundant folds the top coefficient.
     """
     p = modulus.p
     multipliers = list(multipliers)
     common, rows, monomials = _split_values(values, exponents)
-    _, nbytes, terms = _packed_rows(rows)
+    _, nbytes, terms = _packed_rows(rows, signed=not monomials)
+    sums = _shifted_sums(p, terms, multipliers, 8 * nbytes)
+    den = common * den_factor
+    if not monomials:
+        return _decode_folded(modulus, sums, nbytes, den)
     out = []
-    for t, total in zip(multipliers, _shifted_sums(p, terms, multipliers, 8 * nbytes)):
+    for t, total in zip(multipliers, sums):
         acc = _unpack(total, p, nbytes)
         for e, i, c in monomials:
             acc[(i + e * t) % p] += c
-        out.append(CycloNum._from_redundant(modulus, acc, common * den_factor))
+        out.append(CycloNum._from_redundant(modulus, acc, den))
     return out
 
 
@@ -496,7 +597,7 @@ def vanishing_sums(modulus: PrimeModulus, values, exponents, multipliers) -> lis
     lift = sum([abs(c) for _, _, c in monomials])
     _, nbytes, terms = _packed_rows(rows, 2 * lift)
     width = 8 * nbytes
-    ones = ((1 << width * p) - 1) // ((1 << width) - 1)
+    ones = _ones(p, nbytes)
     out = []
     for t, total in zip(multipliers, _shifted_sums(p, terms, multipliers, width)):
         total += lift * ones + sum([c << width * ((i + e * t) % p) for e, i, c in monomials])
@@ -511,10 +612,11 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
     w^(-x*xi) and G: the result at x is (1/p) sum_xi F(xi) G(xi) w^(x*xi).
     Every nonzero value of f is packed over f's common denominator, and
     likewise for g, and the forward sums stay packed with digits at most
-    top_f and top_g.  Each pair is widened to _digit_bytes(p^2 * top_f * top_g)
+    top_f and top_g.  Each pair is widened to _digit_bytes(2 p^2 top_f top_g)
     bytes per digit, multiplied and folded by z^p = 1, and the products go
-    straight into the inverse sum, decoded over common_f * common_g * p.
-    The biases add multiples of J, which _from_redundant cancels.
+    straight into the inverse sums, decoded over common_f * common_g * p.
+    The biases add multiples of J, which _decode_folded cancels; the spare
+    bit holds its signed digits.
     """
     p = modulus.p
     sides = []
@@ -523,8 +625,9 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
         rows = [(x, v._num, common // v._den) for x, v in enumerate(values) if any(v._num)]
         sides.append((common, *_packed_rows(rows)))
     (common_f, top_f, bytes_f, terms_f), (common_g, top_g, bytes_g, terms_g) = sides
-    # A folded product has digits at most p * top_f * top_g; the inverse sum adds p.
-    wide = _digit_bytes(p * p * top_f * top_g)
+    # A folded product has digits at most p * top_f * top_g; the inverse sum
+    # adds p, and folding its top digit makes them signed.
+    wide = _digit_bytes(2 * p * p * top_f * top_g)
     cut = 8 * wide * p
     forward = range(0, -p, -1)
     products = []
@@ -534,8 +637,7 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
                    * int.from_bytes(_widen(b, p, bytes_g, wide), "little"))
         products.append((xi, (product & ((1 << cut) - 1)) + (product >> cut)))
     den = common_f * common_g * p
-    return [CycloNum._from_redundant(modulus, _unpack(total, p, wide), den)
-            for total in _shifted_sums(p, products, range(p), 8 * wide)]
+    return _decode_folded(modulus, _shifted_sums(p, products, range(p), 8 * wide), wide, den)
 
 
 def _embedding_bound(num: tuple[int, ...]) -> int:
@@ -803,7 +905,13 @@ class CycloNum:
         p = self.modulus.p
         den = self._den * other._den
         # A single-term operand is a scaled rotation, cheapest term by term.
-        if na * nb > _DENSE_MUL_THRESHOLD * p and min(na, nb) > 1:
+        # The widths weight the count (_DENSE_MUL_THRESHOLD), and are read
+        # only when the count alone would pack.
+        packed = na * nb > _DENSE_MUL_THRESHOLD * p and min(na, nb) > 1
+        if packed:
+            da, db = _machine_digits(self._num), _machine_digits(other._num)
+            packed = na * nb * min(da, db) > _DENSE_MUL_THRESHOLD * p * max(da, db)
+        if packed:
             acc = _packed_convolution(self._num, other._num, p)
         else:
             acc = [0] * p

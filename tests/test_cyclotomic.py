@@ -14,8 +14,11 @@ from primefourier import (
 from primefourier import cyclotomic
 from primefourier.cyclotomic import (
     _digit_bytes,
+    _digit_string,
+    _ones,
     _pack,
     _packed_convolution,
+    _packed_rows,
     _primitive_root,
     _unpack,
     image_prime,
@@ -314,6 +317,43 @@ class TestMultiplyDispatch:
         for (a, b), product in zip(pairs, products[0]):
             acc = _packed_convolution(a._num, b._num, p)
             assert product == CycloNum._from_redundant(modulus, acc, a._den * b._den)
+
+    def test_narrow_times_wide_takes_the_schoolbook_loop(self, monkeypatch):
+        # Packed, the 4-bit operand would get digits as wide as the
+        # product's, about 2000 bits: several times the schoolbook loop.
+        rng = random.Random(2000)
+        modulus = PrimeModulus(61)
+        narrow = CycloNum(modulus, [rng.choice((-15, 15)) for _ in range(60)])
+        wide = CycloNum(modulus, [rng.choice((-1, 1)) * rng.getrandbits(2000) for _ in range(60)])
+        expected = [narrow * wide, wide * narrow]
+        monkeypatch.setattr(cyclotomic, "_DENSE_MUL_THRESHOLD", 10**9)
+        assert [narrow * wide, wide * narrow] == expected
+
+        def refuse(*args):
+            raise AssertionError("packed product for a narrow operand")
+
+        monkeypatch.setattr(cyclotomic, "_DENSE_MUL_THRESHOLD", 8)
+        monkeypatch.setattr(cyclotomic, "_packed_convolution", refuse)
+        assert [narrow * wide, wide * narrow] == expected
+
+    @pytest.mark.parametrize("p", [31, 61])
+    def test_balanced_dense_operands_pack(self, monkeypatch, p):
+        rng = random.Random(p)
+        modulus = PrimeModulus(p)
+        a, b = (CycloNum(modulus, [rng.choice((-1, 1)) * rng.getrandbits(60) for _ in range(p - 1)])
+                for _ in range(2))
+        calls = []
+        real = cyclotomic._packed_convolution
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cyclotomic, "_packed_convolution", spy)
+        product = a * b
+        assert len(calls) == 1
+        monkeypatch.setattr(cyclotomic, "_DENSE_MUL_THRESHOLD", 10**9)
+        assert a * b == product and len(calls) == 1
 
     def test_single_term_operand_never_packs(self, monkeypatch):
         # 1 x 1008 nonzero terms is far above the threshold, but a single
@@ -703,6 +743,41 @@ class TestCodec:
             value = _pack(digits, nbytes)
             assert value == sum(d << (8 * nbytes * i) for i, d in enumerate(digits))
             assert _unpack(value, count, nbytes) == digits
+
+    # Signed digits, two's complement: widths 1, 2, 4 and 8 are item sizes,
+    # 3, 5, 6 and 7 sign-fill the bytes up to the next one, and 9 converts
+    # digit by digit.
+    @pytest.mark.parametrize("nbytes", range(1, 10))
+    def test_signed_round_trip(self, nbytes):
+        rng = random.Random(100 + nbytes)
+        top = 2 ** (8 * nbytes - 1) - 1
+        for count in (1, 2, 7, 40):
+            digits = [rng.choice((top, -top, 0, rng.randint(-top, top))) for _ in range(count)]
+            digits[0], digits[-1] = -top, top
+            lanes = int.from_bytes(_digit_string(digits, nbytes, signed=True), "little")
+            value = sum(d << (8 * nbytes * i) for i, d in enumerate(digits))
+            half = _ones(count, nbytes) << (8 * nbytes - 1)
+            assert (lanes ^ half) - half == value
+            assert (value + half) ^ half == lanes
+            assert _unpack(lanes, count, nbytes, signed=True) == digits
+
+    @pytest.mark.parametrize("nbytes", range(1, 10))
+    def test_packed_rows_at_the_signed_extremes(self, nbytes):
+        # Numerators at +-(2^(8n-1) - 1), the widest that n signed bytes hold:
+        # one row alone is biased into unsigned digits of exactly n bytes, and
+        # beside a row scaled by m = 3 every c * m is biased by 3 * top.
+        rng = random.Random(nbytes)
+        top = 2 ** (8 * nbytes - 1) - 1
+        nums = [(top, -top) + tuple(rng.choice((top, -top, 0, rng.randint(-top, top)))
+                                    for _ in range(10)) for _ in range(2)]
+        assert _packed_rows([(3, nums[0], 1)]) == (
+            2 * top, nbytes, [(3, _pack([c + top for c in nums[0]] + [top], nbytes))])
+        rows = [(3, nums[0], 1), (5, nums[1], 3)]
+        bias = 3 * top
+        sum_top, width, packed = _packed_rows(rows, signed=True)
+        assert (sum_top, width) == (4 * bias, _digit_bytes(8 * bias))
+        assert packed == [(e, _pack([c * m + bias for c in num] + [bias], width))
+                          for e, num, m in rows]
 
     def test_unpack_rejects_values_that_do_not_fit(self):
         with pytest.raises(OverflowError):

@@ -168,6 +168,24 @@ class TestCharacterSums:
                 assert (character_sums(p5, values, exponents, range(5), 1)
                         == direct_character_sums(p5, values, exponents, range(5), 1))
 
+    @pytest.mark.parametrize("p, nbytes", [(7, 1), (7, 2), (13, 3), (13, 4), (13, 7), (13, 8)])
+    def test_folded_digits_reach_the_bound(self, p, nbytes):
+        # Three values with +b at w^0 and -b at w^(p-2) and exponent 1: at
+        # t = 1 every row puts +b + b into digit 1 and -b + b into digit
+        # p - 1, so the folded digit 1 is top = 6b, and at t = -1 the
+        # folded digit p - 3 is -top.  top needs nbytes bytes unsigned and
+        # one more signed, which the decoded sums' spare bit provides.
+        b = -(-2 ** (8 * nbytes - 1) // 6)
+        rng = random.Random(nbytes)
+        modulus = PrimeModulus(p)
+        values = [CycloNum(modulus, [b] + [rng.randint(-b, b) for _ in range(p - 3)] + [-b])
+                  for _ in range(3)]
+        sums = character_sums(modulus, values, [1, 1, 1], [1, -1], 1)
+        assert sums == direct_character_sums(modulus, values, [1, 1, 1], [1, -1], 1)
+        top = 6 * b
+        assert 2 ** (8 * nbytes - 1) <= top < 2 ** (8 * nbytes)
+        assert sums[0]._num[1] == top and sums[1]._num[p - 3] == -top
+
     def test_all_zero_input(self):
         p5 = PrimeModulus(5)
         zeros = [CycloNum.zero(p5)] * 5
