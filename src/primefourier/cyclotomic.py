@@ -417,10 +417,8 @@ def _two_step_sums(p: int, units: list[int], fixed: int, multipliers,
        from the window, and one sum adds them: p-digit integers, no shift.
     3. Each group's sum turns once by k*j digits (a left shift, folded by
        z^p = 1 at the end), and the groups are added: ceil(p / k) shifts.
-    When some slot is empty, step 2 skips its zeros, since adding 0 copies
-    the total: the quarter-filled sums at p = 211 (_shifted_sums) took
-    12.6 ms without the skip and 10.6 ms with it, while with every slot
-    filled the skip cost 5-7% of the sums.
+    Empty slots are added as zeros: every dense signal of the benchmark
+    fills all its slots, where skipping them cost 5-7% of the sums.
     """
     cut = width * p
     mask = (1 << cut) - 1
@@ -436,22 +434,17 @@ def _two_step_sums(p: int, units: list[int], fixed: int, multipliers,
     baby += baby
     n = (p - 1) * k
     steps = [(getter, left * width) for getter, left in _two_step_layout(p)]
-    full = all(units)
     out = []
     for t in multipliers:
         if t % p:
             start = (p - 1 - logs[t % p]) * k
             window = baby[start:start + n]
             total = fixed
-            if full:
-                for getter, shift in steps:
-                    total += sum(getter(window)) << shift
-            else:
-                for getter, shift in steps:
-                    total += sum(filter(None, getter(window))) << shift
+            for getter, shift in steps:
+                total += sum(getter(window)) << shift
             out.append((total & mask) + (total >> cut))
         else:
-            out.append(sum(filter(None, units), fixed))
+            out.append(sum(units, fixed))
     return out
 
 
@@ -472,16 +465,17 @@ def _shifted_sums(p: int, terms, multipliers, width: int) -> list[int]:
     packed slots.  The sums of dense values for p multipliers, one shift per
     slot -> two steps with one getter per giant step (best of 9 to 31
     interleaved runs, 2-vCPU host, CPython 3.11.7): every slot filled,
-    0.165 -> 0.169 ms at p = 31, 0.50 -> 0.38 ms at p = 47, 1.02 -> 0.69 ms
-    at p = 61 and 3.7 -> 2.1 ms at p = 97; half filled, 0.336 -> 0.342 ms
-    at p = 47 (24 of 46 slots), 0.46 -> 0.46 ms at p = 53 (27 of 52),
-    0.63 -> 0.61 ms at p = 61 (31 of 60) and 2.10 -> 1.79 ms at p = 97
-    (49 of 96); a quarter filled, the fewest a dense sum has, 0.41 -> 0.54 ms
-    at p = 61 (16 rows), 1.24 -> 1.51 ms at p = 97 (25), 2.90 -> 3.15 ms at
-    p = 131 (33) and 11.4 -> 10.6 ms at p = 211 (53).  Half-filled sums
-    break even between p = 47 and 61, so the two steps still start at 61.
-    Sums with fewer than about 40 slots filled lose up to p = 131, and no
-    benchmark workload makes them: its dense signals fill every slot.
+    0.174 -> 0.174 ms at p = 31, 0.52 -> 0.41 ms at p = 47, 1.04 -> 0.70 ms
+    at p = 61 and 3.7 -> 2.1 ms at p = 97; half filled, 0.35 -> 0.37 ms
+    at p = 47 (24 of 46 slots), 0.60 -> 0.60 ms at p = 59 (30 of 58),
+    0.66 -> 0.67 ms at p = 61 (31 of 60) and 2.11 -> 1.96 ms at p = 97
+    (49 of 96); a quarter filled, the fewest a dense sum has, 0.42 -> 0.61 ms
+    at p = 61 (16 rows), 1.28 -> 1.84 ms at p = 97 (25), 3.0 -> 4.0 ms at
+    p = 131 (33) and 11.4 -> 13.7 ms at p = 211 (53).  Full sums win from
+    p = 47 and half-filled ones are within 5% up to p = 61, so the two
+    steps still start at 61.  Sums with fewer than about half their slots
+    filled lose up to p = 211, and no benchmark workload makes them: its
+    dense signals fill every slot.
     """
     cut = width * p
     mask = (1 << cut) - 1
