@@ -29,11 +29,12 @@ O(log p) multiplications.  CycloNum.of is the one way a caller's value gets
 into Q(w).
 
 A character sum turns each packed slot by some number of digits r.  From
-p = 61 on, r = 8j + s is split in two steps: each slot is turned by
-s = 0 .. 7 once per call (a table of 8 times the packed slots), and for each
-sum one getter per giant step j picks its slots, which are added unshifted
-and their total turned once.  Below that, one shift per slot is cheaper,
-and p <= 31 runs no two-step sum.
+p = 47 on, r = 8j + s is split in two steps: each slot is turned by
+s = 0 .. 7 once per call (a table of 8 times the packed slots), and each
+giant step j adds its turned slots unshifted for all p - 1 sums at once,
+one column slice of the table per slot position, and turns each group's
+total once.  Below that, one shift per slot is cheaper, and p <= 43 runs
+no two-step sum.  All sums of a call are decoded in one pass.
 
 ResidueRing is the codec of fourier's exact eliminations: Z[w] maps onto
 Z/N for N = Phi_p(2^W) by w -> 2^W, and a value whose coefficients are small
@@ -271,26 +272,27 @@ def _pack(digits, nbytes: int) -> int:
     return int.from_bytes(_digit_string(digits, nbytes), "little")
 
 
-def _widen(value: int, count: int, nbytes: int, wide: int) -> bytes:
-    """The count digits of value, nbytes bytes each, as digits of wide bytes."""
-    # to_bytes raises OverflowError unless 0 <= value < 256**(count*nbytes).
-    raw = value.to_bytes(count * nbytes, "little")
+def _widen(raw: bytes, nbytes: int, wide: int) -> bytes:
+    """The digits of raw, nbytes bytes each, as digits of wide bytes."""
     if wide == nbytes:
         return raw
-    out = bytearray(count * wide)
+    out = bytearray(len(raw) // nbytes * wide)
     for j in range(nbytes):
         out[j::wide] = raw[j::nbytes]
     return out
 
 
-def _unpack(value: int, count: int, nbytes: int, signed: bool = False) -> list[int]:
-    """The count digits of value, nbytes bytes each, two's complement if signed."""
+def _digit_items(raw: bytes, nbytes: int, signed: bool = False):
+    """The nbytes-byte digits of raw, two's complement if signed.
+
+    An array up to 8 bytes (one widen to the item size, one sign fill and
+    one conversion for the whole string), a list of ints above.
+    """
     item = _ITEM_BYTES.get(nbytes)
     if item is None:
-        raw = value.to_bytes(count * nbytes, "little")
         return [int.from_bytes(raw[i:i + nbytes], "little", signed=signed)
                 for i in range(0, len(raw), nbytes)]
-    raw = _widen(value, count, nbytes, item)
+    raw = _widen(raw, nbytes, item)
     code = _ARRAY_CODES[item]
     if signed:
         code = code.lower()
@@ -301,7 +303,14 @@ def _unpack(value: int, count: int, nbytes: int, signed: bool = False) -> list[i
     items = array(code, raw)
     if _BIG_ENDIAN:
         items.byteswap()
-    return items.tolist()
+    return items
+
+
+def _unpack(value: int, count: int, nbytes: int, signed: bool = False) -> list[int]:
+    """The count digits of value, nbytes bytes each, two's complement if signed."""
+    # to_bytes raises OverflowError unless 0 <= value < 256**(count*nbytes).
+    items = _digit_items(value.to_bytes(count * nbytes, "little"), nbytes, signed)
+    return items if type(items) is list else items.tolist()
 
 
 def _machine_digits(num: tuple[int, ...]) -> int:
@@ -366,39 +375,45 @@ def _packed_rows(rows, room: int = 0,
 
 
 # Dense sums turn their slots in two steps (_two_step_sums) from this prime
-# on.  Below it, one shift per slot costs less than the two steps' fixed cost
-# per sum unless nearly every slot is filled (measured in _shifted_sums).
-_TWO_STEP_PRIME = 61
+# on.  Time of the two steps over one shift per slot, _shifted_sums alone for
+# p multipliers on 3-byte digits (best of 15 interleaved runs, 2-vCPU host,
+# CPython 3.11.7), with every slot, half of them or a quarter (the fewest a
+# dense sum has) filled:
+#   p          23    29    31    37    41    43    47    53    61    97   131
+#   full     1.08  0.96  0.92  0.86  0.84  0.91  0.76  0.67  0.67  0.60  0.48
+#   half     1.36  1.28  1.22  1.18  1.10  1.07  1.01  0.90  0.90  0.84  0.82
+#   quarter  1.56  1.49  1.41  1.41  1.40  1.35  1.33  1.31  1.26  1.19  1.21
+# Full sums win from p = 29 and half-filled ones break even at 47.  Quarter-
+# filled ones lose up to p = 211 (0.98-1.25 there), and no workload makes
+# them.  So p <= 43, construct-ladder's p = 11-31 included, runs no two-step
+# sum.
+_TWO_STEP_PRIME = 47
 # Baby steps k per slot.  The table of turned slots holds k times the packed
-# slots, where one shift per slot holds each slot doubled.  The sums of one
-# dense dft took as long at k = 8 as at the larger k tried (up to 13 at
-# p = 97, 20 at p = 211 and 24 at p = 1009), within the host's noise, and
-# 20-30% longer at k = 4.  At p = 1009
-# the dft's peak RSS was 117 MB at k = 8, 143 MB at k = 16 and 230 MB at
-# k = isqrt(2p) = 44, against 99 MB with one shift per slot.
+# slots.  Full sums took longest at k = 4 (23% longer than at k = 8 at p = 97
+# and 36% at p = 211) and were no faster at k = 6, 10, 12 or 16, within the
+# host's noise (best of 11 at p = 47, 61, 97 and 211).  At p = 1009 a dense
+# dft's peak RSS was 107 MB at k = 4, 115 MB at k = 8, 127 MB at k = 12 and
+# 140 MB at k = 16, against 105 MB with one shift per slot.
 _BABY_STEPS = 8
 
 
 @functools.lru_cache(maxsize=None)
-def _two_step_layout(p: int) -> list[tuple[operator.itemgetter, int]]:
-    """[(getter, left)] of _two_step_sums at p, one per giant step, O(p) entries.
+def _two_step_layout(p: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """[(columns, left)] of _two_step_sums at p, one per giant step, O(p) entries.
 
     Position c of a sum turns right by r = (-g^c mod p) digits, with
-    r = k*j + s, 0 <= s < k = _BABY_STEPS.  Entry c*k + s of a window of the
-    baby-step table is the slot at c turned by s.  The getter of giant step
-    j picks from a window the entries with r // k = j, as a tuple (a step
-    with one entry picks a one-entry slice), and their sum turns k*j digits
-    right, i.e. left = (p - k*j) mod p digits left.
+    r = k*j + s, 0 <= s < k = _BABY_STEPS.  Baby step s lists the slots
+    turned by s in reverse order, twice over, so that from start = p - 2 - c
+    it holds the slot at position c of the sums for t = g^0, g^1, ..., g^(p-2)
+    in turn.  Giant step j has one column (s, start) per position c with
+    r // k = j, and its sum turns k*j digits right, i.e. left = (p - k*j)
+    mod p digits left.
     """
     _, logs = _log_order(p)
     k = _BABY_STEPS
-    steps = []
-    for j in range((p - 1) // k + 1):
-        picks = [logs[p - r] * k + r % k for r in range(max(k * j, 1), min(k * j + k, p))]
-        getter = (operator.itemgetter(*picks) if len(picks) > 1
-                  else operator.itemgetter(slice(picks[0], picks[0] + 1)))
-        steps.append((getter, (p - k * j) % p))
-    return steps
+    return [(tuple([(r % k, p - 2 - logs[p - r])
+                    for r in range(max(k * j, 1), min(k * j + k, p))]), (p - k * j) % p)
+            for j in range((p - 1) // k + 1)]
 
 
 def _two_step_sums(p: int, units: list[int], fixed: int, multipliers,
@@ -408,44 +423,42 @@ def _two_step_sums(p: int, units: list[int], fixed: int, multipliers,
     units are the p - 1 slots (slot a holds exponent g^a), fixed the terms
     of exponent 0.  For t = g^b, slot a sits at position
     c = (a + b) mod (p - 1) and turns right by r = k*j + s digits
-    (_two_step_layout).
+    (_two_step_layout).  All p - 1 sums for t != 0 are made at once:
     1. Baby steps: once per call, every slot is turned by s = 0 .. k - 1
-       digits into exact p-digit values, k(p - 1) shifts.  The table lists
-       them slot by slot, twice over, so that for t = g^b the window from
-       entry (p - 1 - b) * k holds at c * k + s the slot at c turned by s.
-    2. For each t, one getter per giant step j picks the turned slots of j
-       from the window, and one sum adds them: p-digit integers, no shift.
-    3. Each group's sum turns once by k*j digits (a left shift, folded by
-       z^p = 1 at the end), and the groups are added: ceil(p / k) shifts.
-    Empty slots are added as zeros: every dense signal of the benchmark
-    fills all its slots, where skipping them cost 5-7% of the sums.
+       digits into exact p-digit values, k(p - 1) shifts.  Baby step s is
+       one list of the turned slots in reverse order, twice over, so the
+       slots at one position of all p - 1 sums are one slice of it, read
+       through itertools.islice with no copy.
+    2. Giant steps: for each j, one map(sum, zip(*columns)) adds the turned
+       slots of its positions for every sum, p-digit integers with no
+       shift, and one map(lshift, ...) turns each group's sum by k*j
+       digits (a left shift, folded by z^p = 1 at the end).
+    3. One map(sum, zip(repeat(fixed), *groups)) adds the groups of each
+       sum.  The maps are lazy, so one sum's groups are live at a time.
+    The totals are folded and read out by discrete log, and t = 0 mod p,
+    the sum of all slots, is added once per call.  Empty slots are added
+    as zeros.
     """
     cut = width * p
     mask = (1 << cut) - 1
     k = _BABY_STEPS
+    n = p - 1
     _, logs = _log_order(p)
-    baby = []
-    for u in units:
-        if u:
-            doubled = u | u << cut
-            baby += [u] + [doubled >> s * width & mask for s in range(1, k)]
-        else:
-            baby += [0] * k
-    baby += baby
-    n = (p - 1) * k
-    steps = [(getter, left * width) for getter, left in _two_step_layout(p)]
-    out = []
-    for t in multipliers:
-        if t % p:
-            start = (p - 1 - logs[t % p]) * k
-            window = baby[start:start + n]
-            total = fixed
-            for getter, shift in steps:
-                total += sum(getter(window)) << shift
-            out.append((total & mask) + (total >> cut))
-        else:
-            out.append(sum(units, fixed))
-    return out
+    slots = units[::-1]
+    # Each turn doubles its slot afresh: a list of doubled slots would
+    # stay live beside the whole table.
+    baby = [slots * 2] + [[(u | u << cut) >> s * width & mask for u in slots] * 2
+                          for s in range(1, k)]
+    groups = []
+    for columns, left in _two_step_layout(p):
+        group = map(sum, zip(*[itertools.islice(baby[s], start, start + n)
+                               for s, start in columns]))
+        groups.append(map(operator.lshift, group, itertools.repeat(left * width))
+                      if left else group)
+    folded = [(total & mask) + (total >> cut)
+              for total in map(sum, zip(itertools.repeat(fixed), *groups))]
+    zero = sum(units, fixed)
+    return [folded[logs[t % p]] if t % p else zero for t in multipliers]
 
 
 def _shifted_sums(p: int, terms, multipliers, width: int) -> list[int]:
@@ -460,22 +473,23 @@ def _shifted_sums(p: int, terms, multipliers, width: int) -> list[int]:
     t = g^b slot a shifts by S[(a + b) mod (p - 1)], S[a] = (-g^a mod p)
     digits, so the shifts of one sum are one slice of S + S.
 
-    From p = _TWO_STEP_PRIME = 61 on, each shift splits into a baby and a
+    From p = _TWO_STEP_PRIME = 47 on, each shift splits into a baby and a
     giant step (_two_step_sums), whose table holds _BABY_STEPS = 8 times the
-    packed slots.  The sums of dense values for p multipliers, one shift per
-    slot -> two steps with one getter per giant step (best of 9 to 31
-    interleaved runs, 2-vCPU host, CPython 3.11.7): every slot filled,
-    0.174 -> 0.174 ms at p = 31, 0.52 -> 0.41 ms at p = 47, 1.04 -> 0.70 ms
-    at p = 61 and 3.7 -> 2.1 ms at p = 97; half filled, 0.35 -> 0.37 ms
-    at p = 47 (24 of 46 slots), 0.60 -> 0.60 ms at p = 59 (30 of 58),
-    0.66 -> 0.67 ms at p = 61 (31 of 60) and 2.11 -> 1.96 ms at p = 97
-    (49 of 96); a quarter filled, the fewest a dense sum has, 0.42 -> 0.61 ms
-    at p = 61 (16 rows), 1.28 -> 1.84 ms at p = 97 (25), 3.0 -> 4.0 ms at
-    p = 131 (33) and 11.4 -> 13.7 ms at p = 211 (53).  Full sums win from
-    p = 47 and half-filled ones are within 5% up to p = 61, so the two
-    steps still start at 61.  Sums with fewer than about half their slots
+    packed slots, and each giant step is one column sum over all p - 1
+    sums.  The sums of dense values for p multipliers, one shift per slot
+    -> two steps (best of 15 interleaved runs, 2-vCPU host, CPython
+    3.11.7): every slot filled, 0.30 -> 0.27 ms at p = 31, 0.50 -> 0.38 ms
+    at p = 47, 1.00 -> 0.67 ms at p = 61 and 3.6 -> 2.1 ms at p = 97; half
+    filled, 0.19 -> 0.23 ms at p = 31 (15 of 30 slots), 0.35 -> 0.36 ms at
+    p = 47 (23 of 46), 0.67 -> 0.60 ms at p = 61 (30 of 60) and
+    3.2 -> 2.7 ms at p = 97 (48 of 96); a quarter filled, 0.15 -> 0.21 ms
+    at p = 31 (8 rows), 0.20 -> 0.27 ms at p = 47 (12), 0.37 -> 0.47 ms at
+    p = 61 (16), 2.0 -> 2.3 ms at p = 97 (25) and 4.1 -> 5.0 ms at
+    p = 131 (33).  The two steps start where half-filled sums break even
+    (the table at _TWO_STEP_PRIME); sums with a quarter of their slots
     filled lose up to p = 211, and no benchmark workload makes them: its
-    dense signals fill every slot.
+    dense signals fill every slot.  A sum for t = 0 mod p, all slots
+    unshifted, is added once per call.
     """
     cut = width * p
     mask = (1 << cut) - 1
@@ -493,6 +507,7 @@ def _shifted_sums(p: int, terms, multipliers, width: int) -> list[int]:
             fixed += packed
     if p >= _TWO_STEP_PRIME:
         return _two_step_sums(p, units, fixed, multipliers, width)
+    zero = sum(units, fixed)
     units = [u | u << cut for u in units]
     turns = [(p - r) * width for r in powers] * 2
     out = []
@@ -503,7 +518,7 @@ def _shifted_sums(p: int, terms, multipliers, width: int) -> list[int]:
             out.append(sum(filter(None, map(operator.rshift, units, turns[b:b + p - 1])),
                            fixed) & mask)
         else:
-            out.append(sum(units, fixed) & mask)
+            out.append(zero)
     return out
 
 
@@ -522,27 +537,51 @@ def _split_values(values, exponents):
     return common, rows, monomials
 
 
+def _signed_rows(values, count: int, nbytes: int):
+    """Each value's count signed digits, nbytes bytes each, as a tuple.
+
+    The values' two's complement digit strings, (v + H) ^ H, are joined and
+    converted by one _digit_items call, and each value is one slice of it.
+    """
+    half = _ones(count, nbytes) << (8 * nbytes - 1)
+    size = count * nbytes
+    items = _digit_items(b"".join([((v + half) ^ half).to_bytes(size, "little")
+                                   for v in values]), nbytes, signed=True)
+    for i in range(0, len(items), count):
+        yield tuple(items[i:i + count])
+
+
 def _decode_folded(modulus: PrimeModulus, sums, nbytes: int, den: int) -> list[CycloNum]:
     """The packed redundant vectors of sums, each over den, as CycloNums.
 
     Folding the top digit t through w^(p-1) = -(1 + ... + w^(p-2)) cancels
     the codec's bias, and on the packed integer it is (total mod 2^(w(p-1)))
     - t * J.  Its digits lie in [-top, top], within the spare bit that
-    _packed_rows(signed=True) leaves, so adding H and taking ^ H gives them
-    as two's complement digits, which unpack straight into numerators.
+    _packed_rows(signed=True) leaves, so all sums of a call unpack as signed
+    digits in one pass (_signed_rows).  A value whose digits share a factor
+    g > 1 with den has every digit a multiple of g, so its folded integer
+    is divided by g exactly, and those values unpack in one more pass: no
+    coefficient is divided in Python.
     """
     count = modulus.p - 1
-    width = 8 * nbytes
-    cut = width * count
+    cut = 8 * nbytes * count
     mask = (1 << cut) - 1
     ones = _ones(count, nbytes)
-    offset = 1 << (width - 1)
-    half = offset * ones
-    # (total mod 2^cut) - t * J + H, one multiple of J.
-    return [CycloNum._raw(modulus, *_normalize(_unpack(
-                ((total & mask) + (offset - (total >> cut)) * ones) ^ half,
-                count, nbytes, signed=True), den))
-            for total in sums]
+    # (total mod 2^cut) - t * J: the numerators' digits, signed.
+    folded = [(total & mask) - (total >> cut) * ones for total in sums]
+    out = []
+    shared = []
+    for k, num in enumerate(_signed_rows(folded, count, nbytes)):
+        g = math.gcd(den, *num)
+        if g > 1:
+            shared.append((k, g))
+            out.append(None)
+        else:
+            out.append(CycloNum._raw(modulus, num, den))
+    for (k, g), num in zip(shared, _signed_rows([folded[k] // g for k, g in shared],
+                                                 count, nbytes)):
+        out[k] = CycloNum._raw(modulus, num, den // g)
+    return out
 
 
 def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
@@ -553,13 +592,13 @@ def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
     The values are put over one common denominator and zero values are
     dropped.  Each numerator vector with two or more nonzero coefficients is
     biased and packed (_packed_rows), _shifted_sums adds the packed vectors
-    turned by their powers of w, and each sum is decoded on its own: folded
-    on the packed integer, which cancels the bias, and unpacked as signed
-    digits (_decode_folded).  A value with one nonzero coefficient, c * w^i
-    (every rational is one), is not packed: for each t it adds c, over the
-    common denominator, at index (i + e * t) mod p of the unpacked sum, so
-    the bias and the width come from the packed values only, and
-    _from_redundant folds the top coefficient.
+    turned by their powers of w, and the sums are decoded together: each is
+    folded on its packed integer, which cancels the bias, and all unpack as
+    signed digits in one pass (_decode_folded).  A value with one nonzero
+    coefficient, c * w^i (every rational is one), is not packed: for each t
+    it adds c, over the common denominator, at index (i + e * t) mod p of
+    the unpacked sum, so the bias and the width come from the packed values
+    only, and _from_redundant folds the top coefficient.
     """
     p = modulus.p
     multipliers = list(multipliers)
@@ -606,9 +645,11 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
     w^(-x*xi) and G: the result at x is (1/p) sum_xi F(xi) G(xi) w^(x*xi).
     Every nonzero value of f is packed over f's common denominator, and
     likewise for g, and the forward sums stay packed with digits at most
-    top_f and top_g.  Each pair is widened to _digit_bytes(2 p^2 top_f top_g)
-    bytes per digit, multiplied and folded by z^p = 1, and the products go
-    straight into the inverse sums, decoded over common_f * common_g * p.
+    top_f and top_g.  Each side's sums are widened together to
+    _digit_bytes(2 p^2 top_f top_g) bytes per digit (one joined string, one
+    strided copy per byte), each pair is multiplied and folded by z^p = 1,
+    and the products go straight into the inverse sums, decoded over
+    common_f * common_g * p.
     The biases add multiples of J, which _decode_folded cancels; the spare
     bit holds its signed digits.
     """
@@ -618,18 +659,25 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
         common = math.lcm(*(v._den for v in values))
         rows = [(x, v._num, common // v._den) for x, v in enumerate(values) if any(v._num)]
         sides.append((common, *_packed_rows(rows)))
-    (common_f, top_f, bytes_f, terms_f), (common_g, top_g, bytes_g, terms_g) = sides
+    (common_f, top_f, _, _), (common_g, top_g, _, _) = sides
     # A folded product has digits at most p * top_f * top_g; the inverse sum
     # adds p, and folding its top digit makes them signed.
     wide = _digit_bytes(2 * p * p * top_f * top_g)
     cut = 8 * wide * p
-    forward = range(0, -p, -1)
+    mask = (1 << cut) - 1
+    size = p * wide
+    # Each side's forward sums, widened together to wide-byte digits.
+    spectra = []
+    for _, _, nbytes, terms in sides:
+        sums = _shifted_sums(p, terms, range(0, -p, -1), 8 * nbytes)
+        spectra.append(_widen(b"".join([s.to_bytes(p * nbytes, "little") for s in sums]),
+                              nbytes, wide))
+    f_hat, g_hat = spectra
     products = []
-    for xi, (a, b) in enumerate(zip(_shifted_sums(p, terms_f, forward, 8 * bytes_f),
-                                    _shifted_sums(p, terms_g, forward, 8 * bytes_g))):
-        product = (int.from_bytes(_widen(a, p, bytes_f, wide), "little")
-                   * int.from_bytes(_widen(b, p, bytes_g, wide), "little"))
-        products.append((xi, (product & ((1 << cut) - 1)) + (product >> cut)))
+    for xi, lo in enumerate(range(0, p * size, size)):
+        product = (int.from_bytes(f_hat[lo:lo + size], "little")
+                   * int.from_bytes(g_hat[lo:lo + size], "little"))
+        products.append((xi, (product & mask) + (product >> cut)))
     den = common_f * common_g * p
     return _decode_folded(modulus, _shifted_sums(p, products, range(p), 8 * wide), wide, den)
 

@@ -13,6 +13,7 @@ from primefourier import (
 )
 from primefourier import cyclotomic
 from primefourier.cyclotomic import (
+    _decode_folded,
     _digit_bytes,
     _digit_string,
     _ones,
@@ -778,6 +779,38 @@ class TestCodec:
         assert (sum_top, width) == (4 * bias, _digit_bytes(8 * bias))
         assert packed == [(e, _pack([c * m + bias for c in num] + [bias], width))
                           for e, num, m in rows]
+
+    # Widths 1, 2, 4 and 8 are item sizes, 3, 5, 6 and 7 sign-fill the bytes
+    # up to the next one, and 9 converts digit by digit.
+    @pytest.mark.parametrize("nbytes", range(1, 10))
+    def test_decode_folded_matches_per_value_reference(self, nbytes):
+        # Each sum is a redundant vector of p unsigned digits, folded by its
+        # top digit, so its folded digits reach +-(2^(8n-1) - 1), the bound
+        # of the spare bit.  Vectors whose digits are all congruent mod f
+        # fold to multiples of f, and with gcd(f, den) > 1 the value is
+        # divided on its packed integer and unpacked again; a zero vector
+        # reduces to den 1.  All sums of a call decode in one pass, and
+        # each must equal the per-value unpack and fold, in lowest terms.
+        rng = random.Random(700 + nbytes)
+        limit = 2 ** (8 * nbytes - 1) - 1
+        for p, den in ((2, 1), (2, 6), (7, 1), (7, 12), (13, 30)):
+            modulus = PrimeModulus(p)
+            vectors = [[0] * p, [limit] * p, [limit] * (p - 1) + [0],
+                       [0] * (p - 1) + [limit], [0] + [limit] * (p - 1)]
+            for f in (1, 2, 3, 5, 6, 9, 10):
+                base = rng.randrange(f)
+                vectors += [[base + f * rng.choice((0, (limit - base) // f,
+                                                    rng.randint(0, (limit - base) // f)))
+                             for _ in range(p)] for _ in range(3)]
+            rng.shuffle(vectors)
+            sums = [_pack(vector, nbytes) for vector in vectors]
+            expected = [CycloNum._from_redundant(modulus, _unpack(s, p, nbytes), den)
+                        for s in sums]
+            got = _decode_folded(modulus, sums, nbytes, den)
+            assert got == expected
+            assert all(type(v._num) is tuple and math.gcd(v._den, *v._num) == 1 for v in got)
+            if den > 1:
+                assert any(v._den < den for v in expected)
 
     def test_unpack_rejects_values_that_do_not_fit(self):
         with pytest.raises(OverflowError):

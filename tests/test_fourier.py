@@ -29,16 +29,24 @@ from conftest import float_dft, random_cyclo, random_dense_signal, random_int_si
 
 
 def direct_character_sums(modulus, values, exponents, multipliers, den_factor):
-    """Reference for character_sums: Fraction sums on the redundant basis."""
+    """Reference for character_sums: exact sums on the redundant basis.
+
+    The rational coefficients go over their lcm once, so each sum is a loop
+    of integer additions over every coefficient of every value.
+    """
     p = modulus.p
+    coeffs = [v.coeffs for v in values]
+    den = math.lcm(*(c.denominator for row in coeffs for c in row))
+    rows = [[c.numerator * (den // c.denominator) for c in row] for row in coeffs]
     out = []
     for t in multipliers:
-        acc = [Fraction(0)] * p
-        for v, e in zip(values, exponents):
+        acc = [0] * p
+        for row, e in zip(rows, exponents):
             s = e * t % p
-            for i, c in enumerate(v.coeffs):
+            for i, c in enumerate(row):
                 acc[(i + s) % p] += c
-        out.append(CycloNum(modulus, [(c - acc[-1]) / den_factor for c in acc[:-1]]))
+        out.append(CycloNum(modulus, [Fraction(c - acc[-1], den * den_factor)
+                                      for c in acc[:-1]]))
     return out
 
 
@@ -225,15 +233,17 @@ class TestCharacterSums:
                         == direct_character_sums(modulus, values, exponents, multipliers,
                                                  den_factor))
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 13, 31, 59, 61, 97])
+    @pytest.mark.parametrize("p", [2, 3, 5, 13, 31, 47, 59, 61, 97, 211])
     def test_both_shift_orders(self, p, monkeypatch):
         # Below p / 4 packed rows the sums shift row by row; from there on
         # they run in discrete-log order, which calls _log_order, and from
-        # p = 61 on each slot turns in a baby and a giant step, which calls
-        # _two_step_layout.  The row counts lie just either side of p / 4 and
-        # reach p and above.  Exponents 0 and p share slot 0, which never
-        # shifts, and 2, 2 + p and 2 - p share one slot; the rest fill a new
-        # slot each, so p / 4 rows leave slots empty and p rows fill them all.
+        # p = _TWO_STEP_PRIME = 47 on each slot turns in a baby and a giant
+        # step, which calls _two_step_layout.  At p = 97 the last giant step
+        # has one column, and p = 211 has 27 giant steps.  The row counts
+        # lie just either side of p / 4 and reach p and above.  Exponents 0
+        # and p share slot 0, which never shifts, and 2, 2 + p and 2 - p
+        # share one slot; the rest fill a new slot each, so p / 4 rows leave
+        # slots empty and p rows fill them all.
         # Multipliers include 0, negatives, values of p and above, and
         # repeats, and leave residues out from p = 13 on.  At p = 2 every
         # value is a single term.
@@ -263,7 +273,45 @@ class TestCharacterSums:
                     == [v / p for v in expected])
             dense = p > 2 and 4 * rows >= p
             assert ("_log_order" in calls) == dense
-            assert ("_two_step_layout" in calls) == (dense and p >= 61)
+            assert ("_two_step_layout" in calls) == (dense and p >= cyclotomic._TWO_STEP_PRIME)
+
+    @pytest.mark.parametrize("p", [61, 97])
+    def test_sums_that_share_a_factor_with_their_denominator(self, p, monkeypatch):
+        # Every sum of an idft of a dft, and of a convolve, has digits that
+        # share a factor g > 1 with the denominator it is decoded over:
+        # _decode_folded divides those values on their packed integers and
+        # unpacks them again.  Each decoded value must be in lowest terms
+        # and equal the per-value unpack and fold of the same packed sum.
+        rng = random.Random(800 + p)
+        modulus = PrimeModulus(p)
+        zero = CycloNum.zero(modulus)
+        decode = cyclotomic._decode_folded
+        calls = []
+
+        def spy(modulus, sums, nbytes, den):
+            out = decode(modulus, sums, nbytes, den)
+            calls.append((sums, nbytes, den, out))
+            return out
+
+        monkeypatch.setattr(cyclotomic, "_decode_folded", spy)
+
+        def dense():
+            den = rng.randint(2, 9)
+            return SignalFn(modulus, [
+                CycloNum(modulus, [Fraction(rng.randint(-999, 999), den) for _ in range(p - 1)])
+                for _ in range(p)])
+
+        f = dense()
+        points = set(rng.sample(range(p), 16))
+        g = SignalFn(modulus, [v if x in points else zero for x, v in enumerate(dense().values)])
+        assert idft(dft(f)) == f
+        assert convolve(f, g) == convolve(g, f)
+        assert len(calls) == 4
+        for sums, nbytes, den, out in calls[1:]:  # calls[0] is the dft
+            expected = [CycloNum._from_redundant(modulus, cyclotomic._unpack(s, p, nbytes), den)
+                        for s in sums]
+            assert out == expected
+            assert all(math.gcd(v._den, *v._num) == 1 and 0 < v._den < den for v in out)
 
 
 class TestIdft:
@@ -330,7 +378,7 @@ class TestVanishingSums:
             # puts a nonzero value on exponent 0, which never turns.
             assert fourier_support(f.translate(-a.members[0])) == b
             self._agree(modulus, f.values, range(p), range(-p, 2 * p))
-        assert bool(calls) == (p >= 61)
+        assert bool(calls) == (p >= cyclotomic._TWO_STEP_PRIME)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
     def test_rational_single_term_mixed_and_zero_signals(self, p):
