@@ -18,15 +18,17 @@ only tests its sums for zero) and cyclic_convolution (packed from the
 forward sums to the inverse) turn vectors into big integers through one
 linear-time codec (Kronecker substitution), with digits just as wide as
 their bound needs.  The sums pack the numerators of all their values as one
-string of signed digits, and a sum without single-term values folds its top
-coefficient on the packed integer and unpacks as signed digits, so neither
-the packing nor the fold visits a coefficient in Python.  Inverses come
-from the Galois norm: the product of all p - 1 conjugates of a nonzero
-element is a nonzero rational, so dividing the product of the other p - 2
-conjugates by it inverts the element with integer vector arithmetic alone.
-The Galois group is cyclic, so a doubling chain builds that product in
-O(log p) multiplications.  CycloNum.of is the one way a caller's value gets
-into Q(w).
+string of signed struct items, the fewest bytes that hold them, and take
+their bias from a field-wise max on that string; a sum without single-term
+values folds its top coefficient on the packed integer and unpacks as
+signed digits through struct, so neither the packing, the bias (above the
+size where a scan of the rows is cheaper) nor the fold visits a coefficient
+in Python.  Inverses come from the Galois norm: the product of all p - 1
+conjugates of a nonzero element is a nonzero rational, so dividing the
+product of the other p - 2 conjugates by it inverts the element with
+integer vector arithmetic alone.  The Galois group is cyclic, so a doubling
+chain builds that product in O(log p) multiplications.  CycloNum.of is the
+one way a caller's value gets into Q(w).
 
 A character sum turns each packed slot by some number of digits r.  From
 p = 47 on, r = 8j + s is split in two steps: each slot is turned by
@@ -52,6 +54,7 @@ import itertools
 import math
 import numbers
 import operator
+import struct
 import sys
 from array import array
 from fractions import Fraction
@@ -219,24 +222,32 @@ def _root_power(p: int, k: int) -> CycloNum:
 # The kernels take the width from their inputs through _digit_bytes, which
 # gives the bytes the largest digit needs and no more, since every shift,
 # sum and product of the packed integers grows with it.  A width of up to 8
-# bytes converts through the next array item size in one C call (array
-# items are native-endian, so they are byteswapped on big-endian hosts).
-# Below that item size, _digit_string drops the top bytes of every item
-# with one strided deletion per byte dropped, and _unpack spreads the digits
-# into items with one strided slice assignment per byte kept.  Wider digits
-# convert one at a time.  Both directions are linear.
+# bytes converts through the next item size of 1, 2, 4 or 8 bytes in one C
+# call: struct packs and unpacks the character sums' rows of signed digits
+# (little-endian standard sizes on every host), and array the unsigned
+# digits of _packed_convolution (native-endian items, byteswapped on
+# big-endian hosts).  _resize moves digits between widths: one strided
+# deletion per byte dropped, or one strided slice assignment per byte kept
+# and per byte of sign fill.  Wider digits convert one at a time.  Both
+# directions are linear.
 #
 # Digits may also be signed, |d| < 2**(8*nbytes - 1), as two's complement
 # items.  With H = 2**(8*nbytes - 1) in every digit, the items X of signed
 # digits d give sum_i d_i 256**(nbytes*i) as (X ^ H) - H, and that value
 # plus H has the digits d_i + 2**(8*nbytes - 1), all non-negative, so it
-# unpacks back through ^ H.  Below an item size, a signed digit fills the
-# bytes above it with its sign, one bytes.translate of its top bytes.
+# unpacks back through ^ H.  Widened, a signed digit fills the bytes above
+# it with its sign, one bytes.translate of its top bytes.  A string of
+# signed items gives its largest |d| from the integers of its chunks
+# (_field_max), with no digit visited in Python: field-wise (SWAR)
+# arithmetic, as in Lamport, "Multiple byte processing with full-word
+# instructions", CACM 18 (1975).
 _ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
 _BIG_ENDIAN = sys.byteorder == "big"
-# Digit width in bytes -> the smallest array item size that holds it.
-_ITEM_BYTES = {need: min(k for k in _ARRAY_CODES if k >= need)
-               for need in range(1, max(_ARRAY_CODES) + 1)}
+# Item size in bytes -> struct code of a little-endian two's complement item.
+_STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+# Digit width in bytes -> the smallest item size that holds it.
+_ITEM_BYTES = {need: min(k for k in _STRUCT_CODES if k >= need)
+               for need in range(1, max(_STRUCT_CODES) + 1)}
 # Top byte of a two's complement digit -> the byte that extends its sign.
 _SIGN_FILL = bytes(128) + b"\xff" * 128
 
@@ -260,57 +271,48 @@ def _digit_string(digits, nbytes: int, signed: bool = False) -> bytes:
     items = array(code.lower() if signed else code, digits)
     if _BIG_ENDIAN:
         items.byteswap()
-    if item == nbytes:
-        return items.tobytes()
-    raw = bytearray(items)
-    for k in range(item, nbytes, -1):
-        del raw[k - 1::k]  # the top byte of every k-byte digit
-    return raw
+    return _resize(items.tobytes(), item, nbytes)
 
 
 def _pack(digits, nbytes: int) -> int:
     return int.from_bytes(_digit_string(digits, nbytes), "little")
 
 
-def _widen(raw: bytes, nbytes: int, wide: int) -> bytes:
-    """The digits of raw, nbytes bytes each, as digits of wide bytes."""
+def _resize(raw: bytes, nbytes: int, wide: int, signed: bool = False) -> bytes:
+    """The digits of raw, nbytes bytes each, as digits of wide bytes.
+
+    Narrower, each digit loses its top bytes, one strided deletion per
+    byte.  Wider, it gains bytes of zeros, or of its sign if signed (two's
+    complement), one strided assignment per byte.
+    """
     if wide == nbytes:
         return raw
+    if wide < nbytes:
+        out = bytearray(raw)
+        for k in range(nbytes, wide, -1):
+            del out[k - 1::k]  # the top byte of every k-byte digit
+        return out
     out = bytearray(len(raw) // nbytes * wide)
     for j in range(nbytes):
         out[j::wide] = raw[j::nbytes]
+    if signed:
+        fill = raw[nbytes - 1::nbytes].translate(_SIGN_FILL)
+        for j in range(nbytes, wide):
+            out[j::wide] = fill
     return out
 
 
-def _digit_items(raw: bytes, nbytes: int, signed: bool = False):
-    """The nbytes-byte digits of raw, two's complement if signed.
-
-    An array up to 8 bytes (one widen to the item size, one sign fill and
-    one conversion for the whole string), a list of ints above.
-    """
+def _unpack(value: int, count: int, nbytes: int) -> list[int]:
+    """The count digits of value, nbytes bytes each."""
+    # to_bytes raises OverflowError unless 0 <= value < 256**(count*nbytes).
+    raw = value.to_bytes(count * nbytes, "little")
     item = _ITEM_BYTES.get(nbytes)
     if item is None:
-        return [int.from_bytes(raw[i:i + nbytes], "little", signed=signed)
-                for i in range(0, len(raw), nbytes)]
-    raw = _widen(raw, nbytes, item)
-    code = _ARRAY_CODES[item]
-    if signed:
-        code = code.lower()
-        if item > nbytes:
-            fill = raw[nbytes - 1::item].translate(_SIGN_FILL)
-            for j in range(nbytes, item):
-                raw[j::item] = fill
-    items = array(code, raw)
+        return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
+    items = array(_ARRAY_CODES[item], _resize(raw, nbytes, item))
     if _BIG_ENDIAN:
         items.byteswap()
-    return items
-
-
-def _unpack(value: int, count: int, nbytes: int, signed: bool = False) -> list[int]:
-    """The count digits of value, nbytes bytes each, two's complement if signed."""
-    # to_bytes raises OverflowError unless 0 <= value < 256**(count*nbytes).
-    items = _digit_items(value.to_bytes(count * nbytes, "little"), nbytes, signed)
-    return items if type(items) is list else items.tolist()
+    return items.tolist()
 
 
 def _machine_digits(num: tuple[int, ...]) -> int:
@@ -344,6 +346,122 @@ def _log_order(p: int) -> tuple[list[int], dict[int, int]]:
     return powers, {r: a for a, r in enumerate(powers)}
 
 
+# _field_max reads its string in chunks of this many bytes, so that the
+# integers it makes stay in cache.  Dense rows (p rows of p - 1 numerators),
+# best of 3 to 21 interleaved runs, 2-vCPU host, CPython 3.11.7, in ms:
+#   chunk bytes         2048    4096    8192   16384   whole string
+#   p = 97,   2 bytes  0.092   0.093   0.106   0.142   0.128
+#   p = 97,   4 bytes  0.169   0.164   0.169   0.198   0.234
+#   p = 97,   8 bytes  0.324   0.304   0.306   0.325   0.452
+#   p = 211,  4 bytes  1.106   1.032   1.068   1.079   2.211
+#   p = 1009, 2 bytes   14.5    12.9    11.7    11.5    37.1
+#   p = 1009, 4 bytes   22.2    16.0    15.6    15.7    68.7
+#   p = 1009, 8 bytes   34.5    32.8    30.4    29.8    94.5
+_FOLD_CHUNK = 4096
+# A row string of at least this many items of this many bytes takes its
+# bias from _field_max; shorter ones are scanned.  Time of _field_max over
+# the scan, by rows x numerators per row (best of 31 to 201 interleaved
+# runs, 2-vCPU host, CPython 3.11.7):
+#   rows x count   5x10  5x22 13x12  3x60  8x30  5x96 23x22 12x60 16x96 47x46 97x96
+#   fields           50   110   156   180   240   480   506   720  1536  2162  9312
+#   2 bytes        1.08  0.95  0.63  0.99  0.72  0.66  0.51  0.56  0.45  0.41  0.23
+#   4 bytes        1.22  1.12  0.79  1.27  0.98  0.96  0.71  0.80  0.68  0.53  0.40
+#   8 bytes        1.38  1.52  1.09  1.80  1.45  1.56  1.01  1.34  0.98  0.81  0.73
+# Few long rows scan fastest.  A multi_dft line at p = 5 has 20 items, and
+# construct-ladder's rows at p = 11 and 13 are mostly 5 of 10 small ones.
+_FOLD_ITEMS = {2: 128, 4: 256, 8: 2048}
+
+
+@functools.lru_cache(maxsize=None)
+def _row_struct(count: int, item: int) -> struct.Struct:
+    """count little-endian two's complement items of item bytes."""
+    return struct.Struct(f"<{count}{_STRUCT_CODES[item]}")
+
+
+def _fields_max(a: int, b: int, high: int, w: int) -> int:
+    """Field-wise max of a and b: w-bit fields below 2^(w - 1), high their top bits.
+
+    (a | high) - b holds 2^(w - 1) + a - b in every field, with no borrow,
+    so its top bit marks a >= b, and b plus the marked fields' a - b is the
+    max.
+    """
+    d = (a | high) - b
+    keep = d & high
+    return b + (d & (keep - (keep >> (w - 1))))
+
+
+def _field_max(raw: bytes, item: int) -> int:
+    """max |d| over the two's complement items d of raw, item bytes each.
+
+    raw is read in chunks of _FOLD_CHUNK bytes, each one integer X.  With
+    w = 8 * item bits per field and H the top bit of every field, the sign
+    bits s = (X & H) >> (w - 1) give |d| as (X ^ (s * (2^w - 1))) + s, at
+    most 2^(w - 1), which only d = -2^(w - 1) reaches, so it is then the
+    answer.  Otherwise every field is below 2^(w - 1), and the chunks are
+    merged into one by their field-wise max (_fields_max; a shorter last
+    chunk counts as zeros above its end).  ceil(log2(fields)) halving
+    steps, the low half of the fields against the high half (one field
+    more when the count is odd, against a 0), leave the max of them all.
+    Every integer stays one chunk long.
+    """
+    w = 8 * item
+    size = min(len(raw), _FOLD_CHUNK // item * item)
+    fields = size // item
+    high = int.from_bytes((bytes(item - 1) + b"\x80") * fields, "little")
+    acc = 0
+    for lo in range(0, len(raw), size):
+        x = int.from_bytes(raw[lo:lo + size], "little")
+        sign = (x & high) >> (w - 1)
+        x = (x ^ ((sign << w) - sign)) + sign
+        if x & high:
+            return 1 << (w - 1)
+        acc = _fields_max(acc, x, high, w)
+    while fields > 1:
+        half = fields // 2
+        cut = half * w
+        high >>= cut
+        acc = _fields_max(acc & ((1 << cut) - 1), acc >> cut, high, w)
+        fields -= half
+    return acc
+
+
+def _row_string(rows) -> tuple[bytes | None, int]:
+    """(raw, item): the numerators of rows (e, num, m) as one string.
+
+    Little-endian two's complement items of 2, 4 or 8 bytes, the fewest
+    that hold every numerator, packed row by row with one cached
+    struct.Struct (a narrower one raises on the first numerator it cannot
+    hold); (None, 0) when a numerator needs more.
+    """
+    count = len(rows[0][1]) if rows else 0
+    for item in (2, 4, 8):
+        shape = _row_struct(count, item)
+        try:
+            return b"".join([shape.pack(*num) for _, num, _ in rows]), item
+        except struct.error:
+            pass
+    return None, 0
+
+
+def _row_bias(rows, raw: bytes | None, item: int) -> int:
+    """max |c * m| over the numerators c of rows (e, num, m), raw their _row_string.
+
+    The largest |c| of the rows' string (_field_max), times m; when the
+    rows' m differ, that of each group of rows with one m, times its m.
+    Rows below _FOLD_ITEMS, or above 8 bytes, are scanned.
+    """
+    if raw is None or len(raw) < _FOLD_ITEMS[item] * item:
+        return max([max(max(num), -min(num)) * m for _, num, m in rows], default=0)
+    groups = {}
+    for k, (_, _, m) in enumerate(rows):
+        groups.setdefault(m, []).append(k)
+    if len(groups) == 1:
+        return _field_max(raw, item) * rows[0][2]
+    size = len(raw) // len(rows)
+    return max([_field_max(b"".join([raw[k * size:k * size + size] for k in ks]), item) * m
+                for m, ks in groups.items()])
+
+
 def _packed_rows(rows, room: int = 0,
                  signed: bool = False) -> tuple[int, int, list[tuple[int, int]]]:
     """(top, nbytes, [(e, packed)]) for rows (e, num, m): num * m biased and packed.
@@ -351,19 +469,26 @@ def _packed_rows(rows, room: int = 0,
     Biased by max |c * m|, the digits of a sum of all rows are at most top,
     and nbytes leaves room for digits up to top + room, or, if signed, one
     spare bit for digits in [-top, top], to which _decode_folded folds them.
-    The numerators of all rows are one signed digit string (_digit_string),
-    and each row's slice X is sum_i c_i 2^(w*i) as (X ^ H) - H, which is
-    scaled by m and lifted by bias * J, so no coefficient is visited in
-    Python.
+    The numerators of all rows are one string of signed items, packed by
+    struct at the fewest bytes that hold them (_row_string), which gives
+    the bias with no coefficient visited in Python (_row_bias), and is then
+    widened with sign fill or trimmed to nbytes (_resize).  Numerators
+    above 8 bytes are scanned and converted one at a time (_digit_string).
+    Each row's slice X is sum_i c_i 2^(w*i) as (X ^ H) - H, which is scaled
+    by m and lifted by bias * J.
     """
-    bias = max([max(max(num), -min(num)) * m for _, num, m in rows], default=0)
+    raw, item = _row_string(rows)
+    bias = _row_bias(rows, raw, item)
     top = 2 * bias * len(rows)
     nbytes = _digit_bytes(2 * top if signed else top + room)
     if not rows:
         return top, nbytes, []
     count = len(rows[0][1])
-    raw = _digit_string(itertools.chain.from_iterable([num for _, num, _ in rows]),
-                        nbytes, signed=True)
+    if raw is not None:
+        raw = _resize(raw, item, nbytes, signed=True)
+    else:
+        raw = _digit_string(itertools.chain.from_iterable([num for _, num, _ in rows]),
+                            nbytes, signed=True)
     half = _ones(count, nbytes) << (8 * nbytes - 1)
     lift = bias * _ones(count + 1, nbytes)
     size = count * nbytes
@@ -424,11 +549,13 @@ def _two_step_sums(p: int, units: list[int], fixed: int, multipliers,
     of exponent 0.  For t = g^b, slot a sits at position
     c = (a + b) mod (p - 1) and turns right by r = k*j + s digits
     (_two_step_layout).  All p - 1 sums for t != 0 are made at once:
-    1. Baby steps: once per call, every slot is turned by s = 0 .. k - 1
-       digits into exact p-digit values, k(p - 1) shifts.  Baby step s is
-       one list of the turned slots in reverse order, twice over, so the
-       slots at one position of all p - 1 sums are one slice of it, read
-       through itertools.islice with no copy.
+    1. Baby steps: once per call, every slot is doubled once,
+       S | S << (p digits), and turned by s = 0 .. k - 1 digits into exact
+       p-digit values, k(p - 1) shifts.  Baby step s is one list of the
+       turned slots in reverse order, twice over, so the slots at one
+       position of all p - 1 sums are one slice of it, read through
+       itertools.islice with no copy.  The doubled slots, about 2/k of the
+       table, are dropped once it is built.
     2. Giant steps: for each j, one map(sum, zip(*columns)) adds the turned
        slots of its positions for every sum, p-digit integers with no
        shift, and one map(lshift, ...) turns each group's sum by k*j
@@ -445,10 +572,9 @@ def _two_step_sums(p: int, units: list[int], fixed: int, multipliers,
     n = p - 1
     _, logs = _log_order(p)
     slots = units[::-1]
-    # Each turn doubles its slot afresh: a list of doubled slots would
-    # stay live beside the whole table.
-    baby = [slots * 2] + [[(u | u << cut) >> s * width & mask for u in slots] * 2
-                          for s in range(1, k)]
+    doubled = [u | u << cut for u in slots]
+    baby = [slots * 2] + [[d >> s * width & mask for d in doubled] * 2 for s in range(1, k)]
+    del doubled
     groups = []
     for columns, left in _two_step_layout(p):
         group = map(sum, zip(*[itertools.islice(baby[s], start, start + n)
@@ -540,15 +666,20 @@ def _split_values(values, exponents):
 def _signed_rows(values, count: int, nbytes: int):
     """Each value's count signed digits, nbytes bytes each, as a tuple.
 
-    The values' two's complement digit strings, (v + H) ^ H, are joined and
-    converted by one _digit_items call, and each value is one slice of it.
+    The values' two's complement digit strings, (v + H) ^ H, are joined,
+    widened with their sign to the next struct item size (_resize), and
+    Struct.iter_unpack gives one tuple per value.  Digits above 8 bytes
+    convert one at a time.
     """
     half = _ones(count, nbytes) << (8 * nbytes - 1)
     size = count * nbytes
-    items = _digit_items(b"".join([((v + half) ^ half).to_bytes(size, "little")
-                                   for v in values]), nbytes, signed=True)
-    for i in range(0, len(items), count):
-        yield tuple(items[i:i + count])
+    raw = b"".join([((v + half) ^ half).to_bytes(size, "little") for v in values])
+    item = _ITEM_BYTES.get(nbytes)
+    if item is None:
+        digits = [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+                  for i in range(0, len(raw), nbytes)]
+        return [tuple(digits[i:i + count]) for i in range(0, len(digits), count)]
+    return _row_struct(count, item).iter_unpack(_resize(raw, nbytes, item, signed=True))
 
 
 def _decode_folded(modulus: PrimeModulus, sums, nbytes: int, den: int) -> list[CycloNum]:
@@ -645,11 +776,12 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
     w^(-x*xi) and G: the result at x is (1/p) sum_xi F(xi) G(xi) w^(x*xi).
     Every nonzero value of f is packed over f's common denominator, and
     likewise for g, and the forward sums stay packed with digits at most
-    top_f and top_g.  Each side's sums are widened together to
-    _digit_bytes(2 p^2 top_f top_g) bytes per digit (one joined string, one
-    strided copy per byte), each pair is multiplied and folded by z^p = 1,
-    and the products go straight into the inverse sums, decoded over
-    common_f * common_g * p.
+    top_f and top_g.  A folded product has digits at most p * top_f * top_g,
+    so each side's sums are widened together to that width (one joined
+    string, one strided copy per byte), each pair is multiplied and folded
+    by z^p = 1 at it, and all p products are widened together to
+    _digit_bytes(2 p^2 top_f top_g) bytes per digit, the width of the
+    inverse sums, which are decoded over common_f * common_g * p.
     The biases add multiples of J, which _decode_folded cancels; the spare
     bit holds its signed digits.
     """
@@ -660,24 +792,28 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
         rows = [(x, v._num, common // v._den) for x, v in enumerate(values) if any(v._num)]
         sides.append((common, *_packed_rows(rows)))
     (common_f, top_f, _, _), (common_g, top_g, _, _) = sides
-    # A folded product has digits at most p * top_f * top_g; the inverse sum
-    # adds p, and folding its top digit makes them signed.
+    narrow = _digit_bytes(p * top_f * top_g)
+    # The inverse sum adds p products, and folding its top digit makes them
+    # signed.
     wide = _digit_bytes(2 * p * p * top_f * top_g)
-    cut = 8 * wide * p
+    cut = 8 * narrow * p
     mask = (1 << cut) - 1
-    size = p * wide
-    # Each side's forward sums, widened together to wide-byte digits.
+    size = p * narrow
     spectra = []
     for _, _, nbytes, terms in sides:
         sums = _shifted_sums(p, terms, range(0, -p, -1), 8 * nbytes)
-        spectra.append(_widen(b"".join([s.to_bytes(p * nbytes, "little") for s in sums]),
-                              nbytes, wide))
+        spectra.append(_resize(b"".join([s.to_bytes(p * nbytes, "little") for s in sums]),
+                               nbytes, narrow))
     f_hat, g_hat = spectra
     products = []
-    for xi, lo in enumerate(range(0, p * size, size)):
+    for lo in range(0, p * size, size):
         product = (int.from_bytes(f_hat[lo:lo + size], "little")
                    * int.from_bytes(g_hat[lo:lo + size], "little"))
-        products.append((xi, (product & mask) + (product >> cut)))
+        products.append(((product & mask) + (product >> cut)).to_bytes(size, "little"))
+    raw = _resize(b"".join(products), narrow, wide)
+    size = p * wide
+    products = [(xi, int.from_bytes(raw[lo:lo + size], "little"))
+                for xi, lo in enumerate(range(0, p * size, size))]
     den = common_f * common_g * p
     return _decode_folded(modulus, _shifted_sums(p, products, range(p), 8 * wide), wide, den)
 

@@ -1,6 +1,10 @@
 import cmath
+import itertools
 import math
 import random
+import struct
+import sys
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -16,11 +20,15 @@ from primefourier.cyclotomic import (
     _decode_folded,
     _digit_bytes,
     _digit_string,
+    _field_max,
     _ones,
     _pack,
     _packed_convolution,
     _packed_rows,
     _primitive_root,
+    _row_bias,
+    _row_string,
+    _signed_rows,
     _unpack,
     image_prime,
 )
@@ -732,6 +740,45 @@ class TestPackedConvolution:
         assert dense == sparse
 
 
+ITEM_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def item_string(values, item):
+    """values as little-endian two's complement items of item bytes."""
+    return struct.pack(f"<{len(values)}{ITEM_CODES[item]}", *values)
+
+
+def scan_and_array_rows(rows, room=0, signed=False):
+    """_packed_rows as it was before struct: the bias from a scan of every
+    row, and all numerators as one array of the next item size, trimmed to
+    nbytes by one strided deletion per byte, or digit by digit above 8."""
+    bias = max([max(max(num), -min(num)) * m for _, num, m in rows], default=0)
+    top = 2 * bias * len(rows)
+    nbytes = _digit_bytes(2 * top if signed else top + room)
+    if not rows:
+        return top, nbytes, []
+    count = len(rows[0][1])
+    flat = list(itertools.chain.from_iterable([num for _, num, _ in rows]))
+    if nbytes > 8:
+        raw = b"".join([c.to_bytes(nbytes, "little", signed=True) for c in flat])
+    else:
+        item = min(k for k in (1, 2, 4, 8) if k >= nbytes)
+        items = array(ITEM_CODES[item], flat)
+        if sys.byteorder == "big":
+            items.byteswap()
+        raw = bytearray(items.tobytes())
+        for k in range(item, nbytes, -1):
+            del raw[k - 1::k]
+    half = _ones(count, nbytes) << (8 * nbytes - 1)
+    lift = bias * _ones(count + 1, nbytes)
+    size = count * nbytes
+    packed = []
+    for k, (e, _, m) in enumerate(rows):
+        x = int.from_bytes(raw[k * size:k * size + size], "little")
+        packed.append((e, ((x ^ half) - half) * m + lift))
+    return top, nbytes, packed
+
+
 class TestCodec:
     # Widths 1, 2, 4 and 8 are array item sizes; 3, 5, 6 and 7 convert
     # through the next item size; 9 and 16 convert digit by digit.
@@ -760,7 +807,7 @@ class TestCodec:
             half = _ones(count, nbytes) << (8 * nbytes - 1)
             assert (lanes ^ half) - half == value
             assert (value + half) ^ half == lanes
-            assert _unpack(lanes, count, nbytes, signed=True) == digits
+            assert list(_signed_rows([value], count, nbytes)) == [tuple(digits)]
 
     @pytest.mark.parametrize("nbytes", range(1, 10))
     def test_packed_rows_at_the_signed_extremes(self, nbytes):
@@ -779,6 +826,76 @@ class TestCodec:
         assert (sum_top, width) == (4 * bias, _digit_bytes(8 * bias))
         assert packed == [(e, _pack([c * m + bias for c in num] + [bias], width))
                           for e, num, m in rows]
+
+    @pytest.mark.parametrize("item", [2, 4, 8])
+    def test_field_max_is_the_largest_magnitude(self, item):
+        # Random and adversarial strings of two's complement items: the most
+        # negative item, whose magnitude needs the top bit; a largest
+        # magnitude only on a negative item, one more than every positive
+        # one; the largest item alone at the top, where odd counts leave a
+        # field over; one field, odd counts and all zeros; and counts
+        # around the chunk size, so that a shorter last chunk is merged.
+        rng = random.Random(item)
+        low, high = -2 ** (8 * item - 1), 2 ** (8 * item - 1) - 1
+        chunk = cyclotomic._FOLD_CHUNK // item
+        for count in (1, 2, 3, 5, 7, 8, 63, 97, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            big = rng.randint(2, high)
+            small = [rng.randint(-9, 9) for _ in range(count)]
+            cases = [
+                [0] * count,
+                [low] + [0] * (count - 1),
+                [0] * (count - 1) + [low],
+                [high] * count,
+                [rng.randint(low, high) for _ in range(count)],
+                [rng.randint(-big, big) for _ in range(count)],
+                small,
+                small[:-1] + [big],
+                small[:-1] + [-big],
+                [rng.choice((big - 1, 1 - big)) for _ in range(count - 1)] + [-big],
+                [-big] + [big - 1] * (count - 1),
+            ]
+            for values in cases:
+                raw = item_string(values, item)
+                assert _field_max(raw, item) == max(map(abs, values)), (count, values[:4])
+
+    def test_row_bias_scales_each_m(self):
+        # Rows with different m fold per m: the bias is max |c| * m, which
+        # may come from a row with a smaller |c| and a larger m.
+        rng = random.Random(35)
+        for item, bound in ((2, 2**15), (4, 2**31), (8, 2**63)):
+            for ms in ((1, 5), (3, 1, 2), (7,), (2, 2, 9)):
+                rows = [(e, tuple(rng.randint(-bound, bound - 1) for _ in range(12)),
+                         ms[e % len(ms)]) for e in range(200)]
+                rows[-1] = (199, (-bound,) + rows[-1][1][1:], rows[-1][2])
+                raw, got_item = _row_string(rows)
+                assert got_item == item
+                assert _row_bias(rows, raw, item) == max(max(map(abs, num)) * m
+                                                         for _, num, m in rows)
+
+    def test_packed_rows_match_the_scan_and_array_reference(self):
+        # Numerators up to 2^bits across every item size and above 8 bytes,
+        # with the most negative value of each size, from one row to enough
+        # for the field max at 8 bytes, with one m or several, room and
+        # signed: every (top, nbytes, packed) must be the reference's, and
+        # nbytes must take every width from 1 to 9.
+        rng = random.Random(34)
+        widths = set()
+        for bits in (3, 6, 7, 14, 15, 16, 22, 30, 31, 32, 46, 62, 63, 64, 70):
+            bound = 2 ** bits
+            for nrows in (1, 3, 40, 200):
+                for ms in ((1,), (1, 2, 3, 6)):
+                    picks = (bound - 1, -bound, 0)
+                    rows = [(e, tuple(rng.choice(picks + (rng.randint(-bound, bound - 1),
+                                                          rng.randint(-9, 9)))
+                                      for _ in range(12)), ms[e % len(ms)])
+                            for e in range(nrows)]
+                    for room in (0, 5, 2**20):
+                        for signed in (False, True):
+                            got = _packed_rows(rows, room, signed)
+                            want = scan_and_array_rows(rows, room, signed)
+                            assert got == want, (bits, nrows, ms, room, signed)
+                            widths.add(got[1])
+        assert widths >= set(range(1, 10))
 
     # Widths 1, 2, 4 and 8 are item sizes, 3, 5, 6 and 7 sign-fill the bytes
     # up to the next one, and 9 converts digit by digit.
