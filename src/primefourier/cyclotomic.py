@@ -15,15 +15,16 @@ moves coefficient i to i*k mod p.  Only this module knows how a value is
 stored and packed: dense products, character_sums (the kernel behind every
 transform in fourier, with its slots in discrete-log order; vanishing_sums
 only tests its sums for zero) and cyclic_convolution (packed from the
-forward sums to the inverse) turn vectors into big integers through one
-linear-time codec (Kronecker substitution), with digits just as wide as
-their bound needs.  The sums pack the numerators of all their values as one
-string of signed struct items, the fewest bytes that hold them, and take
-their bias from a field-wise max on that string; a sum without single-term
-values folds its top coefficient on the packed integer and unpacks as
-signed digits through struct, so neither the packing, the bias (above the
-size where a scan of the rows is cheaper) nor the fold visits a coefficient
-in Python.  Inverses come from the Galois norm: the product of all p - 1
+forward sums to the inverse, whose products and sums run modulo
+2^(pW) - 1 and decode modulo Phi_p(2^W)) turn vectors into big integers
+through one linear-time codec (Kronecker substitution), with digits just
+as wide as their bound needs.  The sums pack the numerators of all their
+values as one string of signed struct items, the fewest bytes that hold
+them, and take their bias from a field-wise max on that string; a sum
+without single-term values folds its top coefficient on the packed integer
+and unpacks as signed digits through struct, so neither the packing, the
+bias (above the size where a scan of the rows is cheaper) nor the fold
+visits a coefficient in Python.  Inverses come from the Galois norm: the product of all p - 1
 conjugates of a nonzero element is a nonzero rational, so dividing the
 product of the other p - 2 conjugates by it inverts the element with
 integer vector arithmetic alone.  The Galois group is cyclic, so a doubling
@@ -221,7 +222,11 @@ def _root_power(p: int, k: int) -> CycloNum:
 # (a*J = (sum a)*J, J*J = p*J), and folding the top coefficient cancels it.
 # The kernels take the width from their inputs through _digit_bytes, which
 # gives the bytes the largest digit needs and no more, since every shift,
-# sum and product of the packed integers grows with it.  A width of up to 8
+# sum and product of the packed integers grows with it.  cyclic_convolution
+# takes it from its result instead: its products and inverse sums are
+# residues mod B^p - 1, B = 2^(8*nbytes), whose digits may carry, and the
+# result comes back as a balanced residue mod Phi_p(B), which divides both
+# B^p - 1 and J(B), so the biases vanish there.  A width of up to 8
 # bytes converts through the next item size of 1, 2, 4 or 8 bytes in one C
 # call: struct packs and unpacks the character sums' rows of signed digits
 # (little-endian standard sizes on every host), and array the unsigned
@@ -549,13 +554,15 @@ def _two_step_sums(p: int, units: list[int], fixed: int, multipliers,
     of exponent 0.  For t = g^b, slot a sits at position
     c = (a + b) mod (p - 1) and turns right by r = k*j + s digits
     (_two_step_layout).  All p - 1 sums for t != 0 are made at once:
-    1. Baby steps: once per call, every slot is doubled once,
-       S | S << (p digits), and turned by s = 0 .. k - 1 digits into exact
-       p-digit values, k(p - 1) shifts.  Baby step s is one list of the
-       turned slots in reverse order, twice over, so the slots at one
-       position of all p - 1 sums are one slice of it, read through
-       itertools.islice with no copy.  The doubled slots, about 2/k of the
-       table, are dropped once it is built.
+    1. Baby steps: once per call, if a slot is above 2^(p digits) - 1
+       (carried digits; packed vectors never are), every slot is reduced
+       mod 2^(p digits) - 1.  Every slot is doubled once,
+       S | S << (p digits), and turned by s = 0 .. k - 1 digits, a
+       rotation of its p digits, k(p - 1) shifts.
+       Baby step s is one list of the turned slots in reverse order, twice
+       over, so the slots at one position of all p - 1 sums are one slice
+       of it, read through itertools.islice with no copy.  The doubled
+       slots, about 2/k of the table, are dropped once it is built.
     2. Giant steps: for each j, one map(sum, zip(*columns)) adds the turned
        slots of its positions for every sum, p-digit integers with no
        shift, and one map(lshift, ...) turns each group's sum by k*j
@@ -572,6 +579,8 @@ def _two_step_sums(p: int, units: list[int], fixed: int, multipliers,
     n = p - 1
     _, logs = _log_order(p)
     slots = units[::-1]
+    if max(slots) > mask:
+        slots = [u % mask for u in slots]
     doubled = [u | u << cut for u in slots]
     baby = [slots * 2] + [[d >> s * width & mask for d in doubled] * 2 for s in range(1, k)]
     del doubled
@@ -588,16 +597,20 @@ def _two_step_sums(p: int, units: list[int], fixed: int, multipliers,
 
 
 def _shifted_sums(p: int, terms, multipliers, width: int) -> list[int]:
-    """[sum_j P_j * z^(e_j * t) mod z^p - 1 for t in multipliers], packed.
+    """[sum_j P_j * z^(e_j * t) for t in multipliers] at z = 2^width, mod 2^(p*width) - 1.
 
-    terms are (e_j, P_j), P_j packed p-digit vectors whose digits (width
-    bits) never carry when all are added.  Each P is stored twice side by
-    side, P | P << (p digits), so multiplying by z^s is one right shift by
-    (p - s) mod p digits.  Fewer than p / 4 terms (measured crossover) shift
-    one by one.  More merge into slots in discrete-log order: slot a holds
-    exponent g^a (g = _primitive_root(p)), and exponent 0 never shifts.  For
-    t = g^b slot a shifts by S[(a + b) mod (p - 1)], S[a] = (-g^a mod p)
-    digits, so the shifts of one sum are one slice of S + S.
+    terms are (e_j, P_j), P_j non-negative integers, as a rule packed
+    p-digit vectors.  Multiplying by z^s is a left shift by s digits, and
+    z^p = 1: each sum is folded once, (total mod 2^(p*width))
+    + (total >> p*width), so it is congruent to the sum mod 2^(p*width) - 1
+    however far its digits carry.  When the digits of every sum fit in
+    width bits (the character sums and vanishing_sums pick width so), each
+    sum is exactly its packed vector.  Fewer than p / 4 terms (measured
+    crossover) shift one by one.  More merge into slots in discrete-log
+    order: slot a holds exponent g^a (g = _primitive_root(p)), and exponent
+    0 never shifts.  For t = g^b slot a shifts by S[(a + b) mod (p - 1)],
+    S[a] = g^a mod p digits, so the shifts of one sum are one slice of
+    S + S.
 
     From p = _TWO_STEP_PRIME = 47 on, each shift splits into a baby and a
     giant step (_two_step_sums), whose table holds _BABY_STEPS = 8 times the
@@ -620,32 +633,30 @@ def _shifted_sums(p: int, terms, multipliers, width: int) -> list[int]:
     cut = width * p
     mask = (1 << cut) - 1
     if 4 * len(terms) < p:
-        doubled = [(e, packed | packed << cut) for e, packed in terms]
-        return [sum([d >> (-e * t % p * width) for e, d in doubled]) & mask
-                for t in multipliers]
-    powers, logs = _log_order(p)
-    units = [0] * (p - 1)
-    fixed = 0
-    for e, packed in terms:
-        if e % p:
-            units[logs[e % p]] += packed
-        else:
-            fixed += packed
-    if p >= _TWO_STEP_PRIME:
-        return _two_step_sums(p, units, fixed, multipliers, width)
-    zero = sum(units, fixed)
-    units = [u | u << cut for u in units]
-    turns = [(p - r) * width for r in powers] * 2
-    out = []
-    for t in multipliers:
-        if t % p:
-            b = logs[t % p]
-            # Empty slots shift to 0, and adding 0 would copy the sum.
-            out.append(sum(filter(None, map(operator.rshift, units, turns[b:b + p - 1])),
-                           fixed) & mask)
-        else:
-            out.append(zero)
-    return out
+        sums = [sum([packed << (e * t % p * width) for e, packed in terms]) for t in multipliers]
+    else:
+        powers, logs = _log_order(p)
+        units = [0] * (p - 1)
+        fixed = 0
+        for e, packed in terms:
+            if e % p:
+                units[logs[e % p]] += packed
+            else:
+                fixed += packed
+        if p >= _TWO_STEP_PRIME:
+            return _two_step_sums(p, units, fixed, multipliers, width)
+        zero = sum(units, fixed)
+        lefts = [r * width for r in powers] * 2
+        sums = []
+        for t in multipliers:
+            if t % p:
+                b = logs[t % p]
+                # Empty slots shift to 0, and adding 0 would copy the sum.
+                sums.append(sum(filter(None, map(operator.lshift, units, lefts[b:b + p - 1])),
+                                fixed))
+            else:
+                sums.append(zero)
+    return [(total & mask) + (total >> cut) for total in sums]
 
 
 def _split_values(values, exponents):
@@ -682,37 +693,47 @@ def _signed_rows(values, count: int, nbytes: int):
     return _row_struct(count, item).iter_unpack(_resize(raw, nbytes, item, signed=True))
 
 
-def _decode_folded(modulus: PrimeModulus, sums, nbytes: int, den: int) -> list[CycloNum]:
-    """The packed redundant vectors of sums, each over den, as CycloNums.
+def _decode_signed(modulus: PrimeModulus, values, nbytes: int, den: int) -> list[CycloNum]:
+    """The integers values, each p - 1 signed digits of nbytes bytes, over den, as CycloNums.
 
-    Folding the top digit t through w^(p-1) = -(1 + ... + w^(p-2)) cancels
-    the codec's bias, and on the packed integer it is (total mod 2^(w(p-1)))
-    - t * J.  Its digits lie in [-top, top], within the spare bit that
-    _packed_rows(signed=True) leaves, so all sums of a call unpack as signed
-    digits in one pass (_signed_rows).  A value whose digits share a factor
-    g > 1 with den has every digit a multiple of g, so its folded integer
-    is divided by g exactly, and those values unpack in one more pass: no
-    coefficient is divided in Python.
+    The digits of each value are its numerators, |d| < 2^(8*nbytes - 1).
+    All values unpack in one pass (_signed_rows).  A value whose digits
+    share a factor g > 1 with den has every digit a multiple of g, so the
+    value is divided by g exactly, and those values unpack in one more
+    pass: no coefficient is divided in Python.
     """
     count = modulus.p - 1
-    cut = 8 * nbytes * count
-    mask = (1 << cut) - 1
-    ones = _ones(count, nbytes)
-    # (total mod 2^cut) - t * J: the numerators' digits, signed.
-    folded = [(total & mask) - (total >> cut) * ones for total in sums]
     out = []
     shared = []
-    for k, num in enumerate(_signed_rows(folded, count, nbytes)):
+    for k, num in enumerate(_signed_rows(values, count, nbytes)):
         g = math.gcd(den, *num)
         if g > 1:
             shared.append((k, g))
             out.append(None)
         else:
             out.append(CycloNum._raw(modulus, num, den))
-    for (k, g), num in zip(shared, _signed_rows([folded[k] // g for k, g in shared],
+    for (k, g), num in zip(shared, _signed_rows([values[k] // g for k, g in shared],
                                                  count, nbytes)):
         out[k] = CycloNum._raw(modulus, num, den // g)
     return out
+
+
+def _decode_folded(modulus: PrimeModulus, sums, nbytes: int, den: int) -> list[CycloNum]:
+    """The packed redundant vectors of sums, each over den, as CycloNums.
+
+    Folding the top digit t through w^(p-1) = -(1 + ... + w^(p-2)) cancels
+    the codec's bias, and on the packed integer it is (total mod 2^(w(p-1)))
+    - t * J.  Its digits lie in [-top, top], within the spare bit that
+    _packed_rows(signed=True) leaves, so the folded integers decode as
+    signed digits, all in one pass (_decode_signed).
+    """
+    count = modulus.p - 1
+    cut = 8 * nbytes * count
+    mask = (1 << cut) - 1
+    ones = _ones(count, nbytes)
+    # (total mod 2^cut) - t * J: the numerators' digits, signed.
+    return _decode_signed(modulus, [(total & mask) - (total >> cut) * ones for total in sums],
+                          nbytes, den)
 
 
 def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
@@ -774,48 +795,69 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
 
     The convolution theorem on the unnormalised spectra F(xi) = sum_x f[x]
     w^(-x*xi) and G: the result at x is (1/p) sum_xi F(xi) G(xi) w^(x*xi).
-    Every nonzero value of f is packed over f's common denominator, and
-    likewise for g, and the forward sums stay packed with digits at most
-    top_f and top_g.  A folded product has digits at most p * top_f * top_g,
-    so each side's sums are widened together to that width (one joined
-    string, one strided copy per byte), each pair is multiplied and folded
-    by z^p = 1 at it, and all p products are widened together to
-    _digit_bytes(2 p^2 top_f top_g) bytes per digit, the width of the
-    inverse sums, which are decoded over common_f * common_g * p.
-    The biases add multiples of J, which _decode_folded cancels; the spare
-    bit holds its signed digits.
+    The r_f nonzero values of f are packed over f's common denominator c_f,
+    their numerators at most b_f, the bias (_packed_rows), and likewise for
+    g; an all-zero side gives all zeros.  The forward sums are exact packed
+    vectors.  The products and the inverse sums run in Z/(B^p - 1) for
+    B = 2^(8W), a W-byte digit, where z = B has z^p = 1: each product is
+    folded once, and the inverse sums (_shifted_sums) let their digits
+    carry.  The inverse sum at x is congruent to p c_f c_g (f*g)(x) on the
+    redundant set at z = B, plus the biases, multiples of J.  Phi_p(B)
+    divides both B^p - 1 and J(B) = Phi_p(B), so modulo Phi_p(B) the biases
+    vanish and the sum is the value's p - 1 canonical numerators at z = B.
+    A numerator of f[y] g[x - y] is at most 2(p - 1) b_f b_g (p - 1
+    products, and the fold of the top coefficient), so those of
+    p c_f c_g (f*g)(x) are at most 2p(p - 1) min(r_f, r_g) b_f b_g, and W
+    is the fewest bytes that keep this below B / 2.  Such a vector lies
+    within Phi_p(B) / 2 of 0, so the balanced residue (_balanced_residue,
+    the ResidueRing rule) is the vector itself.  Its numerators are
+    multiples of p, which is divided out on the packed integer, and the
+    nonzero values unpack once, as signed digits over c_f c_g
+    (_decode_signed).
     """
     p = modulus.p
     sides = []
     for values in (f, g):
         common = math.lcm(*(v._den for v in values))
         rows = [(x, v._num, common // v._den) for x, v in enumerate(values) if any(v._num)]
-        sides.append((common, *_packed_rows(rows)))
-    (common_f, top_f, _, _), (common_g, top_g, _, _) = sides
-    narrow = _digit_bytes(p * top_f * top_g)
-    # The inverse sum adds p products, and folding its top digit makes them
-    # signed.
-    wide = _digit_bytes(2 * p * p * top_f * top_g)
-    cut = 8 * narrow * p
+        if not rows:
+            return [CycloNum.zero(modulus)] * p
+        top, nbytes, terms = _packed_rows(rows)
+        sides.append((common, len(rows), top // (2 * len(rows)), nbytes, terms))
+    (common_f, r_f, b_f, _, _), (common_g, r_g, b_g, _, _) = sides
+    nbytes = _digit_bytes(4 * p * (p - 1) * min(r_f, r_g) * b_f * b_g)
+    width = 8 * nbytes
+    cut = width * p
     mask = (1 << cut) - 1
-    size = p * narrow
+    size = p * nbytes
     spectra = []
-    for _, _, nbytes, terms in sides:
-        sums = _shifted_sums(p, terms, range(0, -p, -1), 8 * nbytes)
-        spectra.append(_resize(b"".join([s.to_bytes(p * nbytes, "little") for s in sums]),
-                               nbytes, narrow))
+    # Each side's digits are at most 2 r b, which nbytes holds.
+    for _, _, _, own, terms in sides:
+        sums = _shifted_sums(p, terms, range(0, -p, -1), 8 * own)
+        spectra.append(_resize(b"".join([s.to_bytes(p * own, "little") for s in sums]),
+                               own, nbytes))
     f_hat, g_hat = spectra
     products = []
-    for lo in range(0, p * size, size):
+    for xi, lo in enumerate(range(0, p * size, size)):
         product = (int.from_bytes(f_hat[lo:lo + size], "little")
                    * int.from_bytes(g_hat[lo:lo + size], "little"))
-        products.append(((product & mask) + (product >> cut)).to_bytes(size, "little"))
-    raw = _resize(b"".join(products), narrow, wide)
-    size = p * wide
-    products = [(xi, int.from_bytes(raw[lo:lo + size], "little"))
-                for xi, lo in enumerate(range(0, p * size, size))]
-    den = common_f * common_g * p
-    return _decode_folded(modulus, _shifted_sums(p, products, range(p), 8 * wide), wide, den)
+        products.append((xi, (product & mask) + (product >> cut)))
+    phi = mask // ((1 << width) - 1)  # Phi_p(B) = (B^p - 1) / (B - 1)
+    residues = [_balanced_residue(total, phi) // p
+                for total in _shifted_sums(p, products, range(p), width)]
+    # A zero value (most of a sparse by sparse convolution's) unpacks nothing.
+    live = [x for x, r in enumerate(residues) if r]
+    out = [CycloNum.zero(modulus)] * p
+    for x, v in zip(live, _decode_signed(modulus, [residues[x] for x in live], nbytes,
+                                         common_f * common_g)):
+        out[x] = v
+    return out
+
+
+def _balanced_residue(value: int, n: int) -> int:
+    """The residue of value mod an odd n that lies in (-n/2, n/2)."""
+    r = value % n
+    return r - n if r > n >> 1 else r
 
 
 def _embedding_bound(num: tuple[int, ...]) -> int:
@@ -912,11 +954,8 @@ class ResidueRing:
 
     def decode(self, residue: int) -> CycloNum:
         """The value of Z[w] with coefficients below 2^(W-2) that has this residue."""
-        n, w = self.n, self.width
-        r = residue % n
-        if r > n >> 1:
-            r -= n
-        r += self._bias
+        w = self.width
+        r = _balanced_residue(residue, self.n) + self._bias
         mask, half = (1 << w) - 1, 1 << (w - 1)
         num = tuple([(r >> w * i & mask) - half for i in range(self.modulus.p - 1)])
         return CycloNum._raw(self.modulus, num, 1)

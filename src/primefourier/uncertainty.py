@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import fourier
@@ -301,14 +302,15 @@ def exhaustive_certification(modulus: PrimeModulus,
     from the certified minors (see _certify_minors, which eliminates 6 / 37 /
     197 / 9,035 / 81,906 minor representatives at p = 7 / 11 / 13 / 17 / 19).
     Any failure raises.  Each property holds on whole AGL(1,p) x AGL(1,p)
-    orbits, and the summary counts instances without building a record: with
-    s_n the orbit sizes of the n-sets summed, there are sum s_n^2 minors
-    (n >= 1) and s_a * s_b pairs of sizes (a, b) for each a >= 1.
+    orbits, and the summary counts instances without building a record: the
+    orbits of the n-sets cover all s_n = C(p, n) of them, so there are
+    sum s_n^2 minors (n >= 1) and s_a * s_b pairs of sizes (a, b) for each
+    a >= 1.
     """
     _require_budget(modulus, max_p)
     _certify_minors(modulus)
     p = modulus.p
-    s = [sum(size for _, size in orbits) for orbits in _set_orbits(p)]
+    s = [math.comb(p, n) for n in range(p + 1)]
     pairs = [(a, b) for a in range(1, p + 1) for b in range(p + 1)]
     return CertificationSummary(p, sum(s[n] ** 2 for n in range(1, p + 1)),
                                 sum(s[a] * s[b] for a, b in pairs if a + b <= p),

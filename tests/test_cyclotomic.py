@@ -941,3 +941,76 @@ class TestCodec:
                 2**40, 2**48, 2**56 - 1, 2**56, 2**64 - 1, 2**64, 2**128 - 1]
         assert [_digit_bytes(t) for t in tops] == [
             1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6, 7, 7, 8, 8, 9, 16]
+
+
+class TestShiftedSums:
+    # The three paths of _shifted_sums: fewer than p / 4 terms shift one by
+    # one, more merge into slots turned by one shift each below
+    # _TWO_STEP_PRIME = 47, and by a baby and a giant step from there on.
+    # The term counts lie on either side of p / 4.  Exponents repeat mod p,
+    # so terms share slots, and 0 and p never shift; multipliers include 0,
+    # negatives and values of p and above.
+    PATHS = [(13, 3, "terms"), (13, 13, "slots"), (43, 10, "terms"), (43, 43, "slots"),
+             (47, 11, "terms"), (47, 47, "two steps"), (97, 24, "terms"), (97, 97, "two steps")]
+
+    @staticmethod
+    def spied_path(monkeypatch):
+        calls = []
+        for name in ("_log_order", "_two_step_sums"):
+            spied = getattr(cyclotomic, name)
+            monkeypatch.setattr(cyclotomic, name, lambda *args, name=name, spied=spied:
+                                calls.append(name) or spied(*args))
+        return lambda: ("two steps" if "_two_step_sums" in calls
+                        else "slots" if "_log_order" in calls else "terms")
+
+    @staticmethod
+    def terms(rng, p, count, top, width):
+        exponents = [0, p] + [rng.randrange(-p, 2 * p) for _ in range(count - 2)]
+        vectors = [[rng.choice((0, top, rng.randint(0, top))) for _ in range(p)]
+                   for _ in exponents]
+        return [(e, sum(d << width * i for i, d in enumerate(v)))
+                for e, v in zip(exponents, vectors)]
+
+    @pytest.mark.parametrize("p, count, path", PATHS)
+    def test_carried_digits_are_congruent_to_the_term_sum(self, p, count, path, monkeypatch):
+        # Digits up to 2^(width + 9) carry into their neighbours, and the
+        # top digit past p digits, so terms and slots exceed 2^(p*width):
+        # each sum must be congruent mod 2^(p*width) - 1 to the sum of the
+        # terms shifted left by (e * t mod p) digits.
+        rng = random.Random(900 + p + count)
+        path_of = self.spied_path(monkeypatch)
+        width = 16
+        ring = (1 << p * width) - 1
+        terms = self.terms(rng, p, count, 2 ** (width + 9) - 1, width)
+        assert max(packed for _, packed in terms) > ring
+        multipliers = [0, 1, -1, 2, p, p + 3, -2 * p - 1, rng.randrange(p)]
+        sums = cyclotomic._shifted_sums(p, terms, multipliers, width)
+        assert path_of() == path
+        assert len(sums) == len(multipliers)
+        for t, total in zip(multipliers, sums):
+            reference = sum(packed << width * (e * t % p) for e, packed in terms)
+            assert total >= 0 and (total - reference) % ring == 0, t
+
+    @pytest.mark.parametrize("p, count, path", PATHS)
+    def test_fitting_digits_give_the_packed_vector(self, p, count, path, monkeypatch):
+        # Digits up to (2^width - 1) / count never carry, and all terms at
+        # one exponent with every digit at that cap reach it: each sum must
+        # be exactly the packed cyclic digit sums.
+        rng = random.Random(950 + p + count)
+        path_of = self.spied_path(monkeypatch)
+        for nbytes in (1, 3):
+            width = 8 * nbytes
+            cap = (2 ** width - 1) // count
+            cases = [self.terms(rng, p, count, cap, width),
+                     [(5, _pack([cap] * p, nbytes))] * count]
+            for terms in cases:
+                multipliers = [0, 1, -1, 3, p, p + 1]
+                sums = cyclotomic._shifted_sums(p, terms, multipliers, width)
+                assert path_of() == path
+                for t, total in zip(multipliers, sums):
+                    acc = [0] * p
+                    for e, packed in terms:
+                        for i, d in enumerate(_unpack(packed, p, nbytes)):
+                            acc[(i + e * t) % p] += d
+                    assert max(acc) < 2 ** width
+                    assert total == _pack(acc, nbytes), t

@@ -277,11 +277,15 @@ class TestCharacterSums:
 
     @pytest.mark.parametrize("p", [61, 97])
     def test_sums_that_share_a_factor_with_their_denominator(self, p, monkeypatch):
-        # Every sum of an idft of a dft, and of a convolve, has digits that
-        # share a factor g > 1 with the denominator it is decoded over:
-        # _decode_folded divides those values on their packed integers and
-        # unpacks them again.  Each decoded value must be in lowest terms
-        # and equal the per-value unpack and fold of the same packed sum.
+        # Every sum of an idft of a dft has digits that share a factor g > 1
+        # with the denominator it is decoded over: _decode_folded divides
+        # those values on their packed integers and unpacks them again.
+        # Each decoded value must be in lowest terms and equal the per-value
+        # unpack and fold of the same packed sum.  Every sum of a convolve
+        # carries the known factor p, which it divides out on the packed
+        # integer before its one unpack: _signed_rows must unpack p values
+        # per convolve, each in lowest terms and equal to
+        # sum_y f(y) g(x - y).
         rng = random.Random(800 + p)
         modulus = PrimeModulus(p)
         zero = CycloNum.zero(modulus)
@@ -305,13 +309,24 @@ class TestCharacterSums:
         points = set(rng.sample(range(p), 16))
         g = SignalFn(modulus, [v if x in points else zero for x, v in enumerate(dense().values)])
         assert idft(dft(f)) == f
-        assert convolve(f, g) == convolve(g, f)
-        assert len(calls) == 4
+        assert len(calls) == 2
         for sums, nbytes, den, out in calls[1:]:  # calls[0] is the dft
             expected = [CycloNum._from_redundant(modulus, cyclotomic._unpack(s, p, nbytes), den)
                         for s in sums]
             assert out == expected
             assert all(math.gcd(v._den, *v._num) == 1 and 0 < v._den < den for v in out)
+        unpacked = []
+        signed_rows = cyclotomic._signed_rows
+        monkeypatch.setattr(cyclotomic, "_signed_rows", lambda values, count, nbytes:
+                            unpacked.append(len(values)) or signed_rows(values, count, nbytes))
+        direct = [sum((f[x - y] * g[y] for y in points), zero) for x in range(p)]
+        for a, b in ((f, g), (g, f)):
+            unpacked.clear()
+            out = convolve(a, b).values
+            assert sum(unpacked) == p
+            assert list(out) == direct
+            assert all(math.gcd(v._den, *v._num) == 1 for v in out)
+        assert len(calls) == 2
 
 
 class TestIdft:
@@ -573,6 +588,78 @@ class TestConvolve:
             p = f.modulus.p
             spectrum = [p * a * b for a, b in zip(dft(f).values, dft(g).values)]
             assert convolve(f, g) == idft(SignalFn(f.modulus, spectrum))
+
+    @pytest.mark.parametrize("p", [5, 13, 43, 47, 97])
+    def test_numerators_at_the_width_bound(self, p, monkeypatch):
+        # The numerators of p c_f c_g (f*g)(x) are at most
+        # 2p(p - 1) min(r_f, r_g) b_f b_g, r the nonzero values and b the
+        # largest numerator over the common denominator c, and the products
+        # and inverse sums run at the fewest bytes W that keep this below
+        # 2^(8W - 1).  A = (+b, -b, +b, ...) and B with B_j = A_(-j) (and
+        # B_1 = +b) give AB a numerator of 2(p - 2) b^2 at w^0 from p = 13
+        # on, the (p - 2) / (p - 1) of its bound.  f is A on its support,
+        # over 3 on one of the shapes, and g is B on minus that support
+        # (or everywhere), so (f*g)(0) sums min(r_f, r_g) equal terms.  b is
+        # the largest that keeps the bound below 2^(8W - 1), so the result
+        # needs all of W, for W from 4 to 9 bytes (9 unpacks digit by
+        # digit): W must be the bytes decoded, and every value must equal
+        # sum_y f(y) g(x - y).
+        rng = random.Random(1200 + p)
+        modulus = PrimeModulus(p)
+        zero = CycloNum.zero(modulus)
+        decoded = []
+        decode = cyclotomic._decode_signed
+        monkeypatch.setattr(cyclotomic, "_decode_signed", lambda modulus, values, nbytes, den:
+                            decoded.append(nbytes) or decode(modulus, values, nbytes, den))
+        a = [(-1) ** i for i in range(p - 1)]
+        b_vector = [([*a, 0][-j % p]) for j in range(p - 1)]
+        b_vector[1] = 1
+        shapes = [(1, 1), (min(16, p), min(16, p)), (min(16, p), p), (p, p)]
+        for (rf, rg), nbytes, scale in zip(shapes, (4, 6, 8, 9), (1, 3, 1, 1)):
+            points = rng.sample(range(p), rf)
+            support_g = range(p) if rg == p else [-x % p for x in points]
+            b = math.isqrt((2 ** (8 * nbytes - 1) - 1) // (2 * p * (p - 1) * min(rf, rg)))
+            bound = 2 * p * (p - 1) * min(rf, rg) * b * b
+            assert 2 ** (8 * nbytes - 9) <= bound < 2 ** (8 * nbytes - 1)
+            f = SignalFn(modulus, [CycloNum(modulus, [Fraction(b * c, scale) for c in a])
+                                   if x in points else 0 for x in range(p)])
+            g = SignalFn(modulus, [CycloNum(modulus, [b * c for c in b_vector])
+                                   if x in support_g else 0 for x in range(p)])
+            direct = [sum((f[y] * g[x - y] for y in points), zero) for x in range(p)]
+            decoded.clear()
+            assert list(convolve(f, g).values) == direct
+            assert decoded == [nbytes]
+            top = max(max(map(abs, v._num)) * p * scale // v._den for v in direct)
+            if p >= 13:
+                assert top == p * min(rf, rg) * 2 * (p - 2) * b * b
+                assert 2 ** (8 * nbytes - 9) <= top <= bound
+
+    def test_width_of_the_benchmark_shape(self, monkeypatch):
+        # A signal restricted to 16 points convolved with a dense one, at
+        # p = 97, with numerators in [-999, 999] over one denominator per
+        # signal (transform-stream's convolve): the bound
+        # 2 * 97 * 96 * 16 * 999^2 is below 2^39, so the products and
+        # inverse sums run at 5 bytes.  Sized for the biases of the packed
+        # spectra, 2 p^2 top_f top_g, they took 6.
+        rng = random.Random(97)
+        modulus = PrimeModulus(97)
+        decoded = []
+        decode = cyclotomic._decode_signed
+        monkeypatch.setattr(cyclotomic, "_decode_signed", lambda modulus, values, nbytes, den:
+                            decoded.append(nbytes) or decode(modulus, values, nbytes, den))
+
+        def dense():
+            den = rng.randint(1, 9)
+            return [CycloNum(modulus, [Fraction(rng.choice((-999, 999, rng.randint(-999, 999))),
+                                                den) for _ in range(96)]) for _ in range(97)]
+
+        points = set(rng.sample(range(97), 16))
+        f = SignalFn(modulus, [v if x in points else 0 for x, v in enumerate(dense())])
+        g = SignalFn(modulus, dense())
+        out = convolve(f, g)
+        assert decoded == [5]
+        spectrum = [97 * a * b for a, b in zip(dft(f).values, dft(g).values)]
+        assert out == idft(SignalFn(modulus, spectrum))
 
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
