@@ -13,23 +13,21 @@ Products run on the redundant spanning set {1, w, ..., w^(p-1)}, where
 multiplying by w is a cyclic shift and the automorphism w -> w^k (galois)
 moves coefficient i to i*k mod p.  Only this module knows how a value is
 stored and packed: dense products, character_sums (the kernel behind every
-transform in fourier, with its slots in discrete-log order; vanishing_sums
-only tests its sums for zero) and cyclic_convolution (packed from the
-forward sums to the inverse, whose products and sums run modulo
-2^(pW) - 1 and decode modulo Phi_p(2^W)) turn vectors into big integers
-through one linear-time codec (Kronecker substitution), with digits just
-as wide as their bound needs.  The sums pack the numerators of all their
-values as one string of signed struct items, the fewest bytes that hold
-them, and take their bias from a field-wise max on that string; a sum
-without single-term values folds its top coefficient on the packed integer
-and unpacks as signed digits through struct, so neither the packing, the
-bias (above the size where a scan of the rows is cheaper) nor the fold
-visits a coefficient in Python.  Inverses come from the Galois norm: the product of all p - 1
-conjugates of a nonzero element is a nonzero rational, so dividing the
-product of the other p - 2 conjugates by it inverts the element with
-integer vector arithmetic alone.  The Galois group is cyclic, so a doubling
-chain builds that product in O(log p) multiplications.  CycloNum.of is the
-one way a caller's value gets into Q(w).
+transform in fourier, with its slots in discrete-log order), vanishing_sums
+and cyclic_convolution turn vectors into big integers through one
+linear-time codec (Kronecker substitution), with digits just as wide as
+their bound needs, and every packed character sum is read back by one
+rule, its residue mod Phi_p(2^W) (_fold_residues).  The sums pack the
+numerators of all their values as one string of signed struct items, the
+fewest bytes that hold them, take their bias from a field-wise max on that
+string and unpack through struct, so neither the packing, the bias (above
+the size where a scan of the rows is cheaper) nor the reduction visits a
+coefficient in Python.  Inverses come from the Galois norm: the product of
+all p - 1 conjugates of a nonzero element is a nonzero rational, so
+dividing the product of the other p - 2 conjugates by it inverts the
+element with integer vector arithmetic alone.  The Galois group is cyclic,
+so a doubling chain builds that product in O(log p) multiplications.
+CycloNum.of is the one way a caller's value gets into Q(w).
 
 A character sum turns each packed slot by some number of digits r.  From
 p = 47 on, r = 8j + s is split in two steps: each slot is turned by
@@ -57,7 +55,6 @@ import numbers
 import operator
 import struct
 import sys
-from array import array
 from fractions import Fraction
 
 from .errors import TheoremViolationError
@@ -214,27 +211,24 @@ def _root_power(p: int, k: int) -> CycloNum:
     return CycloNum._raw(PrimeModulus(p), num, 1)
 
 
-# Kronecker codec of the two packed kernels (_packed_convolution and
-# character_sums): a list of digits, each below 256**nbytes, is one integer
-# with digit i at bit 8*nbytes*i, and back.  Both kernels bias all p digits
-# of a redundant vector by one constant, which adds a multiple of the
-# all-ones vector J.  Sums and cyclic products keep it a multiple of J
-# (a*J = (sum a)*J, J*J = p*J), and folding the top coefficient cancels it.
-# The kernels take the width from their inputs through _digit_bytes, which
-# gives the bytes the largest digit needs and no more, since every shift,
-# sum and product of the packed integers grows with it.  cyclic_convolution
-# takes it from its result instead: its products and inverse sums are
-# residues mod B^p - 1, B = 2^(8*nbytes), whose digits may carry, and the
-# result comes back as a balanced residue mod Phi_p(B), which divides both
-# B^p - 1 and J(B), so the biases vanish there.  A width of up to 8
-# bytes converts through the next item size of 1, 2, 4 or 8 bytes in one C
-# call: struct packs and unpacks the character sums' rows of signed digits
-# (little-endian standard sizes on every host), and array the unsigned
-# digits of _packed_convolution (native-endian items, byteswapped on
-# big-endian hosts).  _resize moves digits between widths: one strided
-# deletion per byte dropped, or one strided slice assignment per byte kept
-# and per byte of sign fill.  Wider digits convert one at a time.  Both
-# directions are linear.
+# Kronecker codec of the packed kernels: a list of digits, each below
+# 256**nbytes, is one integer with digit i at bit 8*nbytes*i, the digits'
+# polynomial at z = B = 2^(8*nbytes), and back.  Sums and cyclic products
+# of packed vectors run modulo B^p - 1, where z^p = 1.  Every packed
+# character sum is read back by one rule, its residue mod Phi_p(B), which
+# divides B^p - 1 and vanishes on the bias of the packed rows, a multiple
+# of the all-ones vector J (_fold_residues); the dense multiply folds its
+# top digit in _from_redundant.  The kernels take the width from their
+# inputs through _digit_bytes, which gives the bytes the largest digit
+# needs and no more, since every shift, sum and product of the packed
+# integers grows with it; cyclic_convolution takes it from its result,
+# whose sums may carry.  A width of up to 8 bytes converts through the next
+# struct item size of 1, 2, 4 or 8 bytes in one C call (little-endian
+# standard sizes on every host; unsigned for the multiply's digits, two's
+# complement for the rows and sums).  _resize moves digits between widths:
+# one strided deletion per byte dropped, or one strided slice assignment
+# per byte kept and per byte of sign fill.  Wider digits convert one at a
+# time.  Both directions are linear.
 #
 # Digits may also be signed, |d| < 2**(8*nbytes - 1), as two's complement
 # items.  With H = 2**(8*nbytes - 1) in every digit, the items X of signed
@@ -246,9 +240,8 @@ def _root_power(p: int, k: int) -> CycloNum:
 # (_field_max), with no digit visited in Python: field-wise (SWAR)
 # arithmetic, as in Lamport, "Multiple byte processing with full-word
 # instructions", CACM 18 (1975).
-_ARRAY_CODES = {array(code).itemsize: code for code in "BHILQ"}
-_BIG_ENDIAN = sys.byteorder == "big"
-# Item size in bytes -> struct code of a little-endian two's complement item.
+# Item size in bytes -> struct code of a little-endian two's complement
+# item; the upper case code is the unsigned item.
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 # Digit width in bytes -> the smallest item size that holds it.
 _ITEM_BYTES = {need: min(k for k in _STRUCT_CODES if k >= need)
@@ -257,11 +250,21 @@ _ITEM_BYTES = {need: min(k for k in _STRUCT_CODES if k >= need)
 _SIGN_FILL = bytes(128) + b"\xff" * 128
 
 
+@functools.lru_cache(maxsize=None)
+def _row_struct(count: int, item: int, signed: bool = True) -> struct.Struct:
+    """count little-endian items of item bytes, two's complement if signed."""
+    code = _STRUCT_CODES[item]
+    return struct.Struct(f"<{count}{code if signed else code.upper()}")
+
+
 def _digit_bytes(top: int) -> int:
     """Digit width in bytes for non-negative digits up to top."""
     return (top.bit_length() + 7) // 8 or 1
 
 
+# J, J' and Phi_p(2^W) are cached per width, and a width grows with the
+# coefficients, so these caches are bounded.
+@functools.lru_cache(maxsize=256)
 def _ones(count: int, nbytes: int) -> int:
     """J: count digits of nbytes bytes, each 1."""
     return int.from_bytes((b"\x01" + bytes(nbytes - 1)) * count, "little")
@@ -272,11 +275,7 @@ def _digit_string(digits, nbytes: int, signed: bool = False) -> bytes:
     item = _ITEM_BYTES.get(nbytes)
     if item is None:
         return b"".join([d.to_bytes(nbytes, "little", signed=signed) for d in digits])
-    code = _ARRAY_CODES[item]
-    items = array(code.lower() if signed else code, digits)
-    if _BIG_ENDIAN:
-        items.byteswap()
-    return _resize(items.tobytes(), item, nbytes)
+    return _resize(_row_struct(len(digits), item, signed).pack(*digits), item, nbytes)
 
 
 def _pack(digits, nbytes: int) -> int:
@@ -314,10 +313,7 @@ def _unpack(value: int, count: int, nbytes: int) -> list[int]:
     item = _ITEM_BYTES.get(nbytes)
     if item is None:
         return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
-    items = array(_ARRAY_CODES[item], _resize(raw, nbytes, item))
-    if _BIG_ENDIAN:
-        items.byteswap()
-    return items.tolist()
+    return list(_row_struct(count, item, False).unpack(_resize(raw, nbytes, item)))
 
 
 def _machine_digits(num: tuple[int, ...]) -> int:
@@ -375,12 +371,6 @@ _FOLD_CHUNK = 4096
 # Few long rows scan fastest.  A multi_dft line at p = 5 has 20 items, and
 # construct-ladder's rows at p = 11 and 13 are mostly 5 of 10 small ones.
 _FOLD_ITEMS = {2: 128, 4: 256, 8: 2048}
-
-
-@functools.lru_cache(maxsize=None)
-def _row_struct(count: int, item: int) -> struct.Struct:
-    """count little-endian two's complement items of item bytes."""
-    return struct.Struct(f"<{count}{_STRUCT_CODES[item]}")
 
 
 def _fields_max(a: int, b: int, high: int, w: int) -> int:
@@ -473,7 +463,7 @@ def _packed_rows(rows, room: int = 0,
 
     Biased by max |c * m|, the digits of a sum of all rows are at most top,
     and nbytes leaves room for digits up to top + room, or, if signed, one
-    spare bit for digits in [-top, top], to which _decode_folded folds them.
+    spare bit for digits in [-top, top], to which _fold_residues folds them.
     The numerators of all rows are one string of signed items, packed by
     struct at the fewest bytes that hold them (_row_string), which gives
     the bias with no coefficient visited in Python (_row_bias), and is then
@@ -718,22 +708,30 @@ def _decode_signed(modulus: PrimeModulus, values, nbytes: int, den: int) -> list
     return out
 
 
-def _decode_folded(modulus: PrimeModulus, sums, nbytes: int, den: int) -> list[CycloNum]:
-    """The packed redundant vectors of sums, each over den, as CycloNums.
+@functools.lru_cache(maxsize=256)
+def _fold_constants(p: int, nbytes: int) -> tuple[int, int, int, int]:
+    """(cut, 2^cut - 1, J', Phi) of _fold_residues, for B^(p-1) = 2^cut."""
+    ones = _ones(p - 1, nbytes)
+    cut = 8 * nbytes * (p - 1)
+    return cut, (1 << cut) - 1, ones, (ones << 8 * nbytes) + 1
 
-    Folding the top digit t through w^(p-1) = -(1 + ... + w^(p-2)) cancels
-    the codec's bias, and on the packed integer it is (total mod 2^(w(p-1)))
-    - t * J.  Its digits lie in [-top, top], within the spare bit that
-    _packed_rows(signed=True) leaves, so the folded integers decode as
-    signed digits, all in one pass (_decode_signed).
+
+def _fold_residues(sums, p: int, nbytes: int) -> list[int]:
+    """The balanced residue of each packed sum mod Phi = Phi_p(B), B = 2^(8*nbytes).
+
+    Phi = J' * B + 1 = J(B), J' = 1 + B + ... + B^(p-2), divides B^p - 1,
+    modulo which a sum is p digits at z = B (_shifted_sums), and the rows'
+    bias, a multiple of J, vanishes.  B^(p-1) = -J' mod Phi, so folding the
+    top digit t, (total mod B^(p-1)) - t * J', reduces the sum.  Uncarried,
+    its digits d_i - t are the numerators; below B / 2 in magnitude (the
+    spare bit of _packed_rows(signed=True)) they put it in (-Phi/2, Phi/2).
+    A fold outside that range (carried digits: cyclic_convolution) takes
+    % Phi.
     """
-    count = modulus.p - 1
-    cut = 8 * nbytes * count
-    mask = (1 << cut) - 1
-    ones = _ones(count, nbytes)
-    # (total mod 2^cut) - t * J: the numerators' digits, signed.
-    return _decode_signed(modulus, [(total & mask) - (total >> cut) * ones for total in sums],
-                          nbytes, den)
+    cut, mask, ones, phi = _fold_constants(p, nbytes)
+    half = phi >> 1
+    folded = [(total & mask) - (total >> cut) * ones for total in sums]
+    return [r if -half <= r <= half else _balanced_residue(r, phi) for r in folded]
 
 
 def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
@@ -743,26 +741,30 @@ def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
     Kronecker substitution on the redundant spanning set {1, w, ..., w^(p-1)}.
     The values are put over one common denominator and zero values are
     dropped.  Each numerator vector with two or more nonzero coefficients is
-    biased and packed (_packed_rows), _shifted_sums adds the packed vectors
-    turned by their powers of w, and the sums are decoded together: each is
-    folded on its packed integer, which cancels the bias, and all unpack as
-    signed digits in one pass (_decode_folded).  A value with one nonzero
+    biased and packed with one spare bit (_packed_rows), _shifted_sums adds
+    the packed vectors turned by their powers of w, and each sum's residue
+    mod Phi_p(2^W) (_fold_residues) is its numerators as signed digits, all
+    unpacked in one pass (_decode_signed).  A value with one nonzero
     coefficient, c * w^i (every rational is one), is not packed: for each t
     it adds c, over the common denominator, at index (i + e * t) mod p of
-    the unpacked sum, so the bias and the width come from the packed values
-    only, and _from_redundant folds the top coefficient.
+    those digits, or of zeros when no value is packed, and _from_redundant
+    folds the top coefficient.
     """
     p = modulus.p
     multipliers = list(multipliers)
     common, rows, monomials = _split_values(values, exponents)
-    _, nbytes, terms = _packed_rows(rows, signed=not monomials)
-    sums = _shifted_sums(p, terms, multipliers, 8 * nbytes)
     den = common * den_factor
-    if not monomials:
-        return _decode_folded(modulus, sums, nbytes, den)
+    if rows:
+        _, nbytes, terms = _packed_rows(rows, signed=True)
+        residues = _fold_residues(_shifted_sums(p, terms, multipliers, 8 * nbytes), p, nbytes)
+        if not monomials:
+            return _decode_signed(modulus, residues, nbytes, den)
+        digits = _signed_rows(residues, p - 1, nbytes)
+    else:
+        digits = itertools.repeat((0,) * (p - 1))
     out = []
-    for t, total in zip(multipliers, sums):
-        acc = _unpack(total, p, nbytes)
+    for t, num in zip(multipliers, digits):
+        acc = [*num, 0]
         for e, i, c in monomials:
             acc[(i + e * t) % p] += c
         out.append(CycloNum._from_redundant(modulus, acc, den))
@@ -772,22 +774,23 @@ def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
 def vanishing_sums(modulus: PrimeModulus, values, exponents, multipliers) -> list[bool]:
     """[sum_j values[j] * w^(exponents[j] * t) == 0 for t in multipliers].
 
-    A redundant vector is zero in Q(w) exactly when its p digits are equal,
-    so a packed sum is tested against its top digit times the packed all-ones
-    vector J, never unpacked.  The single terms c * w^i (|c| summing to s) go
-    into each sum in place, over s * J with room for 2s in the width.
+    The single terms c * w^i (|c| summing to s) go into each packed sum in
+    place, over s * J, so its digits lie in [0, top + 2s], which the width
+    holds, and its numerators at z = 2^W lie within Phi_p(2^W) of 0: the sum
+    is zero exactly when its residue mod Phi_p(2^W) (_fold_residues) is 0.
+    No sum is unpacked.
     """
     p, multipliers = modulus.p, list(multipliers)
     _, rows, monomials = _split_values(values, exponents)
     lift = sum([abs(c) for _, _, c in monomials])
     _, nbytes, terms = _packed_rows(rows, 2 * lift)
     width = 8 * nbytes
-    ones = _ones(p, nbytes)
-    out = []
-    for t, total in zip(multipliers, _shifted_sums(p, terms, multipliers, width)):
-        total += lift * ones + sum([c << width * ((i + e * t) % p) for e, i, c in monomials])
-        out.append(total == (total >> width * (p - 1)) * ones)
-    return out
+    sums = _shifted_sums(p, terms, multipliers, width)
+    if monomials:
+        lift *= _fold_constants(p, nbytes)[3]  # s * J(2^W) = s * Phi_p(2^W)
+        sums = [total + sum([c << width * ((i + e * t) % p) for e, i, c in monomials], lift)
+                for t, total in zip(multipliers, sums)]
+    return [not r for r in _fold_residues(sums, p, nbytes)]
 
 
 def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
@@ -802,18 +805,15 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
     B = 2^(8W), a W-byte digit, where z = B has z^p = 1: each product is
     folded once, and the inverse sums (_shifted_sums) let their digits
     carry.  The inverse sum at x is congruent to p c_f c_g (f*g)(x) on the
-    redundant set at z = B, plus the biases, multiples of J.  Phi_p(B)
-    divides both B^p - 1 and J(B) = Phi_p(B), so modulo Phi_p(B) the biases
-    vanish and the sum is the value's p - 1 canonical numerators at z = B.
-    A numerator of f[y] g[x - y] is at most 2(p - 1) b_f b_g (p - 1
-    products, and the fold of the top coefficient), so those of
-    p c_f c_g (f*g)(x) are at most 2p(p - 1) min(r_f, r_g) b_f b_g, and W
-    is the fewest bytes that keep this below B / 2.  Such a vector lies
-    within Phi_p(B) / 2 of 0, so the balanced residue (_balanced_residue,
-    the ResidueRing rule) is the vector itself.  Its numerators are
-    multiples of p, which is divided out on the packed integer, and the
-    nonzero values unpack once, as signed digits over c_f c_g
-    (_decode_signed).
+    redundant set at z = B, plus the biases, which vanish modulo Phi_p(B)
+    (_fold_residues).  A numerator of f[y] g[x - y] is at most
+    2(p - 1) b_f b_g (p - 1 products, and the fold of the top coefficient),
+    so those of p c_f c_g (f*g)(x) are at most 2p(p - 1) min(r_f, r_g)
+    b_f b_g, and W is the fewest bytes that keep this below B / 2.  Such a
+    vector lies within Phi_p(B) / 2 of 0, so the sum's balanced residue is
+    the vector itself.  Its numerators are multiples of p, which is divided
+    out on the packed integer, and the nonzero values unpack once, as
+    signed digits over c_f c_g (_decode_signed).
     """
     p = modulus.p
     sides = []
@@ -842,9 +842,8 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
         product = (int.from_bytes(f_hat[lo:lo + size], "little")
                    * int.from_bytes(g_hat[lo:lo + size], "little"))
         products.append((xi, (product & mask) + (product >> cut)))
-    phi = mask // ((1 << width) - 1)  # Phi_p(B) = (B^p - 1) / (B - 1)
-    residues = [_balanced_residue(total, phi) // p
-                for total in _shifted_sums(p, products, range(p), width)]
+    residues = [r // p for r in _fold_residues(_shifted_sums(p, products, range(p), width),
+                                               p, nbytes)]
     # A zero value (most of a sparse by sparse convolution's) unpacks nothing.
     live = [x for x, r in enumerate(residues) if r]
     out = [CycloNum.zero(modulus)] * p

@@ -17,10 +17,12 @@ from primefourier import (
 )
 from primefourier import cyclotomic
 from primefourier.cyclotomic import (
-    _decode_folded,
+    _balanced_residue,
+    _decode_signed,
     _digit_bytes,
     _digit_string,
     _field_max,
+    _fold_residues,
     _ones,
     _pack,
     _packed_convolution,
@@ -901,13 +903,14 @@ class TestCodec:
     # up to the next one, and 9 converts digit by digit.
     @pytest.mark.parametrize("nbytes", range(1, 10))
     def test_decode_folded_matches_per_value_reference(self, nbytes):
-        # Each sum is a redundant vector of p unsigned digits, folded by its
-        # top digit, so its folded digits reach +-(2^(8n-1) - 1), the bound
-        # of the spare bit.  Vectors whose digits are all congruent mod f
-        # fold to multiples of f, and with gcd(f, den) > 1 the value is
-        # divided on its packed integer and unpacked again; a zero vector
-        # reduces to den 1.  All sums of a call decode in one pass, and
-        # each must equal the per-value unpack and fold, in lowest terms.
+        # Each sum is a redundant vector of p unsigned digits, reduced mod
+        # Phi_p(2^(8n)) by folding its top digit (_fold_residues), so its
+        # folded digits reach +-(2^(8n-1) - 1), the bound of the spare bit.
+        # Vectors whose digits are all congruent mod f fold to multiples of
+        # f, and with gcd(f, den) > 1 the value is divided on its packed
+        # integer and unpacked again; a zero vector reduces to den 1.  All
+        # sums of a call decode in one pass, and each must equal the
+        # per-value unpack and fold, in lowest terms.
         rng = random.Random(700 + nbytes)
         limit = 2 ** (8 * nbytes - 1) - 1
         for p, den in ((2, 1), (2, 6), (7, 1), (7, 12), (13, 30)):
@@ -923,11 +926,72 @@ class TestCodec:
             sums = [_pack(vector, nbytes) for vector in vectors]
             expected = [CycloNum._from_redundant(modulus, _unpack(s, p, nbytes), den)
                         for s in sums]
-            got = _decode_folded(modulus, sums, nbytes, den)
+            got = _decode_signed(modulus, _fold_residues(sums, p, nbytes), nbytes, den)
             assert got == expected
             assert all(type(v._num) is tuple and math.gcd(v._den, *v._num) == 1 for v in got)
             if den > 1:
                 assert any(v._den < den for v in expected)
+
+    @staticmethod
+    def spied_residues(monkeypatch):
+        # Every call of _balanced_residue, i.e. every fold that takes % Phi.
+        calls = []
+        balanced = cyclotomic._balanced_residue
+        monkeypatch.setattr(cyclotomic, "_balanced_residue",
+                            lambda value, n: calls.append(n) or balanced(value, n))
+        return calls
+
+    @pytest.mark.parametrize("nbytes", range(1, 10))
+    def test_fold_residues_of_sums_that_fit(self, nbytes, monkeypatch):
+        # Packed vectors of p digits in [0, 2^(8n-1) - 1], none carried, fold
+        # to digits d_i - d_top that reach +-(2^(8n-1) - 1): the fold alone,
+        # with no % Phi, must be the balanced residue mod
+        # Phi_p(B) = (B^p - 1) / (B - 1), and its signed digits those
+        # differences.
+        rng = random.Random(1300 + nbytes)
+        base = 256 ** nbytes
+        limit = base // 2 - 1
+        for p in (2, 3, 7, 13):
+            phi = (base ** p - 1) // (base - 1)
+            vectors = [[0] * p, [limit] * p, [limit] + [0] * (p - 1), [0] * (p - 1) + [limit],
+                       [0] + [limit] * (p - 1), [limit] * (p - 1) + [0]]
+            vectors += [[rng.choice((0, limit, rng.randint(0, limit))) for _ in range(p)]
+                        for _ in range(20)]
+            sums = [_pack(vector, nbytes) for vector in vectors]
+            expected = [_balanced_residue(total, phi) for total in sums]
+            calls = self.spied_residues(monkeypatch)
+            got = _fold_residues(sums, p, nbytes)
+            assert calls == []
+            assert got == expected
+            assert got == [sum((d - v[-1]) * base ** i for i, d in enumerate(v[:-1]))
+                           for v in vectors]
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("nbytes", range(1, 10))
+    def test_fold_residues_of_carried_sums(self, nbytes, monkeypatch):
+        # Several full-width terms at one exponent, as a convolve's inverse
+        # sums have, carry past their digits: _shifted_sums keeps each sum
+        # congruent mod B^p - 1, and the fold of every sum must equal its
+        # balanced residue mod Phi_p(B).  k copies of a top digit B - 1 at
+        # exponent 0, which never turns, leave a top digit B - k, whose fold
+        # lies outside (-Phi/2, Phi/2): every such sum must take % Phi.
+        rng = random.Random(1400 + nbytes)
+        base = 256 ** nbytes
+        for p in (2, 3, 7, 13, 47):
+            phi = (base ** p - 1) // (base - 1)
+            multipliers = [0, 1, -1, 2, p, p + 3]
+            for k in (2, 3, 5):
+                tops = [(0, _pack([0] * (p - 1) + [base - 1], nbytes))] * k
+                full = [(1, _pack([rng.randint(base // 2, base - 1) for _ in range(p)], nbytes))
+                        for _ in range(k)]
+                for terms in (tops, full):
+                    sums = cyclotomic._shifted_sums(p, terms, multipliers, 8 * nbytes)
+                    calls = self.spied_residues(monkeypatch)
+                    assert _fold_residues(sums, p, nbytes) == [
+                        _balanced_residue(total, phi) for total in sums]
+                    if terms is tops:
+                        assert calls == [phi] * len(sums)
+                    monkeypatch.undo()
 
     def test_unpack_rejects_values_that_do_not_fit(self):
         with pytest.raises(OverflowError):

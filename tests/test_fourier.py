@@ -278,26 +278,36 @@ class TestCharacterSums:
     @pytest.mark.parametrize("p", [61, 97])
     def test_sums_that_share_a_factor_with_their_denominator(self, p, monkeypatch):
         # Every sum of an idft of a dft has digits that share a factor g > 1
-        # with the denominator it is decoded over: _decode_folded divides
-        # those values on their packed integers and unpacks them again.
-        # Each decoded value must be in lowest terms and equal the per-value
-        # unpack and fold of the same packed sum.  Every sum of a convolve
-        # carries the known factor p, which it divides out on the packed
-        # integer before its one unpack: _signed_rows must unpack p values
-        # per convolve, each in lowest terms and equal to
-        # sum_y f(y) g(x - y).
+        # with the denominator it is decoded over: _decode_signed divides
+        # those values on their reduced packed integers (_fold_residues)
+        # and unpacks them again.  Each decoded value must be in lowest
+        # terms and equal the per-value balanced base-2^(8n) digits of the
+        # same integer over den.  Every sum of a convolve carries the known
+        # factor p, which it divides out on the packed integer before its
+        # one unpack: _signed_rows must unpack p values per convolve, each
+        # in lowest terms and equal to sum_y f(y) g(x - y).
         rng = random.Random(800 + p)
         modulus = PrimeModulus(p)
         zero = CycloNum.zero(modulus)
-        decode = cyclotomic._decode_folded
+        decode = cyclotomic._decode_signed
         calls = []
 
-        def spy(modulus, sums, nbytes, den):
-            out = decode(modulus, sums, nbytes, den)
-            calls.append((sums, nbytes, den, out))
+        def spy(modulus, values, nbytes, den):
+            out = decode(modulus, values, nbytes, den)
+            calls.append((values, nbytes, den, out))
             return out
 
-        monkeypatch.setattr(cyclotomic, "_decode_folded", spy)
+        monkeypatch.setattr(cyclotomic, "_decode_signed", spy)
+
+        def digits(value, nbytes):
+            base = 256 ** nbytes
+            out = []
+            for _ in range(p - 1):
+                d = (value + base // 2) % base - base // 2
+                out.append(d)
+                value = (value - d) // base
+            assert value == 0
+            return out
 
         def dense():
             den = rng.randint(2, 9)
@@ -310,9 +320,9 @@ class TestCharacterSums:
         g = SignalFn(modulus, [v if x in points else zero for x, v in enumerate(dense().values)])
         assert idft(dft(f)) == f
         assert len(calls) == 2
-        for sums, nbytes, den, out in calls[1:]:  # calls[0] is the dft
-            expected = [CycloNum._from_redundant(modulus, cyclotomic._unpack(s, p, nbytes), den)
-                        for s in sums]
+        for values, nbytes, den, out in calls[1:]:  # calls[0] is the dft
+            expected = [CycloNum._from_redundant(modulus, digits(v, nbytes) + [0], den)
+                        for v in values]
             assert out == expected
             assert all(math.gcd(v._den, *v._num) == 1 and 0 < v._den < den for v in out)
         unpacked = []
@@ -322,11 +332,12 @@ class TestCharacterSums:
         direct = [sum((f[x - y] * g[y] for y in points), zero) for x in range(p)]
         for a, b in ((f, g), (g, f)):
             unpacked.clear()
+            del calls[2:]
             out = convolve(a, b).values
             assert sum(unpacked) == p
+            assert len(calls) == 3 and calls[2][3] == list(out)
             assert list(out) == direct
             assert all(math.gcd(v._den, *v._num) == 1 for v in out)
-        assert len(calls) == 2
 
 
 class TestIdft:
@@ -449,6 +460,40 @@ class TestVanishingSums:
         # so fhat(xi) vanishes at xi = -1 alone.
         f = SignalFn(modulus, [ones, top] + [0] * (p - 2))
         assert fourier_support(f) == support(dft(f)) == SupportSet(modulus, range(p - 1))
+
+    @pytest.mark.parametrize("nbytes", range(1, 10))
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_width_edge(self, p, nbytes, monkeypatch):
+        # The width holds top + 2s, top = 2 * bias * rows for the packed
+        # rows and s the sum of |c| over the single terms.  top is even, so
+        # its edge is 256^W - 2: one row R = b - b*w + w^2 with b = 2^(8W-3)
+        # (top = 2b), the terms -b, b*w and -w^2 of -R, and c*w^3 and
+        # -c*w^3 with c = 2^(8W-4) - 1 give s = 2b + 1 + 2c and
+        # top + 2s = 256^W - 2.  R sits at exponent 1 and -R at exponent 2,
+        # so the sum at t is R(w) (w^t - w^(2t)), zero exactly when
+        # t = 0 (mod p), and the pair cancels at every t.
+        modulus = PrimeModulus(p)
+        b, c = 2 ** (8 * nbytes - 3), 2 ** (8 * nbytes - 4) - 1
+        row = CycloNum(modulus, [b, -b, 1] + [0] * (p - 4))
+        singles = [(-b, 0), (b, 1), (-1, 2)]
+        values = [row] + [k * CycloNum.root_power(modulus, i) for k, i in singles]
+        values += [c * CycloNum.root_power(modulus, 3), -c * CycloNum.root_power(modulus, 3)]
+        exponents = [1, 2, 2, 2, 3, 3]
+        assert 2 * b + 2 * (2 * b + 1 + 2 * c) == 256 ** nbytes - 2
+        widths = []
+        packed_rows = cyclotomic._packed_rows
+
+        def spy(rows, room=0, signed=False):
+            out = packed_rows(rows, room, signed)
+            widths.append(out[1])
+            return out
+
+        monkeypatch.setattr(cyclotomic, "_packed_rows", spy)
+        multipliers = range(-p, 2 * p + 1)
+        assert vanishing_sums(modulus, values, exponents, multipliers) == [
+            t % p == 0 for t in multipliers]
+        assert widths == [nbytes]
+        self._agree(modulus, values, exponents, multipliers)
 
     def test_p2_values_are_all_single_terms(self):
         p2 = PrimeModulus(2)
