@@ -44,11 +44,13 @@ class AchievabilityWitness:
 
     combination_coeffs holds the integer weights the construction fixed,
     (1, t, ..., t^(k-1)) for the least t in 1, 2, ..., p(k - 1) + 1 that
-    gives both supports: the ratios f(free_j) / f(free_0) on the last
-    k = |A| + |B| - p members of A.  The signal's values lie in Z[w]: f takes
-    d * t^j on free point j, where d is the determinant of the pivot minor
-    (construct_support_pair), 1 when B is all of Z/p.  In the exact case
-    k = 1 the weights are (1,), so f(max A) = d.
+    gives both supports.  The signal's values lie in Z[w].  For |A| <= |B|
+    the weights are the ratios f(free_j) / f(free_0) on the last
+    k = |A| + |B| - p members of A: f takes d * t^j on free point j, where
+    d is the determinant of the pivot minor (construct_support_pair), 1
+    when B is all of Z/p, and in the exact case k = 1 the weights are (1,),
+    so f(max A) = d.  For |A| > |B| the signal is idft(g) for the witness g
+    of the smaller side (B, -A), and the weights are g's.
     """
 
     target_support: SupportSet
@@ -109,6 +111,12 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
     t can fail (see _certify_minors), so a run past the bound raises
     TheoremViolationError.  In the exact case k = 1 there is one try, with
     f(max A) = d.  seed is accepted and ignored: nothing is drawn.
+
+    When |A| > |B| the smaller side is solved instead: the witness g of
+    (B, -A), built as above with p - |A| < n unknowns, gives f = idft(g),
+    whose transform is g and whose support is -supp(dft(g)) = A.  f keeps
+    g's weights, its values stay in Z[w], and it is verified like every
+    witness.
     """
     if support_set.modulus != spectrum_set.modulus:
         raise ValueError("modulus mismatch between target sets")
@@ -122,6 +130,17 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
             f"|A| + |B| = {total} is below p + 1 = {p + 1}; such a pair is "
             "unreachable by any nonzero signal"
         )
+    if len(support_set) > len(spectrum_set):
+        dual = construct_support_pair(
+            spectrum_set, SupportSet(modulus, ((-a) % p for a in support_set)))
+        signal = fourier.idft(dual.signal)
+        if not _verify_witness_supports(signal, support_set, spectrum_set):
+            raise TheoremViolationError(
+                f"the idft of the witness of (B, -A) does not realize "
+                f"A={support_set.members}, B={spectrum_set.members} (p={p})"
+            )
+        return AchievabilityWitness(support_set, spectrum_set, signal,
+                                    dual.combination_coeffs)
     n, k = p - len(spectrum_set), total - p
     pivots, free = support_set.members[:n], support_set.members[n:]
     # The transform restricted to l2(A), evaluated at xi, is (1/p) sum_a

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from primefourier import CycloNum, FourierMinor, PrimeModulus, SignalFn, SupportSet, minor_det
+from primefourier import (CycloNum, FourierMinor, PrimeModulus, SignalFn, SupportSet,
+                          construct_support_pair, idft, minor_det)
 from primefourier import fourier
 
 
@@ -56,6 +57,27 @@ def pivot_det(a: SupportSet, b: SupportSet) -> CycloNum:
     """det of pivot_minor(a, b), or 1 when B = Z/p: the witness's value at the first free point."""
     minor = pivot_minor(a, b)
     return CycloNum.one(a.modulus) if minor is None else minor_det(minor)
+
+
+def negated(s: SupportSet) -> SupportSet:
+    """-S."""
+    return SupportSet(s.modulus, ((-x) % s.modulus.p for x in s))
+
+
+def solved_side(witness):
+    """The witness whose pivot minor construct_support_pair solved for this one.
+
+    That is the witness itself when |A| <= |B|.  When |A| > |B| it is the
+    witness g of the smaller side (B, -A), and this one must be idft(g) with
+    g's weights, which is asserted here.
+    """
+    a, b = witness.target_support, witness.target_spectrum
+    if len(a) <= len(b):
+        return witness
+    dual = construct_support_pair(b, negated(a))
+    assert witness.signal == idft(dual.signal)
+    assert witness.combination_coeffs == dual.combination_coeffs
+    return dual
 
 
 def inject_fault(monkeypatch, bad):

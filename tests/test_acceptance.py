@@ -35,7 +35,7 @@ from primefourier import (
     verify_uncertainty,
 )
 
-from conftest import float_dft, integral, pivot_det, random_dense_signal
+from conftest import float_dft, integral, pivot_det, random_dense_signal, solved_side
 
 
 def _report(number: int, description: str, ok: bool) -> None:
@@ -142,14 +142,17 @@ def test_criterion_3_constructive_converse():
                 assert support(witness.signal) == a_set
                 assert support(dft(witness.signal)) == b_set
                 # One weight per free point; the exact case's one is 1, so
-                # the witness over det of the pivot minor is 1 at max A.
+                # the witness of the side solved, (A, B) or for |A| > |B|
+                # (B, -A), over det of its pivot minor is 1 at its max.
                 k = len(a) + len(b) - p
                 assert len(witness.combination_coeffs) == k
                 assert integral(witness.signal)
+                solved = solved_side(witness)
                 if k == 1:
                     assert witness.combination_coeffs == (1,)
-                    normalized = witness.signal * pivot_det(a_set, b_set).inverse()
-                    assert normalized[a[-1]] == CycloNum.one(modulus)
+                    sa, sb = solved.target_support, solved.target_spectrum
+                    normalized = solved.signal * pivot_det(sa, sb).inverse()
+                    assert normalized[sa.members[-1]] == CycloNum.one(modulus)
                 else:
                     combined += 1
                 built += 1

@@ -385,17 +385,17 @@ class TestVanishingSums:
 
     @pytest.mark.parametrize("p", [5, 7, 13, 31, 61])
     def test_boundary_witnesses(self, p, monkeypatch):
-        # |A| + |B| = p + 1: the witness is Q(w)-valued on all but max A, and
-        # fhat vanishes at exactly p - |B| points.  Its solve has |A| - 1
-        # unknowns, so at p = 61 |A| stays at most p / 2, whose sums take two
-        # steps.
+        # |A| + |B| = p + 1: the witness is Q(w)-valued, and fhat vanishes
+        # at exactly p - |B| points.  Its solve has min(|A|, |B|) - 1
+        # unknowns (the smaller side), so every size runs at p = 61, whose
+        # sums take two steps.
         rng = random.Random(500 + p)
         modulus = PrimeModulus(p)
         calls = []
         layout = cyclotomic._two_step_layout
         monkeypatch.setattr(cyclotomic, "_two_step_layout",
                             lambda q: calls.append(q) or layout(q))
-        for a_size in (1, 2, p // 2, p - 1, p) if p < 61 else (1, 2, p // 2):
+        for a_size in (1, 2, p // 2, p - 1, p):
             a = SupportSet(modulus, rng.sample(range(p), a_size))
             b = SupportSet(modulus, rng.sample(range(p), p + 1 - a_size))
             f = uncertainty.construct_support_pair(a, b).signal
@@ -1090,7 +1090,7 @@ class TestResidueElimination:
         monkeypatch.setattr(cyclotomic, "_embedding_bound",
                             lambda num: bounded.append(num) or bound(num))
         monkeypatch.setattr(fourier, "_triangular",
-                            lambda a, m: moduli.append(m) or triangular(a, m))
+                            lambda a, m, cut: moduli.append(m) or triangular(a, m, cut))
 
         def widths_tried(p, rows, cols):
             modulus = PrimeModulus(p)
@@ -1126,9 +1126,9 @@ class TestResidueElimination:
         moduli, calls = [], []
         real_triangular, real_eliminate = fourier._triangular, fourier._eliminate
 
-        def triangular(a, m):
+        def triangular(a, m, cut):
             moduli.append(m)
-            return real_triangular(a, m)
+            return real_triangular(a, m, cut)
 
         def spy(*args):
             calls.append(args)
@@ -1301,7 +1301,7 @@ class TestTriangular:
             for _ in range(10):
                 a = [[rng.randrange(q) for _ in range(n + 1)] for _ in range(n)]
                 square = [row[:n] for row in a]
-                reduced = fourier._triangular([list(row) for row in a], q)
+                reduced = fourier._triangular([list(row) for row in a], q, 0)
                 if reduced is None:
                     continue
                 det, rows, inverses = reduced
@@ -1311,10 +1311,140 @@ class TestTriangular:
 
     def test_a_non_unit_pivot_gives_none(self):
         # Mod 15 the second pivot 5 * 1 - 2 * 0 = 5 is a zero divisor, and
-        # no later pivot can make the product a unit again.
-        assert fourier._triangular([[1, 0, 4], [2, 5, 1], [0, 1, 1]], 15) is None
-        assert fourier._triangular([[1, 0, 4], [2, 7, 1], [0, 1, 1]], 15)[0] == (
-            self.leibniz([[1, 0, 4], [2, 7, 1], [0, 1, 1]], 15))
+        # no later pivot can make the product a unit again.  15 = 2^4 - 1,
+        # so the folded updates (cut = 4) must agree.
+        for cut in (0, 4):
+            assert fourier._triangular([[1, 0, 4], [2, 5, 1], [0, 1, 1]], 15, cut) is None
+            assert fourier._triangular([[1, 0, 4], [2, 7, 1], [0, 1, 1]], 15, cut)[0] == (
+                self.leibniz([[1, 0, 4], [2, 7, 1], [0, 1, 1]], 15))
+        # ord_7(2) = 3, so at W = 3 7 divides N = Phi_7(2^3) and every root
+        # power is 1 mod 7: the second pivot of this minor is no unit, with
+        # the rows folded modulo 2^21 - 1 as with % N.
+        ring = ResidueRing(PrimeModulus(7), 3)
+        assert ((1 << 21) - 1) % ring.n == 0 and ring.n % 7 == 0
+        for cut in (0, 21):
+            assert fourier._triangular(ring.encode_fourier((1, 2, 4), (0, 3, 5)), ring.n, cut) is None
+
+    @staticmethod
+    def encoded_systems(p, count, sizes, width=None):
+        """(ring, rows of [M | rhs]) for random Fourier minors M and rhs residues."""
+        rng = random.Random(f"fold {p}")
+        modulus = PrimeModulus(p)
+        for _ in range(count):
+            n = rng.choice(sizes)
+            rows = sorted(rng.sample(range(p), n))
+            cols = sorted(rng.sample(range(p), n))
+            rhs = [random_cyclo(rng, modulus, -99, 99, den_max=3) for _ in range(n)]
+            ring = (ResidueRing(modulus, cyclotomic._unit_width(p, width)) if width
+                    else ResidueRing.for_fourier(modulus, n, rhs))
+            a = ring.encode_fourier(rows, cols)
+            for row in a:
+                row.append(rng.randrange(ring.n))
+            yield ring, a
+
+    @pytest.mark.parametrize("p, count, sizes, width", [
+        (17, 12, (1, 2, 5, 8), None), (31, 8, (3, 7, 12), None),
+        (61, 3, (6, 14), None), (101, 3, (2, 6), 150)])
+    def test_folded_rows_agree_mod_n(self, p, count, sizes, width):
+        # 2^(pW) - 1 is a multiple of N, so the folded elimination gives the
+        # same det and pivot inverses, and a triangle congruent mod N.
+        for ring, a in self.encoded_systems(p, count, sizes, width):
+            m, cut = ring.n, p * ring.width
+            assert ((1 << cut) - 1) % m == 0
+            plain = fourier._triangular([list(row) for row in a], m, 0)
+            folded = fourier._triangular([list(row) for row in a], m, cut)
+            if plain is None:
+                assert folded is None
+                continue
+            assert folded[0] == plain[0] and folded[2] == plain[2]
+            assert [[x % m for x in row] for row in folded[1]] == plain[1]
+
+    @pytest.mark.parametrize("p", [17, 31, 61])
+    def test_every_folded_entry_stays_in_bounds(self, monkeypatch, p):
+        # _pivot keeps every folded entry in [-2, 2^cut + 1]; one fold
+        # alone leaves entries up to about 3 * 2^cut.
+        seen = []
+        real = fourier._pivot
+
+        def spy(a, k, m, cut=0):
+            u, below = real(a, k, m, cut)
+            seen.extend(x for row in below for x in row)
+            return u, below
+
+        monkeypatch.setattr(fourier, "_pivot", spy)
+        for ring, a in self.encoded_systems(p, 6, (4, 8)):
+            cut = p * ring.width
+            del seen[:]
+            fourier._triangular(a, ring.n, cut)
+            assert seen and all(-2 <= x <= (1 << cut) + 1 for x in seen)
+
+    @pytest.mark.parametrize("cut", [3, 8, 64])
+    def test_fold_bound_holds_at_its_edges(self, cut):
+        # Entries drawn from the ends of [-2, 2^cut + 1] fold back into it,
+        # congruent to u * x - r * t modulo 2^cut - 1.
+        rng = random.Random(cut)
+        top = 1 << cut
+        edges = [-2, -1, 0, 1, 2, top - 2, top - 1, top, top + 1]
+        mask = top - 1
+        for _ in range(200):
+            a = [[rng.choice(edges) for _ in range(4)] for _ in range(3)]
+            u, below = fourier._pivot(a, 0, mask, cut)
+            for row, out in zip(a[1:], below):
+                for x, t, y in zip(row[1:], a[0][1:], out):
+                    assert -2 <= y <= top + 1
+                    assert (y - (u * x - row[0] * t)) % mask == 0
+
+
+class TestFoldRule:
+    # _cramer folds exactly when N has more than _FOLD_BITS bits, and
+    # image_dets never folds.
+
+    @pytest.mark.parametrize("p, rows, cols", [
+        (17, (0, 2, 3, 9, 11), (1, 4, 5, 6, 16)),
+        (23, (1, 2, 4, 8, 9, 13, 16, 18), (0, 3, 5, 6, 7, 10, 12, 20)),
+        (31, (0, 1, 5, 7, 12, 13, 20, 22, 25, 28), (2, 3, 4, 8, 11, 15, 16, 19, 26, 30))])
+    def test_folds_exactly_above_the_constant(self, monkeypatch, p, rows, cols):
+        modulus = PrimeModulus(p)
+        minor = FourierMinor(modulus, SupportSet(modulus, rows), SupportSet(modulus, cols))
+        rhs = [random_cyclo(random.Random(p), modulus, den_max=3) for _ in rows]
+        expected = minor_cramer(minor, rhs)
+        calls = []
+        real = fourier._triangular
+        monkeypatch.setattr(fourier, "_triangular",
+                            lambda a, m, cut: calls.append((m, cut)) or real(a, m, cut))
+
+        def rule(m):
+            width = (m.bit_length() - 1) // (p - 1)
+            assert ResidueRing(modulus, width).n == m
+            return m, p * width if m.bit_length() > fourier._FOLD_BITS else 0
+
+        def solved():
+            # One call per width tried; a non-unit pivot tries the next one.
+            del calls[:]
+            assert minor_cramer(minor, rhs) == expected
+            assert minor_det(minor) == expected[0]
+            assert calls == [rule(m) for m, _ in calls]
+            return calls[0]
+
+        m, _ = solved()
+        cut = p * ((m.bit_length() - 1) // (p - 1))
+        for limit, folded in ((m.bit_length(), 0), (m.bit_length() - 1, cut)):
+            monkeypatch.setattr(fourier, "_FOLD_BITS", limit)
+            assert solved() == (m, folded)
+
+    @pytest.mark.parametrize("p", [7, 31, 101])
+    def test_image_dets_never_folds(self, monkeypatch, p):
+        monkeypatch.setattr(fourier, "_FOLD_BITS", 0)
+        calls = []
+        real = fourier._pivot
+        monkeypatch.setattr(fourier, "_pivot",
+                            lambda a, k, m, cut=0: calls.append((m, cut)) or real(a, k, m, cut))
+        rng = random.Random(p)
+        rows = tuple(sorted(rng.sample(range(p), 5)))
+        col_sets = sorted(tuple(sorted(rng.sample(range(p), 5))) for _ in range(6))
+        fourier.image_dets(PrimeModulus(p), rows, col_sets)
+        q = image_prime(p)[0]
+        assert calls and set(calls) == {(q, 0)}
 
 
 class TestHandBuiltMinors:

@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -38,7 +39,9 @@ from conftest import (
     modulate,
     pivot_det,
     pivot_minor,
+    negated,
     random_int_signal,
+    solved_side,
     translate,
 )
 
@@ -180,8 +183,12 @@ class TestConstructExactPair:
                     assert support(dft(witness.signal)).members == b
                     assert witness.combination_coeffs == (1,)
                     assert integral(witness.signal)
-                    normalized = witness.signal * pivot_det(a_set, b_set).inverse()
-                    assert normalized[a[-1]] == CycloNum.one(modulus)
+                    # The side solved, (A, B) or for |A| > |B| (B, -A),
+                    # takes det of its pivot minor at its max.
+                    solved = solved_side(witness)
+                    sa, sb = solved.target_support, solved.target_spectrum
+                    normalized = solved.signal * pivot_det(sa, sb).inverse()
+                    assert normalized[sa.members[-1]] == CycloNum.one(modulus)
 
     def test_one_solve_on_rows_minus_b_complement(self, monkeypatch):
         # The rows are -(B^c) = -{0, 3, 5}, sorted (0, 2, 4); the pivots are
@@ -268,11 +275,29 @@ class TestConstructSupportPair:
         assert support(witness.signal) == full
         assert support(dft(witness.signal)) == full
 
+    def test_witnesses_with_a_at_most_b_are_pinned(self):
+        # Every pair with |A| <= |B| is solved on its own pivot minor, so
+        # its witness bytes (values and weights) are pinned by a SHA-256
+        # over all 4371 such pairs at p = 2, 3, 5 and 7.
+        digest = hashlib.sha256()
+        for p in (2, 3, 5, 7):
+            modulus = PrimeModulus(p)
+            sets = list(subsets(p))
+            for a in sets:
+                for b in sets:
+                    if len(a) + len(b) > p and len(a) <= len(b):
+                        w = construct_support_pair(SupportSet(modulus, a), SupportSet(modulus, b))
+                        digest.update(repr((a, b, w.combination_coeffs, [
+                            (v._num, v._den) for v in w.signal.values])).encode())
+        assert digest.hexdigest() == (
+            "6b85ef3dc8f61f9b1888465ffad89659006919bd50cb5bf5f4a01150b974a085")
+
     @pytest.mark.parametrize("p, a_size, b_size", [(7, 5, 5), (11, 5, 9), (13, 9, 6),
                                                    (13, 10, 13)])
     def test_free_points_carry_the_weights(self, p, a_size, b_size):
-        # The last k = |A| + |B| - p members of A are the free coordinates:
-        # the witness takes the recorded weights there.
+        # The last k = |A| + |B| - p members of the support solved (A, or
+        # B when |A| > |B|) are the free coordinates: the solved witness
+        # takes the recorded weights there.
         modulus = PrimeModulus(p)
         rng = random.Random(700 + p)
         for _ in range(3):
@@ -282,8 +307,11 @@ class TestConstructSupportPair:
             k = a_size + b_size - p
             assert len(witness.combination_coeffs) == k
             assert integral(witness.signal)
-            normalized = witness.signal * pivot_det(a, b).inverse()
-            assert [normalized[x] for x in a.members[-k:]] == [
+            solved = solved_side(witness)
+            sa, sb = solved.target_support, solved.target_spectrum
+            assert integral(solved.signal)
+            normalized = solved.signal * pivot_det(sa, sb).inverse()
+            assert [normalized[x] for x in sa.members[-k:]] == [
                 CycloNum.from_rational(modulus, c) for c in witness.combination_coeffs]
             assert support(witness.signal) == a
             assert support(dft(witness.signal)) == b
@@ -310,6 +338,37 @@ class TestConstructSupportPair:
         assert [normalized[0], normalized[1]] == minor_solve(minor, rhs)
         assert [normalized[x] for x in (2, 3, 4)] == [
             CycloNum.from_rational(p7, lam) for lam in weights]
+
+    @pytest.mark.parametrize("a_size, b_size", [(5, 3), (6, 2), (6, 4), (7, 1)])
+    def test_a_larger_support_solves_the_smaller_side(self, monkeypatch, a_size, b_size):
+        # |A| > |B|: the one solve is on the pivot minor of (B, -A), with
+        # p - |A| unknowns (none when A is all of Z/p).
+        calls = _spy_solves(monkeypatch)
+        p7 = PrimeModulus(7)
+        rng = random.Random(a_size * 10 + b_size)
+        a = SupportSet(p7, rng.sample(range(7), a_size))
+        b = SupportSet(p7, rng.sample(range(7), b_size))
+        witness = construct_support_pair(a, b)
+        assert [minor.n for minor, *_ in calls] == ([7 - a_size] if a_size < 7 else [])
+        expected = pivot_minor(b, negated(a))
+        assert [(minor.rows, minor.cols) for minor, *_ in calls] == (
+            [(expected.rows, expected.cols)] if expected else [])
+        assert support(witness.signal) == a
+        assert support(dft(witness.signal)) == b
+
+    def test_the_smaller_side_is_verified(self, monkeypatch):
+        # idft(g) is checked like every witness: a spoilt one raises.
+        p7 = PrimeModulus(7)
+        a, b = SupportSet(p7, [0, 1, 2, 3, 5]), SupportSet(p7, [1, 4, 6])
+        real = fourier.idft
+
+        def spoilt(g):
+            f = real(g)
+            return SignalFn(p7, (CycloNum.zero(p7),) + f.values[1:])
+
+        monkeypatch.setattr(fourier, "idft", spoilt)
+        with pytest.raises(TheoremViolationError, match="idft of the witness of"):
+            construct_support_pair(a, b)
 
     def test_full_spectrum_needs_no_solve(self, monkeypatch):
         calls = _spy_solves(monkeypatch)
@@ -348,31 +407,46 @@ class TestTranslationIdentity:
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_translate_turns_the_exact_witness(self, p):
         # Translating A by t turns fhat by w^(-t*xi), so the translate still
-        # lies on the exact case's line of signals; f(max A) = det of the
-        # pivot minor then fixes the scalar.  Both supports survive any
-        # nonzero scalar, so only this identity checks the values.
+        # lies on the exact case's line of signals.  The side solved then
+        # fixes the scalar: for |A| <= |B| it is (A + t, B), with f(max A)
+        # = det of the pivot minor; for |A| > |B| it is (B, -A - t), whose
+        # witness g_t is on the line of g * w^(-t*xi) (idft of which is the
+        # translate of idft(g)), with g_t(max B) = det of its pivot minor.
+        # Both supports survive any nonzero scalar, so only this identity
+        # checks the values.
         modulus = PrimeModulus(p)
         rng = random.Random(1000 + p)
         for a_size in (1, rng.randint(2, p - 1), p):
             a = SupportSet(modulus, rng.sample(range(p), a_size))
             b = SupportSet(modulus, rng.sample(range(p), p + 1 - a_size))
-            base = construct_support_pair(a, b).signal
+            base = construct_support_pair(a, b)
+            base_solved = solved_side(base)
             for t in range(p):
-                shifted = base.translate(t)
+                shifted = base.signal.translate(t)
                 moved_a = a.translate(t)
                 top = moved_a.members[-1]
                 moved = construct_support_pair(moved_a, b)
-                det = pivot_det(moved_a, b)
-                assert moved.signal * det.inverse() == shifted * shifted[top].inverse()
-                assert moved.signal[top] == det
+                assert moved.signal * moved.signal[top].inverse() == (
+                    shifted * shifted[top].inverse())
+                solved = solved_side(moved)
+                sa, sb = solved.target_support, solved.target_spectrum
+                if solved is moved:
+                    pinned = shifted
+                else:
+                    pinned = base_solved.signal.modulate(-t)
+                det = pivot_det(sa, sb)
+                at = sa.members[-1]
+                assert solved.signal * det.inverse() == pinned * pinned[at].inverse()
+                assert solved.signal[at] == det
 
 
 class TestCramerWitness:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_values_are_cramer_numerators(self, p):
-        # M c = rhs on the first n members a_i of A, where rhs is minus the
-        # free points' columns weighted by (1, t, ..., t^(k-1)), lies in
-        # Z[w].  By Cramer's rule f(a_i) = det M * c_i, which M pins, being
+        # M c = rhs on the first n members a_i of the support solved (A, or
+        # B when |A| > |B|), where rhs is minus the free points' columns
+        # weighted by (1, t, ..., t^(k-1)), lies in Z[w].
+        # By Cramer's rule f(a_i) = det M * c_i, which M pins, being
         # nonsingular: M applied to those values is det M * rhs.  The free
         # points carry det M times the weights, and every value lies in Z[w].
         modulus = PrimeModulus(p)
@@ -383,15 +457,22 @@ class TestCramerWitness:
                 a = SupportSet(modulus, rng.sample(range(p), p + k - b_size))
                 b = SupportSet(modulus, rng.sample(range(p), b_size))
                 witness = construct_support_pair(a, b)
-                f, weights = witness.signal, witness.combination_coeffs
-                minor = pivot_minor(a, b)
-                n = minor.n
-                free = a.members[n:]
-                rhs = [sum((-lam * CycloNum.root_power(modulus, r * x)
-                            for lam, x in zip(weights, free)), CycloNum.zero(modulus))
-                       for r in minor.rows.members]
-                det = minor_det(minor)
-                assert minor.apply([f[x] for x in a.members[:n]]) == [det * v for v in rhs], (a, b)
+                assert integral(witness.signal)
+                solved = solved_side(witness)
+                sa, sb = solved.target_support, solved.target_spectrum
+                f, weights = solved.signal, solved.combination_coeffs
+                # With |A| = p the side solved has spectrum Z/p: no minor,
+                # and det M is 1.
+                minor = pivot_minor(sa, sb)
+                n = minor.n if minor else 0
+                free = sa.members[n:]
+                det = minor_det(minor) if minor else CycloNum.one(modulus)
+                if minor:
+                    rhs = [sum((-lam * CycloNum.root_power(modulus, r * x)
+                                for lam, x in zip(weights, free)), CycloNum.zero(modulus))
+                           for r in minor.rows.members]
+                    assert minor.apply([f[x] for x in sa.members[:n]]) == [
+                        det * v for v in rhs], (a, b)
                 assert [f[x] for x in free] == [det * lam for lam in weights]
                 assert integral(f)
 
