@@ -211,37 +211,33 @@ def _root_power(p: int, k: int) -> CycloNum:
     return CycloNum._raw(PrimeModulus(p), num, 1)
 
 
-# Kronecker codec of the packed kernels: a list of digits, each below
-# 256**nbytes, is one integer with digit i at bit 8*nbytes*i, the digits'
-# polynomial at z = B = 2^(8*nbytes), and back.  Sums and cyclic products
-# of packed vectors run modulo B^p - 1, where z^p = 1.  Every packed
+# Kronecker codec of the packed kernels: a list of signed digits d_i,
+# -B / 2 <= d_i < B / 2 for B = 2^(8*nbytes), is one integer
+# sum_i d_i B^i, the digits' polynomial at z = B, and back.  Sums and cyclic products of
+# packed vectors run modulo B^p - 1, where z^p = 1.  Every packed
 # character sum is read back by one rule, its residue mod Phi_p(B), which
 # divides B^p - 1 and vanishes on the bias of the packed rows, a multiple
-# of the all-ones vector J (_fold_residues); the dense multiply folds its
-# top digit in _from_redundant.  The kernels take the width from their
-# inputs through _digit_bytes, which gives the bytes the largest digit
-# needs and no more, since every shift, sum and product of the packed
-# integers grows with it; cyclic_convolution takes it from its result,
-# whose sums may carry.  A width of up to 8 bytes converts through the next
-# struct item size of 1, 2, 4 or 8 bytes in one C call (little-endian
-# standard sizes on every host; unsigned for the multiply's digits, two's
-# complement for the rows and sums).  _resize moves digits between widths:
-# one strided deletion per byte dropped, or one strided slice assignment
-# per byte kept and per byte of sign fill.  Wider digits convert one at a
-# time.  Both directions are linear.
+# of the all-ones vector J (_fold_residues); the dense multiply, which has
+# no bias, reads back its balanced residue mod B^p - 1.  The kernels take
+# the width from their inputs through _digit_bytes, which gives the bytes
+# the largest digit needs and no more, since every shift, sum and product
+# of the packed integers grows with it; cyclic_convolution takes it from
+# its result, whose sums may carry.
 #
-# Digits may also be signed, |d| < 2**(8*nbytes - 1), as two's complement
-# items.  With H = 2**(8*nbytes - 1) in every digit, the items X of signed
-# digits d give sum_i d_i 256**(nbytes*i) as (X ^ H) - H, and that value
-# plus H has the digits d_i + 2**(8*nbytes - 1), all non-negative, so it
-# unpacks back through ^ H.  Widened, a signed digit fills the bytes above
-# it with its sign, one bytes.translate of its top bytes.  A string of
-# signed items gives its largest |d| from the integers of its chunks
-# (_field_max), with no digit visited in Python: field-wise (SWAR)
-# arithmetic, as in Lamport, "Multiple byte processing with full-word
-# instructions", CACM 18 (1975).
-# Item size in bytes -> struct code of a little-endian two's complement
-# item; the upper case code is the unsigned item.
+# Every digit string is two's complement: nbytes-byte items, little-endian.
+# With H = 2**(8*nbytes - 1) in every digit, the items X of digits d give
+# sum_i d_i B^i as (X ^ H) - H, and that value plus H has the digits
+# d_i + B / 2, all non-negative, so it unpacks back through ^ H.  A width of
+# up to 8 bytes converts through the next struct item size of 1, 2, 4 or 8
+# bytes in one C call (standard sizes on every host).  _resize moves digits
+# between widths: one strided deletion per byte dropped, or one strided
+# slice assignment per byte kept and per byte of sign fill, one
+# bytes.translate of the top bytes.  Wider digits convert one at a time.
+# Both directions are linear.  A string of items gives its largest |d|
+# from the integers of its chunks (_field_max), with no digit visited in
+# Python: field-wise (SWAR) arithmetic, as in Lamport, "Multiple byte
+# processing with full-word instructions", CACM 18 (1975).
+# Item size in bytes -> struct code of a little-endian two's complement item.
 _STRUCT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 # Digit width in bytes -> the smallest item size that holds it.
 _ITEM_BYTES = {need: min(k for k in _STRUCT_CODES if k >= need)
@@ -251,10 +247,9 @@ _SIGN_FILL = bytes(128) + b"\xff" * 128
 
 
 @functools.lru_cache(maxsize=None)
-def _row_struct(count: int, item: int, signed: bool = True) -> struct.Struct:
-    """count little-endian items of item bytes, two's complement if signed."""
-    code = _STRUCT_CODES[item]
-    return struct.Struct(f"<{count}{code if signed else code.upper()}")
+def _row_struct(count: int, item: int) -> struct.Struct:
+    """count little-endian two's complement items of item bytes."""
+    return struct.Struct(f"<{count}{_STRUCT_CODES[item]}")
 
 
 def _digit_bytes(top: int) -> int:
@@ -270,24 +265,20 @@ def _ones(count: int, nbytes: int) -> int:
     return int.from_bytes((b"\x01" + bytes(nbytes - 1)) * count, "little")
 
 
-def _digit_string(digits, nbytes: int, signed: bool = False) -> bytes:
-    """The digits as little-endian nbytes-byte items, two's complement if signed."""
+def _digit_string(digits, nbytes: int) -> bytes:
+    """The digits as little-endian two's complement items of nbytes bytes."""
     item = _ITEM_BYTES.get(nbytes)
     if item is None:
-        return b"".join([d.to_bytes(nbytes, "little", signed=signed) for d in digits])
-    return _resize(_row_struct(len(digits), item, signed).pack(*digits), item, nbytes)
+        return b"".join([d.to_bytes(nbytes, "little", signed=True) for d in digits])
+    return _resize(_row_struct(len(digits), item).pack(*digits), item, nbytes)
 
 
-def _pack(digits, nbytes: int) -> int:
-    return int.from_bytes(_digit_string(digits, nbytes), "little")
-
-
-def _resize(raw: bytes, nbytes: int, wide: int, signed: bool = False) -> bytes:
-    """The digits of raw, nbytes bytes each, as digits of wide bytes.
+def _resize(raw: bytes, nbytes: int, wide: int) -> bytes:
+    """The two's complement digits of raw, nbytes bytes each, as digits of wide bytes.
 
     Narrower, each digit loses its top bytes, one strided deletion per
-    byte.  Wider, it gains bytes of zeros, or of its sign if signed (two's
-    complement), one strided assignment per byte.
+    byte.  Wider, it gains bytes of its sign, one strided assignment per
+    byte.
     """
     if wide == nbytes:
         return raw
@@ -299,21 +290,10 @@ def _resize(raw: bytes, nbytes: int, wide: int, signed: bool = False) -> bytes:
     out = bytearray(len(raw) // nbytes * wide)
     for j in range(nbytes):
         out[j::wide] = raw[j::nbytes]
-    if signed:
-        fill = raw[nbytes - 1::nbytes].translate(_SIGN_FILL)
-        for j in range(nbytes, wide):
-            out[j::wide] = fill
+    fill = raw[nbytes - 1::nbytes].translate(_SIGN_FILL)
+    for j in range(nbytes, wide):
+        out[j::wide] = fill
     return out
-
-
-def _unpack(value: int, count: int, nbytes: int) -> list[int]:
-    """The count digits of value, nbytes bytes each."""
-    # to_bytes raises OverflowError unless 0 <= value < 256**(count*nbytes).
-    raw = value.to_bytes(count * nbytes, "little")
-    item = _ITEM_BYTES.get(nbytes)
-    if item is None:
-        return [int.from_bytes(raw[i:i + nbytes], "little") for i in range(0, len(raw), nbytes)]
-    return list(_row_struct(count, item, False).unpack(_resize(raw, nbytes, item)))
 
 
 def _machine_digits(num: tuple[int, ...]) -> int:
@@ -321,22 +301,28 @@ def _machine_digits(num: tuple[int, ...]) -> int:
     return -(-max(max(num), -min(num)).bit_length() // _DIGIT_BITS) or 1
 
 
-def _packed_convolution(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list[int]:
+def _packed_convolution(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Cyclic (mod z^p - 1) product of two coefficient vectors of length p-1.
 
-    Kronecker substitution: each vector, biased by the codec's rule, is one
-    big integer, so one integer multiplication performs the convolution and
-    one shift and add folds z^p = 1.  The result on the redundant spanning
-    set is the true product plus a constant vector.
+    Kronecker substitution: each vector, its coefficients two's complement
+    digits, is one big integer (X ^ H) - H, so one integer multiplication
+    performs the convolution and one shift and add folds z^p = 1.  A folded
+    digit sums at most p - 1 products, so it is at most (p - 1) ha hb in
+    magnitude (ha, hb the largest |coefficient| of each vector), which the
+    width keeps below B / 2.  The product on the redundant spanning set then
+    lies within (B^p - 1) / 2 of 0, so it is the fold's balanced residue mod
+    B^p - 1, whose p signed digits unpack in one pass (_signed_rows).
     """
     ha, hb = max(map(abs, a)), max(map(abs, b))
-    # A folded digit is a sum of p products of biased digits <= 2*ha, 2*hb.
-    nbytes = _digit_bytes(4 * p * ha * hb)
-    pa = _pack([c + ha for c in a] + [ha], nbytes)
-    pb = _pack([c + hb for c in b] + [hb], nbytes)
+    nbytes = _digit_bytes(2 * (p - 1) * ha * hb)
+    half = _ones(p - 1, nbytes) << (8 * nbytes - 1)
+    pa, pb = [(int.from_bytes(_digit_string(v, nbytes), "little") ^ half) - half
+              for v in (a, b)]
     prod = pa * pb
     cut = 8 * nbytes * p
-    return _unpack((prod & ((1 << cut) - 1)) + (prod >> cut), p, nbytes)
+    ring = (1 << cut) - 1
+    [acc] = _signed_rows([_balanced_residue((prod & ring) + (prod >> cut), ring)], p, nbytes)
+    return acc
 
 
 @functools.lru_cache(maxsize=None)
@@ -480,10 +466,9 @@ def _packed_rows(rows, room: int = 0,
         return top, nbytes, []
     count = len(rows[0][1])
     if raw is not None:
-        raw = _resize(raw, item, nbytes, signed=True)
+        raw = _resize(raw, item, nbytes)
     else:
-        raw = _digit_string(itertools.chain.from_iterable([num for _, num, _ in rows]),
-                            nbytes, signed=True)
+        raw = _digit_string(itertools.chain.from_iterable([num for _, num, _ in rows]), nbytes)
     half = _ones(count, nbytes) << (8 * nbytes - 1)
     lift = bias * _ones(count + 1, nbytes)
     size = count * nbytes
@@ -680,7 +665,7 @@ def _signed_rows(values, count: int, nbytes: int):
         digits = [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
                   for i in range(0, len(raw), nbytes)]
         return [tuple(digits[i:i + count]) for i in range(0, len(digits), count)]
-    return _row_struct(count, item).iter_unpack(_resize(raw, nbytes, item, signed=True))
+    return _row_struct(count, item).iter_unpack(_resize(raw, nbytes, item))
 
 
 def _decode_signed(modulus: PrimeModulus, values, nbytes: int, den: int) -> list[CycloNum]:
@@ -799,9 +784,11 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
     The convolution theorem on the unnormalised spectra F(xi) = sum_x f[x]
     w^(-x*xi) and G: the result at x is (1/p) sum_xi F(xi) G(xi) w^(x*xi).
     The r_f nonzero values of f are packed over f's common denominator c_f,
-    their numerators at most b_f, the bias (_packed_rows), and likewise for
-    g; an all-zero side gives all zeros.  The forward sums are exact packed
-    vectors.  The products and the inverse sums run in Z/(B^p - 1) for
+    their numerators at most b_f, the bias, with the spare bit
+    (_packed_rows(signed=True)), and likewise for g; an all-zero side gives
+    all zeros.  The forward sums are exact packed vectors whose digits never
+    set their top bit, so sign fill widens them to W bytes (_resize) as it
+    would zeros.  The products and the inverse sums run in Z/(B^p - 1) for
     B = 2^(8W), a W-byte digit, where z = B has z^p = 1: each product is
     folded once, and the inverse sums (_shifted_sums) let their digits
     carry.  The inverse sum at x is congruent to p c_f c_g (f*g)(x) on the
@@ -822,7 +809,7 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
         rows = [(x, v._num, common // v._den) for x, v in enumerate(values) if any(v._num)]
         if not rows:
             return [CycloNum.zero(modulus)] * p
-        top, nbytes, terms = _packed_rows(rows)
+        top, nbytes, terms = _packed_rows(rows, signed=True)
         sides.append((common, len(rows), top // (2 * len(rows)), nbytes, terms))
     (common_f, r_f, b_f, _, _), (common_g, r_g, b_g, _, _) = sides
     nbytes = _digit_bytes(4 * p * (p - 1) * min(r_f, r_g) * b_f * b_g)
@@ -831,7 +818,7 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
     mask = (1 << cut) - 1
     size = p * nbytes
     spectra = []
-    # Each side's digits are at most 2 r b, which nbytes holds.
+    # Each side's digits lie in [0, 2 r b], below half of its own width and of nbytes.
     for _, _, _, own, terms in sides:
         sums = _shifted_sums(p, terms, range(0, -p, -1), 8 * own)
         spectra.append(_resize(b"".join([s.to_bytes(p * own, "little") for s in sums]),

@@ -49,8 +49,9 @@ class AchievabilityWitness:
     k = |A| + |B| - p members of A: f takes d * t^j on free point j, where
     d is the determinant of the pivot minor (construct_support_pair), 1
     when B is all of Z/p, and in the exact case k = 1 the weights are (1,),
-    so f(max A) = d.  For |A| > |B| the signal is idft(g) for the witness g
-    of the smaller side (B, -A), and the weights are g's.
+    so f(max A) = d.  For |A| > |B| the signal is idft(g), g built the same
+    way on the pivot minor of the smaller side (B, -A), and the weights are
+    g's: the least t whose idft(g) has the supports (A, B).
     """
 
     target_support: SupportSet
@@ -112,11 +113,12 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
     TheoremViolationError.  In the exact case k = 1 there is one try, with
     f(max A) = d.  seed is accepted and ignored: nothing is drawn.
 
-    When |A| > |B| the smaller side is solved instead: the witness g of
-    (B, -A), built as above with p - |A| < n unknowns, gives f = idft(g),
-    whose transform is g and whose support is -supp(dft(g)) = A.  f keeps
-    g's weights, its values stay in Z[w], and it is verified like every
-    witness.
+    When |A| > |B| the smaller side is solved instead: each try builds g
+    as above for (B, -A), with p - |A| < n unknowns, and f = idft(g), whose
+    transform is g and whose support is -supp(dft(g)).  So f has the
+    supports (A, B) exactly when g has (B, -A): each try is verified once,
+    as f, and the least t that g needs wins.  f takes g's weights and its
+    values stay in Z[w].
     """
     if support_set.modulus != spectrum_set.modulus:
         raise ValueError("modulus mismatch between target sets")
@@ -130,24 +132,17 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
             f"|A| + |B| = {total} is below p + 1 = {p + 1}; such a pair is "
             "unreachable by any nonzero signal"
         )
-    if len(support_set) > len(spectrum_set):
-        dual = construct_support_pair(
-            spectrum_set, SupportSet(modulus, ((-a) % p for a in support_set)))
-        signal = fourier.idft(dual.signal)
-        if not _verify_witness_supports(signal, support_set, spectrum_set):
-            raise TheoremViolationError(
-                f"the idft of the witness of (B, -A) does not realize "
-                f"A={support_set.members}, B={spectrum_set.members} (p={p})"
-            )
-        return AchievabilityWitness(support_set, spectrum_set, signal,
-                                    dual.combination_coeffs)
-    n, k = p - len(spectrum_set), total - p
-    pivots, free = support_set.members[:n], support_set.members[n:]
-    # The transform restricted to l2(A), evaluated at xi, is (1/p) sum_a
-    # w^(-xi*a) f(a), so fhat = 0 off B reads M f = 0 for the minor M on rows
-    # -(B^c) and columns A.  The free points' terms move to the right-hand
-    # side, one entry per row in the minor's sorted row order.
-    rows = SupportSet(modulus, ((-eta) % p for eta in spectrum_set.complement()))
+    # (sa, sb) is the pair solved: (A, B), or (B, -A) when |A| > |B|.
+    dual = len(support_set) > len(spectrum_set)
+    sa, sb = ((spectrum_set, SupportSet(modulus, ((-a) % p for a in support_set))) if dual
+              else (support_set, spectrum_set))
+    n, k = p - len(sb), total - p
+    pivots, free = sa.members[:n], sa.members[n:]
+    # The transform restricted to l2(sa), evaluated at xi, is (1/p) sum_a
+    # w^(-xi*a) f(a), so fhat = 0 off sb reads M f = 0 for the minor M on
+    # rows -(sb^c) and columns sa.  The free points' terms move to the
+    # right-hand side, one entry per row in the minor's sorted row order.
+    rows = SupportSet(modulus, ((-eta) % p for eta in sb.complement()))
     minor = fourier.FourierMinor(modulus, rows, SupportSet(modulus, pivots)) if n else None
     tries = p * (k - 1) + 1
     for t in range(1, tries + 1):
@@ -163,6 +158,8 @@ def construct_support_pair(support_set: SupportSet, spectrum_set: SupportSet,
         for j, lam in zip(free, coeffs):
             values[j] = det * lam
         signal = SignalFn(modulus, values)
+        if dual:
+            signal = fourier.idft(signal)
         if _verify_witness_supports(signal, support_set, spectrum_set):
             return AchievabilityWitness(support_set, spectrum_set, signal, tuple(coeffs))
     raise TheoremViolationError(

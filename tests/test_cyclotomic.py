@@ -24,18 +24,28 @@ from primefourier.cyclotomic import (
     _field_max,
     _fold_residues,
     _ones,
-    _pack,
     _packed_convolution,
     _packed_rows,
     _primitive_root,
+    _resize,
     _row_bias,
     _row_string,
     _signed_rows,
-    _unpack,
     image_prime,
 )
 
 from conftest import random_cyclo
+
+
+def pack(digits, nbytes):
+    """sum_i d_i 256^(nbytes*i): digits of nbytes bytes as one integer."""
+    return sum(d << (8 * nbytes * i) for i, d in enumerate(digits))
+
+
+def unpack(value, count, nbytes):
+    """The count non-negative digits of nbytes bytes of a packed integer."""
+    mask = (1 << 8 * nbytes) - 1
+    return [value >> (8 * nbytes * i) & mask for i in range(count)]
 
 
 class TestPrimeModulus:
@@ -664,7 +674,7 @@ class TestTextForm:
 
 def check_packed_convolution(p, ha, hb, nbytes):
     # Operands of length p - 1 whose largest |coefficient| is ha and hb.
-    assert _digit_bytes(4 * p * ha * hb) == nbytes
+    assert _digit_bytes(2 * (p - 1) * ha * hb) == nbytes
     rng = random.Random(21 + nbytes)
 
     def vector(top):
@@ -680,40 +690,58 @@ def check_packed_convolution(p, ha, hb, nbytes):
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):
                 acc[(i + j) % p] += ca * cb
-        # The packed result is the product plus a constant vector, which is
-        # zero in Q(w): compare both after subtracting the top entry.
-        got = _packed_convolution(a, b, p)
-        assert len(got) == p
-        assert [c - got[-1] for c in got] == [c - acc[-1] for c in acc]
+        # No digit is biased, so the packed result is the product itself.
+        assert _packed_convolution(a, b, p) == tuple(acc)
 
 
 class TestPackedConvolution:
     # (p, largest |coefficient| of both operands, digit width in bytes that
-    # the biased product needs).  At p = 31 a folded digit reaches
-    # 124 * top^2, and each pair of rows sits on either side of a byte
-    # boundary: 367 | 368 at 3 bytes, 5885 | 5886 at 4, and so on to 8.
+    # the signed product needs).  A folded digit sums at most p - 1
+    # products, and constant operands reach (p - 1) top^2 in magnitude,
+    # which must stay below half a digit: the width holds 2 (p - 1) top^2.
+    # At p = 31 that is 60 top^2, and a pair of rows sits on either side of
+    # every byte boundary: 2 | 3 at 1 byte, 33 | 34 at 2, 528 | 529 at 3,
+    # and so on to 554477893 | 554477894 at 8; 11 | 12 at p = 2 and 5 | 6
+    # at p = 5 are boundaries too.  The rows between them lie inside a width.
     @pytest.mark.parametrize("p, top, nbytes", [
-        (2, 11, 2),
+        (2, 11, 1),
+        (2, 12, 2),
         (5, 3, 1),
-        (5, 4, 2),
-        (5, 5, 2),
+        (5, 4, 1),
+        (5, 5, 1),
         (5, 6, 2),
-        (13, 50, 3),
+        (13, 50, 2),
+        (31, 2, 1),
+        (31, 3, 2),
+        (31, 33, 2),
+        (31, 34, 3),
         (31, 367, 3),
-        (31, 368, 4),
-        (31, 500, 4),
+        (31, 368, 3),
+        (31, 500, 3),
+        (31, 528, 3),
+        (31, 529, 4),
         (31, 5885, 4),
-        (31, 5886, 5),
-        (31, 8000, 5),
+        (31, 5886, 4),
+        (31, 8000, 4),
+        (31, 8460, 4),
+        (31, 8461, 5),
         (31, 94164, 5),
-        (31, 94165, 6),
+        (31, 94165, 5),
+        (31, 135370, 5),
+        (31, 135371, 6),
         (31, 1506638, 6),
-        (31, 1506639, 7),
+        (31, 1506639, 6),
+        (31, 2165929, 6),
+        (31, 2165930, 7),
         (31, 24106215, 7),
-        (31, 24106216, 8),
+        (31, 24106216, 7),
+        (31, 34654868, 7),
+        (31, 34654869, 8),
         (31, 385699449, 8),
-        (31, 385699450, 9),
-        (31, 2**29, 9),
+        (31, 385699450, 8),
+        (31, 2**29, 8),
+        (31, 554477893, 8),
+        (31, 554477894, 9),
         (3, 2**31, 9),
         (13, 2**100, 26),
     ])
@@ -782,17 +810,26 @@ def scan_and_array_rows(rows, room=0, signed=False):
 
 
 class TestCodec:
-    # Widths 1, 2, 4 and 8 are array item sizes; 3, 5, 6 and 7 convert
+    # Widths 1, 2, 4 and 8 are struct item sizes; 3, 5, 6 and 7 convert
     # through the next item size; 9 and 16 convert digit by digit.
     @pytest.mark.parametrize("nbytes", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16])
     def test_round_trip(self, nbytes):
+        # Two's complement digit strings from the most negative digit to the
+        # largest: each is its digits' bytes, and widened by _resize (sign
+        # fill) to 1, 2, 3 and 8 bytes more, then trimmed back, it is the
+        # string of the same digits at each width and then itself again.
         rng = random.Random(nbytes)
-        top = 256**nbytes - 1
+        low, high = -2 ** (8 * nbytes - 1), 2 ** (8 * nbytes - 1) - 1
         for count in (0, 1, 2, 7, 40):
-            digits = [rng.choice((0, top, rng.randint(0, top))) for _ in range(count)]
-            value = _pack(digits, nbytes)
-            assert value == sum(d << (8 * nbytes * i) for i, d in enumerate(digits))
-            assert _unpack(value, count, nbytes) == digits
+            digits = [rng.choice((0, -1, low, high, rng.randint(low, high)))
+                      for _ in range(count)]
+            raw = _digit_string(digits, nbytes)
+            assert bytes(raw) == b"".join(d.to_bytes(nbytes, "little", signed=True)
+                                          for d in digits)
+            for wide in (nbytes + 1, nbytes + 2, nbytes + 3, nbytes + 8):
+                widened = _resize(raw, nbytes, wide)
+                assert bytes(widened) == bytes(_digit_string(digits, wide))
+                assert bytes(_resize(widened, wide, nbytes)) == bytes(raw)
 
     # Signed digits, two's complement: widths 1, 2, 4 and 8 are item sizes,
     # 3, 5, 6 and 7 sign-fill the bytes up to the next one, and 9 converts
@@ -804,7 +841,7 @@ class TestCodec:
         for count in (1, 2, 7, 40):
             digits = [rng.choice((top, -top, 0, rng.randint(-top, top))) for _ in range(count)]
             digits[0], digits[-1] = -top, top
-            lanes = int.from_bytes(_digit_string(digits, nbytes, signed=True), "little")
+            lanes = int.from_bytes(_digit_string(digits, nbytes), "little")
             value = sum(d << (8 * nbytes * i) for i, d in enumerate(digits))
             half = _ones(count, nbytes) << (8 * nbytes - 1)
             assert (lanes ^ half) - half == value
@@ -821,12 +858,12 @@ class TestCodec:
         nums = [(top, -top) + tuple(rng.choice((top, -top, 0, rng.randint(-top, top)))
                                     for _ in range(10)) for _ in range(2)]
         assert _packed_rows([(3, nums[0], 1)]) == (
-            2 * top, nbytes, [(3, _pack([c + top for c in nums[0]] + [top], nbytes))])
+            2 * top, nbytes, [(3, pack([c + top for c in nums[0]] + [top], nbytes))])
         rows = [(3, nums[0], 1), (5, nums[1], 3)]
         bias = 3 * top
         sum_top, width, packed = _packed_rows(rows, signed=True)
         assert (sum_top, width) == (4 * bias, _digit_bytes(8 * bias))
-        assert packed == [(e, _pack([c * m + bias for c in num] + [bias], width))
+        assert packed == [(e, pack([c * m + bias for c in num] + [bias], width))
                           for e, num, m in rows]
 
     @pytest.mark.parametrize("item", [2, 4, 8])
@@ -923,9 +960,8 @@ class TestCodec:
                                                     rng.randint(0, (limit - base) // f)))
                              for _ in range(p)] for _ in range(3)]
             rng.shuffle(vectors)
-            sums = [_pack(vector, nbytes) for vector in vectors]
-            expected = [CycloNum._from_redundant(modulus, _unpack(s, p, nbytes), den)
-                        for s in sums]
+            sums = [pack(vector, nbytes) for vector in vectors]
+            expected = [CycloNum._from_redundant(modulus, vector, den) for vector in vectors]
             got = _decode_signed(modulus, _fold_residues(sums, p, nbytes), nbytes, den)
             assert got == expected
             assert all(type(v._num) is tuple and math.gcd(v._den, *v._num) == 1 for v in got)
@@ -957,7 +993,7 @@ class TestCodec:
                        [0] + [limit] * (p - 1), [limit] * (p - 1) + [0]]
             vectors += [[rng.choice((0, limit, rng.randint(0, limit))) for _ in range(p)]
                         for _ in range(20)]
-            sums = [_pack(vector, nbytes) for vector in vectors]
+            sums = [pack(vector, nbytes) for vector in vectors]
             expected = [_balanced_residue(total, phi) for total in sums]
             calls = self.spied_residues(monkeypatch)
             got = _fold_residues(sums, p, nbytes)
@@ -981,8 +1017,8 @@ class TestCodec:
             phi = (base ** p - 1) // (base - 1)
             multipliers = [0, 1, -1, 2, p, p + 3]
             for k in (2, 3, 5):
-                tops = [(0, _pack([0] * (p - 1) + [base - 1], nbytes))] * k
-                full = [(1, _pack([rng.randint(base // 2, base - 1) for _ in range(p)], nbytes))
+                tops = [(0, pack([0] * (p - 1) + [base - 1], nbytes))] * k
+                full = [(1, pack([rng.randint(base // 2, base - 1) for _ in range(p)], nbytes))
                         for _ in range(k)]
                 for terms in (tops, full):
                     sums = cyclotomic._shifted_sums(p, terms, multipliers, 8 * nbytes)
@@ -994,10 +1030,17 @@ class TestCodec:
                     monkeypatch.undo()
 
     def test_unpack_rejects_values_that_do_not_fit(self):
-        with pytest.raises(OverflowError):
-            _unpack(256**6, 3, 2)
-        with pytest.raises(OverflowError):
-            _unpack(-1, 3, 2)
+        # count signed digits of nbytes bytes hold the values from -H (every
+        # digit -2^(8n-1)) to H - J (every digit 2^(8n-1) - 1): _signed_rows
+        # unpacks both ends and raises OverflowError one past either.
+        for count, nbytes in ((3, 1), (3, 2), (5, 3), (2, 9)):
+            half = _ones(count, nbytes) << (8 * nbytes - 1)
+            top = half - _ones(count, nbytes)
+            assert [tuple(row) for row in _signed_rows([-half, top], count, nbytes)] == [
+                (-2 ** (8 * nbytes - 1),) * count, (2 ** (8 * nbytes - 1) - 1,) * count]
+            for value in (-half - 1, top + 1, 256 ** (count * nbytes)):
+                with pytest.raises(OverflowError):
+                    _signed_rows([value], count, nbytes)
 
     def test_digit_bytes(self):
         # The bytes the largest digit needs, with no rounding to an item size.
@@ -1066,7 +1109,7 @@ class TestShiftedSums:
             width = 8 * nbytes
             cap = (2 ** width - 1) // count
             cases = [self.terms(rng, p, count, cap, width),
-                     [(5, _pack([cap] * p, nbytes))] * count]
+                     [(5, pack([cap] * p, nbytes))] * count]
             for terms in cases:
                 multipliers = [0, 1, -1, 3, p, p + 1]
                 sums = cyclotomic._shifted_sums(p, terms, multipliers, width)
@@ -1074,7 +1117,7 @@ class TestShiftedSums:
                 for t, total in zip(multipliers, sums):
                     acc = [0] * p
                     for e, packed in terms:
-                        for i, d in enumerate(_unpack(packed, p, nbytes)):
+                        for i, d in enumerate(unpack(packed, p, nbytes)):
                             acc[(i + e * t) % p] += d
                     assert max(acc) < 2 ** width
-                    assert total == _pack(acc, nbytes), t
+                    assert total == pack(acc, nbytes), t

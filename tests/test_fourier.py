@@ -685,13 +685,24 @@ class TestConvolve:
         # signal (transform-stream's convolve): the bound
         # 2 * 97 * 96 * 16 * 999^2 is below 2^39, so the products and
         # inverse sums run at 5 bytes.  Sized for the biases of the packed
-        # spectra, 2 p^2 top_f top_g, they took 6.
+        # spectra, 2 p^2 top_f top_g, they took 6.  The sides pack with the
+        # spare bit, 2 * 16 * 999 in 2 bytes and 2 * 97 * 999 in 3, the
+        # widths they need without it.
         rng = random.Random(97)
         modulus = PrimeModulus(97)
-        decoded = []
+        decoded, sides = [], []
         decode = cyclotomic._decode_signed
         monkeypatch.setattr(cyclotomic, "_decode_signed", lambda modulus, values, nbytes, den:
                             decoded.append(nbytes) or decode(modulus, values, nbytes, den))
+        packed_rows = cyclotomic._packed_rows
+
+        def spy(rows, room=0, signed=False):
+            out = packed_rows(rows, room, signed)
+            sides.append((signed, out[1]))
+            assert out[1] == cyclotomic._digit_bytes(out[0])
+            return out
+
+        monkeypatch.setattr(cyclotomic, "_packed_rows", spy)
 
         def dense():
             den = rng.randint(1, 9)
@@ -702,9 +713,28 @@ class TestConvolve:
         f = SignalFn(modulus, [v if x in points else 0 for x, v in enumerate(dense())])
         g = SignalFn(modulus, dense())
         out = convolve(f, g)
+        assert sides == [(True, 2), (True, 3)]
         assert decoded == [5]
+        monkeypatch.undo()
         spectrum = [97 * a * b for a, b in zip(dft(f).values, dft(g).values)]
         assert out == idft(SignalFn(modulus, spectrum))
+
+    @pytest.mark.parametrize("nbytes", [1, 2, 3])
+    @pytest.mark.parametrize("p", [7, 13])
+    def test_side_digits_that_fill_a_byte(self, p, nbytes):
+        # f has one value, with numerators +-b and 0, b = 2^(8n-1) - 1:
+        # biased by b, its digits reach 2b = 2^(8n) - 2, which fills n bytes
+        # up to their top bit.  With the spare bit its side takes n + 1
+        # bytes, so the sign fill that widens its spectrum to the product
+        # width fills zeros.  g is dense, with denominators.  The result
+        # must be sum_y f(y) g(x - y) = f(3) g(x - 3).
+        rng = random.Random(1300 + 10 * p + nbytes)
+        modulus = PrimeModulus(p)
+        b = 2 ** (8 * nbytes - 1) - 1
+        value = CycloNum(modulus, [(b, -b, 0)[i % 3] for i in range(p - 1)])
+        f = SignalFn(modulus, [value if x == 3 else 0 for x in range(p)])
+        g = SignalFn(modulus, [random_cyclo(rng, modulus, -b, b, den_max=5) for _ in range(p)])
+        assert list(convolve(f, g).values) == [value * g[x - 3] for x in range(p)]
 
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):

@@ -357,18 +357,56 @@ class TestConstructSupportPair:
         assert support(dft(witness.signal)) == b
 
     def test_the_smaller_side_is_verified(self, monkeypatch):
-        # idft(g) is checked like every witness: a spoilt one raises.
+        # idft(g) is the witness each try checks: a spoilt idft fails every
+        # try, so all p(k - 1) + 1 tries run, one idft each, and then the
+        # weights are exhausted, in the exact case (k = 1) and with k = 2.
         p7 = PrimeModulus(7)
-        a, b = SupportSet(p7, [0, 1, 2, 3, 5]), SupportSet(p7, [1, 4, 6])
         real = fourier.idft
+        tries = []
 
         def spoilt(g):
+            tries.append(g)
             f = real(g)
             return SignalFn(p7, (CycloNum.zero(p7),) + f.values[1:])
 
         monkeypatch.setattr(fourier, "idft", spoilt)
-        with pytest.raises(TheoremViolationError, match="idft of the witness of"):
-            construct_support_pair(a, b)
+        b = SupportSet(p7, [1, 4, 6])
+        for a, k in ((SupportSet(p7, [0, 1, 2, 3, 5]), 1), (SupportSet(p7, [0, 1, 2, 3, 4, 5]), 2)):
+            tries.clear()
+            with pytest.raises(TheoremViolationError,
+                               match=rf"^no weights .* with 1 <= t <= {7 * (k - 1) + 1} realize"):
+                construct_support_pair(a, b)
+            assert len(tries) == 7 * (k - 1) + 1
+
+    @pytest.mark.parametrize("corrupt_first", [False, True])
+    def test_each_try_of_the_smaller_side_is_verified_once(self, monkeypatch, corrupt_first):
+        # |A| > |B|: each try builds g on the pivot minor of (B, -A) and
+        # verifies idft(g) once, against (A, B); g itself is never checked.
+        # A spoilt first solve fails t = 1, so t = 2 wins on the second try.
+        solves = _spy_solves(monkeypatch, corrupt_first=corrupt_first)
+        real_idft, real_verify = fourier.idft, uncertainty._verify_witness_supports
+        transformed, verified = [], []
+
+        def idft(g):
+            transformed.append(real_idft(g))
+            return transformed[-1]
+
+        def verify(signal, support_set, spectrum_set):
+            verified.append((signal, support_set, spectrum_set))
+            return real_verify(signal, support_set, spectrum_set)
+
+        monkeypatch.setattr(fourier, "idft", idft)
+        monkeypatch.setattr(uncertainty, "_verify_witness_supports", verify)
+        p7 = PrimeModulus(7)
+        a, b = SupportSet(p7, [0, 1, 2, 3, 4, 5]), SupportSet(p7, [1, 4, 6])
+        witness = construct_support_pair(a, b)
+        tries = 2 if corrupt_first else 1
+        assert len(solves) == len(transformed) == len(verified) == tries
+        assert [minor.n for minor, *_ in solves] == [1] * tries
+        assert all(s is f and (sa, sb) == (a, b)
+                   for (s, sa, sb), f in zip(verified, transformed))
+        assert witness.signal is transformed[-1]
+        assert witness.combination_coeffs == (1, tries)
 
     def test_full_spectrum_needs_no_solve(self, monkeypatch):
         calls = _spy_solves(monkeypatch)
