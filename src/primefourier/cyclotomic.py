@@ -22,7 +22,9 @@ numerators of all their values as one string of signed struct items, the
 fewest bytes that hold them, take their bias from a field-wise max on that
 string and unpack through struct, so neither the packing, the bias (above
 the size where a scan of the rows is cheaper) nor the reduction visits a
-coefficient in Python.  Inverses come from the Galois norm: the product of
+coefficient in Python.  A value with one nonzero coefficient (every
+rational) is never packed: both sum kernels add it to the unpacked
+numerators of each sum (_redundant_sums).  Inverses come from the Galois norm: the product of
 all p - 1 conjugates of a nonzero element is a nonzero rational, so
 dividing the product of the other p - 2 conjugates by it inverts the
 element with integer vector arithmetic alone.  The Galois group is cyclic,
@@ -221,8 +223,10 @@ def _root_power(p: int, k: int) -> CycloNum:
 # no bias, reads back its balanced residue mod B^p - 1.  The kernels take
 # the width from their inputs through _digit_bytes, which gives the bytes
 # the largest digit needs and no more, since every shift, sum and product
-# of the packed integers grows with it; cyclic_convolution takes it from
-# its result, whose sums may carry.
+# of the packed integers grows with it.  Packed rows take one width rule,
+# a spare bit above the digits of their sums (_packed_rows), so every fold
+# of an uncarried sum is its balanced residue; cyclic_convolution takes
+# its product width from its result, whose sums may carry.
 #
 # Every digit string is two's complement: nbytes-byte items, little-endian.
 # With H = 2**(8*nbytes - 1) in every digit, the items X of digits d give
@@ -443,13 +447,12 @@ def _row_bias(rows, raw: bytes | None, item: int) -> int:
                 for m, ks in groups.items()])
 
 
-def _packed_rows(rows, room: int = 0,
-                 signed: bool = False) -> tuple[int, int, list[tuple[int, int]]]:
-    """(top, nbytes, [(e, packed)]) for rows (e, num, m): num * m biased and packed.
+def _packed_rows(rows) -> tuple[int, int, list[tuple[int, int]]]:
+    """(bias, nbytes, [(e, packed)]) for rows (e, num, m): num * m biased and packed.
 
-    Biased by max |c * m|, the digits of a sum of all rows are at most top,
-    and nbytes leaves room for digits up to top + room, or, if signed, one
-    spare bit for digits in [-top, top], to which _fold_residues folds them.
+    bias is max |c * m|, so the digits of a sum of all r rows lie in
+    [0, top], top = 2 * bias * r, and the folded ones (_fold_residues) in
+    [-top, top]; nbytes leaves one spare bit above top, so those hold them.
     The numerators of all rows are one string of signed items, packed by
     struct at the fewest bytes that hold them (_row_string), which gives
     the bias with no coefficient visited in Python (_row_bias), and is then
@@ -460,10 +463,7 @@ def _packed_rows(rows, room: int = 0,
     """
     raw, item = _row_string(rows)
     bias = _row_bias(rows, raw, item)
-    top = 2 * bias * len(rows)
-    nbytes = _digit_bytes(2 * top if signed else top + room)
-    if not rows:
-        return top, nbytes, []
+    nbytes = _digit_bytes(4 * bias * len(rows))
     count = len(rows[0][1])
     if raw is not None:
         raw = _resize(raw, item, nbytes)
@@ -476,7 +476,7 @@ def _packed_rows(rows, room: int = 0,
     for k, (e, _, m) in enumerate(rows):
         x = int.from_bytes(raw[k * size:k * size + size], "little")
         packed.append((e, ((x ^ half) - half) * m + lift))
-    return top, nbytes, packed
+    return bias, nbytes, packed
 
 
 # Dense sums turn their slots in two steps (_two_step_sums) from this prime
@@ -579,7 +579,7 @@ def _shifted_sums(p: int, terms, multipliers, width: int) -> list[int]:
     z^p = 1: each sum is folded once, (total mod 2^(p*width))
     + (total >> p*width), so it is congruent to the sum mod 2^(p*width) - 1
     however far its digits carry.  When the digits of every sum fit in
-    width bits (the character sums and vanishing_sums pick width so), each
+    width bits (_packed_rows picks width so for the sums of its rows), each
     sum is exactly its packed vector.  Fewer than p / 4 terms (measured
     crossover) shift one by one.  More merge into slots in discrete-log
     order: slot a holds exponent g^a (g = _primitive_root(p)), and exponent
@@ -709,7 +709,7 @@ def _fold_residues(sums, p: int, nbytes: int) -> list[int]:
     bias, a multiple of J, vanishes.  B^(p-1) = -J' mod Phi, so folding the
     top digit t, (total mod B^(p-1)) - t * J', reduces the sum.  Uncarried,
     its digits d_i - t are the numerators; below B / 2 in magnitude (the
-    spare bit of _packed_rows(signed=True)) they put it in (-Phi/2, Phi/2).
+    spare bit of _packed_rows) they put it in (-Phi/2, Phi/2).
     A fold outside that range (carried digits: cyclic_convolution) takes
     % Phi.
     """
@@ -719,31 +719,26 @@ def _fold_residues(sums, p: int, nbytes: int) -> list[int]:
     return [r if -half <= r <= half else _balanced_residue(r, phi) for r in folded]
 
 
-def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
-                   den_factor: int) -> list[CycloNum]:
-    """[sum_j values[j] * w^(exponents[j] * t) / den_factor for t in multipliers].
+def _row_residues(p: int, rows, multipliers) -> tuple[list[int], int]:
+    """(residues, nbytes): each sum of the rows' turned vectors, mod Phi_p(2^(8*nbytes)).
 
-    Kronecker substitution on the redundant spanning set {1, w, ..., w^(p-1)}.
-    The values are put over one common denominator and zero values are
-    dropped.  Each numerator vector with two or more nonzero coefficients is
-    biased and packed with one spare bit (_packed_rows), _shifted_sums adds
-    the packed vectors turned by their powers of w, and each sum's residue
-    mod Phi_p(2^W) (_fold_residues) is its numerators as signed digits, all
-    unpacked in one pass (_decode_signed).  A value with one nonzero
-    coefficient, c * w^i (every rational is one), is not packed: for each t
-    it adds c, over the common denominator, at index (i + e * t) mod p of
-    those digits, or of zeros when no value is packed, and _from_redundant
-    folds the top coefficient.
+    The rows are packed with the spare bit (_packed_rows) and turned
+    (_shifted_sums), so each balanced residue (_fold_residues) is the sum's
+    numerators as signed digits, and is 0 exactly when the sum is.
     """
-    p = modulus.p
-    multipliers = list(multipliers)
-    common, rows, monomials = _split_values(values, exponents)
-    den = common * den_factor
+    _, nbytes, terms = _packed_rows(rows)
+    return _fold_residues(_shifted_sums(p, terms, multipliers, 8 * nbytes), p, nbytes), nbytes
+
+
+def _redundant_sums(p: int, rows, monomials, multipliers) -> list[list[int]]:
+    """Each sum's p numerators on the redundant spanning set {1, w, ..., w^(p-1)}.
+
+    The rows' sums are their residues' signed digits (_row_residues) with
+    a top digit of 0, or zeros when there are no rows; each single term
+    c * w^i at exponent e adds c at index (i + e * t) mod p.
+    """
     if rows:
-        _, nbytes, terms = _packed_rows(rows, signed=True)
-        residues = _fold_residues(_shifted_sums(p, terms, multipliers, 8 * nbytes), p, nbytes)
-        if not monomials:
-            return _decode_signed(modulus, residues, nbytes, den)
+        residues, nbytes = _row_residues(p, rows, multipliers)
         digits = _signed_rows(residues, p - 1, nbytes)
     else:
         digits = itertools.repeat((0,) * (p - 1))
@@ -752,30 +747,50 @@ def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
         acc = [*num, 0]
         for e, i, c in monomials:
             acc[(i + e * t) % p] += c
-        out.append(CycloNum._from_redundant(modulus, acc, den))
+        out.append(acc)
     return out
+
+
+def character_sums(modulus: PrimeModulus, values, exponents, multipliers,
+                   den_factor: int) -> list[CycloNum]:
+    """[sum_j values[j] * w^(exponents[j] * t) / den_factor for t in multipliers].
+
+    Kronecker substitution on the redundant spanning set {1, w, ..., w^(p-1)}.
+    The values are put over one common denominator and zero values are
+    dropped.  Each numerator vector with two or more nonzero coefficients is
+    a row, biased and packed with one spare bit.  When every value is a row,
+    each sum's residue mod Phi_p(2^W) is its numerators as signed digits
+    (_row_residues), all unpacked in one pass (_decode_signed).  A value
+    with one nonzero coefficient, c * w^i (every rational is one), is not
+    packed: it is scattered onto the rows' digits (_redundant_sums), and
+    _from_redundant folds the top coefficient.
+    """
+    p = modulus.p
+    multipliers = list(multipliers)
+    common, rows, monomials = _split_values(values, exponents)
+    den = common * den_factor
+    if monomials or not rows:
+        return [CycloNum._from_redundant(modulus, acc, den)
+                for acc in _redundant_sums(p, rows, monomials, multipliers)]
+    residues, nbytes = _row_residues(p, rows, multipliers)
+    return _decode_signed(modulus, residues, nbytes, den)
 
 
 def vanishing_sums(modulus: PrimeModulus, values, exponents, multipliers) -> list[bool]:
     """[sum_j values[j] * w^(exponents[j] * t) == 0 for t in multipliers].
 
-    The single terms c * w^i (|c| summing to s) go into each packed sum in
-    place, over s * J, so its digits lie in [0, top + 2s], which the width
-    holds, and its numerators at z = 2^W lie within Phi_p(2^W) of 0: the sum
-    is zero exactly when its residue mod Phi_p(2^W) (_fold_residues) is 0.
-    No sum is unpacked.
+    The sums of character_sums, not decoded.  When every value is a row,
+    a sum is zero exactly when its residue mod Phi_p(2^W) is 0
+    (_row_residues).  Otherwise a sum is zero exactly when its p redundant
+    numerators (_redundant_sums) are all equal, since
+    1 + w + ... + w^(p-1) = 0 spans the relations among {1, w, ..., w^(p-1)}.
     """
     p, multipliers = modulus.p, list(multipliers)
     _, rows, monomials = _split_values(values, exponents)
-    lift = sum([abs(c) for _, _, c in monomials])
-    _, nbytes, terms = _packed_rows(rows, 2 * lift)
-    width = 8 * nbytes
-    sums = _shifted_sums(p, terms, multipliers, width)
-    if monomials:
-        lift *= _fold_constants(p, nbytes)[3]  # s * J(2^W) = s * Phi_p(2^W)
-        sums = [total + sum([c << width * ((i + e * t) % p) for e, i, c in monomials], lift)
-                for t, total in zip(multipliers, sums)]
-    return [not r for r in _fold_residues(sums, p, nbytes)]
+    if monomials or not rows:
+        return [acc.count(acc[0]) == p
+                for acc in _redundant_sums(p, rows, monomials, multipliers)]
+    return [not r for r in _row_residues(p, rows, multipliers)[0]]
 
 
 def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
@@ -784,9 +799,9 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
     The convolution theorem on the unnormalised spectra F(xi) = sum_x f[x]
     w^(-x*xi) and G: the result at x is (1/p) sum_xi F(xi) G(xi) w^(x*xi).
     The r_f nonzero values of f are packed over f's common denominator c_f,
-    their numerators at most b_f, the bias, with the spare bit
-    (_packed_rows(signed=True)), and likewise for g; an all-zero side gives
-    all zeros.  The forward sums are exact packed vectors whose digits never
+    with the spare bit (_packed_rows), which returns b_f, the bias, their
+    largest |numerator|; likewise for g, and an all-zero side gives all
+    zeros.  The forward sums are exact packed vectors whose digits never
     set their top bit, so sign fill widens them to W bytes (_resize) as it
     would zeros.  The products and the inverse sums run in Z/(B^p - 1) for
     B = 2^(8W), a W-byte digit, where z = B has z^p = 1: each product is
@@ -809,8 +824,8 @@ def cyclic_convolution(modulus: PrimeModulus, f, g) -> list[CycloNum]:
         rows = [(x, v._num, common // v._den) for x, v in enumerate(values) if any(v._num)]
         if not rows:
             return [CycloNum.zero(modulus)] * p
-        top, nbytes, terms = _packed_rows(rows, signed=True)
-        sides.append((common, len(rows), top // (2 * len(rows)), nbytes, terms))
+        bias, nbytes, terms = _packed_rows(rows)
+        sides.append((common, len(rows), bias, nbytes, terms))
     (common_f, r_f, b_f, _, _), (common_g, r_g, b_g, _, _) = sides
     nbytes = _digit_bytes(4 * p * (p - 1) * min(r_f, r_g) * b_f * b_g)
     width = 8 * nbytes

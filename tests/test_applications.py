@@ -160,6 +160,36 @@ class TestSparseZeroCount:
             direct = tuple(t for t in range(11) if poly.evaluate_at_root(t).is_zero())
             assert report.zeros.members == direct
 
+    @pytest.mark.parametrize("p", [101, 211])
+    def test_matches_evaluate_at_root_at_large_p(self, p):
+        # Few-term polynomials with integer, rational and c * w^k
+        # coefficients; the full c * (1 + z + ... + z^(p-1)), zero at every
+        # t != 0; and integer coefficients that sum to 0, zero at t = 0.
+        rng = random.Random(430 + p)
+        modulus = PrimeModulus(p)
+        c = Fraction(rng.randint(1, 2**40), 3)
+        polys = [[(e, c) for e in range(p)]]
+        for k in (2, 3, 5, 8, 12):
+            exponents = rng.sample(range(p), k)
+            coeffs = [rng.choice([x for x in range(-99, 100) if x]) for _ in range(k - 1)]
+            coeffs.append(-sum(coeffs) or 1)
+            polys.append(list(zip(exponents, coeffs)))
+            polys.append([(e, rng.choice((Fraction(rng.randint(1, 9), rng.randint(2, 7)),
+                                          rng.randint(1, 2**70) * CycloNum.root_power(
+                                              modulus, rng.randrange(p)))))
+                          for e in rng.sample(range(p), k)])
+        for terms in polys:
+            poly = SparsePoly(modulus, terms)
+            zeros = sparse_zero_count(poly).zeros.members
+            # p^2 additions evaluate the full polynomial everywhere; it is
+            # evaluated at 0, 1, p - 1 and 4 more t.
+            ts = range(p) if len(terms) < p else [0, 1, p - 1] + rng.sample(range(2, p - 1), 4)
+            assert [t in zeros for t in ts] == [poly.evaluate_at_root(t).is_zero() for t in ts]
+            if len(terms) == p:
+                assert zeros == tuple(range(1, p))
+            elif sum(coeff for _, coeff in terms) == 0:
+                assert 0 in zeros
+
     def test_cyclotomic_coefficients(self):
         p5 = PrimeModulus(5)
         w = CycloNum.root_power(p5, 1)

@@ -778,15 +778,13 @@ def item_string(values, item):
     return struct.pack(f"<{len(values)}{ITEM_CODES[item]}", *values)
 
 
-def scan_and_array_rows(rows, room=0, signed=False):
+def scan_and_array_rows(rows):
     """_packed_rows as it was before struct: the bias from a scan of every
     row, and all numerators as one array of the next item size, trimmed to
-    nbytes by one strided deletion per byte, or digit by digit above 8."""
-    bias = max([max(max(num), -min(num)) * m for _, num, m in rows], default=0)
-    top = 2 * bias * len(rows)
-    nbytes = _digit_bytes(2 * top if signed else top + room)
-    if not rows:
-        return top, nbytes, []
+    nbytes by one strided deletion per byte, or digit by digit above 8.
+    nbytes holds 2 * top, top = 2 * bias * rows: the spare bit."""
+    bias = max([max(max(num), -min(num)) * m for _, num, m in rows])
+    nbytes = _digit_bytes(4 * bias * len(rows))
     count = len(rows[0][1])
     flat = list(itertools.chain.from_iterable([num for _, num, _ in rows]))
     if nbytes > 8:
@@ -806,7 +804,7 @@ def scan_and_array_rows(rows, room=0, signed=False):
     for k, (e, _, m) in enumerate(rows):
         x = int.from_bytes(raw[k * size:k * size + size], "little")
         packed.append((e, ((x ^ half) - half) * m + lift))
-    return top, nbytes, packed
+    return bias, nbytes, packed
 
 
 class TestCodec:
@@ -851,18 +849,21 @@ class TestCodec:
     @pytest.mark.parametrize("nbytes", range(1, 10))
     def test_packed_rows_at_the_signed_extremes(self, nbytes):
         # Numerators at +-(2^(8n-1) - 1), the widest that n signed bytes hold:
-        # one row alone is biased into unsigned digits of exactly n bytes, and
-        # beside a row scaled by m = 3 every c * m is biased by 3 * top.
+        # one row alone is biased by top into digits up to 2 * top, whose
+        # folds reach +-2 * top, so the spare bit takes one byte more.
+        # Beside a row scaled by m = 3 every c * m is biased by 3 * top, the
+        # bias _packed_rows returns, and the width holds 2 * 2 * bias * 2.
         rng = random.Random(nbytes)
         top = 2 ** (8 * nbytes - 1) - 1
         nums = [(top, -top) + tuple(rng.choice((top, -top, 0, rng.randint(-top, top)))
                                     for _ in range(10)) for _ in range(2)]
         assert _packed_rows([(3, nums[0], 1)]) == (
-            2 * top, nbytes, [(3, pack([c + top for c in nums[0]] + [top], nbytes))])
+            top, nbytes + 1, [(3, pack([c + top for c in nums[0]] + [top], nbytes + 1))])
         rows = [(3, nums[0], 1), (5, nums[1], 3)]
         bias = 3 * top
-        sum_top, width, packed = _packed_rows(rows, signed=True)
-        assert (sum_top, width) == (4 * bias, _digit_bytes(8 * bias))
+        got_bias, width, packed = _packed_rows(rows)
+        assert (got_bias, width) == (bias, _digit_bytes(8 * bias))
+        assert 256 ** (width - 1) <= 8 * bias < 256 ** width
         assert packed == [(e, pack([c * m + bias for c in num] + [bias], width))
                           for e, num, m in rows]
 
@@ -914,27 +915,25 @@ class TestCodec:
     def test_packed_rows_match_the_scan_and_array_reference(self):
         # Numerators up to 2^bits across every item size and above 8 bytes,
         # with the most negative value of each size, from one row to enough
-        # for the field max at 8 bytes, with one m or several, room and
-        # signed: every (top, nbytes, packed) must be the reference's, and
-        # nbytes must take every width from 1 to 9.
+        # for the field max at 8 bytes, with one m or several: every
+        # (bias, nbytes, packed) must be the reference's, and nbytes must
+        # take every width from 1 to 9, with one m and with several.
         rng = random.Random(34)
-        widths = set()
-        for bits in (3, 6, 7, 14, 15, 16, 22, 30, 31, 32, 46, 62, 63, 64, 70):
+        widths = {(1,): set(), (1, 2, 3, 6): set()}
+        for bits in (3, 6, 7, 14, 15, 16, 22, 30, 31, 32, 46, 54, 62, 63, 64, 70):
             bound = 2 ** bits
             for nrows in (1, 3, 40, 200):
-                for ms in ((1,), (1, 2, 3, 6)):
+                for ms in widths:
                     picks = (bound - 1, -bound, 0)
                     rows = [(e, tuple(rng.choice(picks + (rng.randint(-bound, bound - 1),
                                                           rng.randint(-9, 9)))
                                       for _ in range(12)), ms[e % len(ms)])
                             for e in range(nrows)]
-                    for room in (0, 5, 2**20):
-                        for signed in (False, True):
-                            got = _packed_rows(rows, room, signed)
-                            want = scan_and_array_rows(rows, room, signed)
-                            assert got == want, (bits, nrows, ms, room, signed)
-                            widths.add(got[1])
-        assert widths >= set(range(1, 10))
+                    got = _packed_rows(rows)
+                    assert got == scan_and_array_rows(rows), (bits, nrows, ms)
+                    widths[ms].add(got[1])
+        for ms, seen in widths.items():
+            assert seen >= set(range(1, 10)), ms
 
     # Widths 1, 2, 4 and 8 are item sizes, 3, 5, 6 and 7 sign-fill the bytes
     # up to the next one, and 9 converts digit by digit.

@@ -461,39 +461,101 @@ class TestVanishingSums:
         f = SignalFn(modulus, [ones, top] + [0] * (p - 2))
         assert fourier_support(f) == support(dft(f)) == SupportSet(modulus, range(p - 1))
 
+    @staticmethod
+    def spied_widths(monkeypatch):
+        # The width of every _packed_rows call, and every % Phi that a fold
+        # takes (_balanced_residue).
+        widths, remainders = [], []
+        packed_rows, balanced = cyclotomic._packed_rows, cyclotomic._balanced_residue
+        monkeypatch.setattr(cyclotomic, "_packed_rows",
+                            lambda rows: (lambda out: widths.append(out[1]) or out)(
+                                packed_rows(rows)))
+        monkeypatch.setattr(cyclotomic, "_balanced_residue",
+                            lambda value, n: remainders.append(n) or balanced(value, n))
+        return widths, remainders
+
     @pytest.mark.parametrize("nbytes", range(1, 10))
     @pytest.mark.parametrize("p", [5, 13])
     def test_width_edge(self, p, nbytes, monkeypatch):
-        # The width holds top + 2s, top = 2 * bias * rows for the packed
-        # rows and s the sum of |c| over the single terms.  top is even, so
-        # its edge is 256^W - 2: one row R = b - b*w + w^2 with b = 2^(8W-3)
-        # (top = 2b), the terms -b, b*w and -w^2 of -R, and c*w^3 and
-        # -c*w^3 with c = 2^(8W-4) - 1 give s = 2b + 1 + 2c and
-        # top + 2s = 256^W - 2.  R sits at exponent 1 and -R at exponent 2,
-        # so the sum at t is R(w) (w^t - w^(2t)), zero exactly when
-        # t = 0 (mod p), and the pair cancels at every t.
+        # The rows' digits at the spare-bit edge beside single terms.  One
+        # row R = b - b*w + w^2 with b = 2^(8W-2) - 1 has top = 2b, and its
+        # width must be W, the fewest bytes that hold 2 * top = 256^W - 4;
+        # b + 1 would take W + 1.  Turned by t = p - 2, R's digit 2b lands
+        # at index p - 2 and its digit 0 on top, so one folded numerator is
+        # +top, and at t = p - 1 one is -top.  The terms -b, b*w and -w^2 of
+        # -R sit at exponent 2, and c*w^3 and -c*w^3, c = 256^W, cancel: the
+        # single terms need no room in the width.  The sum at t is
+        # R(w) (w^t - w^(2t)), zero exactly when t = 0 (mod p), and no fold
+        # may take % Phi; the results must agree with the decoded sums.
         modulus = PrimeModulus(p)
-        b, c = 2 ** (8 * nbytes - 3), 2 ** (8 * nbytes - 4) - 1
+        b, c = 2 ** (8 * nbytes - 2) - 1, 256 ** nbytes
+        assert cyclotomic._digit_bytes(4 * (b + 1)) == nbytes + 1
         row = CycloNum(modulus, [b, -b, 1] + [0] * (p - 4))
         singles = [(-b, 0), (b, 1), (-1, 2)]
         values = [row] + [k * CycloNum.root_power(modulus, i) for k, i in singles]
         values += [c * CycloNum.root_power(modulus, 3), -c * CycloNum.root_power(modulus, 3)]
         exponents = [1, 2, 2, 2, 3, 3]
-        assert 2 * b + 2 * (2 * b + 1 + 2 * c) == 256 ** nbytes - 2
-        widths = []
-        packed_rows = cyclotomic._packed_rows
-
-        def spy(rows, room=0, signed=False):
-            out = packed_rows(rows, room, signed)
-            widths.append(out[1])
-            return out
-
-        monkeypatch.setattr(cyclotomic, "_packed_rows", spy)
         multipliers = range(-p, 2 * p + 1)
+        widths, remainders = self.spied_widths(monkeypatch)
         assert vanishing_sums(modulus, values, exponents, multipliers) == [
             t % p == 0 for t in multipliers]
         assert widths == [nbytes]
+        assert remainders == []
         self._agree(modulus, values, exponents, multipliers)
+
+    @pytest.mark.parametrize("nbytes", range(1, 10))
+    @pytest.mark.parametrize("p", [5, 13])
+    def test_rows_at_their_top_take_no_remainder(self, p, nbytes, monkeypatch):
+        # r equal rows R = (-b, ..., -b, b) at exponents 1, 1 + p, ... turn
+        # alike, so the digits of their sums reach 0 and top = 2br, and
+        # their folded numerators reach +-top.  b = (256^W - 1) // (2r)
+        # puts top in [2^(8W-1), 2^(8W)): W bytes hold it unsigned, and
+        # folded there, -top * (1 + B + ... ) lies outside (-Phi/2, Phi/2).
+        # With the spare bit every fold lies inside, so vanishing_sums must
+        # take no % Phi, and agree with the decoded sums.  Beside them, r
+        # copies of -R at exponent 2 give sums that vanish at t = 0 (mod p).
+        modulus = PrimeModulus(p)
+        multipliers = range(-p, 2 * p + 1)
+        for r in (1, 3):
+            b = (256 ** nbytes - 1) // (2 * r)
+            top = 2 * b * r
+            assert 2 ** (8 * nbytes - 1) <= top < 2 ** (8 * nbytes)
+            assert cyclotomic._digit_bytes(top) == nbytes
+            row = CycloNum(modulus, [-b] * (p - 2) + [b])
+            for values, exponents in (([row] * r, [1 + p * k for k in range(r)]),
+                                      ([row] * r + [-row] * r, [1] * r + [2] * r)):
+                widths, remainders = self.spied_widths(monkeypatch)
+                zero = vanishing_sums(modulus, values, exponents, multipliers)
+                assert widths == [nbytes + 1]
+                assert remainders == []
+                monkeypatch.undo()
+                assert zero == [len(values) > r and t % p == 0 for t in multipliers]
+                self._agree(modulus, values, exponents, multipliers)
+
+    @pytest.mark.parametrize("p", [2, 5, 13, 101])
+    def test_single_terms_pack_nothing(self, p, monkeypatch):
+        # Rationals, c * w^i for i < p - 1 and zeros, with a cancelling
+        # pair: every value is a single term, so neither vanishing_sums nor
+        # character_sums packs a row.
+        rng = random.Random(800 + p)
+        modulus = PrimeModulus(p)
+
+        def single():
+            return rng.choice((Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                               rng.randint(-2**70, 2**70) * CycloNum.root_power(
+                                   modulus, rng.randrange(p - 1))))
+
+        values = [CycloNum.of(modulus, single()) for _ in range(2 * p)] + [CycloNum.zero(modulus)]
+        values += [values[0], -values[0]]
+        exponents = [rng.randrange(-p, 2 * p) for _ in values]
+        exponents[-1] = exponents[-2]
+
+        def refuse(rows):
+            raise AssertionError("packed a single-term value")
+
+        monkeypatch.setattr(cyclotomic, "_packed_rows", refuse)
+        self._agree(modulus, values, exponents, range(-p, 2 * p))
+        self._agree(modulus, values[-2:], exponents[-2:], range(p))
 
     def test_p2_values_are_all_single_terms(self):
         p2 = PrimeModulus(2)
@@ -686,8 +748,8 @@ class TestConvolve:
         # 2 * 97 * 96 * 16 * 999^2 is below 2^39, so the products and
         # inverse sums run at 5 bytes.  Sized for the biases of the packed
         # spectra, 2 p^2 top_f top_g, they took 6.  The sides pack with the
-        # spare bit, 2 * 16 * 999 in 2 bytes and 2 * 97 * 999 in 3, the
-        # widths they need without it.
+        # spare bit, 2 * 2 * 16 * 999 in 2 bytes and 2 * 2 * 97 * 999 in 3,
+        # and _packed_rows returns each side's bias, its largest numerator.
         rng = random.Random(97)
         modulus = PrimeModulus(97)
         decoded, sides = [], []
@@ -696,10 +758,11 @@ class TestConvolve:
                             decoded.append(nbytes) or decode(modulus, values, nbytes, den))
         packed_rows = cyclotomic._packed_rows
 
-        def spy(rows, room=0, signed=False):
-            out = packed_rows(rows, room, signed)
-            sides.append((signed, out[1]))
-            assert out[1] == cyclotomic._digit_bytes(out[0])
+        def spy(rows):
+            out = packed_rows(rows)
+            sides.append(out[1])
+            assert out[0] == max(max(map(abs, num)) * m for _, num, m in rows)
+            assert out[1] == cyclotomic._digit_bytes(4 * out[0] * len(rows))
             return out
 
         monkeypatch.setattr(cyclotomic, "_packed_rows", spy)
@@ -713,7 +776,7 @@ class TestConvolve:
         f = SignalFn(modulus, [v if x in points else 0 for x, v in enumerate(dense())])
         g = SignalFn(modulus, dense())
         out = convolve(f, g)
-        assert sides == [(True, 2), (True, 3)]
+        assert sides == [2, 3]
         assert decoded == [5]
         monkeypatch.undo()
         spectrum = [97 * a * b for a, b in zip(dft(f).values, dft(g).values)]
